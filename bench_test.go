@@ -73,7 +73,7 @@ func BenchmarkE14FunctionCall(b *testing.B) { runExperiment(b, bench.E14Function
 // BenchmarkSimulatorThroughput measures the simulator itself: host time
 // per simulated machine cycle for a representative Mesa workload.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	sys, err := NewSystem(Mesa)
+	sys, err := New(WithLanguage(Mesa))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,6 @@
 //	curl -X POST localhost:7480/v1/sessions/s1/boot -d '{"source":"return 6*7;"}'
 //	curl -X POST localhost:7480/v1/sessions/s1/runs -d '{"cycles":100000}'
 //	curl localhost:7480/v1/sessions/s1/runs/r1        # poll the async run
-//	curl -X POST localhost:7480/v1/sessions/s1/run -d '{"cycles":100000}'  # deprecated sync form
 //	curl -X POST localhost:7480/v1/sessions/s1/park   # snapshot + evict now
 //	curl localhost:7480/v1/sessions/s1
 //	curl localhost:7480/v1/sessions/s1/trace          # Chrome trace_event JSON
@@ -87,12 +86,11 @@
 //	curl 'localhost:7480/v1/sessions/s1/profile?format=json' | profview /dev/stdin
 //	curl 'localhost:7480/v1/profile'                  # fleet-wide merge
 //
-// Run endpoints: POST /v1/sessions/{id}/runs is the primary form — it
-// answers 202 with a run id at admission, the result is pollable at
-// GET /v1/sessions/{id}/runs/{rid}, and the completion also arrives as a
-// "run" event on the session's SSE stream. POST /v1/sessions/{id}/run is
-// the deprecated synchronous wrapper over the same machinery, kept for
-// existing clients (simbench -fleet among them).
+// Runs: POST /v1/sessions/{id}/runs answers 202 with a run id at
+// admission, the result is pollable at GET /v1/sessions/{id}/runs/{rid},
+// and the completion also arrives as a "run" event on the session's SSE
+// stream. In-process callers that want to block (simbench -fleet) use
+// fleet.Manager.Run, which waits on the same machinery.
 //
 // Observability rides on the same listener: /metrics is the Prometheus
 // scrape target (fleet counters, per-operation queue-wait and service-time

@@ -72,7 +72,6 @@ func main() {
 	fleetOn := flag.Float64("fleet-on", bench.DefaultGuardThresholds.FleetMetricsOn, "with -guard: instrumented-fleet allowed fractional overhead")
 	transMin := flag.Float64("translated-min", bench.DefaultGuardThresholds.TranslatedMin, "with -guard: required translated-over-predecoded speedup")
 	transN := flag.Int("translated-workloads", bench.DefaultGuardThresholds.TranslatedWorkloads, "with -guard: workloads that must reach -translated-min")
-	profOff := flag.Float64("prof-off", bench.DefaultGuardThresholds.ProfOff, "with -guard: profiler-off allowed fractional regression")
 	profOn := flag.Float64("prof-on", bench.DefaultGuardThresholds.ProfOn, "with -guard: profiler-on allowed fractional overhead")
 	profOut := flag.String("profile", "", "also run the microarchitectural profiler over every workload and write the per-workload profiles (prof.BenchReport JSON) here; view with cmd/profview")
 	onePath := flag.String("path", "", "measure only this path (predecoded, reference, instrumented, translated, profiled); no ratios, no report file")
@@ -128,7 +127,7 @@ func main() {
 	th := bench.GuardThresholds{
 		MetricsOff: *off, MetricsOn: *on, FleetMetricsOn: *fleetOn,
 		TranslatedMin: *transMin, TranslatedWorkloads: *transN,
-		ProfOff: *profOff, ProfOn: *profOn,
+		ProfOn: *profOn,
 	}
 	if *guard {
 		var err error
@@ -240,9 +239,9 @@ func main() {
 		}
 
 		checks, ok := bench.Guard(baseline, &rep, th)
-		fmt.Printf("\nguard: baseline %s, thresholds off %.0f%% on %.0f%% fleet-on %.0f%% translated %.1fx on %d+ workloads prof-off %.0f%% prof-on %.0f%%\n",
+		fmt.Printf("\nguard: baseline %s, thresholds off %.0f%% on %.0f%% fleet-on %.0f%% translated %.1fx on %d+ workloads prof-on %.0f%%\n",
 			*baselinePath, 100*th.MetricsOff, 100*th.MetricsOn, 100*th.FleetMetricsOn,
-			th.TranslatedMin, th.TranslatedWorkloads, 100*th.ProfOff, 100*th.ProfOn)
+			th.TranslatedMin, th.TranslatedWorkloads, 100*th.ProfOn)
 		for _, c := range checks {
 			fmt.Println(c)
 		}

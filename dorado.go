@@ -86,13 +86,6 @@ type (
 // CycleNS is the machine cycle time in nanoseconds.
 const CycleNS = core.CycleNS
 
-// NewMachine builds a bare machine (microcode level). Load a program
-// assembled with NewBuilder, set TPCs, attach devices, and Step or Run.
-//
-// Deprecated: use New(WithConfig(cfg)) and the System's Machine field;
-// NewMachine remains as a thin equivalent wrapper.
-func NewMachine(cfg Config) (*Machine, error) { return core.New(cfg) }
-
 // NewBuilder returns an empty microassembler.
 func NewBuilder() *Builder { return masm.NewBuilder() }
 
@@ -143,22 +136,6 @@ type System struct {
 	Emulator *emulator.Program
 	Metrics  *Metrics
 	Profiler *Profiler
-}
-
-// NewSystem builds a machine running the given language's emulator.
-//
-// Deprecated: use New(WithLanguage(lang)). NewSystem delegates to it with
-// identical behavior.
-func NewSystem(lang Language) (*System, error) {
-	return New(WithLanguage(lang))
-}
-
-// NewSystemWith is NewSystem with a machine configuration.
-//
-// Deprecated: use New(WithLanguage(lang), WithConfig(cfg)). NewSystemWith
-// delegates to it with identical behavior.
-func NewSystemWith(lang Language, cfg Config) (*System, error) {
-	return New(WithLanguage(lang), WithConfig(cfg))
 }
 
 // Asm returns a byte-code assembler for the system's instruction set.

@@ -3,7 +3,7 @@ package dorado
 import "testing"
 
 func TestQuickstartMesa(t *testing.T) {
-	sys, err := NewSystem(Mesa)
+	sys, err := New(WithLanguage(Mesa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestQuickstartMesa(t *testing.T) {
 }
 
 func TestBCPLAccumulator(t *testing.T) {
-	sys, err := NewSystem(BCPL)
+	sys, err := New(WithLanguage(BCPL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestBCPLAccumulator(t *testing.T) {
 
 func TestAllLanguagesBuild(t *testing.T) {
 	for _, l := range []Language{Mesa, BCPL, Lisp, Smalltalk} {
-		if _, err := NewSystem(l); err != nil {
+		if _, err := New(WithLanguage(l)); err != nil {
 			t.Errorf("%v: %v", l, err)
 		}
 	}
-	if _, err := NewSystem(Language(99)); err == nil {
+	if _, err := New(WithLanguage(Language(99))); err == nil {
 		t.Error("unknown language should fail")
 	}
 }
@@ -61,10 +61,11 @@ func TestMicrocodeLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(Config{})
+	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := sys.Machine
 	m.Load(&p.Words)
 	m.Start(p.MustEntry("start"))
 	if !m.Run(100) {

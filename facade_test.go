@@ -11,7 +11,7 @@ import (
 )
 
 func TestLispSystemFacade(t *testing.T) {
-	sys, err := NewSystem(Lisp)
+	sys, err := New(WithLanguage(Lisp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLispSystemFacade(t *testing.T) {
 }
 
 func TestSmalltalkSystemFacade(t *testing.T) {
-	sys, err := NewSystem(Smalltalk)
+	sys, err := New(WithLanguage(Smalltalk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,11 @@ func TestSmalltalkSystemFacade(t *testing.T) {
 }
 
 func TestFacadeDevices(t *testing.T) {
-	m, err := NewMachine(Config{})
+	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := sys.Machine
 	disk := NewDisk(11)
 	if disk.Task() != 11 || disk.CyclesPerWord != 27 {
 		t.Errorf("disk = %+v", disk)
@@ -97,10 +98,11 @@ func TestFacadeBitBlt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(Config{})
+	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := sys.Machine
 	m.Mem().Poke(0x1000, 0xBEEF)
 	cycles, err := ps.Run(m, BitBltParams{
 		Op: bitblt.Copy, Src: 0x1000, Dst: 0x2000,
@@ -128,7 +130,7 @@ func TestLanguageStrings(t *testing.T) {
 
 func TestNewSystemWithOptions(t *testing.T) {
 	// The ablations are reachable through the facade.
-	sys, err := NewSystemWith(Mesa, Config{Options: Options{DelayedBranch: true}})
+	sys, err := New(WithLanguage(Mesa), WithConfig(Config{Options: Options{DelayedBranch: true}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestNewSystemWithOptions(t *testing.T) {
 }
 
 func TestBootSourceLisp(t *testing.T) {
-	sys, err := NewSystem(Lisp)
+	sys, err := New(WithLanguage(Lisp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestBootSourceLisp(t *testing.T) {
 }
 
 func TestBootSourceSmalltalk(t *testing.T) {
-	sys, err := NewSystem(Smalltalk)
+	sys, err := New(WithLanguage(Smalltalk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestBootSourceSmalltalk(t *testing.T) {
 }
 
 func TestBootSourceRejectsBCPL(t *testing.T) {
-	sys, err := NewSystem(BCPL)
+	sys, err := New(WithLanguage(BCPL))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package bench
 
 import (
-	"fmt"
+	"bytes"
 	"reflect"
 	"testing"
 
 	"dorado/internal/core"
 	"dorado/internal/emulator"
+	"dorado/internal/obs"
+	"dorado/internal/trace"
 )
 
 // This file is the workload-level half of the interpreter differential
@@ -14,85 +16,168 @@ import (
 // BitBlt) runs once on each execution path — predecoded fast path,
 // reference interpreter (Config.Reference, the seed's decode-every-cycle
 // behavior), and superblock-translated (Config.Translation) — and all
-// machines must agree cycle-for-cycle: identical Stats, identical final
-// registers, identical memory. The instruction-level pairs live in
-// internal/core/predecode_test.go and internal/core/translate_test.go.
+// machines must agree cycle for cycle: identical tracer streams (fused
+// superblock cycles included), identical Stats, registers and memory, and
+// byte-identical metrics-recorder exports. The instruction-level scenarios
+// live in internal/core/predecode_test.go and translate_test.go.
 
 // diffTranslation is the translation config the differential workloads run
 // under: a low hot threshold so even the short runs spend most of their
 // cycles inside fused superblocks.
 var diffTranslation = core.Translation{Enable: true, HotThreshold: 8}
 
-// diffPair runs build once per execution path (predecoded, reference
-// interpreter, superblock-translated) and checks all machines ended in the
-// same state. The predecoded machine is the comparison pivot; mismatches
-// name the offending path.
-func diffPair(t *testing.T, name string, build func(cfg core.Config) (*core.Machine, error), memLo, memHi uint32) {
+// diffPaths lists the execution paths; the predecoded machine is the pivot.
+var diffPaths = []struct {
+	path string
+	cfg  core.Config
+}{
+	{"predecoded", core.Config{}},
+	{"reference", core.Config{Reference: true}},
+	{"translated", core.Config{Translation: diffTranslation}},
+}
+
+// diffChunk is the lockstep slice between trace comparisons: it bounds the
+// buffered events, and being prime it expires budgets mid-superblock.
+const diffChunk = 10_007
+
+// eventTracer buffers one chunk's trace events.
+type eventTracer struct{ events []core.TraceEvent }
+
+func (e *eventTracer) Trace(ev core.TraceEvent) { e.events = append(e.events, ev) }
+
+// diffPair builds the workload once per path with a tracer on each, runs
+// them in lockstep chunks for up to total cycles (stopping once the pivot
+// halts), and fails on the first trace divergence; it then compares the
+// final machine state and, on a second set of machines wearing only a
+// metrics recorder, the Prometheus and Chrome-trace exports. fuses says
+// whether the traced translated run must retire cycles inside superblocks.
+// It returns the pivot machine.
+func diffPair(t *testing.T, name string, total uint64, fuses bool, memLo, memHi uint32, build func(cfg core.Config) (*core.Machine, error)) *core.Machine {
 	t.Helper()
-	fast, err := build(core.Config{})
-	if err != nil {
-		t.Fatalf("%s: fast build: %v", name, err)
-	}
-	others := []struct {
-		path string
-		cfg  core.Config
-	}{
-		{"reference", core.Config{Reference: true}},
-		{"translated", core.Config{Translation: diffTranslation}},
-	}
-	for _, o := range others {
-		ref, err := build(o.cfg)
+	machines := make([]*core.Machine, len(diffPaths))
+	tracers := make([]eventTracer, len(diffPaths))
+	for i, p := range diffPaths {
+		m, err := build(p.cfg)
 		if err != nil {
-			t.Fatalf("%s: %s build: %v", name, o.path, err)
+			t.Fatalf("%s: %s build: %v", name, p.path, err)
 		}
-		if o.path == "translated" {
-			// The translator must at least have engaged. FusedCycles can
-			// legitimately be zero (slow-io's loopback wakes its task every
-			// cycle, so the entry guard never opens) but a run that built no
-			// blocks at all would make this differential vacuous.
-			if ts := ref.TranslationStats(); ts.BlocksBuilt == 0 {
-				t.Errorf("%s: translated run built no superblocks (stats %+v)", name, ts)
+		m.SetTracer(&tracers[i])
+		machines[i] = m
+	}
+	fast := machines[0]
+	for done := uint64(0); done < total && !fast.Halted(); done += diffChunk {
+		for i, m := range machines {
+			tracers[i].events = tracers[i].events[:0]
+			m.Run(min(diffChunk, total-done))
+		}
+		want := tracers[0].events
+		for i := 1; i < len(machines); i++ {
+			got := tracers[i].events
+			for j := 0; j < len(want) && j < len(got); j++ {
+				if want[j] != got[j] {
+					t.Fatalf("%s: %s trace diverges at cycle %d:\n  predecoded: %+v\n  %s: %+v",
+						name, diffPaths[i].path, want[j].Cycle, want[j], diffPaths[i].path, got[j])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s trace length differs after cycle %d: predecoded %d events, %s %d",
+					name, diffPaths[i].path, done, len(want), diffPaths[i].path, len(got))
 			}
 		}
-		if fast.Cycle() != ref.Cycle() {
-			t.Errorf("%s: cycle count diverged: fast %d, %s %d", name, fast.Cycle(), o.path, ref.Cycle())
+	}
+	tr := machines[len(machines)-1]
+	ts := tr.TranslationStats()
+	// The translator must at least have engaged, or this differential
+	// would be vacuous. Slow I/O legitimately fuses nothing: its loopback
+	// wakes its task every cycle, so the entry guard never opens.
+	if ts.BlocksBuilt == 0 || (fuses && ts.FusedCycles == 0) {
+		t.Errorf("%s: traced translated run did not engage the translator (stats %+v)", name, ts)
+	}
+	for i := 1; i < len(machines); i++ {
+		diffState(t, name, diffPaths[i].path, fast, machines[i], memLo, memHi)
+	}
+	diffExports(t, name, fast.Cycle(), build)
+	return fast
+}
+
+// diffState compares the final state of the pivot and one other path.
+func diffState(t *testing.T, name, path string, fast, ref *core.Machine, memLo, memHi uint32) {
+	t.Helper()
+	if fast.Cycle() != ref.Cycle() {
+		t.Errorf("%s: cycle count diverged: fast %d, %s %d", name, fast.Cycle(), path, ref.Cycle())
+	}
+	if fast.Halted() != ref.Halted() || fast.HaltPC() != ref.HaltPC() {
+		t.Errorf("%s: halt state diverged: fast (%v,%v), %s (%v,%v)",
+			name, fast.Halted(), fast.HaltPC(), path, ref.Halted(), ref.HaltPC())
+	}
+	if fs, rs := fast.Stats(), ref.Stats(); !reflect.DeepEqual(fs, rs) {
+		t.Errorf("%s: stats diverged:\nfast: %+v\n%-4s: %+v", name, fs, path, rs)
+	}
+	if fast.CurTask() != ref.CurTask() || fast.CurPC() != ref.CurPC() {
+		t.Errorf("%s: control diverged: fast (task %d, pc %v), %s (task %d, pc %v)",
+			name, fast.CurTask(), fast.CurPC(), path, ref.CurTask(), ref.CurPC())
+	}
+	for i := 0; i < 256; i++ {
+		if fast.RM(i) != ref.RM(i) {
+			t.Errorf("%s: RM[%d] diverged: fast %#04x, %s %#04x", name, i, fast.RM(i), path, ref.RM(i))
 		}
-		if fast.Halted() != ref.Halted() || fast.HaltPC() != ref.HaltPC() {
-			t.Errorf("%s: halt state diverged: fast (%v,%v), %s (%v,%v)",
-				name, fast.Halted(), fast.HaltPC(), o.path, ref.Halted(), ref.HaltPC())
+		if fast.Stack(i) != ref.Stack(i) {
+			t.Errorf("%s: stack[%d] diverged: fast %#04x, %s %#04x", name, i, fast.Stack(i), path, ref.Stack(i))
 		}
-		if fs, rs := fast.Stats(), ref.Stats(); !reflect.DeepEqual(fs, rs) {
-			t.Errorf("%s: stats diverged:\nfast: %+v\n%-4s: %+v", name, fs, o.path, rs)
+	}
+	for task := 0; task < 16; task++ {
+		if fast.T(task) != ref.T(task) || fast.TPC(task) != ref.TPC(task) {
+			t.Errorf("%s: task %d diverged: fast (T %#04x, TPC %v), %s (T %#04x, TPC %v)",
+				name, task, fast.T(task), fast.TPC(task), path, ref.T(task), ref.TPC(task))
 		}
-		if fast.CurTask() != ref.CurTask() || fast.CurPC() != ref.CurPC() {
-			t.Errorf("%s: control diverged: fast (task %d, pc %v), %s (task %d, pc %v)",
-				name, fast.CurTask(), fast.CurPC(), o.path, ref.CurTask(), ref.CurPC())
+	}
+	for a := memLo; a < memHi; a++ {
+		if fv, rv := fast.Mem().Peek(a), ref.Mem().Peek(a); fv != rv {
+			t.Errorf("%s: memory %#x diverged: fast %#04x, %s %#04x", name, a, fv, path, rv)
 		}
-		for i := 0; i < 256; i++ {
-			if fast.RM(i) != ref.RM(i) {
-				t.Errorf("%s: RM[%d] diverged: fast %#04x, %s %#04x", name, i, fast.RM(i), o.path, ref.RM(i))
-			}
-			if fast.Stack(i) != ref.Stack(i) {
-				t.Errorf("%s: stack[%d] diverged: fast %#04x, %s %#04x", name, i, fast.Stack(i), o.path, ref.Stack(i))
-			}
+	}
+}
+
+// diffExports runs the workload for cycles on every path with only a
+// metrics recorder attached — the production shape, where the translated
+// path keeps its quiescent block loop — and requires byte-identical
+// Prometheus and Chrome-trace exports.
+func diffExports(t *testing.T, name string, cycles uint64, build func(cfg core.Config) (*core.Machine, error)) {
+	t.Helper()
+	var wantProm, wantTrace []byte
+	for i, p := range diffPaths {
+		m, err := build(p.cfg)
+		if err != nil {
+			t.Fatalf("%s: %s build: %v", name, p.path, err)
 		}
-		for task := 0; task < 16; task++ {
-			if fast.T(task) != ref.T(task) || fast.TPC(task) != ref.TPC(task) {
-				t.Errorf("%s: task %d diverged: fast (T %#04x, TPC %v), %s (T %#04x, TPC %v)",
-					name, task, fast.T(task), fast.TPC(task), o.path, ref.T(task), ref.TPC(task))
-			}
+		rec := obs.NewRecorder(obs.Config{})
+		m.SetRecorder(rec)
+		m.Run(cycles)
+		rec.Flush(m.Cycle())
+		var prom, chrome bytes.Buffer
+		if err := obs.WritePrometheus(&prom, trace.MetricsSnapshot(m, rec)); err != nil {
+			t.Fatal(err)
 		}
-		for a := memLo; a < memHi; a++ {
-			if fv, rv := fast.Mem().Peek(a), ref.Mem().Peek(a); fv != rv {
-				t.Errorf("%s: memory %#x diverged: fast %#04x, %s %#04x", name, a, fv, o.path, rv)
-			}
+		if err := obs.WriteChromeTrace(&chrome, rec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wantProm, wantTrace = prom.Bytes(), chrome.Bytes()
+			continue
+		}
+		if !bytes.Equal(prom.Bytes(), wantProm) {
+			t.Errorf("%s: %s Prometheus export differs from predecoded:\n%s\nvs\n%s", name, p.path, prom.Bytes(), wantProm)
+		}
+		if !bytes.Equal(chrome.Bytes(), wantTrace) {
+			t.Errorf("%s: %s Chrome-trace export differs from predecoded (%d vs %d bytes)",
+				name, p.path, chrome.Len(), len(wantTrace))
 		}
 	}
 }
 
 // TestDifferentialMesaEmulator runs a mixed Mesa macroprogram (loads,
 // stores, arithmetic, a counted loop — the §7 emulator-mix shape) through
-// the full IFU dispatch pipeline on both paths.
+// the full IFU dispatch pipeline on every path.
 func TestDifferentialMesaEmulator(t *testing.T) {
 	build := func(cfg core.Config) (*core.Machine, error) {
 		m, err := core.New(cfg)
@@ -120,66 +205,33 @@ func TestDifferentialMesaEmulator(t *testing.T) {
 		if err := mesa.InstallOn(m); err != nil {
 			return nil, err
 		}
-		m.Run(2_000_000)
 		return m, nil
 	}
-	diffPair(t, "mesa-emulator", build, emulator.VAFrames, emulator.VAFrames+0x100)
+	diffPair(t, "mesa-emulator", 2_000_000, true, emulator.VAFrames, emulator.VAFrames+0x100, build)
 }
 
 // TestDifferentialDisk runs the E4 shape: disk word-source task alongside
 // the counting emulator, the 3-cycles-per-2-words transfer idiom.
 func TestDifferentialDisk(t *testing.T) {
-	build := func(cfg core.Config) (*core.Machine, error) {
-		m, err := BuildDiskMachine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Run(60_000)
-		return m, nil
-	}
-	diffPair(t, "disk", build, 0x6000, 0x6200)
+	diffPair(t, "disk", 60_000, true, 0x6000, 0x6200, BuildDiskMachine)
 }
 
 // TestDifferentialFastIO runs the E5 shape: display device at full memory
 // bandwidth, two microinstructions per 16-word block.
 func TestDifferentialFastIO(t *testing.T) {
-	build := func(cfg core.Config) (*core.Machine, error) {
-		m, err := BuildFastIOMachine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Run(60_000)
-		return m, nil
-	}
-	diffPair(t, "fast-io", build, 0x20000, 0x20100)
+	diffPair(t, "fast-io", 60_000, true, 0x20000, 0x20100, BuildFastIOMachine)
 }
 
 // TestDifferentialSlowIO runs the E6 shape: loopback device, one word per
 // cycle through IODATA, loop closed on COUNT.
 func TestDifferentialSlowIO(t *testing.T) {
-	build := func(cfg core.Config) (*core.Machine, error) {
-		m, err := BuildSlowIOMachine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Run(30_000)
-		return m, nil
-	}
-	diffPair(t, "slow-io", build, 0x6000, 0x6400)
+	diffPair(t, "slow-io", 30_000, false, 0x6000, 0x6400, BuildSlowIOMachine)
 }
 
 // TestDifferentialBitBlt runs the E3 shape: a bit-aligned merge over a
 // screen-sized region, the heaviest shifter/masker workload.
 func TestDifferentialBitBlt(t *testing.T) {
-	build := func(cfg core.Config) (*core.Machine, error) {
-		m, err := BuildBitBltMachine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !m.Run(2_000_000) {
-			return nil, fmt.Errorf("bitblt did not halt")
-		}
-		return m, nil
+	if m := diffPair(t, "bitblt", 2_000_000, true, 0x40000, 0x40000+32*24, BuildBitBltMachine); !m.Halted() {
+		t.Fatal("bitblt did not halt")
 	}
-	diffPair(t, "bitblt", build, 0x40000, 0x40000+32*24)
 }

@@ -16,11 +16,11 @@ func TestGuardPassesIdenticalReports(t *testing.T) {
 	if !ok {
 		t.Fatalf("identical reports failed the guard: %v", checks)
 	}
-	// 4 metrics-off + 4 prof-off (same observable, own budget) + 1
-	// metrics-on (only emulator has both paths; no profiled result, so no
-	// prof-on row).
-	if len(checks) != 9 {
-		t.Errorf("%d checks, want 9", len(checks))
+	// 4 metrics-off (recorder and profiler detached alike) + 1 metrics-on
+	// (only emulator has both paths; no profiled result, so no prof-on
+	// row).
+	if len(checks) != 5 {
+		t.Errorf("%d checks, want 5", len(checks))
 	}
 }
 

@@ -90,9 +90,10 @@ type Config struct {
 	FaultTask int
 	// Reference selects the unoptimized reference interpreter: every cycle
 	// re-decodes the packed microword from scratch and the scheduler scans
-	// all 16 device slots, as the seed simulator did. The predecoded fast
-	// path (the default) must be cycle-for-cycle identical to it; the
-	// differential tests diff the two, and cmd/simbench uses it as the
+	// all 16 device slots, as the seed simulator did (stepReference, in
+	// reference.go). The predecoded fast path (the default) and the
+	// translator must be cycle-for-cycle identical to it; the
+	// differential tests diff all three, and cmd/simbench uses it as the
 	// host-performance baseline. Simulation semantics are unaffected.
 	Reference bool
 	// Translation enables the superblock translator (translate.go): hot
@@ -168,10 +169,8 @@ type Machine struct {
 
 	pend pendingWrite // NoBypass delayed write
 
-	tracer Tracer
-	rec    *obs.Recorder // attached metrics recorder, or nil (the fast path)
-	trans  *translator   // superblock translator, or nil (predecoded path)
-	prof   *Profiler     // microarchitectural profiler, or nil (the fast path)
+	seam  observers   // tracer, recorder, profiler: all nil on the fast path
+	trans *translator // superblock translator, or nil (predecoded path)
 
 	halted bool
 	haltPC microcode.Addr
@@ -432,20 +431,26 @@ type TraceEvent struct {
 }
 
 // Tracer receives one event per cycle when installed (debugging aid;
-// stands in for the Dorado's console-processor monitoring, §6.2).
+// stands in for the Dorado's console-processor monitoring, §6.2). Trace
+// runs once the cycle has retired, scheduler included, so the event — not
+// the machine's current task or PC — describes the traced cycle.
 type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// SetTracer installs (or, with nil, removes) a cycle tracer.
-func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
+// SetTracer installs (or, with nil, removes) a cycle tracer. It sees every
+// cycle on every execution path, fused superblock cycles included.
+func (m *Machine) SetTracer(t Tracer) {
+	m.seam.tracer = t
+	m.seam.refresh()
+}
 
-// SetRecorder attaches (or, with nil, detaches) a metrics recorder: the
-// hot loop then feeds it one obs.Recorder.Cycle call per cycle — wakeup
-// edges, hold episodes, scheduling spans, utilization samples. Detached
-// (the default), the only cost is a nil check per cycle; the bench guard
+// SetRecorder attaches (or, with nil, detaches) a metrics recorder: every
+// path then feeds it the cycles with wakeup edges, hold episodes,
+// scheduling spans, and utilization samples. Detached (the default), the
+// observation seam costs one predicted branch per cycle; the bench guard
 // (cmd/benchguard) enforces both budgets.
-func (m *Machine) SetRecorder(r *obs.Recorder) { m.rec = r }
-
-// Recorder returns the attached metrics recorder, or nil.
-func (m *Machine) Recorder() *obs.Recorder { return m.rec }
+func (m *Machine) SetRecorder(r *obs.Recorder) {
+	m.seam.rec = r
+	m.seam.refresh()
+}

@@ -186,13 +186,16 @@ func TestSetRecorderDetach(t *testing.T) {
 	m := buildMachine(t, Config{}, b)
 	rec := obs.NewRecorder(obs.Config{})
 	m.SetRecorder(rec)
-	if m.Recorder() != rec {
-		t.Fatal("Recorder() did not return the attached recorder")
+	if m.seam.rec != rec || !m.seam.watching {
+		t.Fatal("SetRecorder did not attach the recorder to the observation seam")
 	}
 	for m.Cycle() < 10 {
 		m.Step()
 	}
 	m.SetRecorder(nil)
+	if m.seam.watching {
+		t.Fatal("observation seam still watching with nothing attached")
+	}
 	rec.Flush(m.Cycle())
 	before := len(rec.Spans())
 	for m.Cycle() < 20 {

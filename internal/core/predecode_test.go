@@ -1,17 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"dorado/internal/masm"
 	"dorado/internal/microcode"
 )
 
-// The predecode differential harness: every scenario is built twice — once
-// on the reference interpreter (Config.Reference: per-cycle decode, 16-slot
-// device scan) and once on the predecoded fast path — stepped in lockstep,
-// and compared cycle for cycle (trace stream) and at the end (full
-// architectural state). Any divergence is a predecode bug by definition.
+// The interpreter differential harness: every scenario is built once per
+// execution path — the reference interpreter (Config.Reference: per-cycle
+// decode, 16-slot device scan), the predecoded fast path, and the
+// superblock translator — run in lockstep chunks, and compared cycle for
+// cycle (tracer stream), at every chunk boundary (snapshot bytes), and at
+// the end (full architectural state). A tracer rides along on the fused
+// path too, so the translated stream covers superblock cycles. Any
+// divergence is a predecode or translation bug by definition.
 
 // recTracer records every trace event.
 type recTracer struct {
@@ -20,47 +24,95 @@ type recTracer struct {
 
 func (r *recTracer) Trace(ev TraceEvent) { r.events = append(r.events, ev) }
 
-// diffRun builds the scenario twice, runs both for cycles, and fails the
-// test on the first difference.
-func diffRun(t *testing.T, name string, cycles uint64, build func(cfg Config) (*Machine, error)) {
-	t.Helper()
-	ref, err := build(Config{Reference: true})
-	if err != nil {
-		t.Fatalf("%s: build reference: %v", name, err)
+// allPaths are the three execution paths; decodePaths leaves out the
+// translator, which New rejects under an Options ablation.
+var (
+	allPaths    = []Config{{Reference: true}, {}, {Translation: translateTestCfg}}
+	decodePaths = allPaths[:2]
+)
+
+// pathName labels a machine by its execution path.
+func pathName(m *Machine) string {
+	switch {
+	case m.cfg.Reference:
+		return "reference"
+	case m.trans != nil:
+		return "translated"
 	}
-	fast, err := build(Config{})
-	if err != nil {
-		t.Fatalf("%s: build fast: %v", name, err)
-	}
-	diffMachines(t, name, ref, fast, cycles)
+	return "predecoded"
 }
 
-// diffMachines steps both machines cycles times and compares traces and
-// final state. The machines must have been identically constructed (apart
-// from Config.Reference).
-func diffMachines(t *testing.T, name string, ref, fast *Machine, cycles uint64) {
+// diffRun builds the scenario once per path and diffs the machines over
+// total cycles in chunks of chunk (see diffMachines). It returns the last
+// machine built — the translated one under allPaths.
+func diffRun(t *testing.T, name string, total, chunk uint64, paths []Config, build func(cfg Config) (*Machine, error)) *Machine {
 	t.Helper()
-	var rt, ft recTracer
-	ref.SetTracer(&rt)
-	fast.SetTracer(&ft)
-	ref.Run(cycles)
-	fast.Run(cycles)
-	n := len(rt.events)
-	if len(ft.events) != n {
-		t.Fatalf("%s: trace length differs: reference %d events, predecoded %d", name, n, len(ft.events))
+	machines := make([]*Machine, len(paths))
+	for i, cfg := range paths {
+		m, err := build(cfg)
+		if err != nil {
+			t.Fatalf("%s: build %+v: %v", name, cfg, err)
+		}
+		machines[i] = m
 	}
-	for i := 0; i < n; i++ {
-		if rt.events[i] != ft.events[i] {
-			t.Fatalf("%s: trace diverges at event %d:\n  reference:  %+v\n  predecoded: %+v",
-				name, i, rt.events[i], ft.events[i])
+	diffMachines(t, name, total, chunk, machines...)
+	return machines[len(machines)-1]
+}
+
+// diffMachines runs identically constructed machines in lockstep chunks
+// with a tracer on each and fails on the first difference from
+// machines[0]: the trace streams event for event, the snapshots byte for
+// byte at every chunk boundary, and the full state at the end. A prime
+// chunk makes the cycle budget expire mid-superblock over and over.
+func diffMachines(t *testing.T, name string, total, chunk uint64, machines ...*Machine) {
+	t.Helper()
+	tracers := make([]recTracer, len(machines))
+	for i, m := range machines {
+		m.SetTracer(&tracers[i])
+	}
+	base := machines[0]
+	for done := uint64(0); done < total; done += chunk {
+		for i, m := range machines {
+			tracers[i].events = tracers[i].events[:0]
+			m.Run(min(chunk, total-done))
+		}
+		want := tracers[0].events
+		for i, m := range machines[1:] {
+			got := tracers[i+1].events
+			for j := 0; j < len(want) && j < len(got); j++ {
+				if want[j] != got[j] {
+					t.Fatalf("%s: trace diverges at cycle %d:\n  %s: %+v\n  %s: %+v",
+						name, want[j].Cycle, pathName(base), want[j], pathName(m), got[j])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: trace length differs after cycle %d: %s %d events, %s %d",
+					name, done, pathName(base), len(want), pathName(m), len(got))
+			}
+			if a, b := base.Snapshot(), m.Snapshot(); !bytes.Equal(a, b) {
+				t.Fatalf("%s: %s snapshot diverges from %s at cycle %d, first differing byte %d",
+					name, pathName(m), pathName(base), base.Cycle(), firstDiffIndex(a, b))
+			}
+		}
+		if base.Halted() {
+			break
 		}
 	}
+	for _, m := range machines[1:] {
+		diffState(t, name, base, m)
+	}
+}
+
+// diffState compares the full architectural state of two machines.
+func diffState(t *testing.T, name string, ref, fast *Machine) {
+	t.Helper()
+	rn, fn := pathName(ref), pathName(fast)
 	if ref.stats != fast.stats {
-		t.Errorf("%s: stats differ:\n  reference:  %+v\n  predecoded: %+v", name, ref.stats, fast.stats)
+		t.Errorf("%s: stats differ:\n  %s: %+v\n  %s: %+v", name, rn, ref.stats, fn, fast.stats)
 	}
 	if ref.cycle != fast.cycle || ref.halted != fast.halted || ref.curTask != fast.curTask || ref.curPC != fast.curPC {
-		t.Errorf("%s: control state differs: ref(cycle=%d halted=%v task=%d pc=%v) fast(cycle=%d halted=%v task=%d pc=%v)",
-			name, ref.cycle, ref.halted, ref.curTask, ref.curPC, fast.cycle, fast.halted, fast.curTask, fast.curPC)
+		t.Errorf("%s: control state differs: %s(cycle=%d halted=%v task=%d pc=%v) %s(cycle=%d halted=%v task=%d pc=%v)",
+			name, rn, ref.cycle, ref.halted, ref.curTask, ref.curPC, fn, fast.cycle, fast.halted, fast.curTask, fast.curPC)
 	}
 	if ref.rm != fast.rm {
 		t.Errorf("%s: RM contents differ", name)
@@ -69,7 +121,7 @@ func diffMachines(t *testing.T, name string, ref, fast *Machine, cycles uint64) 
 		t.Errorf("%s: stack state differs", name)
 	}
 	if ref.tasks != fast.tasks {
-		t.Errorf("%s: task state differs:\n  reference:  %+v\n  predecoded: %+v", name, ref.tasks, fast.tasks)
+		t.Errorf("%s: task state differs:\n  %s: %+v\n  %s: %+v", name, rn, ref.tasks, fn, fast.tasks)
 	}
 	if ref.count != fast.count || ref.q != fast.q || ref.rbase != fast.rbase ||
 		ref.membase != fast.membase || ref.shiftCtl != fast.shiftCtl || ref.cpreg != fast.cpreg {
@@ -81,7 +133,7 @@ func diffMachines(t *testing.T, name string, ref, fast *Machine, cycles uint64) 
 	// Spot-check memory through the functional port.
 	for va := uint32(0x6000); va < 0x6100; va++ {
 		if rv, fv := ref.mem.Peek(va), fast.mem.Peek(va); rv != fv {
-			t.Errorf("%s: memory differs at %#x: reference %#x, predecoded %#x", name, va, rv, fv)
+			t.Errorf("%s: memory differs at %#x: %s %#x, %s %#x", name, va, rn, rv, fn, fv)
 			break
 		}
 	}
@@ -120,7 +172,7 @@ func TestPredecodeDifferentialALU(t *testing.T) {
 	bl.EmitAt("sub", masm.I{ALU: microcode.ALUAxorB, A: microcode.ASelT, B: microcode.BSelQ,
 		LC: microcode.LCLoadT, Flow: masm.Return()})
 	p := mustProgram(t, bl)
-	diffRun(t, "alu", 200, func(cfg Config) (*Machine, error) {
+	diffRun(t, "alu", 200, 200, allPaths, func(cfg Config) (*Machine, error) {
 		m, err := New(cfg)
 		if err != nil {
 			return nil, err
@@ -148,7 +200,7 @@ func TestPredecodeDifferentialStackMemory(t *testing.T) {
 	bl.Emit(masm.I{Block: true, R: 0xF, ALU: microcode.ALUA, A: microcode.ASelRM, LC: microcode.LCLoadT}) // pop
 	bl.Emit(masm.I{FF: microcode.FFHalt, Flow: masm.Self()})
 	p := mustProgram(t, bl)
-	diffRun(t, "stack-memory", 400, func(cfg Config) (*Machine, error) {
+	diffRun(t, "stack-memory", 400, 400, allPaths, func(cfg Config) (*Machine, error) {
 		m, err := New(cfg)
 		if err != nil {
 			return nil, err
@@ -173,7 +225,7 @@ func TestPredecodeDifferentialDevices(t *testing.T) {
 	bl.Emit(masm.I{A: microcode.ASelStore, R: 1, B: microcode.BSelT,
 		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM, Block: true, Flow: masm.Goto("svc")})
 	p := mustProgram(t, bl)
-	diffRun(t, "devices", 20_000, func(cfg Config) (*Machine, error) {
+	tr := diffRun(t, "devices", 20_000, 20_000, allPaths, func(cfg Config) (*Machine, error) {
 		m, err := New(cfg)
 		if err != nil {
 			return nil, err
@@ -190,6 +242,9 @@ func TestPredecodeDifferentialDevices(t *testing.T) {
 		}
 		return m, nil
 	})
+	if st := tr.TranslationStats(); st.FusedCycles == 0 {
+		t.Errorf("traced device scenario fused no cycles: %+v", st)
+	}
 }
 
 // TestPredecodeDifferentialDispatch covers DISPATCH8/DISPATCH256 and long
@@ -207,7 +262,7 @@ func TestPredecodeDifferentialDispatch(t *testing.T) {
 	bl.EmitAt("t3", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelT, LC: microcode.LCLoadT,
 		Flow: masm.Goto("t0")})
 	p := mustProgram(t, bl)
-	diffRun(t, "dispatch", 100, func(cfg Config) (*Machine, error) {
+	diffRun(t, "dispatch", 100, 100, allPaths, func(cfg Config) (*Machine, error) {
 		m, err := New(cfg)
 		if err != nil {
 			return nil, err
@@ -232,7 +287,7 @@ func TestPredecodeDifferentialAblations(t *testing.T) {
 		{FixedWaitMemory: true},
 	} {
 		opt := opt
-		diffRun(t, "ablation", 200, func(cfg Config) (*Machine, error) {
+		diffRun(t, "ablation", 200, 200, decodePaths, func(cfg Config) (*Machine, error) {
 			cfg.Options = opt
 			m, err := New(cfg)
 			if err != nil {
@@ -262,29 +317,29 @@ func TestSetIMInvalidation(t *testing.T) {
 		m.Start(p.MustEntry("start"))
 		return m, nil
 	}
-	ref, err := build(Config{Reference: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := build(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*Machine{ref, fast} {
+	machines := make([]*Machine, len(allPaths))
+	for i, cfg := range allPaths {
+		m, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m.Run(50)
 		// Rewrite the loop instruction in place: same increment, but halt.
 		a := p.MustEntry("start")
 		w := m.IM(a)
 		w.FF = microcode.FFHalt
 		m.SetIM(a, w)
+		machines[i] = m
 	}
-	diffMachines(t, "setim", ref, fast, 50)
-	if !fast.Halted() || !ref.Halted() {
-		t.Fatalf("microstore write did not take effect: halted ref=%v fast=%v", ref.Halted(), fast.Halted())
-	}
-	// The write must have reached both the raw store and the predecode
-	// cache; a stale cache would have kept the machine looping.
-	if got := fast.IM(p.MustEntry("start")).FF; got != microcode.FFHalt {
-		t.Fatalf("IM readback = %#x, want FFHalt", got)
+	diffMachines(t, "setim", 50, 50, machines...)
+	for _, m := range machines {
+		if !m.Halted() {
+			t.Fatalf("microstore write did not take effect on the %s path", pathName(m))
+		}
+		// The write must have reached both the raw store and the predecode
+		// cache; a stale cache would have kept the machine looping.
+		if got := m.IM(p.MustEntry("start")).FF; got != microcode.FFHalt {
+			t.Fatalf("%s: IM readback = %#x, want FFHalt", pathName(m), got)
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // This file is the core half of the microarchitectural profiler: exact
 // per-microaddress cycle attribution plus superblock lifecycle accounting.
 // The Profiler is attached with SetProfiler (dorado.WithProfiler at the
-// facade) and mirrors the obs.Recorder pattern: detached — the default —
-// the hot paths pay one nil check per cycle and allocate nothing; attached,
+// facade) and reports through the same observation seam as the tracer and
+// the obs.Recorder: detached — the default — it costs nothing beyond the
+// seam's one branch per cycle and allocates nothing; attached,
 // every cycle is charged to the microaddress that occupied the processor,
 // and every superblock execution reports how it ended (ExitReason). The
 // model/merge/export half lives in internal/obs/prof, which reads the
@@ -295,10 +296,9 @@ func (p *Profiler) Reset() {
 // SetProfiler attaches (or, with nil, detaches) a microarchitectural
 // profiler: every cycle is then charged to the microaddress occupying the
 // processor — on the generic loop and inside superblocks alike — and every
-// superblock execution records how it ended. Detached (the default) the
-// cost is one nil check per cycle; the bench guard's prof budgets bound
-// both states.
-func (m *Machine) SetProfiler(p *Profiler) { m.prof = p }
-
-// Profiler returns the attached profiler, or nil.
-func (m *Machine) Profiler() *Profiler { return m.prof }
+// superblock execution records how it ended. Detached (the default) it
+// shares the observation seam's one predicted branch per cycle.
+func (m *Machine) SetProfiler(p *Profiler) {
+	m.seam.prof = p
+	m.seam.refresh()
+}

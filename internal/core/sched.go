@@ -1,6 +1,11 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dorado/internal/microcode"
+	"dorado/internal/obs"
+)
 
 // Step advances the machine one 60 ns cycle, reproducing the task pipeline
 // of §6.2.1:
@@ -20,28 +25,30 @@ func (m *Machine) Step() {
 	if m.halted {
 		return
 	}
-	m.step(m.tracer != nil)
+	if m.cfg.Reference {
+		m.stepReference()
+	} else {
+		m.step()
+	}
 }
 
 // Run executes until Halt or maxCycles, returning true if halted. This is
 // the batched hot loop: the halted check lives in the loop condition and
-// the tracer nil-check is hoisted out of the per-cycle path.
+// the execution path is chosen once, outside it. Attached observers ride
+// along on every path, superblocks included.
 func (m *Machine) Run(maxCycles uint64) bool {
 	limit := m.cycle + maxCycles
-	if m.tracer != nil {
-		// A tracer wants one event per cycle, which only the generic loop
-		// emits — translation (if configured) idles while it is attached.
-		for !m.halted && m.cycle < limit {
-			m.step(true)
-		}
-		return m.halted
-	}
-	if m.trans != nil {
+	switch {
+	case m.trans != nil:
 		m.runTranslated(limit)
-		return m.halted
-	}
-	for !m.halted && m.cycle < limit {
-		m.step(false)
+	case m.cfg.Reference:
+		for !m.halted && m.cycle < limit {
+			m.stepReference()
+		}
+	default:
+		for !m.halted && m.cycle < limit {
+			m.step()
+		}
 	}
 	return m.halted
 }
@@ -55,41 +62,26 @@ func (m *Machine) RunCycles(n uint64) uint64 {
 	return m.cycle - start
 }
 
-// step is one cycle of the pipeline; traced is the hoisted tracer check.
-func (m *Machine) step(traced bool) {
+// step is one cycle of the pipeline on the predecoded path.
+func (m *Machine) step() {
 	now := m.cycle
 
 	// Device and IFU hardware advance first: lines raised during this
-	// cycle are visible to this cycle's WAKEUP latch. The fast path walks
-	// the compact attached-device list; the reference interpreter scans all
-	// 16 task slots as the seed simulator did (same devices, same order).
+	// cycle are visible to this cycle's WAKEUP latch. Only the compact
+	// attached-device list is walked.
 	//
 	// WAKEUP latch (t0): device lines, READY flipflops, and task 0, which
 	// "requests service from the processor at all times" (§5.1). Latched
 	// *before* NotifyNext below, so a wakeup dropped because of this
 	// cycle's NEXT first disappears from the next latch — the 2-cycle grain.
 	lines := uint16(1) | m.ready
-	if m.cfg.Reference {
-		for _, d := range m.devs {
-			if d != nil {
-				d.Tick(now)
-			}
-		}
-		m.ifu.Tick(now)
-		for t := 1; t < NumTasks; t++ {
-			if m.devs[t] != nil && m.devs[t].Wakeup() {
-				lines |= 1 << t
-			}
-		}
-	} else {
-		for i := range m.att {
-			m.att[i].dev.Tick(now)
-		}
-		m.ifu.Tick(now)
-		for i := range m.att {
-			if m.att[i].dev.Wakeup() {
-				lines |= m.att[i].bit
-			}
+	for i := range m.att {
+		m.att[i].dev.Tick(now)
+	}
+	m.ifu.Tick(now)
+	for i := range m.att {
+		if m.att[i].dev.Wakeup() {
+			lines |= m.att[i].bit
 		}
 	}
 
@@ -102,20 +94,9 @@ func (m *Machine) step(traced bool) {
 		m.stalls--
 		m.stats.BranchStalls++
 		m.stats.TaskCycles[m.curTask]++
-	} else if m.cfg.Reference {
-		// Reference interpreter: decode the packed word from scratch every
-		// cycle (the seed behavior; the host-performance baseline).
-		d := decodeWord(m.im[m.curPC])
-		held, blocked, nextPC = m.exec(&d, now)
-		didExec = true
 	} else {
 		held, blocked, nextPC = m.exec(&m.dim[m.curPC], now)
 		didExec = true
-	}
-	if traced {
-		m.tracer.Trace(TraceEvent{
-			Cycle: now, Task: m.curTask, PC: m.curPC, Held: held, Word: m.im[m.curPC],
-		})
 	}
 
 	// NEXT computation: the running task keeps the processor until it
@@ -164,17 +145,66 @@ func (m *Machine) step(traced bool) {
 	// for use in the next cycle's NEXT computation.
 	m.bestNext = 15 - bits.LeadingZeros16(lines)
 
-	// Observability hook: one predicted-not-taken branch when detached.
-	// When a recorder is on, the inlined NeedsCycle guard keeps event-free
-	// cycles to a few compares; only cycles with wakeup edges, holds, task
-	// switches, or a due timeline sample pay the Cycle call.
-	if r := m.rec; r != nil && r.NeedsCycle(now, execTask, held, lines) {
-		r.Cycle(now, execTask, held, lines, &m.stats.TaskCycles)
-	}
-	// Profiler hook: same shape as the recorder's — one predicted-not-taken
-	// branch when detached, three array increments when attached.
-	if p := m.prof; p != nil {
-		p.cycle(execPC, held, didExec && !held)
+	// The observation seam: one predicted-not-taken branch when detached.
+	if m.seam.wants(now, execTask, held, lines) {
+		m.observe(now, execTask, execPC, held, didExec && !held, lines)
 	}
 	m.cycle++
+}
+
+// observers is the machine's one observation seam: the cycle tracer (the
+// console processor's monitor, §6.2), the metrics recorder, and the
+// profiler. Every execution path reports each retired cycle through one
+// wants gate, and superblock builds and exits through blockBuilt and
+// blockExit. It is a concrete struct rather than an interface so the gate
+// inlines: detached, a cycle pays one predicted branch on watching.
+type observers struct {
+	tracer   Tracer
+	rec      *obs.Recorder
+	prof     *Profiler
+	watching bool // any of the three is attached
+}
+
+// wants is the per-cycle gate. Tracer and profiler see every cycle; a
+// recorder alone is asked through its inlined NeedsCycle guard, so its
+// event-free cycles stay a few compares and no call.
+func (o *observers) wants(now uint64, task int, held bool, lines uint16) bool {
+	return o.watching && (o.tracer != nil || o.prof != nil || o.rec.NeedsCycle(now, task, held, lines))
+}
+
+// observe reports one retired cycle to every attached observer: the task
+// and microaddress that occupied the processor, whether the instruction
+// held (§5.7) or completed (a DelayedBranch stall cycle does neither), and
+// the cycle's WAKEUP latch.
+func (m *Machine) observe(now uint64, task int, pc microcode.Addr, held, exec bool, lines uint16) {
+	o := &m.seam
+	if o.tracer != nil {
+		o.tracer.Trace(TraceEvent{Cycle: now, Task: task, PC: pc, Held: held, Word: m.im[pc]})
+	}
+	if o.rec != nil {
+		o.rec.Cycle(now, task, held, lines, &m.stats.TaskCycles)
+	}
+	if o.prof != nil {
+		o.prof.cycle(pc, held, exec)
+	}
+}
+
+// blockBuilt reports a superblock build (start address, fused length).
+func (o *observers) blockBuilt(start microcode.Addr, instructions int) {
+	if o.prof != nil {
+		o.prof.blockCompiled(start, instructions)
+	}
+}
+
+// blockExit reports how one superblock execution (or rejected entry) ended;
+// see Profiler.blockExit.
+func (o *observers) blockExit(start microcode.Addr, reason ExitReason, exitPC microcode.Addr, cycles, end uint64) {
+	if o.prof != nil {
+		o.prof.blockExit(start, reason, exitPC, cycles, end)
+	}
+}
+
+// refresh recomputes the gate's flag after a Set* call.
+func (o *observers) refresh() {
+	o.watching = o.tracer != nil || o.rec != nil || o.prof != nil
 }

@@ -167,10 +167,11 @@ func (m *Machine) TranslationStats() TranslationStats {
 	return m.trans.stats
 }
 
-// runTranslated is Run's hot loop when translation is enabled (and no
-// tracer is attached — a tracer needs one event per cycle, which only the
-// generic loop produces). Cold addresses execute on the generic step while
-// the profiler counts them; hot addresses execute through their superblock.
+// runTranslated is Run's hot loop when translation is enabled. Cold
+// addresses execute on the generic step while the profiler counts them; hot
+// addresses execute through their superblock. Attached observers see every
+// cycle either way: the block loops report fused cycles through the same
+// seam as step.
 func (m *Machine) runTranslated(limit uint64) {
 	t := m.trans
 	for !m.halted && m.cycle < limit {
@@ -182,8 +183,7 @@ func (m *Machine) runTranslated(limit uint64) {
 			// generically.
 			if m.bestNext <= m.curTask && (!b.task0Only || m.curTask == 0) && m.stalls == 0 {
 				t.stats.Entries++
-				if len(m.att) == 0 && m.rec == nil && m.ready == 0 &&
-					m.curTask == 0 && m.bestNext == 0 {
+				if len(m.att) == 0 && m.ready == 0 && m.curTask == 0 && m.bestNext == 0 {
 					m.runBlockFast(b, limit)
 				} else {
 					m.runBlock(b, limit)
@@ -194,9 +194,7 @@ func (m *Machine) runTranslated(limit uint64) {
 			// generic loop. Each rejected attempt is one guard-fail event —
 			// sustained rejection (a long higher-priority burst) shows up as
 			// a proportionally large count, which is the point.
-			if p := m.prof; p != nil {
-				p.blockExit(pc, ExitGuardFail, pc, 0, m.cycle)
-			}
+			m.seam.blockExit(pc, ExitGuardFail, pc, 0, m.cycle)
 		} else if !t.noBlock[pc] {
 			c := t.counts[pc] + 1
 			t.counts[pc] = c
@@ -208,17 +206,18 @@ func (m *Machine) runTranslated(limit uint64) {
 				t.noBlock[pc] = true
 			}
 		}
-		m.step(false)
+		m.step()
 	}
 }
 
 // runBlockFast executes fused cycles on a quiescent single-task machine:
-// no devices attached, no recorder, READY empty, task 0 running, and no
-// better task pending (the caller checked all five). Under those
-// preconditions step's wakeup latch is the constant line for task 0,
-// arbitration always re-selects task 0, and the NEXT-bus notify has no
-// listener — so the whole scheduler epilogue is hoisted out and each cycle
-// is: budget/quiescence check, IFU tick, fused instruction, cycle count.
+// no devices attached, READY empty, task 0 running, and no better task
+// pending (the caller checked all four). Under those preconditions step's
+// wakeup latch is the constant line for task 0 (so an attached recorder
+// is given that constant), arbitration always re-selects task 0, and the
+// NEXT-bus notify has no listener — so the whole scheduler epilogue is
+// hoisted out and each cycle is: budget/quiescence check, IFU tick, fused
+// instruction, observation seam, cycle count.
 // The READY check re-establishes the preconditions every cycle: an FF
 // ReadyB or a memory-fault wakeup lands in READY mid-cycle and is seen at
 // the top of the next one, exactly when step's wakeup latch would first
@@ -253,17 +252,18 @@ func (m *Machine) runBlockFast(b *superblock, limit uint64) {
 			m.ifu.Tick(now)
 		}
 		exit := code[i](m, now)
+		held := exit == instHeld
 		// Service granted to task 0 every cycle it runs: step clears the
 		// winner's READY flipflop in its epilogue, so an FF ReadyB naming
 		// task 0 must vanish here exactly as it would there. Other bits
 		// survive into READY and trip the quiescence check above.
 		m.ready &^= 1
+		if m.seam.wants(now, 0, held, 1) {
+			m.observe(now, 0, b.addrs[i], held, !held, 1)
+		}
 		m.cycle++
 		n++
-		if p := m.prof; p != nil {
-			p.cycle(b.addrs[i], exit == instHeld, exit != instHeld)
-		}
-		lastHeld = exit == instHeld
+		lastHeld = held
 		if m.halted {
 			reason = ExitHalt
 			break
@@ -286,16 +286,14 @@ func (m *Machine) runBlockFast(b *superblock, limit uint64) {
 	}
 out:
 	m.trans.stats.FusedCycles += n
-	if p := m.prof; p != nil {
-		p.blockExit(b.start, reason, m.curPC, n, m.cycle)
-	}
+	m.seam.blockExit(b.start, reason, m.curPC, n, m.cycle)
 }
 
-// runBlock executes fused cycles on a machine with live controllers, a
-// recorder, or a non-zero task: each cycle performs exactly step's
-// per-cycle scheduler work — device ticks, the WAKEUP latch, the READY
-// clear and NEXT-bus notify, arbitration into BESTNEXTTASK, and the
-// recorder hook — with only the instruction fetch/decode/dispatch replaced
+// runBlock executes fused cycles on a machine with live controllers,
+// pending READY work, or a non-zero task: each cycle performs exactly
+// step's per-cycle scheduler work — device ticks, the WAKEUP latch, the
+// READY clear and NEXT-bus notify, arbitration into BESTNEXTTASK, and the
+// observation seam — with only the instruction fetch/decode/dispatch replaced
 // by the fused closure. The entry guard in runTranslated plus the per-cycle
 // BESTNEXTTASK check guarantee the running task keeps the processor for
 // every fused cycle, so the task-switch half of step's epilogue can never
@@ -304,11 +302,10 @@ out:
 func (m *Machine) runBlock(b *superblock, limit uint64) {
 	n := uint64(0)
 	code := b.code
-	// Loop invariants: no fused instruction switches tasks, attaches
-	// devices, or swaps the recorder, so the running task (and its READY
-	// bit and NEXT-bus listener) are hoisted out of the cycle loop.
+	// Loop invariants: no fused instruction switches tasks or attaches
+	// devices, so the running task (and its READY bit and NEXT-bus
+	// listener) are hoisted out of the cycle loop.
 	att := m.att
-	rec := m.rec
 	cur := m.curTask
 	readyBit := uint16(1) << cur
 	nextDev := m.devs[cur]
@@ -377,6 +374,7 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 			}
 		}
 		exit := code[i](m, now)
+		held := exit == instHeld
 		// Service granted to the running task, as step's epilogue does
 		// (translation excludes the ExplicitNotify ablation).
 		m.ready &^= readyBit
@@ -384,15 +382,12 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 			nextDev.NotifyNext(now)
 		}
 		m.bestNext = 15 - bits.LeadingZeros16(lines)
-		if rec != nil && rec.NeedsCycle(now, cur, exit == instHeld, lines) {
-			rec.Cycle(now, cur, exit == instHeld, lines, &m.stats.TaskCycles)
+		if m.seam.wants(now, cur, held, lines) {
+			m.observe(now, cur, b.addrs[i], held, !held, lines)
 		}
 		m.cycle++
 		n++
-		if p := m.prof; p != nil {
-			p.cycle(b.addrs[i], exit == instHeld, exit != instHeld)
-		}
-		lastHeld = exit == instHeld
+		lastHeld = held
 		if m.halted {
 			reason = ExitHalt
 			break
@@ -413,9 +408,7 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 	}
 out:
 	m.trans.stats.FusedCycles += n
-	if p := m.prof; p != nil {
-		p.blockExit(b.start, reason, m.curPC, n, m.cycle)
-	}
+	m.seam.blockExit(b.start, reason, m.curPC, n, m.cycle)
 }
 
 // translate fuses the straight-line run beginning at start into a
@@ -496,9 +489,7 @@ done:
 	}
 	t.stats.BlocksBuilt++
 	t.stats.Instructions += uint64(len(b.code))
-	if p := m.prof; p != nil {
-		p.blockCompiled(start, len(b.code))
-	}
+	m.seam.blockBuilt(start, len(b.code))
 	return b
 }
 

@@ -11,13 +11,12 @@ import (
 	"dorado/internal/microcode"
 )
 
-// The translated-path differential harness. The tracer-based diffMachines
-// cannot exercise translation (an attached tracer routes Run through the
-// generic loop), so these tests compare machine *snapshots* instead: all
-// three execution paths — reference, predecoded, translated — run the same
-// scenario in lockstep chunks and must produce byte-identical snapshots at
-// every chunk boundary. The chunk size is prime so the cycle budget
-// repeatedly expires mid-superblock, covering the partial-block exit.
+// The translated-path scenarios: hot loops, so most cycles run inside
+// superblocks. They go through the same three-path harness as the predecode
+// scenarios (diffRun): the tracer streams must match event for event —
+// fused cycles included — and the snapshots byte for byte at every chunk
+// boundary. The chunk sizes are prime so the cycle budget repeatedly
+// expires mid-superblock, covering the partial-block exit.
 
 // translateTestCfg makes blocks form fast in short tests.
 var translateTestCfg = Translation{Enable: true, HotThreshold: 4}
@@ -25,44 +24,14 @@ var translateTestCfg = Translation{Enable: true, HotThreshold: 4}
 // smallMem keeps per-chunk snapshots cheap (a snapshot embeds storage).
 var smallMem = memory.Config{CacheWords: 256, CacheWays: 2, StorageWords: 1 << 16}
 
-// diffTranslated builds the scenario on all three paths and lockstep-runs
-// them, comparing snapshots every chunk cycles. Returns the translated
-// machine for stats assertions.
+// diffTranslated diffs the scenario on all three paths and returns the
+// translated machine, which must have fused cycles under its tracer —
+// otherwise the comparison would never have left the generic loop.
 func diffTranslated(t *testing.T, name string, total, chunk uint64, build func(cfg Config) (*Machine, error)) *Machine {
 	t.Helper()
-	ref, err := build(Config{Reference: true})
-	if err != nil {
-		t.Fatalf("%s: build reference: %v", name, err)
-	}
-	pre, err := build(Config{})
-	if err != nil {
-		t.Fatalf("%s: build predecoded: %v", name, err)
-	}
-	tr, err := build(Config{Translation: translateTestCfg})
-	if err != nil {
-		t.Fatalf("%s: build translated: %v", name, err)
-	}
-	machines := []*Machine{ref, pre, tr}
-	labels := []string{"reference", "predecoded", "translated"}
-	for done := uint64(0); done < total; done += chunk {
-		k := chunk
-		if left := total - done; left < k {
-			k = left
-		}
-		for _, m := range machines {
-			m.RunCycles(k)
-		}
-		base := ref.Snapshot()
-		for i := 1; i < len(machines); i++ {
-			snap := machines[i].Snapshot()
-			if !bytes.Equal(base, snap) {
-				t.Fatalf("%s: %s snapshot diverges from reference at cycle %d, first differing byte %d",
-					name, labels[i], ref.Cycle(), firstDiffIndex(base, snap))
-			}
-		}
-		if ref.Halted() {
-			break
-		}
+	tr := diffRun(t, name, total, chunk, allPaths, build)
+	if st := tr.TranslationStats(); st.FusedCycles == 0 {
+		t.Fatalf("%s: traced translated run fused no cycles: %+v", name, st)
 	}
 	return tr
 }

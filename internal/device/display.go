@@ -24,7 +24,7 @@ type Display struct {
 
 	base    uint32   // VA of block 0 (Go-level configuration)
 	pending []uint32 // commanded block VAs awaiting storage transfer
-	pHead   int      // drained prefix of pending (compacted when empty)
+	pHead   int      // drained prefix of pending (reclaimed on Output)
 	filled  int      // blocks in the FIFO
 
 	consumeAt uint64
@@ -60,11 +60,13 @@ func (d *Display) Wakeup() bool {
 
 // Output implements Device: microcode commands the transfer of the block at
 // word offset v (the paper's display microcode sends a block address and
-// bumps its pointer in one instruction). The queue compacts whenever it
-// drains, so in steady state append reuses the same backing array.
+// bumps its pointer in one instruction). The live suffix (at most
+// BufferBlocks entries) moves to the front first: a full-rate display never
+// fully drains, so waiting for an empty queue would grow it without bound.
 func (d *Display) Output(v uint16, now uint64) {
-	if d.pHead == len(d.pending) {
-		d.pending, d.pHead = d.pending[:0], 0
+	if d.pHead > 0 {
+		n := copy(d.pending, d.pending[d.pHead:])
+		d.pending, d.pHead = d.pending[:n], 0
 	}
 	d.pending = append(d.pending, d.base+uint32(v))
 }

@@ -45,8 +45,7 @@ func TestDeviceSessionLifecycle(t *testing.T) {
 	var run struct {
 		Cycle uint64 `json:"cycle"`
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]any{"cycles": 5000}, &run); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 5000, &run); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 	if run.Cycle != 5000 {
@@ -61,8 +60,7 @@ func TestDeviceSessionLifecycle(t *testing.T) {
 	// Diverge, restore, and check the machine state came back exactly: a
 	// re-taken snapshot must be byte-identical, which covers the device
 	// section too (the disk FIFO, timers, and counters are in there).
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]any{"cycles": 3000}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 3000, nil); code != http.StatusAccepted {
 		t.Fatal("diverging run failed")
 	}
 	req, err := http.NewRequest("PUT", ts.URL+"/v1/sessions/"+id+"/snapshot", bytes.NewReader(snap))
@@ -124,7 +122,7 @@ func TestDeviceSessionsDeterministic(t *testing.T) {
 		}, nil); code != http.StatusOK {
 			t.Fatalf("microcode: status %d", code)
 		}
-		call(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/run", map[string]any{"cycles": 4000}, nil)
+		runHTTP(t, ts.URL, created.ID, 4000, nil)
 		snaps[i] = getBytes(t, ts.URL+"/v1/sessions/"+created.ID+"/snapshot")
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {

@@ -17,7 +17,7 @@ import (
 //     assembling microcode, serializing a snapshot). Grows with the work
 //     requested and is the half only a faster simulator fixes.
 //
-// A slow /run is attributable by comparing the two: a fat queue-wait
+// A slow run is attributable by comparing the two: a fat queue-wait
 // histogram with thin service times means queueing, the reverse means
 // execution. Both are recorded per operation kind so a snapshot-heavy
 // client cannot hide a run-latency regression (and vice versa), and

@@ -65,8 +65,7 @@ func TestServerProfileEndpoints(t *testing.T) {
 		map[string]string{"text": SpinMicrocode, "start": "start"}, nil); code != http.StatusOK {
 		t.Fatalf("microcode: status %d", code)
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 5000}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 5000, nil); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 
@@ -120,8 +119,7 @@ func TestServerProfileRevivesParked(t *testing.T) {
 		map[string]string{"text": SpinMicrocode, "start": "start"}, nil); code != http.StatusOK {
 		t.Fatalf("microcode: status %d", code)
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1000}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 1000, nil); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/park", nil, nil); code != http.StatusOK {
@@ -138,8 +136,7 @@ func TestServerProfileRevivesParked(t *testing.T) {
 	if !res.Revived {
 		t.Fatal("profile read did not report revival")
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1000}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 1000, nil); code != http.StatusAccepted {
 		t.Fatalf("run after revival: status %d", code)
 	}
 	var res2 ProfileResult

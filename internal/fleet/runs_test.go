@@ -169,7 +169,7 @@ func TestServerAsyncRunLifecycle(t *testing.T) {
 	if code := call(t, "GET", ts.URL+"/v1/sessions/"+id+"/runs", nil, &list); code != http.StatusOK {
 		t.Fatalf("list runs: status %d", code)
 	}
-	// loadAndRun's sync run shares the resource, so both runs are listed.
+	// loadAndRun's run went through the same resource, so both are listed.
 	if len(list.Runs) != 2 {
 		t.Fatalf("runs listed = %+v", list.Runs)
 	}
@@ -190,8 +190,7 @@ func TestServerErrorEnvelope(t *testing.T) {
 
 	id := createSession(t, ts.URL, "")
 	env = ErrorEnvelope{}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 0}, &env); code != http.StatusBadRequest {
+	if code := runHTTP(t, ts.URL, id, 0, &env); code != http.StatusBadRequest {
 		t.Fatalf("zero cycles: status %d", code)
 	}
 	if env.Code != "bad_request" || env.SessionState != "live" {
@@ -265,8 +264,7 @@ func TestServerRestartDurability(t *testing.T) {
 		t.Fatalf("boot: status %d", code)
 	}
 	var run RunResult
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1_000_000}, &run); code != http.StatusOK || !run.Halted {
+	if code := runHTTP(t, ts.URL, id, 1_000_000, &run); code != http.StatusAccepted || !run.Halted {
 		t.Fatalf("run: status %d, %+v", code, run)
 	}
 	res := parkNow(t, m, id)

@@ -41,8 +41,6 @@ import (
 //	POST   /v1/sessions/{id}/runs       submit an async run {"cycles": N} → 202 + run id
 //	GET    /v1/sessions/{id}/runs       list the session's retained runs
 //	GET    /v1/sessions/{id}/runs/{rid} poll one run's status/result
-//	POST   /v1/sessions/{id}/run        synchronous run {"cycles": N} (deprecated: submits
-//	                                    an async run and waits; prefer the runs resource)
 //	POST   /v1/sessions/{id}/park       snapshot + evict now; returns the store hash
 //	GET    /v1/sessions/{id}/snapshot   machine snapshot (octet-stream)
 //	PUT    /v1/sessions/{id}/snapshot   restore a snapshot (octet-stream)
@@ -127,7 +125,6 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/runs", s.startRun)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/runs", s.listRuns)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/runs/{rid}", s.getRun)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/run", s.runCycles)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/park", s.parkSession)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.getSnapshot)
 	s.mux.HandleFunc("PUT /v1/sessions/{id}/snapshot", s.putSnapshot)
@@ -410,47 +407,22 @@ func (s *Server) bootSource(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"booted": true})
 }
 
-// decodeCycles parses the shared {"cycles": N} request body.
-func (s *Server) decodeCycles(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+// startRun submits an asynchronous run {"cycles": N} and answers 202
+// Accepted with the queued run's view; the id in it is pollable
+// immediately.
+func (s *Server) startRun(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Cycles uint64 `json:"cycles"`
 	}
 	if err := decodeJSON(r, &req); err != nil {
 		s.badRequest(w, r, err)
-		return 0, false
+		return
 	}
 	if req.Cycles == 0 {
 		s.badRequest(w, r, errors.New("cycles must be positive"))
-		return 0, false
-	}
-	return req.Cycles, true
-}
-
-// runCycles is the deprecated synchronous run endpoint: it submits an
-// async run and waits for it, so it shares admission, execution, and
-// accounting with the runs resource. New clients should POST .../runs
-// and poll (or watch the SSE stream).
-func (s *Server) runCycles(w http.ResponseWriter, r *http.Request) {
-	cycles, ok := s.decodeCycles(w, r)
-	if !ok {
 		return
 	}
-	res, err := s.mgr.Run(r.Context(), r.PathValue("id"), cycles)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// startRun submits an asynchronous run and answers 202 Accepted with the
-// queued run's view; the id in it is pollable immediately.
-func (s *Server) startRun(w http.ResponseWriter, r *http.Request) {
-	cycles, ok := s.decodeCycles(w, r)
-	if !ok {
-		return
-	}
-	v, err := s.mgr.SubmitRun(r.Context(), r.PathValue("id"), cycles)
+	v, err := s.mgr.SubmitRun(r.Context(), r.PathValue("id"), req.Cycles)
 	if err != nil {
 		s.writeError(w, r, err)
 		return

@@ -35,8 +35,7 @@ func loadAndRun(t *testing.T, base, id string, cycles uint64) {
 		map[string]string{"text": SpinMicrocode}, nil); code != http.StatusOK {
 		t.Fatalf("microcode: status %d", code)
 	}
-	if code := call(t, "POST", base+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": cycles}, nil); code != http.StatusOK {
+	if code := runHTTP(t, base, id, cycles, nil); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 }

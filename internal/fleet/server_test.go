@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dorado/internal/store"
 )
@@ -63,6 +64,55 @@ func call(t *testing.T, method, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// runHTTP runs cycles on a session through the runs resource: POST
+// .../runs, then poll GET .../runs/{rid} until the run finishes. It returns
+// the submit's status. Admission errors (400, 404, 429, 503) answer
+// synchronously and out receives the error envelope; an admitted run
+// (202) must finish done, and out receives its RunResult.
+func runHTTP(t *testing.T, base, id string, cycles uint64, out any) int {
+	t.Helper()
+	var body json.RawMessage
+	code := call(t, "POST", base+"/v1/sessions/"+id+"/runs", map[string]uint64{"cycles": cycles}, &body)
+	if code == http.StatusAccepted {
+		var sub RunView
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if body, err = json.Marshal(pollRun(t, base, id, sub.ID).Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out != nil {
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("run %s: decoding %q: %v", id, body, err)
+		}
+	}
+	return code
+}
+
+// pollRun polls one run over HTTP until it finishes and fails the test
+// unless it finished done.
+func pollRun(t *testing.T, base, id, rid string) RunView {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var v RunView
+		if code := call(t, "GET", base+"/v1/sessions/"+id+"/runs/"+rid, nil, &v); code != http.StatusOK {
+			t.Fatalf("poll run %s/%s: status %d", id, rid, code)
+		}
+		switch {
+		case v.Status == RunDone:
+			return v
+		case v.Status == RunFailed:
+			t.Fatalf("run %s/%s failed: %s", id, rid, v.Error)
+		case time.Now().After(deadline):
+			t.Fatalf("run %s/%s still %s", id, rid, v.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func createSession(t *testing.T, base, lang string) string {
 	t.Helper()
 	var res struct {
@@ -84,8 +134,7 @@ func TestServerSessionLifecycle(t *testing.T) {
 		t.Fatalf("boot: status %d", code)
 	}
 	var run RunResult
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1_000_000}, &run); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 1_000_000, &run); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 	if !run.Halted {
@@ -117,7 +166,7 @@ func TestServerSessionLifecycle(t *testing.T) {
 	for _, probe := range []struct{ method, path string }{
 		{"GET", "/v1/sessions/" + id},
 		{"DELETE", "/v1/sessions/" + id},
-		{"POST", "/v1/sessions/" + id + "/run"},
+		{"POST", "/v1/sessions/" + id + "/runs"},
 		{"GET", "/v1/sessions/" + id + "/snapshot"},
 	} {
 		body := any(nil)
@@ -149,8 +198,7 @@ func TestServerMicrocodeAndSnapshot(t *testing.T) {
 	}
 
 	var run RunResult
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1000}, &run); code != http.StatusOK || run.Cycle != 1000 {
+	if code := runHTTP(t, ts.URL, id, 1000, &run); code != http.StatusAccepted || run.Cycle != 1000 {
 		t.Fatalf("run: status %d, %+v", code, run)
 	}
 
@@ -167,8 +215,7 @@ func TestServerMicrocodeAndSnapshot(t *testing.T) {
 	if resp.Header.Get("Content-Type") != "application/octet-stream" {
 		t.Errorf("snapshot content-type = %q", resp.Header.Get("Content-Type"))
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 500}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 500, nil); code != http.StatusAccepted {
 		t.Fatalf("second run: status %d", code)
 	}
 	if code := call(t, "PUT", ts.URL+"/v1/sessions/"+id+"/snapshot", snap, nil); code != http.StatusOK {
@@ -225,8 +272,7 @@ func TestServerValidation(t *testing.T) {
 		t.Fatalf("truncated JSON: status %d", code)
 	}
 	id := createSession(t, ts.URL, "")
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 0}, nil); code != http.StatusBadRequest {
+	if code := runHTTP(t, ts.URL, id, 0, nil); code != http.StatusBadRequest {
 		t.Fatalf("zero cycles: status %d", code)
 	}
 	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/boot",
@@ -241,27 +287,26 @@ func TestServerOverload429(t *testing.T) {
 
 	running, release := blockSession(t, m, id)
 	<-running
-	// Fill the queue behind the stuck worker...
-	queued := make(chan int, 1)
-	go func() {
-		queued <- call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run", map[string]uint64{"cycles": 1}, nil)
-	}()
+	// Fill the queue behind the stuck worker (runs admission is
+	// synchronous: a 202 means the run holds a queue slot)...
+	var queued RunView
+	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/runs",
+		map[string]uint64{"cycles": 1}, &queued); code != http.StatusAccepted {
+		t.Fatalf("queued submit: status %d", code)
+	}
 	waitQueue(t, m, id, 1)
-	// ...so the next request bounces with 429.
+	// ...so the next submit bounces with 429.
 	var errBody struct {
 		Error string `json:"error"`
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1}, &errBody); code != http.StatusTooManyRequests {
+	if code := runHTTP(t, ts.URL, id, 1, &errBody); code != http.StatusTooManyRequests {
 		t.Fatalf("overload: status %d", code)
 	}
 	if !strings.Contains(errBody.Error, "queue full") {
 		t.Errorf("overload body = %+v", errBody)
 	}
 	release()
-	if code := <-queued; code != http.StatusOK {
-		t.Fatalf("queued run: status %d", code)
-	}
+	pollRun(t, ts.URL, id, queued.ID)
 }
 
 func TestServerDrain(t *testing.T) {
@@ -278,8 +323,7 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("drain: status %d, %+v", code, res)
 	}
 	// Draining: operations 503, health 503, metrics still served.
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 1}, nil); code != http.StatusServiceUnavailable {
+	if code := runHTTP(t, ts.URL, id, 1, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("run after drain: status %d", code)
 	}
 	if code := call(t, "POST", ts.URL+"/v1/sessions", map[string]string{}, nil); code != http.StatusServiceUnavailable {
@@ -300,8 +344,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		map[string]string{"text": SpinMicrocode}, nil); code != http.StatusOK {
 		t.Fatalf("microcode: status %d", code)
 	}
-	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]uint64{"cycles": 4096}, nil); code != http.StatusOK {
+	if code := runHTTP(t, ts.URL, id, 4096, nil); code != http.StatusAccepted {
 		t.Fatalf("run: status %d", code)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -335,8 +378,7 @@ func TestServerStoreEndpoints(t *testing.T) {
 	// Two parks with work in between: the store holds two snapshots, the
 	// manifest references one.
 	for i := 0; i < 2; i++ {
-		if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/run",
-			map[string]any{"cycles": 100}, nil); code != http.StatusOK {
+		if code := runHTTP(t, ts.URL, id, 100, nil); code != http.StatusAccepted {
 			t.Fatalf("run: status %d", code)
 		}
 		parkNow(t, m, id)

@@ -17,7 +17,7 @@ import (
 // around the simulation — so any number of watchers cost the hot loop
 // nothing. The flip side: the counters refresh when a worker finishes an
 // operation, so a stream shows progress at operation granularity (one
-// long /run updates once, at its end).
+// long run updates once, at its end).
 //
 // Besides the periodic "stats" snapshots, the stream carries the runs
 // resource's completion notifications: every run that finishes on the

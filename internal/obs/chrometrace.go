@@ -10,9 +10,10 @@ import (
 // (60 ns, §1 of the paper; mirrors core.CycleNS without the import).
 const cycleNS = 60
 
-// traceEvent is one Chrome trace_event object. Field order is fixed, so
-// json.Marshal output is byte-deterministic.
-type traceEvent struct {
+// TraceEvent is one Chrome trace_event object, shared with the profiler's
+// superblock export (internal/obs/prof). Field order is fixed, so the
+// encoding is byte-deterministic.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -26,14 +27,15 @@ type traceEvent struct {
 // traceDoc is the trace_event JSON object format, which both
 // chrome://tracing and Perfetto load.
 type traceDoc struct {
-	TraceEvents []traceEvent   `json:"traceEvents"`
+	TraceEvents []TraceEvent   `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
-// usec renders a cycle count as a microsecond timestamp with two decimals
-// (60 ns per cycle ⇒ multiples of 0.06 µs, so two decimals are exact).
-// Integer math keeps the string — and therefore the export — byte-stable.
-func usec(cycles uint64) json.Number {
+// TraceTime renders a cycle count as a microsecond timestamp with two
+// decimals (60 ns per cycle ⇒ multiples of 0.06 µs, so two decimals are
+// exact). Integer math keeps the string — and therefore the export —
+// byte-stable.
+func TraceTime(cycles uint64) json.Number {
 	ns := cycles * cycleNS
 	return json.Number(strconv.FormatUint(ns/1000, 10) + "." +
 		pad2((ns%1000)/10))
@@ -46,6 +48,22 @@ func pad2(v uint64) string {
 	return strconv.FormatUint(v, 10)
 }
 
+// WriteTraceEvents writes events as an indented trace_event JSON document.
+// Its otherData names the source and the cycle scale, plus the count of
+// spans a bounded buffer dropped when there were any.
+func WriteTraceEvents(w io.Writer, source string, spansDropped uint64, events []TraceEvent) error {
+	doc := traceDoc{
+		TraceEvents: events,
+		OtherData:   map[string]any{"cycle_ns": cycleNS, "source": source},
+	}
+	if spansDropped > 0 {
+		doc.OtherData["spans_dropped"] = spansDropped
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(doc)
+}
+
 // WriteChromeTrace renders the recorder's scheduling spans and utilization
 // timeline as Chrome trace_event JSON: one timeline row ("thread") per
 // task, a duration event per scheduling span, and a counter track with the
@@ -53,22 +71,11 @@ func pad2(v uint64) string {
 // https://ui.perfetto.dev to see the §6.2.1 task multiplexing laid out in
 // time. Call Recorder.Flush first so the trailing span is closed.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	doc := traceDoc{
-		TraceEvents: []traceEvent{},
-		OtherData: map[string]any{
-			"cycle_ns": cycleNS,
-			"source":   "dorado simulator (internal/obs)",
-		},
-	}
-	if dropped := r.SpansDropped(); dropped > 0 {
-		doc.OtherData["spans_dropped"] = dropped
-	}
-
 	// Name the process and the task rows that actually appear.
-	doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+	events := []TraceEvent{{
 		Name: "process_name", Ph: "M", Ts: "0", Pid: 1, Tid: 0,
 		Args: map[string]any{"name": "Dorado processor"},
-	})
+	}}
 	var seen [MaxTasks]bool
 	for _, sp := range r.Spans() {
 		seen[sp.Task] = true
@@ -77,7 +84,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		if !seen[t] {
 			continue
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, TraceEvent{
 			Name: "thread_name", Ph: "M", Ts: "0", Pid: 1, Tid: t,
 			Args: map[string]any{"name": r.TaskName(t)},
 		})
@@ -85,9 +92,9 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 
 	// Scheduling spans: complete ("X") events, one per processor tenancy.
 	for _, sp := range r.Spans() {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, TraceEvent{
 			Name: r.TaskName(sp.Task), Cat: "task", Ph: "X",
-			Ts: usec(sp.Start), Dur: usec(sp.End - sp.Start),
+			Ts: TraceTime(sp.Start), Dur: TraceTime(sp.End - sp.Start),
 			Pid: 1, Tid: sp.Task,
 			Args: map[string]any{"cycles": sp.End - sp.Start},
 		})
@@ -105,13 +112,10 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		if len(args) == 0 {
 			continue
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, TraceEvent{
 			Name: "busy cycles", Cat: "utilization", Ph: "C",
-			Ts: usec(sl.Start), Pid: 1, Tid: 0, Args: args,
+			Ts: TraceTime(sl.Start), Pid: 1, Tid: 0, Args: args,
 		})
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return WriteTraceEvents(w, "dorado simulator (internal/obs)", r.SpansDropped(), events)
 }

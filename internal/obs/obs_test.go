@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -193,6 +194,11 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := WriteChromeTrace(&b, r); err != nil {
 		t.Fatal(err)
 	}
+	// The export is byte-deterministic; this digest pins it (it must not
+	// move when the encoder is shared with internal/obs/prof).
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != "89e711a506464675c7cd28564daf933730a0a6c4920eb8a54e494d8297018f9c" {
+		t.Errorf("Chrome-trace export changed: sha256 %s\n%s", got, b.String())
+	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
@@ -224,8 +230,8 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestUsecFormatting(t *testing.T) {
 	cases := map[uint64]string{0: "0.00", 1: "0.06", 2: "0.12", 17: "1.02", 1000: "60.00"}
 	for cycles, want := range cases {
-		if got := string(usec(cycles)); got != want {
-			t.Errorf("usec(%d) = %q, want %q", cycles, got, want)
+		if got := string(TraceTime(cycles)); got != want {
+			t.Errorf("TraceTime(%d) = %q, want %q", cycles, got, want)
 		}
 	}
 }

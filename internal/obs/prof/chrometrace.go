@@ -1,74 +1,29 @@
 package prof
 
 import (
-	"encoding/json"
 	"io"
-	"strconv"
+
+	"dorado/internal/obs"
 )
 
-// Chrome-trace annotation of superblock spans: each recent block execution
-// renders as a complete ("X") event on a "superblocks" row, named by the
-// block's symbol and tagged with its exit reason — load next to the
-// scheduler trace from obs.WriteChromeTrace to see exactly which events
-// cut fused runs short. The structs mirror internal/obs's unexported
-// trace_event encoding (obs cannot import this package's core dependency,
-// so the few lines are duplicated rather than exported).
-
-const cycleNS = 60 // simulated ns per cycle (§1)
-
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   json.Number    `json:"ts"`
-	Dur  json.Number    `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceDoc struct {
-	TraceEvents []traceEvent   `json:"traceEvents"`
-	OtherData   map[string]any `json:"otherData,omitempty"`
-}
-
-// usec renders a cycle count as a microsecond timestamp with two exact
-// decimals (60 ns per cycle ⇒ multiples of 0.06 µs).
-func usec(cycles uint64) json.Number {
-	ns := cycles * cycleNS
-	frac := (ns % 1000) / 10
-	s := strconv.FormatUint(ns/1000, 10) + "."
-	if frac < 10 {
-		s += "0"
-	}
-	return json.Number(s + strconv.FormatUint(frac, 10))
-}
-
 // WriteChromeTrace renders the profile's superblock spans as Chrome
-// trace_event JSON: one row, one duration event per block execution, exit
-// reason and fused cycle count in args. Loads in chrome://tracing and
-// https://ui.perfetto.dev.
+// trace_event JSON: one "superblocks" row, one duration event per block
+// execution named by the block's symbol, exit reason and fused cycle count
+// in args. Load it next to the scheduler trace from obs.WriteChromeTrace
+// (same encoder, same timeline) to see exactly which events cut fused runs
+// short, in chrome://tracing or https://ui.perfetto.dev.
 func WriteChromeTrace(w io.Writer, p *Profile) error {
-	doc := traceDoc{
-		TraceEvents: []traceEvent{{
-			Name: "process_name", Ph: "M", Ts: "0", Pid: 2, Tid: 0,
-			Args: map[string]any{"name": "Dorado superblocks"},
-		}, {
-			Name: "thread_name", Ph: "M", Ts: "0", Pid: 2, Tid: 0,
-			Args: map[string]any{"name": "superblocks"},
-		}},
-		OtherData: map[string]any{
-			"cycle_ns": cycleNS,
-			"source":   "dorado simulator (internal/obs/prof)",
-		},
-	}
-	if p.SpansDropped > 0 {
-		doc.OtherData["spans_dropped"] = p.SpansDropped
-	}
+	events := []obs.TraceEvent{{
+		Name: "process_name", Ph: "M", Ts: "0", Pid: 2, Tid: 0,
+		Args: map[string]any{"name": "Dorado superblocks"},
+	}, {
+		Name: "thread_name", Ph: "M", Ts: "0", Pid: 2, Tid: 0,
+		Args: map[string]any{"name": "superblocks"},
+	}}
 	for _, sp := range p.Spans {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, obs.TraceEvent{
 			Name: sp.Name, Cat: "superblock", Ph: "X",
-			Ts: usec(sp.Start), Dur: usec(sp.Cycles), Pid: 2, Tid: 0,
+			Ts: obs.TraceTime(sp.Start), Dur: obs.TraceTime(sp.Cycles), Pid: 2, Tid: 0,
 			Args: map[string]any{
 				"block":  sp.Block.String(),
 				"cycles": sp.Cycles,
@@ -76,7 +31,5 @@ func WriteChromeTrace(w io.Writer, p *Profile) error {
 			},
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return obs.WriteTraceEvents(w, "dorado simulator (internal/obs/prof)", p.SpansDropped, events)
 }

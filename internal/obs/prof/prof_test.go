@@ -3,7 +3,9 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -256,6 +258,11 @@ func TestWriteChromeTrace(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteChromeTrace(&b, p); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	// The export is byte-deterministic; this digest pins it across the
+	// shared obs encoder.
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != "0c82c151076f10a0741306b79198dd945e7f6219fb48b38553dd471232e99e64" {
+		t.Errorf("Chrome-trace export changed: sha256 %s\n%s", got, b.String())
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

@@ -126,44 +126,9 @@ func TestNewBareMachineRuns(t *testing.T) {
 	}
 }
 
-// The deprecated constructors must be behaviorally identical to New.
-func TestDeprecatedWrapperEquivalence(t *testing.T) {
-	old, err := NewSystem(Mesa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := New(WithLanguage(Mesa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesaAdd(t, old)
-	mesaAdd(t, neu)
-	if os, ns := old.Stack(), neu.Stack(); len(os) != 1 || len(ns) != 1 || os[0] != ns[0] {
-		t.Fatalf("stacks diverge: old %v, new %v", os, ns)
-	}
-	if old.Machine.Stats() != neu.Machine.Stats() {
-		t.Fatalf("stats diverge:\nold: %+v\nnew: %+v", old.Machine.Stats(), neu.Machine.Stats())
-	}
-
-	oldW, err := NewSystemWith(Lisp, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neuW, err := New(WithLanguage(Lisp), WithConfig(Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldW.Language != neuW.Language || (oldW.Emulator == nil) != (neuW.Emulator == nil) {
-		t.Error("NewSystemWith and New disagree")
-	}
-}
-
 func TestSentinelErrors(t *testing.T) {
 	if _, err := New(WithLanguage(Language(99))); !errors.Is(err, ErrUnknownLanguage) {
 		t.Errorf("unknown language error = %v, want ErrUnknownLanguage", err)
-	}
-	if _, err := NewSystem(Language(99)); !errors.Is(err, ErrUnknownLanguage) {
-		t.Errorf("deprecated path error = %v, want ErrUnknownLanguage", err)
 	}
 	sys, err := New(WithLanguage(BCPL))
 	if err != nil {
