@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dorado/internal/core"
@@ -121,5 +122,32 @@ func TestGoldenSnapshots(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSnapshotAllocation guards the snapshot encoder's buffer growth. The
+// document of a booted and run Mesa machine is nearly all storage image
+// (a million words), so encoding it should allocate little more than the
+// document itself; growing the buffer word by word cost about five times
+// as much.
+func TestSnapshotAllocation(t *testing.T) {
+	m, err := BuildEmulatorMachine(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunCycles(5000)
+	size := len(m.Snapshot())
+	const reps = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		size = len(m.Snapshot())
+	}
+	runtime.ReadMemStats(&after)
+	perSnap := float64(after.TotalAlloc-before.TotalAlloc) / reps
+	ratio := perSnap / float64(size)
+	t.Logf("Snapshot allocates %.0f bytes for a %d-byte document (%.2fx)", perSnap, size, ratio)
+	if ratio > 1.25 {
+		t.Fatalf("Snapshot allocates %.2fx its %d-byte document, want at most 1.25x", ratio, size)
 	}
 }

@@ -147,3 +147,36 @@ func (d *benchDev) LoadState(dec *state.Decoder) {
 	d.wake = dec.Bool()
 	d.n = dec.U64()
 }
+
+// BenchmarkSnapshot measures encoding a whole machine (the 1M-word storage
+// image is nearly all of the document). Bytes/s is document bytes.
+func BenchmarkSnapshot(b *testing.B) {
+	m := snapMachine(b, Config{})
+	m.RunCycles(5000)
+	b.SetBytes(int64(len(m.Snapshot())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapSink = m.Snapshot()
+	}
+}
+
+// BenchmarkRestore measures decoding that document back onto a machine of
+// the same configuration, predecode rebuild included.
+func BenchmarkRestore(b *testing.B) {
+	m := snapMachine(b, Config{})
+	m.RunCycles(5000)
+	snap := m.Snapshot()
+	fresh := snapMachine(b, Config{})
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fresh.Restore(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// snapSink keeps BenchmarkSnapshot's result live.
+var snapSink []byte

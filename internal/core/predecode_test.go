@@ -140,7 +140,7 @@ func diffState(t *testing.T, name string, ref, fast *Machine) {
 }
 
 // mustProgram assembles or fails.
-func mustProgram(t *testing.T, b *masm.Builder) *masm.Program {
+func mustProgram(t testing.TB, b *masm.Builder) *masm.Program {
 	t.Helper()
 	p, err := b.Assemble()
 	if err != nil {

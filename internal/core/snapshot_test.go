@@ -11,7 +11,7 @@ import (
 
 // snapMachine builds a machine exercising every snapshotted component: the
 // data section, memory traffic, two live devices, and a running IFU.
-func snapMachine(t *testing.T, cfg Config) *Machine {
+func snapMachine(t testing.TB, cfg Config) *Machine {
 	t.Helper()
 	bl := masm.NewBuilder()
 	bl.EmitAt("emu", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0,

@@ -9,22 +9,15 @@ import (
 	"dorado/internal/store"
 )
 
-// parkNow parks a session, retrying the transient ErrBusy window right
-// after an operation completes (the worker may still hold the scheduled
-// flag for an instant).
+// parkNow parks a session that has no queued or running work; any error,
+// ErrBusy included, fails the test.
 func parkNow(t *testing.T, m *Manager, id string) ParkResult {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, err := m.Park(id)
-		if err == nil {
-			return res
-		}
-		if !errors.Is(err, ErrBusy) || time.Now().After(deadline) {
-			t.Fatalf("park %s: %v", id, err)
-		}
-		time.Sleep(time.Millisecond)
+	res, err := m.Park(id)
+	if err != nil {
+		t.Fatalf("park %s: %v", id, err)
 	}
+	return res
 }
 
 // openStore opens a snapshot store rooted in dir.

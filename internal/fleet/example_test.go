@@ -3,7 +3,6 @@ package fleet_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -104,8 +103,8 @@ func ExampleManager_SubmitRun() {
 
 // ExampleManager_Park parks a session into a durable store and restarts
 // the fleet over the same directory — what `doradod -store DIR` does
-// across a process restart. Park can race the worker's hand-off for an
-// instant after an operation completes, so real clients retry ErrBusy.
+// across a process restart. A session whose run has returned is idle, so
+// the park right after it succeeds.
 func ExampleManager_Park() {
 	dir, err := os.MkdirTemp("", "dorado-store-*")
 	if err != nil {
@@ -129,13 +128,7 @@ func ExampleManager_Park() {
 	if _, err := m.Run(ctx, id, 1000); err != nil {
 		panic(err)
 	}
-	var res fleet.ParkResult
-	for {
-		if res, err = m.Park(id); !errors.Is(err, fleet.ErrBusy) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	res, err := m.Park(id)
 	if err != nil {
 		panic(err)
 	}
@@ -185,13 +178,7 @@ func ExampleManager_CreateFrom() {
 	if _, err := m.Run(ctx, id, 1000); err != nil {
 		panic(err)
 	}
-	var res fleet.ParkResult
-	for {
-		if res, err = m.Park(id); !errors.Is(err, fleet.ErrBusy) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	res, err := m.Park(id)
 	if err != nil {
 		panic(err)
 	}
@@ -263,13 +250,7 @@ func ExampleManager_GCStore() {
 		if _, err := m.Run(ctx, id, 1000); err != nil {
 			panic(err)
 		}
-		for {
-			if _, err = m.Park(id); !errors.Is(err, fleet.ErrBusy) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if err != nil {
+		if _, err := m.Park(id); err != nil {
 			panic(err)
 		}
 	}

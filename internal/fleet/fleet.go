@@ -372,8 +372,12 @@ func (m *Manager) worker() {
 			m.counters.ops[op.kind].Add(1)
 		}
 		m.logOp(s.id, op, res)
-		op.done <- res
 
+		// Release or re-enqueue before delivering the result: whoever
+		// sees the operation complete (Run returning, a run reading done)
+		// must find the session idle, or a Park issued at once answers
+		// ErrBusy and a janitor Sweep skips it. op.done has room for the
+		// one result, so the send below never blocks.
 		s.mu.Lock()
 		if len(s.pending) > 0 {
 			s.mu.Unlock()
@@ -382,6 +386,7 @@ func (m *Manager) worker() {
 			s.scheduled = false
 			s.mu.Unlock()
 		}
+		op.done <- res
 		// Done only after the re-enqueue decision: Drain stops the workers
 		// once this counter hits zero, and pending work implies a nonzero
 		// count, so no enqueue above can race the shutdown.

@@ -365,6 +365,29 @@ func TestIdleEvictionAndRevival(t *testing.T) {
 	}
 }
 
+// TestParkRightAfterRun parks the instant each run returns. The worker
+// releases the session before it delivers a result, so whoever sees an
+// operation complete finds the session idle: Park never answers ErrBusy.
+func TestParkRightAfterRun(t *testing.T) {
+	m := New(Config{Workers: 2})
+	defer drainNow(t, m)
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadMicrocode(tctx, id, SpinMicrocode, "start"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := m.Run(tctx, id, 100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Park(id); err != nil {
+			t.Fatalf("park %d right after its run: %v", i, err)
+		}
+	}
+}
+
 func TestDestroyAndLimits(t *testing.T) {
 	m := New(Config{Workers: 1, MaxSessions: 2})
 	defer drainNow(t, m)

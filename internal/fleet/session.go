@@ -275,6 +275,8 @@ func (s *Session) park(m *Manager, cutoff time.Time) bool {
 // changed. The hash is pinned for the whole sequence: between the blob
 // write and the manifest entry the snapshot is unreferenced, and the pin
 // is what keeps a concurrent GC sweep from reclaiming it in that window.
+// The pinned hash is handed to the store, so a park hashes the whole
+// document once.
 // Caller holds s.mu.
 func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 	specJSON, err := json.Marshal(s.spec)
@@ -284,7 +286,7 @@ func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 	hash := store.Hash(snap)
 	unpin := m.cfg.Store.Pin(hash)
 	defer unpin()
-	if _, err := m.cfg.Store.PutSnapshot(snap); err != nil {
+	if _, err := m.cfg.Store.PutSnapshotHashed(hash, snap); err != nil {
 		return "", err
 	}
 	if err := m.cfg.Store.PutMeta(hash, specJSON); err != nil {

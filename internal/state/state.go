@@ -30,6 +30,7 @@ package state
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // magic identifies a snapshot document ("Dorado SNaPshot").
@@ -105,10 +106,19 @@ func (e *Encoder) Bool(v bool) {
 }
 
 // U16s appends a run of 16-bit values with no count prefix (fixed-size
-// arrays whose length both sides know).
+// arrays whose length both sides know). The bytes are exactly those of a
+// U16 per value; the run is written in bulk, four words per 64-bit
+// store, because the storage image (a million words) rides through here.
 func (e *Encoder) U16s(vs []uint16) {
-	for _, v := range vs {
-		e.U16(v)
+	n := len(e.data)
+	e.data = slices.Grow(e.data, 2*len(vs))[:n+2*len(vs)]
+	b := e.data[n:]
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		binary.LittleEndian.PutUint64(b[2*i:], uint64(vs[i])|uint64(vs[i+1])<<16|uint64(vs[i+2])<<32|uint64(vs[i+3])<<48)
+	}
+	for ; i < len(vs); i++ {
+		binary.LittleEndian.PutUint16(b[2*i:], vs[i])
 	}
 }
 
@@ -349,10 +359,21 @@ func (d *Decoder) Bool() bool {
 	}
 }
 
-// U16s fills a fixed-size destination with 16-bit values.
+// U16s fills a fixed-size destination with 16-bit values, reading the
+// whole run with one take (so a short section fails before any word is
+// written) and four words per 64-bit load.
 func (d *Decoder) U16s(dst []uint16) {
-	for i := range dst {
-		dst[i] = d.U16()
+	b := d.take(2 * len(dst))
+	if b == nil {
+		return
+	}
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		w := binary.LittleEndian.Uint64(b[2*i:])
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = binary.LittleEndian.Uint16(b[2*i:])
 	}
 }
 

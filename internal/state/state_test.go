@@ -2,6 +2,8 @@ package state
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -185,5 +187,87 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 	}
 	if _, err := Split(doc[:len(doc)-2]); err == nil {
 		t.Error("truncated section accepted")
+	}
+}
+
+// TestU16sBulk pins the bulk word-array codec to the per-word format: for
+// every length around the four-word grouping (and the storage image's
+// million words) the encoding equals a U16 per value byte for byte,
+// decoding round-trips, and a section one byte short fails cleanly.
+func TestU16sBulk(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095, 1 << 20} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			words := make([]uint16, n)
+			for i := range words {
+				words[i] = uint16(rng.Uint32())
+			}
+			bulk := NewEncoder()
+			bulk.Section("WRDS")
+			bulk.U8(0xA5) // an odd offset: the run need not start aligned
+			bulk.U16s(words)
+			bulk.U8(0x5A)
+			doc := bulk.Bytes()
+
+			ref := NewEncoder()
+			ref.Section("WRDS")
+			ref.U8(0xA5)
+			for _, w := range words {
+				ref.U16(w)
+			}
+			ref.U8(0x5A)
+			if !bytes.Equal(doc, ref.Bytes()) {
+				t.Fatal("bulk encoding differs from per-word U16 encoding")
+			}
+
+			d, err := NewDecoder(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Section("WRDS"); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]uint16, n)
+			if d.U8() != 0xA5 {
+				t.Fatal("prefix byte lost")
+			}
+			d.U16s(got)
+			if d.U8() != 0x5A {
+				t.Fatal("suffix byte lost")
+			}
+			if err := d.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range words {
+				if got[i] != words[i] {
+					t.Fatalf("word %d = %#04x, want %#04x", i, got[i], words[i])
+				}
+			}
+
+			if n == 0 {
+				return
+			}
+			short := NewEncoder() // the same run, one byte short
+			short.Section("WRDS")
+			short.U16s(words[:n-1])
+			short.U8(uint8(words[n-1]))
+			d, err = NewDecoder(short.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Section("WRDS"); err != nil {
+				t.Fatal(err)
+			}
+			d.U16s(got)
+			if d.Err() == nil {
+				t.Fatal("short word run not detected")
+			}
+			if d.U8(); d.Err() == nil {
+				t.Fatal("short-read error is not sticky")
+			}
+			if err := d.Finish(); err == nil {
+				t.Fatal("Finish accepted a short word run")
+			}
+		})
 	}
 }

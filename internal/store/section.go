@@ -97,13 +97,26 @@ type PutStats struct {
 // fall back to a whole Put. Like Put it is idempotent: a snapshot the
 // store already holds (whole or sectioned) writes nothing.
 func (s *Store) PutSnapshot(data []byte) (PutStats, error) {
+	return s.PutSnapshotHashed(Hash(data), data)
+}
+
+// PutSnapshotHashed is PutSnapshot for a caller that already holds the
+// snapshot's content address, hash == Hash(data) — a park computes it to
+// pin the snapshot before writing, and passing it on saves hashing the
+// whole document a second time. The store files the recipe under hash
+// as given; Get re-verifies every reassembly against its name, so a
+// wrong hash surfaces as corruption on read, never as a wrong snapshot.
+func (s *Store) PutSnapshotHashed(hash string, data []byte) (PutStats, error) {
+	if !validHash(hash) {
+		return PutStats{}, fmt.Errorf("store: malformed snapshot hash %q", hash)
+	}
 	// The whole write holds the store lock, serializing against Sweep: the
 	// dedupe decision ("this section already exists, skip it") and the
 	// recipe write that depends on it must see a frozen reclamation state,
 	// or a concurrent sweep could delete a section between the two.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := PutStats{Hash: Hash(data)}
+	st := PutStats{Hash: hash}
 	if s.Has(st.Hash) {
 		doc, err := state.Split(data)
 		if err == nil {

@@ -194,3 +194,38 @@ func TestGetSectionedCorruptSectionDetected(t *testing.T) {
 		t.Errorf("tampered section read: %v", err)
 	}
 }
+
+// TestPutSnapshotHashed covers the hash-once path a park takes: a put
+// under the caller's hash stores what PutSnapshot would, a malformed hash
+// is refused before it can name a file, and a wrong hash is caught by
+// Get's re-verification rather than returning the wrong snapshot.
+func TestPutSnapshotHashed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := snapDoc(1, state.RawSection{Tag: "MEM0", Body: bigBody('m', 4096)})
+	st, err := s.PutSnapshotHashed(Hash(doc), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hash != Hash(doc) || !st.Sectioned || st.Sections != 1 {
+		t.Fatalf("hashed put = %+v", st)
+	}
+	if got, err := s.Get(st.Hash); err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("Get after hashed put: %v", err)
+	}
+
+	if _, err := s.PutSnapshotHashed("../escape", doc); err == nil {
+		t.Error("malformed hash accepted")
+	}
+
+	other := snapDoc(1, state.RawSection{Tag: "MEM0", Body: bigBody('n', 4096)})
+	wrong := Hash(other)
+	if _, err := s.PutSnapshotHashed(wrong, doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(wrong); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Get under a wrong hash = %v, want a corruption error", err)
+	}
+}
