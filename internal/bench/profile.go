@@ -16,8 +16,9 @@ import (
 // a prof.BenchReport (the simbench -profile artifact). The abort-reason
 // breakdown is the point: it explains *why* a workload does or does not
 // profit from translation — the emulator's superblocks die young on IFU
-// dispatch, the disk loop's on device wakeups — where the throughput table
-// only shows that it doesn't.
+// dispatch, and the disk and display routines' blocks are task-0-only, so
+// their I/O tasks fail the entry guard — where the throughput table only
+// shows that it doesn't.
 
 // workloadSymbols returns the masm symbol table of a host workload's
 // microcode, for symbolizing its profile. Assembly is deterministic, so

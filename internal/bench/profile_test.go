@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"dorado/internal/core"
+	"dorado/internal/obs/prof"
+)
 
 func TestRunProfileReport(t *testing.T) {
 	if testing.Short() {
@@ -37,5 +43,46 @@ func TestRunProfileReport(t *testing.T) {
 		if !symbolized {
 			t.Errorf("%s: no symbolized hot address", w.ID)
 		}
+	}
+}
+
+// TestDiskFusedCyclesAreTask0 pins where translation's gain on the disk
+// workload comes from. The sector loop's closing word carries the Block
+// bit, so every block starting in the disk routine is task0Only and task
+// 11 never enters one: all fused cycles belong to the emu block, task 0's
+// one-word counting loop unrolled to the block limit.
+func TestDiskFusedCyclesAreTask0(t *testing.T) {
+	m, err := BuildDiskMachine(core.Config{Translation: core.Translation{Enable: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewProfiler()
+	m.SetProfiler(p)
+	m.RunCycles(200_000)
+	syms, err := workloadSymbols("disk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := m.TranslationStats().FusedCycles
+	if fused == 0 {
+		t.Fatal("translated disk machine fused no cycles")
+	}
+	diskBlocks, emuCycles := 0, uint64(0)
+	for _, b := range prof.Build(p.Snapshot(), prof.NewSymbolTable(syms)).Blocks {
+		switch {
+		case strings.HasPrefix(b.Name, "disk"):
+			diskBlocks++
+			if b.Entries != 0 {
+				t.Errorf("block %s: %d entries, want 0 (task0Only, and the disk runs as task 11)", b.Name, b.Entries)
+			}
+		case b.Name == "emu":
+			emuCycles = b.Cycles
+		}
+	}
+	if diskBlocks == 0 {
+		t.Error("no block was built in the disk routine")
+	}
+	if emuCycles != fused {
+		t.Errorf("emu block fused %d cycles, want all %d fused cycles", emuCycles, fused)
 	}
 }

@@ -26,7 +26,8 @@ type ExitReason uint8
 
 const (
 	// ExitFallThrough: the block ran off its last fused instruction onto a
-	// static successor (a run cut short by MaxBlock or an interior revisit).
+	// static successor (a run cut short by the 48-word block limit,
+	// maxBlock, or an interior revisit).
 	ExitFallThrough ExitReason = iota
 	// ExitBranch: a BRANCH/RETURN/DISP8/DISP256 terminator retired and set
 	// curPC dynamically — the normal side exit.

@@ -31,7 +31,7 @@ import (
 // differential tests and internal/fuzzdiff enforce.
 
 // Translation configures the superblock translator. The zero value
-// disables it; Enable with zero tuning fields picks the defaults. The
+// disables it; Enable with a zero HotThreshold picks the default. The
 // translator requires the as-built machine (no Options ablations, not
 // Reference) — core.New rejects other combinations.
 type Translation struct {
@@ -40,20 +40,19 @@ type Translation struct {
 	// HotThreshold is how many times a microword must execute on the
 	// generic loop before a superblock is built at its address (default 64).
 	HotThreshold uint32
-	// MaxBlock bounds the number of microinstructions fused into one
-	// superblock (default 48).
-	MaxBlock int
 }
 
 func (t Translation) withDefaults() Translation {
 	if t.HotThreshold == 0 {
 		t.HotThreshold = 64
 	}
-	if t.MaxBlock <= 0 {
-		t.MaxBlock = 48
-	}
 	return t
 }
+
+// maxBlock bounds the number of microinstructions fused into one
+// superblock. Unrolling fills a block to it, so a one-word spin loop (the
+// §7 I/O benchmarks' task-0 background) runs 48 cycles per block entry.
+const maxBlock = 48
 
 // TranslationStats counts translator activity. The counters are
 // diagnostics, not machine state: they are not serialized into snapshots
@@ -417,19 +416,19 @@ out:
 // LGOTO, LCALL) and closes with one dynamically-addressed terminator
 // (BRANCH, RETURN, IFUJUMP, DISP8, DISP256) when present; it stops early
 // at a reserved NextControl (left for the generic loop to diagnose), at
-// MaxBlock, or when the chain revisits an interior address. A run that
+// maxBlock, or when the chain revisits an interior address. A run that
 // closes back on start is a statically-proven loop: it is unrolled —
-// whole iterations replicated up to MaxBlock — so tight one- and
+// whole iterations replicated up to maxBlock — so tight one- and
 // two-word spin loops (the §7 I/O-benchmark emulator background, and the
 // inner loops of block transfers) amortize block entry over many cycles.
 func (m *Machine) translate(start microcode.Addr) *superblock {
 	t := m.trans
 	b := &superblock{start: start, devSafe: true, ifuSafe: true}
-	visited := make([]microcode.Addr, 0, t.cfg.MaxBlock)
+	visited := make([]microcode.Addr, 0, maxBlock)
 	visited = append(visited, start)
 	pc := start
 	iterLen := 0 // instructions per unrolled iteration, once known
-	for len(b.code) < t.cfg.MaxBlock {
+	for len(b.code) < maxBlock {
 		d := &m.dim[pc]
 		if d.block {
 			b.task0Only = true
@@ -443,15 +442,16 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 		switch d.op.Kind {
 		case microcode.NextGoto, microcode.NextCall,
 			microcode.NextLongGoto, microcode.NextLongCall:
-			next, link := staticNext(pc, d)
-			b.code = append(b.code, fuseInst(d, next, link))
+			s := staticSucc(pc, d)
+			next := s.next
+			b.code = append(b.code, fuseInst(d, s))
 			b.addrs = append(b.addrs, pc)
 			if next == start {
 				// Closed loop: unroll further whole iterations.
 				if iterLen == 0 {
 					iterLen = len(b.code)
 				}
-				if len(b.code)+iterLen > t.cfg.MaxBlock {
+				if len(b.code)+iterLen > maxBlock {
 					goto done
 				}
 				pc = next
@@ -504,43 +504,71 @@ func blockContains(addrs []microcode.Addr, a microcode.Addr) bool {
 	return false
 }
 
-// staticNext resolves a statically-addressed NextControl at translation
-// time: the successor address and, for the CALL kinds, the LINK value —
-// both exactly as nextAddr computes them per cycle (§6.2.2).
-func staticNext(pc microcode.Addr, d *decoded) (next, link microcode.Addr) {
-	link = (pc + 1) & microcode.AddrMask
+// succ is a fused word's successor, resolved at translation time exactly
+// as nextAddr computes it per cycle (§6.2.2): a static next, with the LINK
+// value for the CALL kinds, or a BRANCH's page-relative pair, whose taken
+// target is the untaken one with the condition ORed into the low bit
+// (§5.5). Each target carries the exit the block loop acts on.
+type succ struct {
+	next, link microcode.Addr
+	nextExit   instExit
+	isCall     bool
+	branch     bool
+	cond       microcode.Condition
+	taken      microcode.Addr
+	takenExit  instExit
+}
+
+// staticSucc resolves a statically-addressed NextControl (GOTO, CALL,
+// LGOTO, LCALL).
+func staticSucc(pc microcode.Addr, d *decoded) succ {
+	s := succ{link: (pc + 1) & microcode.AddrMask, nextExit: instOK}
 	switch d.op.Kind {
 	case microcode.NextGoto, microcode.NextCall:
-		next = pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
+		s.next = pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
 	case microcode.NextLongGoto, microcode.NextLongCall:
-		next = microcode.MakeAddr(d.ff, d.op.W)
+		s.next = microcode.MakeAddr(d.ff, d.op.W)
 	}
-	return next, link
+	s.isCall = d.op.Kind == microcode.NextCall || d.op.Kind == microcode.NextLongCall
+	return s
+}
+
+// branchSucc resolves a BRANCH terminator's two targets. Either one is the
+// block's end, except a target equal to the block's own start (the
+// count-controlled loop-back that closes §7 BitBlt's inner loop): that one
+// reports instLoop, so the block loop restarts without re-entering through
+// runTranslated.
+func branchSucc(start, pc microcode.Addr, d *decoded) succ {
+	untaken := pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
+	s := succ{next: untaken, nextExit: instEnd, branch: true, cond: d.op.Cond,
+		taken: untaken | 1, takenExit: instEnd}
+	if s.next == start {
+		s.nextExit = instLoop
+	}
+	if s.taken == start {
+		s.takenExit = instLoop
+	}
+	return s
 }
 
 // fuseInst compiles one statically-successored microword: a specialized
 // closure when the word fits a template, the exec-backed generic closure
 // otherwise.
-func fuseInst(d *decoded, next, link microcode.Addr) instFn {
-	isCall := d.op.Kind == microcode.NextCall || d.op.Kind == microcode.NextLongCall
-	if fn := fuseALU(d, next, link, isCall); fn != nil {
+func fuseInst(d *decoded, s succ) instFn {
+	if fn := fuseALU(d, s); fn != nil {
 		return fn
 	}
-	if fn := fuseWide(d, next, link, isCall); fn != nil {
+	if fn := fuseWide(d, s); fn != nil {
 		return fn
 	}
-	return fuseExec(d, next, link, isCall)
+	return fuseExec(d, s.next)
 }
 
 // fuseExec is the generic fused form: execute through exec (identical
-// semantics by construction — hold detection, memory issue, FF, stores),
-// then advance to the pre-resolved successor instead of re-deriving it.
-func fuseExec(d *decoded, next, link microcode.Addr, isCall bool) instFn {
-	// exec computes the successor and linkage itself via nextAddr; next and
-	// link exist so the translator has one closure shape per word. They are
-	// asserted equal in the package tests.
-	_ = link
-	_ = isCall
+// semantics by construction — hold detection, memory issue, FF, stores,
+// LINK), then advance to the pre-resolved successor instead of re-deriving
+// it.
+func fuseExec(d *decoded, next microcode.Addr) instFn {
 	return func(m *Machine, now uint64) instExit {
 		held, _, _ := m.exec(d, now)
 		if held {
@@ -551,13 +579,14 @@ func fuseExec(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 	}
 }
 
-// fuseTerm compiles the block's dynamically-successored terminator: a
-// specialized closure for the two-way BRANCH (both targets are page-relative
-// constants, §6.2.2), exec in full for the rest (RETURN, IFUJUMP, dispatch —
-// linkage reads, IFU dispatch side effects, dispatch address arithmetic).
+// fuseTerm compiles the block's dynamically-successored terminator: the
+// memory/MD template for a BRANCH whose data section fits it, exec in full
+// for the rest (RETURN, IFUJUMP, dispatch — linkage reads, IFU dispatch
+// side effects, dispatch address arithmetic). IOATTEN is the one branch
+// condition left to exec: it reads a device.
 func fuseTerm(start, pc microcode.Addr, d *decoded) instFn {
-	if d.op.Kind == microcode.NextBranch {
-		if fn := fuseBranch(start, pc, d); fn != nil {
+	if d.op.Kind == microcode.NextBranch && d.op.Cond != microcode.CondIOAtten {
+		if fn := fuseWide(d, branchSucc(start, pc, d)); fn != nil {
 			return fn
 		}
 	}
@@ -580,28 +609,20 @@ const (
 	srcMD
 )
 
-// fuseALU compiles the register/stack ALU template: no hold sources, no
-// memory reference, no FF operation, register or constant operands, result
-// to T/RM/stack. This is the §6.3 data-section fast case — the bulk of
-// emulator opcode bodies and BitBlt setup code — with every per-cycle
-// decode branch of exec resolved at translation time. Returns nil when the
-// word does not fit the template.
-func fuseALU(d *decoded, next, link microcode.Addr, isCall bool) instFn {
-	if d.usesMD || d.usesIFUData || d.ifuJump || d.startsMem ||
-		d.ffop != microcode.FFNop || d.ffRMDest >= 0 || d.ffMemBase >= 0 {
-		return nil
-	}
-	var aKind int
+// operandKinds resolves a word's A and B sources to template operand
+// kinds, once, at translation time. Callers exclude the IFU operand
+// sources, which no template reads. MEMADDRESS is a copy of A, so the
+// Fetch and Store selectors read the RM word.
+func operandKinds(d *decoded) (aKind, bKind int) {
 	switch d.aSel {
-	case microcode.ASelRM:
-		aKind = srcRM
 	case microcode.ASelT:
 		aKind = srcT
-	default:
-		return nil
+	case microcode.ASelMD:
+		aKind = srcMD
+	default: // RM, Fetch, Store
+		aKind = srcRM
 	}
-	bKind := srcConst
-	bConst := d.constB
+	bKind = srcConst
 	if !d.isConstB {
 		switch d.bSel {
 		case microcode.BSelRM:
@@ -610,10 +631,27 @@ func fuseALU(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 			bKind = srcT
 		case microcode.BSelQ:
 			bKind = srcQ
-		default:
-			return nil
+		case microcode.BSelMD:
+			bKind = srcMD
 		}
 	}
+	return aKind, bKind
+}
+
+// fuseALU compiles the register/stack ALU template: no hold sources, no
+// memory reference, no FF operation, register or constant operands, result
+// to T/RM/stack. This is the §6.3 data-section fast case — the bulk of
+// emulator opcode bodies and BitBlt setup code — with every per-cycle
+// decode branch of exec resolved at translation time. It takes only static
+// successors. Returns nil when the word does not fit the template.
+func fuseALU(d *decoded, s succ) instFn {
+	if d.usesMD || d.usesIFUData || d.ifuJump || d.startsMem ||
+		d.ffop != microcode.FFNop || d.ffRMDest >= 0 || d.ffMemBase >= 0 {
+		return nil
+	}
+	aKind, bKind := operandKinds(d)
+	bConst := d.constB
+	next, link, isCall := s.next, s.link, s.isCall
 	raddr := d.raddr
 	aluIdx := d.aluOp
 	loadsT, loadsRM := d.loadsT, d.loadsRM
@@ -724,10 +762,13 @@ func fuseALU(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 // redirection, and FF COUNT constants. Hold detection (MD readiness, cache
 // admission with the pre-applied base, §5.7) is kept per cycle because it
 // must be, but every decode branch — operand routing, the FF dispatch, the
-// destination index — is resolved at translation time. The admitted FF
-// subset never overrides RESULT, so the ALU result is the stored value.
-// Returns nil when the word does not fit.
-func fuseWide(d *decoded, next, link microcode.Addr, isCall bool) instFn {
+// destination index, the successor — is resolved at translation time. The
+// admitted FF subset never overrides RESULT, so the ALU result is the
+// stored value. s is a static successor, or a BRANCH pair (branchSucc):
+// then the word that closes a block-transfer inner loop — store, count
+// decrement, loop-back — runs fused like the rest of the loop. Returns nil
+// when the word does not fit.
+func fuseWide(d *decoded, s succ) instFn {
 	if d.usesIFUData || d.ifuJump || d.block {
 		return nil
 	}
@@ -739,33 +780,8 @@ func fuseWide(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 	default:
 		return nil
 	}
-	var aKind int
-	switch d.aSel {
-	case microcode.ASelRM, microcode.ASelFetch, microcode.ASelStore:
-		aKind = srcRM // MEMADDRESS is a copy of A: aVal is the RM word
-	case microcode.ASelT:
-		aKind = srcT
-	case microcode.ASelMD:
-		aKind = srcMD
-	default:
-		return nil
-	}
-	bKind := srcConst
+	aKind, bKind := operandKinds(d)
 	bConst := d.constB
-	if !d.isConstB {
-		switch d.bSel {
-		case microcode.BSelRM:
-			bKind = srcRM
-		case microcode.BSelT:
-			bKind = srcT
-		case microcode.BSelQ:
-			bKind = srcQ
-		case microcode.BSelMD:
-			bKind = srcMD
-		default:
-			return nil
-		}
-	}
 	usesMD := d.usesMD
 	startsMem, isStore := d.startsMem, d.isStore
 	mbConst := int(d.ffMemBase)
@@ -864,206 +880,16 @@ func fuseWide(d *decoded, next, link microcode.Addr, isCall bool) instFn {
 		if loadsRM {
 			m.rm[m.rbase<<4|wRaddr] = res
 		}
-		if isCall {
-			ts.link = link
+		if s.isCall {
+			ts.link = s.link
 		}
 		m.stats.Executed++
 		m.stats.TaskExecuted[cur]++
-		m.curPC = next
-		return instOK
-	}
-}
-
-// fuseBranch compiles a two-way BRANCH terminator whose data section fits
-// the wide template: both successors are page-relative constants resolved
-// here (untaken, and untaken with the condition ORed into the low bit,
-// §5.5), so the word that closes a block-transfer inner loop — store, count
-// decrement, loop-back — runs fused like the rest of the loop instead of
-// through exec. The body mirrors fuseWide exactly; the condition kinds
-// admitted are the ALU flags, COUNT≠0 (with its decrement side effect), the
-// stack-error latch (cleared by the test), and MB. Returns nil when the
-// word does not fit. A successor equal to the block's own start (the
-// count-controlled loop-back that closes §7 BitBlt's inner loop) reports
-// instLoop so the block loop restarts without re-entering through
-// runTranslated.
-func fuseBranch(start, pc microcode.Addr, d *decoded) instFn {
-	if d.usesIFUData || d.ifuJump || d.block {
-		return nil
-	}
-	cond := d.op.Cond
-	switch cond {
-	case microcode.CondALUZero, microcode.CondALUNeg, microcode.CondCarry,
-		microcode.CondCountNZ, microcode.CondOverflow, microcode.CondStackError,
-		microcode.CondMB:
-	default:
-		return nil
-	}
-	countConst := -1
-	switch {
-	case d.ffop == microcode.FFNop, d.ffMemBase >= 0, d.ffRMDest >= 0:
-	case d.ffop >= microcode.FFCountBase && d.ffop < microcode.FFCountBase+16:
-		countConst = int(d.ffop - microcode.FFCountBase)
-	default:
-		return nil
-	}
-	var aKind int
-	switch d.aSel {
-	case microcode.ASelRM, microcode.ASelFetch, microcode.ASelStore:
-		aKind = srcRM
-	case microcode.ASelT:
-		aKind = srcT
-	case microcode.ASelMD:
-		aKind = srcMD
-	default:
-		return nil
-	}
-	bKind := srcConst
-	bConst := d.constB
-	if !d.isConstB {
-		switch d.bSel {
-		case microcode.BSelRM:
-			bKind = srcRM
-		case microcode.BSelT:
-			bKind = srcT
-		case microcode.BSelQ:
-			bKind = srcQ
-		case microcode.BSelMD:
-			bKind = srcMD
-		default:
-			return nil
+		if s.branch && m.evalCond(s.cond, ts, now) {
+			m.curPC = s.taken
+			return s.takenExit
 		}
-	}
-	usesMD := d.usesMD
-	startsMem, isStore := d.startsMem, d.isStore
-	mbConst := int(d.ffMemBase)
-	raddr := d.raddr
-	wRaddr := raddr
-	if d.ffRMDest >= 0 {
-		wRaddr = uint8(d.ffRMDest)
-	}
-	aluIdx := d.aluOp
-	loadsT, loadsRM := d.loadsT, d.loadsRM
-	untaken := pc&^microcode.Addr(microcode.WordMask) | microcode.Addr(d.op.W)
-	taken := untaken | 1
-	takenExit, untakenExit := instEnd, instEnd
-	if taken == start {
-		takenExit = instLoop
-	}
-	if untaken == start {
-		untakenExit = instLoop
-	}
-	return func(m *Machine, now uint64) instExit {
-		cur := m.curTask
-		m.stats.TaskCycles[cur]++
-		if usesMD && !m.mdReady(now) {
-			m.stats.HoldMD++
-			m.stats.Holds++
-			return instHeld
-		}
-		rIndex := m.rbase<<4 | raddr
-		if startsMem {
-			mb := m.membase
-			if mbConst >= 0 {
-				mb = uint8(mbConst)
-			}
-			va := m.mem.VA(mb, m.rm[rIndex])
-			ok := false
-			if isStore {
-				ok = m.mem.CanWrite(va, now)
-			} else {
-				ok = m.mem.CanRead(cur, va, now)
-			}
-			if !ok {
-				m.stats.HoldMem++
-				m.stats.Holds++
-				return instHeld
-			}
-		}
-		ts := &m.tasks[cur]
-		var aVal uint16
-		switch aKind {
-		case srcT:
-			aVal = ts.t
-		case srcMD:
-			aVal = m.mem.MD(cur, now)
-		default:
-			aVal = m.rm[rIndex]
-		}
-		var bVal uint16
-		switch bKind {
-		case srcConst:
-			bVal = bConst
-		case srcRM:
-			bVal = m.rm[rIndex]
-		case srcT:
-			bVal = ts.t
-		case srcQ:
-			bVal = m.q
-		case srcMD:
-			bVal = m.mem.MD(cur, now)
-		}
-		ctl := m.alufm[aluIdx]
-		res, carry, ovf := aluOp(ctl, aVal, bVal, ts.savedCarry)
-		ts.zero = res == 0
-		ts.neg = res&0x8000 != 0
-		ts.carry = carry
-		ts.ovf = ovf
-		if ctl.Fn.IsArith() {
-			ts.savedCarry = carry
-		}
-		if mbConst >= 0 {
-			m.membase = uint8(mbConst)
-		}
-		if countConst >= 0 {
-			m.count = uint16(countConst)
-		}
-		if startsMem {
-			va := m.mem.VA(m.membase, aVal)
-			if isStore {
-				if !m.mem.StartWrite(cur, va, bVal, now) {
-					panic("core: StartWrite refused after CanWrite")
-				}
-			} else {
-				if !m.mem.StartRead(cur, va, now) {
-					panic("core: StartRead refused after CanRead")
-				}
-			}
-		}
-		if loadsT {
-			ts.t = res
-		}
-		if loadsRM {
-			m.rm[m.rbase<<4|wRaddr] = res
-		}
-		// Branch condition (evalCond semantics for the admitted kinds).
-		take := false
-		switch cond {
-		case microcode.CondALUZero:
-			take = ts.zero
-		case microcode.CondALUNeg:
-			take = ts.neg
-		case microcode.CondCarry:
-			take = ts.carry
-		case microcode.CondCountNZ:
-			if m.count != 0 {
-				m.count--
-				take = true
-			}
-		case microcode.CondOverflow:
-			take = ts.ovf
-		case microcode.CondStackError:
-			take = ts.stackErr
-			ts.stackErr = false
-		case microcode.CondMB:
-			take = ts.mb
-		}
-		m.stats.Executed++
-		m.stats.TaskExecuted[cur]++
-		if take {
-			m.curPC = taken
-			return takenExit
-		}
-		m.curPC = untaken
-		return untakenExit
+		m.curPC = s.next
+		return s.nextExit
 	}
 }

@@ -63,8 +63,8 @@ func TestTranslationConfigValidation(t *testing.T) {
 	if m.trans == nil {
 		t.Fatal("Translation enabled but no translator allocated")
 	}
-	if got := m.trans.cfg; got.HotThreshold != 64 || got.MaxBlock != 48 {
-		t.Errorf("defaults = %+v, want HotThreshold 64, MaxBlock 48", got)
+	if got := m.trans.cfg; got.HotThreshold != 64 {
+		t.Errorf("defaults = %+v, want HotThreshold 64", got)
 	}
 	if m2, err := New(Config{}); err != nil || m2.trans != nil {
 		t.Errorf("plain machine got a translator (err %v)", err)
@@ -425,7 +425,7 @@ func TestTranslatedRestore(t *testing.T) {
 }
 
 // TestTranslateBlockShapes checks the fusion rules directly: closed loops
-// unroll in whole iterations up to MaxBlock, stack-modifier words force
+// unroll in whole iterations up to maxBlock, stack-modifier words force
 // task0Only, and a run into an interior revisit (not the start) stops.
 func TestTranslateBlockShapes(t *testing.T) {
 	bl := masm.NewBuilder()
@@ -441,21 +441,20 @@ func TestTranslateBlockShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Load(&p.Words)
-	maxBlock := m.trans.cfg.MaxBlock
 
 	b := m.translate(p.MustEntry("start"))
 	if b == nil {
 		t.Fatal("three-word loop did not translate")
 	}
 	if len(b.code)%3 != 0 || len(b.code) < 3 || len(b.code) > maxBlock {
-		t.Errorf("loop of 3 unrolled to %d instructions, want a whole multiple of 3 within MaxBlock %d",
+		t.Errorf("loop of 3 unrolled to %d instructions, want a whole multiple of 3 within maxBlock %d",
 			len(b.code), maxBlock)
 	}
 	if !b.task0Only {
 		t.Error("block with stack-modifier words not marked task0Only")
 	}
 	if b := m.translate(p.MustEntry("self")); b == nil || len(b.code) != maxBlock {
-		t.Errorf("single-word self-loop should unroll to MaxBlock %d, got %+v", maxBlock, b)
+		t.Errorf("single-word self-loop should unroll to maxBlock %d, got %+v", maxBlock, b)
 	}
 	// head→inner: inner is a closed loop on itself, but from head's block the
 	// revisit is interior, so the run stops there (the inner loop gets its

@@ -330,6 +330,9 @@ func (m *Manager) worker() {
 		if s == nil {
 			return
 		}
+		// The pickup instant splits queue wait from service time, so a
+		// revive below is service, not waiting.
+		picked := time.Now()
 		s.mu.Lock()
 		op := s.pending[0]
 		copy(s.pending, s.pending[1:])
@@ -346,7 +349,7 @@ func (m *Manager) worker() {
 		s.mu.Unlock()
 
 		var res opResult
-		res.queue = time.Since(op.enqueued)
+		res.queue = picked.Sub(op.enqueued)
 		ran := false
 		switch {
 		case reviveErr != nil:
@@ -356,9 +359,8 @@ func (m *Manager) worker() {
 			// skip the body rather than burn service time nobody reads.
 			res.err = op.ctx.Err()
 		default:
-			start := time.Now()
 			res.value, res.err = op.fn(sys)
-			res.service = time.Since(start)
+			res.service = time.Since(picked)
 			ran = true
 		}
 		if res.err == nil && sys != nil {

@@ -388,6 +388,39 @@ func TestParkRightAfterRun(t *testing.T) {
 	}
 }
 
+// TestQueueWaitEndsAtPickup: reviving a parked session is service time,
+// not queue wait. The revive rebuilds a Mesa machine and restores its
+// whole storage image, while the state op's body only copies registers,
+// so the revive dominates whichever side it is booked to.
+func TestQueueWaitEndsAtPickup(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer drainNow(t, m)
+	id, err := m.Create(Spec{Language: "mesa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BootSource(tctx, id, "return 6*7;"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(tctx, id, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := m.Park(id); err != nil || !r.Parked {
+		t.Fatalf("park = %+v, %v", r, err)
+	}
+	if _, err := m.ReadState(tctx, id); err != nil {
+		t.Fatal(err)
+	}
+	queue, service := m.lat.queue[opState].Snapshot(), m.lat.service[opState].Snapshot()
+	if queue.Total != 1 || service.Total != 1 {
+		t.Fatalf("state ops observed: queue %d, service %d, want 1 each", queue.Total, service.Total)
+	}
+	if service.Sum <= queue.Sum {
+		t.Errorf("state op after a park: service %d µs <= queue wait %d µs; the revive was booked as waiting",
+			service.Sum, queue.Sum)
+	}
+}
+
 func TestDestroyAndLimits(t *testing.T) {
 	m := New(Config{Workers: 1, MaxSessions: 2})
 	defer drainNow(t, m)

@@ -13,9 +13,10 @@ import (
 //   - queue wait: submit accepted the operation → a worker picked it up.
 //     Grows with load (more sessions than workers, deep per-session
 //     queues) and is the half a bigger worker pool or sharding fixes.
-//   - service time: the operation body itself (running the machine,
-//     assembling microcode, serializing a snapshot). Grows with the work
-//     requested and is the half only a faster simulator fixes.
+//   - service time: pickup → the operation body finished. It covers
+//     reviving a parked session first, then the body itself (running the
+//     machine, assembling microcode, serializing a snapshot). Grows with
+//     the work requested and is the half only a faster simulator fixes.
 //
 // A slow run is attributable by comparing the two: a fat queue-wait
 // histogram with thin service times means queueing, the reverse means
