@@ -19,13 +19,12 @@
 // single-path runs print raw throughput only and write no report.
 //
 // With -guard the report is additionally checked against the committed
-// BENCH_SIM.json baseline (cmd/benchguard's thresholds), re-measuring on
-// failure up to -attempts times. The guard MUST run inside simbench
-// rather than a separate binary: function placement differs between
-// binaries, which alone shifts the hot loop's predecode ratio by more
-// than the 3% budget — baseline and current must come from the same
-// executable to be comparable. cmd/benchguard compares two report files
-// after the fact.
+// BENCH_SIM.json baseline under bench.DefaultGuardThresholds, re-measuring
+// on failure up to -attempts times. The guard runs inside simbench, not in
+// a separate binary: function placement differs between binaries, which
+// alone shifts the hot loop's predecode ratio by more than the 3% budget —
+// baseline and current must come from the same executable to be
+// comparable.
 //
 // Usage:
 //
@@ -67,12 +66,6 @@ func main() {
 	guard := flag.Bool("guard", false, "check the report against -baseline and exit nonzero on regression")
 	baselinePath := flag.String("baseline", "BENCH_SIM.json", "committed baseline report for -guard")
 	attempts := flag.Int("attempts", 3, "with -guard: full re-measurements before a failure is final")
-	off := flag.Float64("off", bench.DefaultGuardThresholds.MetricsOff, "with -guard: metrics-off allowed fractional regression")
-	on := flag.Float64("on", bench.DefaultGuardThresholds.MetricsOn, "with -guard: metrics-on allowed fractional overhead")
-	fleetOn := flag.Float64("fleet-on", bench.DefaultGuardThresholds.FleetMetricsOn, "with -guard: instrumented-fleet allowed fractional overhead")
-	transMin := flag.Float64("translated-min", bench.DefaultGuardThresholds.TranslatedMin, "with -guard: required translated-over-predecoded speedup")
-	transN := flag.Int("translated-workloads", bench.DefaultGuardThresholds.TranslatedWorkloads, "with -guard: workloads that must reach -translated-min")
-	profOn := flag.Float64("prof-on", bench.DefaultGuardThresholds.ProfOn, "with -guard: profiler-on allowed fractional overhead")
 	profOut := flag.String("profile", "", "also run the microarchitectural profiler over every workload and write the per-workload profiles (prof.BenchReport JSON) here; view with cmd/profview")
 	onePath := flag.String("path", "", "measure only this path (predecoded, reference, instrumented, translated, profiled); no ratios, no report file")
 	doFleet := flag.Bool("fleet", false, "also measure fleet scaling (aggregate cycles/sec, 1→N sessions)")
@@ -124,11 +117,7 @@ func main() {
 	}
 
 	var baseline *bench.HostReport
-	th := bench.GuardThresholds{
-		MetricsOff: *off, MetricsOn: *on, FleetMetricsOn: *fleetOn,
-		TranslatedMin: *transMin, TranslatedWorkloads: *transN,
-		ProfOn: *profOn,
-	}
+	th := bench.DefaultGuardThresholds
 	if *guard {
 		var err error
 		baseline, err = bench.ReadHostReportFile(*baselinePath)

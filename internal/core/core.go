@@ -449,7 +449,7 @@ func (m *Machine) SetTracer(t Tracer) {
 // path then feeds it the cycles with wakeup edges, hold episodes,
 // scheduling spans, and utilization samples. Detached (the default), the
 // observation seam costs one predicted branch per cycle; the bench guard
-// (cmd/benchguard) enforces both budgets.
+// (simbench -guard, bench.Guard) enforces both budgets.
 func (m *Machine) SetRecorder(r *obs.Recorder) {
 	m.seam.rec = r
 	m.seam.refresh()

@@ -107,12 +107,13 @@ type Config struct {
 	// are always recorded.
 	Logger *slog.Logger
 	// Store, when set, makes parked sessions durable: park writes the
-	// snapshot into this content-addressed store (with the session's Spec
-	// as sidecar metadata and a manifest entry), New lists the store's
-	// sessions as parked, revival loads the blob lazily on first touch,
-	// and Drain parks every remaining live session before stopping — so a
-	// restart over the same store directory resumes the fleet. Nil keeps
-	// parked snapshots in memory only (the pre-store behavior).
+	// snapshot into this content-addressed store as sections plus a recipe
+	// (with the session's Spec as sidecar metadata and a manifest entry),
+	// New lists the store's sessions as parked, revival reassembles the
+	// snapshot lazily on first touch, and Drain parks every remaining live
+	// session before stopping — so a restart over the same store directory
+	// resumes the fleet. Nil keeps parked snapshots in memory only (the
+	// pre-store behavior).
 	Store *store.Store
 	// GCMaxAge is the store GC policy: an unreferenced snapshot must be
 	// at least this old before a sweep reclaims it. Zero picks the
@@ -519,9 +520,9 @@ func (m *Manager) gcJanitor() {
 }
 
 // GCStore runs one GC sweep of the durable store, reclaiming every
-// snapshot (whole blob or recipe + orphaned sections) that no manifest
-// entry references, no in-flight fork or park has pinned, and that is
-// older than the age threshold. A negative maxAge uses the configured
+// snapshot (its recipe and spec sidecar, plus the sections no surviving
+// recipe names) that no manifest entry references, no in-flight fork or
+// park has pinned, and that is older than the age threshold. A negative maxAge uses the configured
 // Config.GCMaxAge; zero reclaims every unreferenced snapshot immediately.
 // The background sweeper calls it on a timer; POST /v1/store/gc and tests
 // call it on demand. ErrNoStore without Config.Store.

@@ -131,10 +131,9 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 	if m.cfg.Store != nil {
 		st := m.cfg.Store.Stats()
 		sn.Add("dorado_store_blobs", "Durable-store payload files, by kind.", "gauge",
-			obs.Sample{Label: `{kind="whole"}`, Value: uint64(st.Blobs)},
 			obs.Sample{Label: `{kind="recipe"}`, Value: uint64(st.Recipes)},
 			obs.Sample{Label: `{kind="section"}`, Value: uint64(st.Sections)})
-		sn.Add("dorado_store_bytes", "Durable-store payload bytes (whole blobs + sections + recipes).", "gauge",
+		sn.Add("dorado_store_bytes", "Durable-store payload bytes (sections + recipes).", "gauge",
 			obs.Sample{Value: uint64(st.Bytes)})
 		sn.Add("dorado_store_sessions", "Sessions the store manifest references.", "gauge",
 			obs.Sample{Value: uint64(st.Sessions)})

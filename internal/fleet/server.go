@@ -45,7 +45,7 @@ import (
 //	GET    /v1/sessions/{id}/snapshot   machine snapshot (octet-stream)
 //	PUT    /v1/sessions/{id}/snapshot   restore a snapshot (octet-stream)
 //	GET    /v1/snapshots/{hash}         read a stored snapshot blob (octet-stream)
-//	GET    /v1/store                  durable-store stats (blob/section/recipe
+//	GET    /v1/store                  durable-store stats (recipe/section
 //	                                  counts and bytes, dedupe and GC counters)
 //	POST   /v1/store/gc               sweep the store now; optional body
 //	                                  {"max_age_ms": N} overrides the configured

@@ -268,15 +268,15 @@ func (s *Session) park(m *Manager, cutoff time.Time) bool {
 }
 
 // persist writes a parked session's snapshot into the durable store:
-// blob first, then its Spec sidecar, then the manifest entry — in that
-// order, so the manifest never names a blob that is not already durable.
-// The snapshot goes through the section-dedupe path (store.PutSnapshot),
-// so re-parking a mostly-unchanged session writes only the sections that
-// changed. The hash is pinned for the whole sequence: between the blob
-// write and the manifest entry the snapshot is unreferenced, and the pin
-// is what keeps a concurrent GC sweep from reclaiming it in that window.
-// The pinned hash is handed to the store, so a park hashes the whole
-// document once.
+// snapshot first, then its Spec sidecar, then the manifest entry — in
+// that order, so the manifest never names a snapshot that is not already
+// durable. The store keeps sections plus a recipe, so re-parking a
+// mostly-unchanged session writes only the sections that changed. The
+// hash is pinned for the whole sequence: between the snapshot write and
+// the manifest entry the snapshot is unreferenced, and the pin is what
+// keeps a concurrent GC sweep from reclaiming it in that window. The
+// pinned hash is handed to the store, so a park hashes the whole document
+// once.
 // Caller holds s.mu.
 func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 	specJSON, err := json.Marshal(s.spec)
@@ -364,18 +364,19 @@ func (m *Manager) Create(spec Spec) (string, error) {
 }
 
 // CreateFrom builds a new session seeded from a stored snapshot: the
-// blob's Spec sidecar describes the machine, the blob restores its
-// state. This is the fork primitive — any number of sessions can branch
-// from one stored snapshot (say, to A/B different microcode against
-// identical machine state). Requires Config.Store (ErrNoStore
+// snapshot's Spec sidecar describes the machine, the reassembled snapshot
+// restores its state. This is the fork primitive — any number of sessions
+// can branch from one stored snapshot (say, to A/B different microcode
+// against identical machine state). Requires Config.Store (ErrNoStore
 // otherwise); an unknown hash reports store.ErrNoBlob.
 func (m *Manager) CreateFrom(hash string) (string, error) {
 	if m.cfg.Store == nil {
 		return "", ErrNoStore
 	}
 	// Pin the donor for the whole read: the hash may be unreferenced
-	// (Destroy keeps blobs as fork fodder), and the pin is the guarantee
-	// a concurrent GC sweep cannot delete it between Meta and Get.
+	// (Destroy keeps snapshots as fork fodder), and the pin is the
+	// guarantee a concurrent GC sweep cannot delete it between Meta and
+	// Get.
 	unpin := m.cfg.Store.Pin(hash)
 	defer unpin()
 	meta, err := m.cfg.Store.Meta(hash)

@@ -1,26 +1,26 @@
 package store
 
 // This file is the reclamation half of the store's lifecycle. Without it
-// the store only grows: Destroy keeps blobs as fork fodder, and every
+// the store only grows: Destroy keeps snapshots as fork fodder, and every
 // re-park of a session strands the previous snapshot. Sweep walks the
-// payload directories and deletes what nothing references any more —
-// with two hard safety guarantees:
+// recipes, then the sections, and deletes what nothing references any
+// more — with two hard safety guarantees:
 //
 //  1. Manifest-reachable data is never collected. A snapshot named by any
-//     manifest entry is kept, and if it is sectioned, so are its recipe
-//     and every section the recipe names.
+//     manifest entry keeps its recipe, its spec sidecar and every section
+//     the recipe names.
 //  2. In-flight readers are never raced. Pin registers a hash as
-//     reachable before its blob is read (fork-from-hash) or before it is
-//     written-but-not-yet-manifested (park); Sweep holds the store lock
+//     reachable before its snapshot is read (fork-from-hash) or before it
+//     is written-but-not-yet-manifested (park); Sweep holds the store lock
 //     for its whole pass, so a pin either lands before the pass (the data
 //     is kept) or after it (the data was either already gone — the reader
 //     sees a clean ErrNoBlob — or not yet written and thus not a
 //     candidate).
 //
 // Age is the third brake: only items older than GCPolicy.MaxAge are
-// candidates, so a freshly crashed park (blob durable, manifest rename
-// lost) has a grace window in which a restarted operator can still fork
-// it before it is declared garbage.
+// candidates, so a freshly crashed park (snapshot durable, manifest
+// rename lost) has a grace window in which a restarted operator can still
+// fork it before it is declared garbage.
 
 import (
 	"fmt"
@@ -40,13 +40,12 @@ type GCPolicy struct {
 
 // SweepResult reports what one Sweep pass did.
 type SweepResult struct {
-	// Scanned is the number of store files examined (whole blobs and
-	// their sidecars, recipes, and sections).
+	// Scanned is the number of payload files examined (recipes and
+	// sections).
 	Scanned int `json:"scanned"`
-	// ReclaimedBlobs, ReclaimedRecipes, and ReclaimedSections count the
-	// deleted files by kind (spec sidecars ride along with their blob or
-	// recipe and are not counted separately).
-	ReclaimedBlobs    int `json:"reclaimed_blobs"`
+	// ReclaimedRecipes and ReclaimedSections count the deleted files by
+	// kind (spec sidecars ride along with their recipe and are not counted
+	// separately).
 	ReclaimedRecipes  int `json:"reclaimed_recipes"`
 	ReclaimedSections int `json:"reclaimed_sections"`
 	// ReclaimedBytes is the payload byte total deleted, sidecars included.
@@ -57,8 +56,8 @@ type SweepResult struct {
 }
 
 // Pin marks hash as reachable for the duration of an out-of-manifest use
-// — a fork reading the blob, a park that has written the blob but not yet
-// its manifest entry — and returns the release function. Pins nest
+// — a fork reading the snapshot, a park that has written the snapshot but
+// not yet its manifest entry — and returns the release function. Pins nest
 // (refcounted) and block while a Sweep pass runs, which is exactly the
 // ordering the safety argument needs.
 func (s *Store) Pin(hash string) func() {
@@ -103,25 +102,10 @@ func (s *Store) Sweep(policy GCPolicy) (SweepResult, error) {
 	}
 
 	var res SweepResult
-	// Pass 1: whole blobs. Reachable or young blobs stay; the rest go,
-	// sidecar and all.
-	if err := s.sweepDir(filepath.Join(s.dir, "blobs"), cutoff, &res, func(name string, young bool) (keep bool) {
-		if filepath.Ext(name) == ".json" {
-			return true // sidecars are handled with their payload file
-		}
-		if roots[name] || young {
-			return true
-		}
-		res.ReclaimedBlobs++
-		s.removeSidecar(name, &res)
-		return false
-	}); err != nil {
-		return res, err
-	}
-
-	// Pass 2: recipes. A recipe survives if its snapshot hash is a root
+	// Pass 1: recipes. A recipe survives if its snapshot hash is a root
 	// or it is young; every surviving recipe's sections become reachable,
-	// so a kept-because-young recipe also anchors its sections.
+	// so a kept-because-young recipe also anchors its sections. A
+	// reclaimed recipe takes its spec sidecar with it.
 	liveSections := map[string]bool{}
 	if err := s.sweepDir(filepath.Join(s.dir, "recipes"), cutoff, &res, func(name string, young bool) (keep bool) {
 		if roots[name] || young {
@@ -144,7 +128,7 @@ func (s *Store) Sweep(policy GCPolicy) (SweepResult, error) {
 		return res, err
 	}
 
-	// Pass 3: sections referenced by no surviving recipe.
+	// Pass 2: sections referenced by no surviving recipe.
 	if liveSections[allSectionsLive] {
 		return res, fmt.Errorf("store: sweep: unreadable reachable recipe; sections not swept")
 	}
@@ -207,9 +191,9 @@ func (s *Store) sweepDir(dir string, cutoff time.Time, res *SweepResult, decide 
 }
 
 // removeSidecar deletes the .json spec sidecar riding with a reclaimed
-// blob or recipe, if one exists, and accounts its bytes.
+// recipe, if one exists, and accounts its bytes.
 func (s *Store) removeSidecar(hash string, res *SweepResult) {
-	path := s.blobPath(hash) + ".json"
+	path := s.metaPath(hash)
 	info, err := os.Stat(path)
 	if err != nil {
 		return

@@ -27,35 +27,29 @@ func TestSweepKeepsManifestReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One whole blob referenced by the manifest, one orphan.
-	kept, err := s.Put([]byte("referenced snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One snapshot referenced by the manifest, one orphan.
+	kept := putDoc(t, s, "referenced snapshot")
 	if err := s.PutMeta(kept, json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	orphan, err := s.Put([]byte("orphaned snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	orphan := putDoc(t, s, "orphaned snapshot")
 	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: kept}); err != nil {
 		t.Fatal(err)
 	}
 
 	res := sweepAll(t, s)
-	if res.ReclaimedBlobs != 1 || res.ReclaimedBytes == 0 {
+	if res.ReclaimedRecipes != 1 || res.ReclaimedSections != 1 || res.ReclaimedBytes == 0 {
 		t.Fatalf("sweep = %+v", res)
 	}
 	if !s.Has(kept) || s.Has(orphan) {
 		t.Fatalf("post-sweep: kept=%v orphan=%v", s.Has(kept), s.Has(orphan))
 	}
-	// The kept blob's sidecar also survived.
+	// The kept snapshot's sidecar also survived.
 	if _, err := s.Meta(kept); err != nil {
-		t.Errorf("sidecar of kept blob: %v", err)
+		t.Errorf("sidecar of kept snapshot: %v", err)
 	}
 	// Idempotent: a second sweep finds nothing.
-	if res := sweepAll(t, s); res.ReclaimedBlobs != 0 || res.ReclaimedBytes != 0 {
+	if res := sweepAll(t, s); res.ReclaimedRecipes != 0 || res.ReclaimedBytes != 0 {
 		t.Fatalf("second sweep = %+v", res)
 	}
 	st := s.Stats()
@@ -105,36 +99,30 @@ func TestSweepHonorsAgeAndPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.Put([]byte("unreferenced but fresh"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := s.Put([]byte("unreferenced but pinned"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := putDoc(t, s, "unreferenced but fresh")
+	pinned := putDoc(t, s, "unreferenced but pinned")
 	unpin := s.Pin(pinned)
 	// Both survive an aged sweep: one is young, one is pinned.
 	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, "blobs", pinned), old, old); err != nil {
+	if err := os.Chtimes(filepath.Join(dir, "recipes", pinned), old, old); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Sweep(GCPolicy{MaxAge: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReclaimedBlobs != 0 || !s.Has(fresh) || !s.Has(pinned) {
+	if res.ReclaimedRecipes != 0 || !s.Has(fresh) || !s.Has(pinned) {
 		t.Fatalf("aged sweep = %+v", res)
 	}
-	// Releasing the pin (idempotently) exposes the old blob; the fresh one
-	// is still inside its grace window.
+	// Releasing the pin (idempotently) exposes the old recipe; the fresh
+	// one is still inside its grace window.
 	unpin()
 	unpin()
 	res, err = s.Sweep(GCPolicy{MaxAge: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReclaimedBlobs != 1 || s.Has(pinned) || !s.Has(fresh) {
+	if res.ReclaimedRecipes != 1 || s.Has(pinned) || !s.Has(fresh) {
 		t.Fatalf("post-unpin sweep = %+v", res)
 	}
 }
@@ -163,64 +151,7 @@ func TestSweepUnreadableReachableRecipe(t *testing.T) {
 		t.Fatal("sweep over an unreadable reachable recipe succeeded")
 	}
 	// The sections behind the broken recipe were not touched.
-	if n, _ := dirStats(filepath.Join(dir, "sections"), ""); n != 1 {
+	if n, _ := dirStats(filepath.Join(dir, "sections")); n != 1 {
 		t.Fatalf("sections after aborted sweep = %d", n)
-	}
-}
-
-// TestManifestV1Upgrade: a version-1 manifest (whole-blob era) opens
-// cleanly, and the first flush rewrites it at the current version.
-func TestManifestV1Upgrade(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := s.Put([]byte("v1-era snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: hash}); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the manifest as the previous generation wrote it.
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m.Version = 1
-	old, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
-	}
-	if list := re.Sessions(); len(list) != 1 || list[0].Hash != hash {
-		t.Fatalf("sessions from v1 manifest = %+v", list)
-	}
-	// Any manifest write persists the upgraded version.
-	if err := re.SaveSession(Entry{ID: "s2", Seq: 2, Spec: json.RawMessage(`{}`), Hash: hash}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var upgraded manifest
-	if err := json.Unmarshal(raw, &upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if upgraded.Version != manifestVersion {
-		t.Fatalf("manifest version after flush = %d, want %d", upgraded.Version, manifestVersion)
 	}
 }

@@ -1,26 +1,18 @@
 package store
 
-// This file is the structural-dedupe half of the store: instead of
-// writing every park as one opaque blob, PutSnapshot content-addresses
-// the snapshot's *sections* (the internal/state format is section-framed
-// by design) and records a small recipe that names them. Re-parking a
-// mostly-unchanged session then writes only the sections that changed —
-// typically the processor core and a couple of device FIFOs — while the
-// big memory images dedupe against the previous park.
+// This file is the structural-dedupe half of the store: PutSnapshot
+// content-addresses the snapshot's *sections* (the internal/state format
+// is section-framed by design) and records a small recipe that names
+// them. Re-parking a mostly-unchanged session then writes only the
+// sections that changed — typically the processor core and a couple of
+// device FIFOs — while the big memory images dedupe against the previous
+// park.
 //
-// Layout additions under the store root:
-//
-//	sections/<sha256-hex>     one section body, named by its own hash
-//	recipes/<sha256-hex>      JSON recipe for the snapshot whose full
-//	                          bytes hash to the file name
-//
-// The public content address is unchanged: it is still the SHA-256 of
-// the complete snapshot document, so every hash that worked against a
-// whole-blob store (fork-from-hash, GET /v1/snapshots/{hash}, manifest
-// entries) works identically against a sectioned one. Get reassembles
-// transparently — header, then each section reframed in recipe order —
-// and verifies the result hashes to its name, which subsumes verifying
-// every individual section.
+// The public content address is the SHA-256 of the complete snapshot
+// document, not of any file: fork-from-hash, GET /v1/snapshots/{hash} and
+// manifest entries all name the recipe by it. Get reassembles — header,
+// then each section reframed in recipe order — and verifies the result
+// hashes to its name, which subsumes verifying every individual section.
 //
 // The recipe document carries its own format version. A recipe version
 // this build does not understand fails Get loudly (ErrNoBlob would lie:
@@ -29,7 +21,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,31 +62,27 @@ func (s *Store) recipePath(hash string) string { return filepath.Join(s.dir, "re
 // the "re-parking stores less" acceptance check.
 type PutStats struct {
 	// Hash is the snapshot's content address (SHA-256 of the full
-	// document), identical to what Put would have returned.
+	// document).
 	Hash string
-	// Sectioned reports that the snapshot was stored as sections + recipe;
-	// false means the bytes did not parse as a snapshot document and were
-	// stored as one whole blob.
-	Sectioned bool
 	// Sections is the number of sections in the document.
 	Sections int
 	// DedupedSections counts sections that already existed in the store
 	// and were not rewritten.
 	DedupedSections int
 	// NewBytes is the number of payload bytes actually written (new
-	// sections plus the recipe, or the whole blob on fallback).
+	// sections plus the recipe).
 	NewBytes int64
-	// DedupedBytes is the number of section bytes shared with blobs
+	// DedupedBytes is the number of section bytes shared with sections
 	// already in the store.
 	DedupedBytes int64
 }
 
 // PutSnapshot stores a machine snapshot with section-level dedupe: each
-// section body becomes (or joins) a content-addressed blob under
+// section body becomes (or joins) a content-addressed file under
 // sections/, and a recipe under recipes/<full-hash> records how to
 // reassemble the document. Bytes that do not parse as a snapshot document
-// fall back to a whole Put. Like Put it is idempotent: a snapshot the
-// store already holds (whole or sectioned) writes nothing.
+// are refused. It is idempotent: a snapshot the store already holds
+// writes nothing.
 func (s *Store) PutSnapshot(data []byte) (PutStats, error) {
 	return s.PutSnapshotHashed(Hash(data), data)
 }
@@ -110,39 +97,27 @@ func (s *Store) PutSnapshotHashed(hash string, data []byte) (PutStats, error) {
 	if !validHash(hash) {
 		return PutStats{}, fmt.Errorf("store: malformed snapshot hash %q", hash)
 	}
+	doc, err := state.Split(data)
+	if err != nil {
+		return PutStats{}, fmt.Errorf("store: not a snapshot document: %w", err)
+	}
 	// The whole write holds the store lock, serializing against Sweep: the
 	// dedupe decision ("this section already exists, skip it") and the
 	// recipe write that depends on it must see a frozen reclamation state,
 	// or a concurrent sweep could delete a section between the two.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := PutStats{Hash: hash}
-	if s.Has(st.Hash) {
-		doc, err := state.Split(data)
-		if err == nil {
-			st.Sectioned = true
-			st.Sections = len(doc.Sections)
-			st.DedupedSections = len(doc.Sections)
-			for _, sec := range doc.Sections {
-				st.DedupedBytes += int64(len(sec.Body))
-			}
+	st := PutStats{Hash: hash, Sections: len(doc.Sections)}
+	if s.Has(hash) {
+		// Already stored: every section is shared and nothing is written.
+		st.DedupedSections = len(doc.Sections)
+		for _, sec := range doc.Sections {
+			st.DedupedBytes += int64(len(sec.Body))
 		}
 		s.dedupe.sections.Add(uint64(st.DedupedSections))
 		s.dedupe.bytes.Add(uint64(st.DedupedBytes))
 		return st, nil
 	}
-	doc, err := state.Split(data)
-	if err != nil {
-		// Not a snapshot document; store it whole so PutSnapshot accepts
-		// anything Put accepts.
-		if _, perr := s.putLocked(data); perr != nil {
-			return PutStats{}, perr
-		}
-		st.NewBytes = int64(len(data))
-		return st, nil
-	}
-	st.Sectioned = true
-	st.Sections = len(doc.Sections)
 	r := recipe{Version: recipeVersion, Header: doc.Header}
 	for _, sec := range doc.Sections {
 		sh := Hash(sec.Body)
@@ -162,8 +137,8 @@ func (s *Store) PutSnapshotHashed(hash string, data []byte) (PutStats, error) {
 		return PutStats{}, fmt.Errorf("store: encoding recipe: %w", err)
 	}
 	// Recipe last: a crash before this rename leaves only unreferenced
-	// section blobs (GC fodder), never a recipe naming missing sections.
-	if err := writeFileAtomic(s.recipePath(st.Hash), enc); err != nil {
+	// sections (GC fodder), never a recipe naming missing sections.
+	if err := writeFileAtomic(s.recipePath(hash), enc); err != nil {
 		return PutStats{}, fmt.Errorf("store: writing recipe: %w", err)
 	}
 	st.NewBytes += int64(len(enc))
@@ -225,17 +200,15 @@ type Stats struct {
 	// Sessions is the number of manifest entries (parked or adopted
 	// sessions the manifest still references).
 	Sessions int `json:"sessions"`
-	// Blobs counts whole snapshot blobs under blobs/ (sidecars excluded).
-	Blobs int `json:"blobs"`
-	// Recipes counts sectioned snapshots under recipes/.
+	// Recipes counts stored snapshots: one recipe each under recipes/.
 	Recipes int `json:"recipes"`
-	// Sections counts section blobs under sections/.
+	// Sections counts section files under sections/.
 	Sections int `json:"sections"`
-	// Bytes is the payload total: whole blobs + sections + recipes
-	// (spec sidecars excluded).
+	// Bytes is the payload total: sections + recipes (spec sidecars
+	// excluded).
 	Bytes int64 `json:"bytes"`
 	// SectionsDeduped counts sections PutSnapshot skipped because an
-	// identical blob already existed (process lifetime).
+	// identical section already existed (process lifetime).
 	SectionsDeduped uint64 `json:"sections_deduped"`
 	// DedupedBytes is the byte total of those skipped sections.
 	DedupedBytes uint64 `json:"deduped_bytes"`
@@ -245,15 +218,14 @@ type Stats struct {
 	GCReclaimedBytes uint64 `json:"gc_reclaimed_bytes"`
 }
 
-// dirStats totals one directory's files, skipping names with the given
-// suffix exclusion (the .json spec sidecars under blobs/).
-func dirStats(dir, excludeSuffix string) (n int, bytes int64) {
+// dirStats totals one directory's files.
+func dirStats(dir string) (n int, bytes int64) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, 0
 	}
 	for _, e := range ents {
-		if e.IsDir() || (excludeSuffix != "" && filepath.Ext(e.Name()) == excludeSuffix) {
+		if e.IsDir() {
 			continue
 		}
 		info, err := e.Info()
@@ -268,8 +240,8 @@ func dirStats(dir, excludeSuffix string) (n int, bytes int64) {
 
 // Stats inventories the store. Safe for concurrent use; it reads the
 // manifest under the store lock and walks the payload directories without
-// one (blobs are immutable; a file appearing or vanishing mid-walk skews
-// a count by one, never corrupts it).
+// one (payload files are immutable; a file appearing or vanishing
+// mid-walk skews a count by one, never corrupts it).
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	sessions := len(s.m.Sessions)
@@ -282,31 +254,9 @@ func (s *Store) Stats() Stats {
 		GCRuns:           s.gc.runs.Load(),
 		GCReclaimedBytes: s.gc.bytes.Load(),
 	}
-	var b int64
-	st.Blobs, b = dirStats(filepath.Join(s.dir, "blobs"), ".json")
-	st.Bytes += b
-	st.Recipes, b = dirStats(filepath.Join(s.dir, "recipes"), "")
-	st.Bytes += b
-	st.Sections, b = dirStats(filepath.Join(s.dir, "sections"), "")
-	st.Bytes += b
+	var rb, sb int64
+	st.Recipes, rb = dirStats(filepath.Join(s.dir, "recipes"))
+	st.Sections, sb = dirStats(filepath.Join(s.dir, "sections"))
+	st.Bytes = rb + sb
 	return st
-}
-
-// hasRecipe reports whether a recipe exists for hash (already validated).
-func (s *Store) hasRecipe(hash string) bool {
-	_, err := os.Stat(s.recipePath(hash))
-	return err == nil
-}
-
-// getSectioned is Get's fallback when no whole blob exists: reassemble
-// from the recipe, mapping a missing recipe onto ErrNoBlob.
-func (s *Store) getSectioned(hash string) ([]byte, error) {
-	data, err := s.assemble(hash)
-	if errors.Is(err, os.ErrNotExist) && !s.hasRecipe(hash) {
-		return nil, fmt.Errorf("%w: %s", ErrNoBlob, hash)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -23,6 +23,17 @@ func snapDoc(version uint16, sections ...state.RawSection) []byte {
 
 func bigBody(fill byte, n int) []byte { return bytes.Repeat([]byte{fill}, n) }
 
+// putDoc stores a one-section snapshot document around body and returns
+// its hash.
+func putDoc(t *testing.T, s *Store, body string) string {
+	t.Helper()
+	st, err := s.PutSnapshot(snapDoc(1, state.RawSection{Tag: "PROC", Body: []byte(body)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Hash
+}
+
 func TestPutSnapshotSectionsAndReassembly(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -37,15 +48,16 @@ func TestPutSnapshotSectionsAndReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Hash != Hash(doc) || !st.Sectioned || st.Sections != 2 || st.DedupedSections != 0 {
+	if st.Hash != Hash(doc) || st.Sections != 2 || st.DedupedSections != 0 {
 		t.Fatalf("first put = %+v", st)
 	}
 	if !s.Has(st.Hash) {
 		t.Error("Has = false for a sectioned snapshot")
 	}
-	// No whole blob was written; the recipe + sections are the storage.
+	// Nothing lands in blobs/ (it holds only spec sidecars); the recipe +
+	// sections are the storage.
 	if _, err := os.Stat(filepath.Join(dir, "blobs", st.Hash)); !os.IsNotExist(err) {
-		t.Errorf("whole blob exists for sectioned snapshot: %v", err)
+		t.Errorf("whole blob exists for a snapshot: %v", err)
 	}
 	got, err := s.Get(st.Hash)
 	if err != nil {
@@ -94,21 +106,25 @@ func TestPutSnapshotSectionsAndReassembly(t *testing.T) {
 	}
 }
 
-func TestPutSnapshotWholeBlobFallback(t *testing.T) {
-	s, err := Open(t.TempDir())
+// TestPutSnapshotRejectsNonSnapshot: bytes that are not a snapshot
+// document are refused, and nothing is written for them.
+func TestPutSnapshotRejectsNonSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := []byte("not a snapshot document at all")
-	st, err := s.PutSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
+	if st, err := s.PutSnapshot(data); err == nil {
+		t.Fatalf("non-snapshot bytes stored: %+v", st)
 	}
-	if st.Sectioned || st.Hash != Hash(data) || st.NewBytes != int64(len(data)) {
-		t.Fatalf("fallback put = %+v", st)
+	for _, sub := range []string{"recipes", "sections", "blobs"} {
+		if n, _ := dirStats(filepath.Join(dir, sub)); n != 0 {
+			t.Errorf("%s/ holds %d files after a refused put", sub, n)
+		}
 	}
-	if got, err := s.Get(st.Hash); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fallback round trip: %v", err)
+	if s.Has(Hash(data)) {
+		t.Error("Has = true for refused bytes")
 	}
 }
 
@@ -209,7 +225,7 @@ func TestPutSnapshotHashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Hash != Hash(doc) || !st.Sectioned || st.Sections != 1 {
+	if st.Hash != Hash(doc) || st.Sections != 1 {
 		t.Fatalf("hashed put = %+v", st)
 	}
 	if got, err := s.Get(st.Hash); err != nil || !bytes.Equal(got, doc) {

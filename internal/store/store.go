@@ -4,36 +4,35 @@
 //
 // Layout under the root directory:
 //
-//	blobs/<sha256-hex>         one machine snapshot, stored whole
-//	blobs/<sha256-hex>.json    the session Spec that produced it (JSON)
 //	sections/<sha256-hex>      one snapshot section body (see section.go)
-//	recipes/<sha256-hex>       reassembly recipe for a sectioned snapshot
+//	recipes/<sha256-hex>       how to reassemble one snapshot from sections
+//	blobs/<sha256-hex>.json    the session Spec that produced the snapshot
 //	manifest.json              session id → {spec, snapshot hash, cycle}
 //
-// Blobs are content-addressed: the file name is the SHA-256 of the bytes,
-// so identical snapshots share storage, a blob on disk is immutable, and
-// any reader can verify integrity by rehashing. A snapshot is stored
-// either whole (Put) or as content-addressed sections plus a recipe
-// (PutSnapshot, the structural-dedupe path) — the address is the same
-// full-document hash either way, and Get reassembles transparently. The
-// spec sidecar makes a snapshot self-describing — fork-from-hash rebuilds
-// a machine from the sidecar Spec and restores the bytes onto it without
-// consulting any session.
+// Everything is content-addressed. A snapshot's address is the SHA-256 of
+// the complete document, and its recipe is filed under that name; each
+// section is filed under the hash of its own body, so identical sections
+// share storage across snapshots, a file on disk is immutable, and a
+// reader verifies integrity by rehashing (Get rehashes every reassembly).
+// The spec sidecar makes a snapshot self-describing — fork-from-hash
+// rebuilds a machine from the sidecar Spec and restores the bytes onto it
+// without consulting any session.
 //
 // The store also manages its own lifecycle: Sweep (gc.go) reclaims
 // snapshots unreachable from the manifest once they age past a policy
 // threshold, with Pin protecting in-flight readers (a fork between its
-// Meta read and its Get, a park between its blob write and its manifest
-// entry).
+// Meta read and its Get, a park between its snapshot write and its
+// manifest entry).
 //
 // Every write is crash-safe by construction, the same discipline as
 // bench.WriteJSONFile: encode into a temporary file in the destination
-// directory, fsync, then rename over the final name. A reader (or a
-// process killed mid-park) sees either the old document or the new one,
-// never a torn one. Ordering makes the manifest trustworthy: the blob and
-// its sidecar are durable before the manifest names them, so every hash a
-// manifest references exists. The worst a crash leaves behind is an
-// unreferenced blob, which is harmless garbage.
+// directory, fsync, rename over the final name, then fsync the directory
+// so the rename itself is durable. A reader (or a process killed
+// mid-park) sees either the old document or the new one, never a torn
+// one. Ordering makes the manifest trustworthy: sections, then the
+// recipe, then the sidecar are durable before the manifest names the
+// snapshot, so every hash a manifest references exists. The worst a crash
+// leaves behind is an unreferenced snapshot, which is harmless garbage.
 package store
 
 import (
@@ -53,13 +52,11 @@ import (
 // ErrNoBlob reports a Get or Meta for a hash the store does not hold.
 var ErrNoBlob = errors.New("store: no such snapshot")
 
-// manifestVersion is the manifest schema generation; a version newer than
-// this build fails Open loudly instead of misreading session records.
-// Version 2 marks a store that may hold sectioned snapshots (sections/ +
-// recipes/, see section.go); the session-record shape is unchanged from
-// version 1, so version-1 manifests are still read (and rewritten as
-// version 2 on the next flush), while a version-1 build refuses a
-// version-2 store rather than missing its sectioned blobs.
+// manifestVersion is the manifest schema generation, and Open reads only
+// this one. Version 2 is the sectioned layout; a version-1 manifest comes
+// from a store that kept snapshots as whole blobs, which this build cannot
+// read, so Open refuses it like any other version instead of adopting
+// sessions that could never revive.
 const manifestVersion = 2
 
 // Entry is one parked session in the manifest: everything a fresh
@@ -74,10 +71,10 @@ type Entry struct {
 	// Spec is the session's fleet Spec, JSON-encoded by the fleet layer
 	// (the store does not depend on the fleet package).
 	Spec json.RawMessage `json:"spec"`
-	// Hash is the SHA-256 of the parked snapshot blob.
+	// Hash is the parked snapshot's content address.
 	Hash string `json:"hash"`
 	// Cycle is the machine's cycle counter at park time, so listings show
-	// progress without touching the blob.
+	// progress without touching the snapshot.
 	Cycle uint64 `json:"cycle"`
 	// ParkedAt stamps when the snapshot was written.
 	ParkedAt time.Time `json:"parked_at"`
@@ -90,8 +87,8 @@ type manifest struct {
 }
 
 // Store is a content-addressed snapshot store rooted at one directory.
-// It is safe for concurrent use; blob reads take no lock at all (blobs
-// are immutable once renamed into place).
+// It is safe for concurrent use; snapshot reads take no lock at all
+// (sections and recipes are immutable once renamed into place).
 type Store struct {
 	dir string
 
@@ -131,13 +128,9 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w", err)
 	}
-	// Version 1 manifests (whole-blob-only stores) have the same record
-	// shape; read them and upgrade on the next flush. Anything newer than
-	// this build is refused.
-	if m.Version != manifestVersion && m.Version != 1 {
+	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("store: manifest version %d, this build reads version %d", m.Version, manifestVersion)
 	}
-	m.Version = manifestVersion
 	if m.Sessions == nil {
 		m.Sessions = map[string]Entry{}
 	}
@@ -150,17 +143,17 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
-func (s *Store) blobPath(hash string) string { return filepath.Join(s.dir, "blobs", hash) }
+func (s *Store) metaPath(hash string) string { return filepath.Join(s.dir, "blobs", hash+".json") }
 
 // Hash returns the store's content address for data: lowercase SHA-256
-// hex, the blob file name Put would use.
+// hex, the name a snapshot is filed and fetched under.
 func Hash(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
 // validHash guards file-name construction: exactly 64 lowercase hex
-// characters, so a wire-supplied hash can never escape the blobs
+// characters, so a wire-supplied hash can never escape the store
 // directory.
 func validHash(hash string) bool {
 	if len(hash) != 64 {
@@ -175,74 +168,43 @@ func validHash(hash string) bool {
 	return true
 }
 
-// Put writes data as a content-addressed blob and returns its hash. A
-// blob that already exists is not rewritten — content addressing makes
-// the existing bytes provably identical.
-func (s *Store) Put(data []byte) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putLocked(data)
-}
-
-// putLocked is Put under the store lock. Writes serialize against Sweep
-// (which holds the lock for its whole pass), so the exists-check and the
-// write are one atomic step with respect to reclamation — a sweep can
-// never delete a blob between a writer observing it and relying on it.
-func (s *Store) putLocked(data []byte) (string, error) {
-	hash := Hash(data)
-	path := s.blobPath(hash)
-	if _, err := os.Stat(path); err == nil {
-		return hash, nil
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return "", fmt.Errorf("store: writing blob: %w", err)
-	}
-	return hash, nil
-}
-
-// Get reads the snapshot for hash — a whole blob when one exists, else a
-// sectioned snapshot reassembled from its recipe — verifying either way
-// that the bytes hash to their name (on-disk corruption fails loudly
-// instead of restoring garbage).
+// Get reads the snapshot for hash, reassembled from its recipe, and
+// verifies that the bytes hash to their name (on-disk corruption fails
+// loudly instead of restoring garbage).
 func (s *Store) Get(hash string) ([]byte, error) {
 	if !validHash(hash) {
 		return nil, fmt.Errorf("%w: malformed hash %q", ErrNoBlob, hash)
 	}
-	data, err := os.ReadFile(s.blobPath(hash))
-	if errors.Is(err, os.ErrNotExist) {
-		return s.getSectioned(hash)
+	data, err := s.assemble(hash)
+	// A missing file with no recipe left is a miss, not corruption: the
+	// snapshot was never stored, or a sweep reclaimed it mid-read (its
+	// sections go after its recipe), which an unpinned reader must see as
+	// ErrNoBlob rather than as a failure.
+	if errors.Is(err, os.ErrNotExist) && !s.Has(hash) {
+		return nil, fmt.Errorf("%w: %s", ErrNoBlob, hash)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if got := Hash(data); got != hash {
-		return nil, fmt.Errorf("store: blob %s corrupt (content hashes to %s)", hash, got)
-	}
-	return data, nil
+	return data, err
 }
 
-// Has reports whether the store holds a snapshot for hash, whole or
-// sectioned.
+// Has reports whether the store holds a snapshot for hash.
 func (s *Store) Has(hash string) bool {
 	if !validHash(hash) {
 		return false
 	}
-	if _, err := os.Stat(s.blobPath(hash)); err == nil {
-		return true
-	}
-	return s.hasRecipe(hash)
+	_, err := os.Stat(s.recipePath(hash))
+	return err == nil
 }
 
-// PutMeta attaches JSON metadata (the fleet's session Spec) to a blob as
-// its sidecar document, making the blob self-describing for fork-from-
-// hash. Call it after Put; like Put it is idempotent in effect (last
-// write wins, and all writers for one hash carry equivalent specs).
+// PutMeta attaches JSON metadata (the fleet's session Spec) to a snapshot
+// as its sidecar document, making the snapshot self-describing for
+// fork-from-hash. Call it after PutSnapshot; it is idempotent in effect
+// (last write wins, and all writers for one hash carry equivalent specs).
 func (s *Store) PutMeta(hash string, meta json.RawMessage) error {
 	if !validHash(hash) {
 		return fmt.Errorf("%w: malformed hash %q", ErrNoBlob, hash)
 	}
-	if err := writeFileAtomic(s.blobPath(hash)+".json", meta); err != nil {
-		return fmt.Errorf("store: writing blob meta: %w", err)
+	if err := writeFileAtomic(s.metaPath(hash), meta); err != nil {
+		return fmt.Errorf("store: writing snapshot meta: %w", err)
 	}
 	return nil
 }
@@ -252,7 +214,7 @@ func (s *Store) Meta(hash string) (json.RawMessage, error) {
 	if !validHash(hash) {
 		return nil, fmt.Errorf("%w: malformed hash %q", ErrNoBlob, hash)
 	}
-	data, err := os.ReadFile(s.blobPath(hash) + ".json")
+	data, err := os.ReadFile(s.metaPath(hash))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: no metadata for %s", ErrNoBlob, hash)
 	}
@@ -264,8 +226,8 @@ func (s *Store) Meta(hash string) (json.RawMessage, error) {
 
 // SaveSession records (or replaces) a session's manifest entry and
 // rewrites the manifest atomically. The caller must have made the entry's
-// blob durable first (Put + PutMeta), so a manifest never references a
-// missing hash.
+// snapshot durable first (PutSnapshot + PutMeta), so a manifest never
+// references a missing hash.
 func (s *Store) SaveSession(e Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,8 +235,9 @@ func (s *Store) SaveSession(e Entry) error {
 	return s.flushLocked()
 }
 
-// DeleteSession removes a session's manifest entry. The blob stays: it is
-// content-addressed and may seed forks. Deleting an absent id is a no-op.
+// DeleteSession removes a session's manifest entry. The snapshot stays:
+// it is content-addressed and may seed forks. Deleting an absent id is a
+// no-op.
 func (s *Store) DeleteSession(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,10 +273,11 @@ func (s *Store) flushLocked() error {
 }
 
 // writeFileAtomic is the bench.WriteJSONFile discipline for raw bytes:
-// temp file in the destination directory, fsync, rename.
+// temp file in the destination directory, fsync, rename, then syncDir so
+// the new name is as durable as the bytes behind it.
 func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -334,5 +298,20 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(f.Name())
 		return err
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable:
+// without it a crash can lose a file whose name the manifest already
+// depends on. It is a variable so tests can observe or fail it.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

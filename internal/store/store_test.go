@@ -3,11 +3,14 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"dorado/internal/state"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -15,16 +18,17 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := []byte("DSNP fake snapshot bytes")
-	hash, err := s.Put(data)
+	data := snapDoc(1, state.RawSection{Tag: "PROC", Body: []byte("fake snapshot bytes")})
+	st, err := s.PutSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hash := st.Hash
 	if hash != Hash(data) || len(hash) != 64 {
 		t.Fatalf("hash = %q", hash)
 	}
 	if !s.Has(hash) {
-		t.Error("Has = false after Put")
+		t.Error("Has = false after PutSnapshot")
 	}
 	got, err := s.Get(hash)
 	if err != nil {
@@ -33,10 +37,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatalf("Get = %q", got)
 	}
-	// Idempotent: a second Put of the same content is the same blob.
-	again, err := s.Put(data)
-	if err != nil || again != hash {
-		t.Fatalf("second Put = %q, %v", again, err)
+	// Idempotent: a second put of the same content is the same snapshot.
+	again, err := s.PutSnapshot(data)
+	if err != nil || again.Hash != hash || again.NewBytes != 0 {
+		t.Fatalf("second PutSnapshot = %+v, %v", again, err)
 	}
 }
 
@@ -61,33 +65,12 @@ func TestGetUnknownAndMalformed(t *testing.T) {
 	}
 }
 
-func TestCorruptBlobDetected(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := s.Put([]byte("pristine"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "blobs", hash), []byte("tampered"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(hash); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("corrupt blob read: %v", err)
-	}
-}
-
 func TestMetaSidecar(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := s.Put([]byte("blob"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hash := putDoc(t, s, "snapshot")
 	if _, err := s.Meta(hash); !errors.Is(err, ErrNoBlob) {
 		t.Errorf("meta before PutMeta: %v", err)
 	}
@@ -113,10 +96,7 @@ func TestManifestPersistsAcrossOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := s.Put([]byte("snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hash := putDoc(t, s, "snapshot")
 	when := time.Unix(1_700_000_000, 0).UTC()
 	for _, e := range []Entry{
 		{ID: "s2", Seq: 2, Spec: json.RawMessage(`{}`), Hash: hash, Cycle: 500, ParkedAt: when},
@@ -153,9 +133,10 @@ func TestManifestPersistsAcrossOpen(t *testing.T) {
 	if list := re2.Sessions(); len(list) != 1 || list[0].ID != "s2" {
 		t.Fatalf("after delete = %+v", list)
 	}
-	// The blob survives session deletion (content-addressed, fork fodder).
+	// The snapshot survives session deletion (content-addressed, fork
+	// fodder).
 	if !re2.Has(hash) {
-		t.Error("blob deleted with session")
+		t.Error("snapshot deleted with session")
 	}
 }
 
@@ -170,10 +151,87 @@ func TestOpenRejectsBadManifest(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Error("corrupt manifest accepted")
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"version":99}`), 0o644); err != nil {
+	// Version 1 (the whole-blob layout) is refused like a future version:
+	// its sessions name snapshots this build cannot read.
+	for _, v := range []int{1, 99} {
+		doc := fmt.Sprintf(`{"version":%d,"sessions":{}}`, v)
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("manifest version %d,", v)) {
+			t.Errorf("manifest version %d: %v", v, err)
+		}
+	}
+}
+
+// TestWritesSyncDirectories: every rename is followed by an fsync of its
+// directory, in write order — sections, recipe, sidecar, manifest — so a
+// crash cannot lose a name the manifest depends on; and a failed
+// directory sync fails the write.
+func TestWritesSyncDirectories(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future manifest version: %v", err)
+	// Each sync records its directory and the file names then in it, so
+	// the log shows the rename landed before the sync.
+	var synced []string
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(d string) error {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			return err
+		}
+		var names []string
+		for _, e := range ents {
+			if !e.IsDir() {
+				names = append(names, e.Name())
+			}
+		}
+		rel, _ := filepath.Rel(dir, d)
+		synced = append(synced, rel+": "+strings.Join(names, " "))
+		return nil
+	}
+
+	a, b := []byte("section a"), []byte("section b")
+	doc := snapDoc(1, state.RawSection{Tag: "AAAA", Body: a}, state.RawSection{Tag: "BBBB", Body: b})
+	st, err := s.PutSnapshot(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutMeta(st.Hash, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: st.Hash}); err != nil {
+		t.Fatal(err)
+	}
+	ha, hb := Hash(a), Hash(b)
+	if ha > hb {
+		ha, hb = hb, ha // ReadDir lists names sorted
+	}
+	want := []string{
+		"sections: " + Hash(a),
+		"sections: " + ha + " " + hb,
+		"recipes: " + st.Hash,
+		"blobs: " + st.Hash + ".json",
+		".: manifest.json",
+	}
+	if strings.Join(synced, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("directory syncs:\n%s\nwant:\n%s", strings.Join(synced, "\n"), strings.Join(want, "\n"))
+	}
+
+	errSync := errors.New("directory sync failed")
+	syncDir = func(string) error { return errSync }
+	fresh := snapDoc(1, state.RawSection{Tag: "CCCC", Body: []byte("section c")})
+	if _, err := s.PutSnapshot(fresh); !errors.Is(err, errSync) {
+		t.Errorf("PutSnapshot with a failing directory sync: %v", err)
+	}
+	if err := s.PutMeta(st.Hash, json.RawMessage(`{}`)); !errors.Is(err, errSync) {
+		t.Errorf("PutMeta with a failing directory sync: %v", err)
+	}
+	if err := s.SaveSession(Entry{ID: "s2", Seq: 2, Spec: json.RawMessage(`{}`), Hash: st.Hash}); !errors.Is(err, errSync) {
+		t.Errorf("SaveSession with a failing directory sync: %v", err)
 	}
 }
