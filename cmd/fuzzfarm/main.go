@@ -1,7 +1,8 @@
 // Command fuzzfarm runs a sharded differential-fuzzing campaign: seed
 // ranges fan out across a bounded worker pool, every seed runs the full
 // machine/path profile mix (reference vs predecoded and vs translated, on
-// bare and on fast-I/O device-driven machines), each divergence is
+// bare and on fast-I/O device-driven machines, and the devices-session
+// shape with the display alone), each divergence is
 // minimized and banked as a ready-to-paste regression test in the corpus
 // directory, and the whole campaign lands in one JSON report.
 //
@@ -12,7 +13,7 @@
 //	         [-duration D] [-corpus DIR] [-report FILE] [-q]
 //
 // -translated restricts the mix to the translated profiles (translator
-// hunting); the default runs all four. -duration time-boxes the campaign
+// hunting); the default runs all five. -duration time-boxes the campaign
 // for CI: seeds not started by the deadline are skipped and the report is
 // marked interrupted. SIGINT/SIGTERM stop the same way — in-flight seeds
 // finish and the partial report is still written. Exit status 1 if any

@@ -228,6 +228,15 @@ func TestDifferentialSlowIO(t *testing.T) {
 	diffPair(t, "slow-io", 30_000, false, 0x6000, 0x6400, BuildSlowIOMachine)
 }
 
+// TestDifferentialDevices runs the machine perfbench's devices sessions
+// run (examples/microcode/devices.dasm): the display's fast I/O takes
+// every storage cycle, so the disk task holds on its store in long runs.
+// Its blocks all carry the Block bit and no task-0 cycle runs long enough
+// to enter one, so the translated run fuses nothing.
+func TestDifferentialDevices(t *testing.T) {
+	diffPair(t, "devices", 60_000, false, 0, 0x200, DevicesBuilder(devicesSource(t)))
+}
+
 // TestDifferentialBitBlt runs the E3 shape: a bit-aligned merge over a
 // screen-sized region, the heaviest shifter/masker workload.
 func TestDifferentialBitBlt(t *testing.T) {

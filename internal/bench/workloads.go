@@ -199,3 +199,43 @@ func BuildBitBltMachine(cfg core.Config) (*core.Machine, error) {
 	}
 	return m, nil
 }
+
+// DevicesBuilder returns a builder for the machine perfbench's devices
+// sessions run, from src, the text of examples/microcode/devices.dasm:
+// task 0 spins at emu, the disk word source on task 11 (a word every 27
+// cycles) is serviced at disk, and the display on task 13 (a block every 8
+// cycles from 4 buffered blocks, based at VA 0) at disp, each device on the
+// IOADDRESS of its task, as the fleet's device catalog attaches them.
+func DevicesBuilder(src string) func(cfg core.Config) (*core.Machine, error) {
+	return func(cfg core.Config) (*core.Machine, error) {
+		m, _, _, err := buildDevices(cfg, src)
+		return m, err
+	}
+}
+
+// buildDevices builds DevicesBuilder's machine and returns its two
+// controllers too.
+func buildDevices(cfg core.Config, src string) (*core.Machine, *device.WordSource, *device.Display, error) {
+	p, err := masm.AssembleText(src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	disk := device.NewWordSource(11, 27, 2)
+	disp := device.NewDisplay(13, m.Mem(), 8, 4)
+	disp.SetBase(0)
+	for _, d := range []device.Device{disk, disp} {
+		if err := m.Attach(d); err != nil {
+			return nil, nil, nil, err
+		}
+		m.SetIOAddress(d.Task(), uint16(d.Task()))
+	}
+	m.Load(&p.Words)
+	m.Start(p.MustEntry("emu"))
+	m.SetTPC(11, p.MustEntry("disk"))
+	m.SetTPC(13, p.MustEntry("disp"))
+	return m, disk, disp, nil
+}

@@ -143,9 +143,18 @@ type Machine struct {
 	devs   [NumTasks]device.Device // by task number
 	byAddr [NumTasks]device.Device // by IOADDRESS (low 4 bits)
 	att    []attachedDev           // attached devices in task order (hot loop)
-	// anyIdler: at least one attached device implements device.Idler, so
-	// the translated path can try the quiet-horizon device-scan hoist.
-	anyIdler bool
+	// The device event horizon (device.Idler): no controller is ticked
+	// before cycle devQuiet, the earliest of their own horizons (devDue,
+	// by task number), and the wakeup lines latched at each one's last
+	// scan, devLines, stand for theirs in between. Derived state, never
+	// serialized; endQuiet and touched end the quiet window. Every scan
+	// writes devDue, so it lives here and not in the small att array: a
+	// hot write to a small heap object shares its cache line with the
+	// neighbouring objects, and machines running at once on other cores
+	// would stall each other.
+	devQuiet uint64
+	devLines uint16
+	devDue   [NumTasks]uint64
 
 	// Control section (§6.2).
 	tasks    [NumTasks]taskState
@@ -177,6 +186,15 @@ type Machine struct {
 	cycle  uint64
 	stalls uint64 // DelayedBranch dead cycles owed
 	stats  Stats
+
+	// The latest hold (§5.7): the counter it charged and the cycle before
+	// which the held instruction provably holds again (0 when unknown, as
+	// for IFU holds). retireHeld reads them.
+	holdOn    *uint64
+	holdUntil uint64
+	// Diagnostics for tests (export_test.go), never serialized: device
+	// scans, and cycles retired in bulk by retireHeld.
+	scans, bulkHeld uint64
 }
 
 // Stats counts processor activity.
@@ -218,10 +236,11 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	m := &Machine{
-		cfg:   cfg,
-		mem:   mem,
-		ifu:   ifu.New(mem, cfg.IFU),
-		alufm: microcode.DefaultALUFM(),
+		cfg:      cfg,
+		mem:      mem,
+		ifu:      ifu.New(mem, cfg.IFU),
+		alufm:    microcode.DefaultALUFM(),
+		devQuiet: ^uint64(0), // no controllers: quiet forever
 	}
 	if cfg.Translation.Enable {
 		m.trans = &translator{cfg: cfg.Translation.withDefaults()}
@@ -283,9 +302,9 @@ type attachedDev struct {
 	dev  device.Device
 	task int
 	bit  uint16
-	// idler is dev's optional quiet-horizon view (device.Idler), resolved
-	// once at Attach so the translated path's hot loop never type-asserts;
-	// nil when the device does not implement it.
+	// idler is dev's optional event-horizon view (device.Idler), resolved
+	// once at Attach so the device scan never type-asserts; nil when the
+	// device does not implement it.
 	idler device.Idler
 }
 
@@ -304,17 +323,71 @@ func (m *Machine) Attach(d device.Device) error {
 	// Rebuild the compact device list in task order, so Tick and wakeup
 	// sampling visit controllers exactly as the 16-slot scan did.
 	m.att = m.att[:0]
-	m.anyIdler = false
 	for task := 1; task < NumTasks; task++ {
 		if dev := m.devs[task]; dev != nil {
 			idler, _ := dev.(device.Idler)
-			if idler != nil {
-				m.anyIdler = true
-			}
 			m.att = append(m.att, attachedDev{dev: dev, task: task, bit: 1 << task, idler: idler})
 		}
 	}
+	m.endQuiet()
 	return nil
+}
+
+// scanDevices ticks, at now, every attached controller whose own horizon
+// has come, in task order, then latches their wakeup lines and asks each
+// for its next horizon (device.Idler); the others are promised quiet, so
+// their Tick would change nothing and their lines stand. A controller
+// without the Idler view is due again next cycle, so it is scanned every
+// cycle. devQuiet becomes the earliest horizon of all.
+func (m *Machine) scanDevices(now uint64) {
+	for i := range m.att {
+		if a := &m.att[i]; now >= m.devDue[a.task] {
+			a.dev.Tick(now)
+		}
+	}
+	q := ^uint64(0)
+	for i := range m.att {
+		a := &m.att[i]
+		due := &m.devDue[a.task]
+		if now >= *due {
+			if a.dev.Wakeup() {
+				m.devLines |= a.bit
+			} else {
+				m.devLines &^= a.bit
+			}
+			*due = now + 1
+			if a.idler != nil {
+				*due = max(a.idler.IdleUntil(now), now+1)
+			}
+		}
+		q = min(q, *due)
+	}
+	m.devQuiet = q
+	m.scans++
+}
+
+// endQuiet ends every controller's quiet window, so the next cycle scans
+// them all. Anything that may break an Idler promise calls it: a cache
+// flush (it can free the storage pipe early), Attach, Restore, and every
+// Run or Step entry (the host may have touched a device). A machine
+// without controllers stays quiet forever.
+func (m *Machine) endQuiet() {
+	m.devDue = [NumTasks]uint64{}
+	if len(m.att) != 0 {
+		m.devQuiet = 0
+	}
+}
+
+// touched ends the quiet window of dev alone, which the processor has just
+// read, written or notified through IOADDRESS (FF Input, Output, DevCtl,
+// IOAttenAck): the next cycle scans it.
+func (m *Machine) touched(dev device.Device) {
+	for i := range m.att {
+		if m.att[i].dev == dev {
+			m.devDue[m.att[i].task] = 0
+		}
+	}
+	m.devQuiet = 0
 }
 
 // Start boots (or re-boots) the machine: task 0 begins executing at a on

@@ -20,13 +20,13 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 	// ---- Hold phase: detect every reason this instruction cannot proceed,
 	// without changing any state (§5.7). ----
 	if d.usesMD && !m.mdReady(now) {
-		return m.hold(&m.stats.HoldMD)
+		return m.hold(&m.stats.HoldMD, m.mdReadyAt())
 	}
 	if d.usesIFUData && !m.ifu.OperandReady() {
-		return m.hold(&m.stats.HoldIFU)
+		return m.hold(&m.stats.HoldIFU, 0)
 	}
 	if d.ifuJump && !m.ifu.DispatchReady(now) {
-		return m.hold(&m.stats.HoldIFU)
+		return m.hold(&m.stats.HoldIFU, 0)
 	}
 	rIndex := m.rbase<<4 | d.raddr
 	useStack := d.block && m.curTask == 0 // "selects a stack operation for task 0" (§6.3.1)
@@ -55,7 +55,7 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 			ok = m.mem.CanRead(m.curTask, va, now)
 		}
 		if !ok {
-			return m.hold(&m.stats.HoldMem)
+			return m.hold(&m.stats.HoldMem, m.mem.RefReleaseAt(m.curTask, now))
 		}
 	}
 
@@ -112,6 +112,7 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 		// ALU *and* into memory — the 3-cycles-per-2-words disk idiom (§7).
 		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
 			bVal = dev.Input(now)
+			m.touched(dev)
 		} else {
 			bVal = 0
 		}
@@ -185,10 +186,17 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 	return false, blocked, nextPC
 }
 
-// hold accounts one held cycle.
-func (m *Machine) hold(counter *uint64) (bool, bool, microcode.Addr) {
+// hold accounts one held cycle on counter and records it for retireHeld:
+// release is the cycle before which the instruction provably holds again,
+// or 0 when that cannot be known (then retireHeld never reads holdOn, and
+// the constant 0 of the IFU holds leaves it unwritten).
+func (m *Machine) hold(counter *uint64, release uint64) (bool, bool, microcode.Addr) {
 	*counter++
 	m.stats.Holds++
+	m.holdUntil = release
+	if release != 0 {
+		m.holdOn = counter
+	}
 	return true, false, m.curPC
 }
 
@@ -198,6 +206,12 @@ func (m *Machine) mdReady(now uint64) bool {
 		return m.mem.MDReadyFixed(m.curTask, now)
 	}
 	return m.mem.MDReady(m.curTask, now)
+}
+
+// mdReadyAt is the cycle a held use of MD releases, under the same
+// ablation.
+func (m *Machine) mdReadyAt() uint64 {
+	return m.mem.MDReadyAt(m.curTask, m.cfg.Options.FixedWaitMemory)
 }
 
 // storeResult routes RESULT to RM/stack and/or T, immediately (bypassed) or

@@ -29,3 +29,7 @@ func TemplateMix(m *Machine) (alu, mem, exec int) {
 	}
 	return alu, mem, exec
 }
+
+// HorizonStats reports the machine's device scans and the cycles it
+// retired in bulk as repeats of a held cycle, since it was built.
+func HorizonStats(m *Machine) (scans, bulkHeld uint64) { return m.scans, m.bulkHeld }

@@ -41,6 +41,7 @@ func (m *Machine) execFF(ff uint8, d *decoded, aVal, rmVal, bVal, res uint16, no
 		m.cpreg = bVal
 	case microcode.FFFlushCache:
 		m.mem.Flush(m.mem.VA(m.membase, aVal), now)
+		m.endQuiet()
 	case microcode.FFMapSet:
 		m.mem.MapSet(m.mem.VA(m.membase, aVal)/256, uint32(bVal))
 	case microcode.FFMapGet:
@@ -133,16 +134,19 @@ func (m *Machine) execFF(ff uint8, d *decoded, aVal, rmVal, bVal, res uint16, no
 	case microcode.FFOutput:
 		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
 			dev.Output(bVal, now)
+			m.touched(dev)
 		}
 	case microcode.FFIOAttenAck:
 		// Explicit service acknowledgement — the grain-3 ablation's notify
 		// (§6.2.1), and a general-purpose device poke otherwise.
 		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
 			dev.NotifyNext(now)
+			m.touched(dev)
 		}
 	case microcode.FFDevCtl:
 		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
 			dev.Control(bVal, now)
+			m.touched(dev)
 		}
 
 	default:

@@ -143,6 +143,13 @@ func (p *Profiler) cycle(addr microcode.Addr, held, exec bool) {
 	}
 }
 
+// heldRun charges n held cycles to addr at once: a run of identical held
+// cycles the machine retired in one step (Machine.retireHeld).
+func (p *Profiler) heldRun(addr microcode.Addr, n uint64) {
+	p.cycles[addr] += n
+	p.holds[addr] += n
+}
+
 // block returns (creating on demand) the lifecycle record for the
 // superblock starting at addr.
 func (p *Profiler) block(addr microcode.Addr) *blockProf {
@@ -185,6 +192,15 @@ func (p *Profiler) blockExit(start microcode.Addr, reason ExitReason, exitPC mic
 		p.spanHead = (p.spanHead + 1) % profSpanCap
 		p.spansDropped++
 	}
+}
+
+// guardFails records n rejected entries of the block at start at once,
+// as n blockExit calls with ExitGuardFail would.
+func (p *Profiler) guardFails(start microcode.Addr, n uint64) {
+	b := p.block(start)
+	b.exits[ExitGuardFail] += n
+	b.exitPCs[start] += n
+	p.exits[ExitGuardFail] += n
 }
 
 // AddrCount is one microaddress's attribution counters in a Snapshot.

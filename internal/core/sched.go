@@ -25,10 +25,11 @@ func (m *Machine) Step() {
 	if m.halted {
 		return
 	}
+	m.endQuiet()
 	if m.cfg.Reference {
 		m.stepReference()
 	} else {
-		m.step()
+		m.step(m.cycle + 1)
 	}
 }
 
@@ -38,6 +39,7 @@ func (m *Machine) Step() {
 // along on every path, superblocks included.
 func (m *Machine) Run(maxCycles uint64) bool {
 	limit := m.cycle + maxCycles
+	m.endQuiet() // the host may have touched a device since the last call
 	switch {
 	case m.trans != nil:
 		m.runTranslated(limit)
@@ -47,7 +49,7 @@ func (m *Machine) Run(maxCycles uint64) bool {
 		}
 	default:
 		for !m.halted && m.cycle < limit {
-			m.step()
+			m.step(limit)
 		}
 	}
 	return m.halted
@@ -62,28 +64,25 @@ func (m *Machine) RunCycles(n uint64) uint64 {
 	return m.cycle - start
 }
 
-// step is one cycle of the pipeline on the predecoded path.
-func (m *Machine) step() {
+// step is one cycle of the pipeline on the predecoded path. A held cycle
+// that provably repeats also retires its repeats, up to limit (retireHeld).
+func (m *Machine) step(limit uint64) {
 	now := m.cycle
 
 	// Device and IFU hardware advance first: lines raised during this
-	// cycle are visible to this cycle's WAKEUP latch. Only the compact
-	// attached-device list is walked.
+	// cycle are visible to this cycle's WAKEUP latch. Controllers are
+	// ticked only at their event horizon (scanDevices); before it, the
+	// lines latched at the last scan stand.
 	//
 	// WAKEUP latch (t0): device lines, READY flipflops, and task 0, which
 	// "requests service from the processor at all times" (§5.1). Latched
 	// *before* NotifyNext below, so a wakeup dropped because of this
 	// cycle's NEXT first disappears from the next latch — the 2-cycle grain.
-	lines := uint16(1) | m.ready
-	for i := range m.att {
-		m.att[i].dev.Tick(now)
+	if now >= m.devQuiet {
+		m.scanDevices(now)
 	}
 	m.ifu.Tick(now)
-	for i := range m.att {
-		if m.att[i].dev.Wakeup() {
-			lines |= m.att[i].bit
-		}
-	}
+	lines := uint16(1) | m.ready | m.devLines
 
 	// Execute this cycle's instruction (or burn a DelayedBranch dead cycle).
 	execTask := m.curTask
@@ -135,9 +134,11 @@ func (m *Machine) step() {
 	}
 	// Service granted: clear the READY flipflop and let the device see its
 	// number on the NEXT bus (§6.2.1) — unless the machine is built with
-	// explicit notification (the grain-3 ablation).
+	// explicit notification (the grain-3 ablation). Inside the quiet window
+	// NotifyNext is a promised no-op, so only the cycle before a scan
+	// calls it.
 	m.ready &^= 1 << next
-	if !m.cfg.Options.ExplicitNotify && m.devs[next] != nil {
+	if !m.cfg.Options.ExplicitNotify && m.devs[next] != nil && now+1 >= m.devQuiet {
 		m.devs[next].NotifyNext(now)
 	}
 
@@ -150,6 +151,49 @@ func (m *Machine) step() {
 		m.observe(now, execTask, execPC, held, didExec && !held, lines)
 	}
 	m.cycle++
+	if held && m.holdUntil > m.cycle {
+		m.retireHeld(execTask, execPC, lines, limit)
+	}
+}
+
+// retireHeld retires, in one step, the cycles that would repeat the held
+// cycle just completed (§5.7: a held instruction is "no-op, jump to self"
+// while the clocks run), and returns how many it retired. The repeat is
+// provable when the same task is re-selected with no stall owed, the next
+// WAKEUP latch equals this one and BESTNEXTTASK stays at or below the
+// task, so nothing but time distinguishes the following cycles. The run
+// ends at the earliest of: the hold's release (holdUntil), the device
+// event horizon, the IFU's idle horizon, the run limit, and the
+// recorder's next event. Each retired cycle is charged exactly as exec
+// charges a hold; a tracer, which must see every cycle, turns the shortcut
+// off, and the profiler takes the run as one held charge at pc.
+func (m *Machine) retireHeld(task int, pc microcode.Addr, lines uint16, limit uint64) uint64 {
+	from := m.cycle // the first repeat
+	if m.curTask != task || m.bestNext > task || m.stalls != 0 || uint16(1)|m.ready|m.devLines != lines {
+		return 0
+	}
+	end := min(m.holdUntil, m.devQuiet, limit, m.ifu.IdleUntil(from-1))
+	if o := &m.seam; o.watching {
+		if o.tracer != nil {
+			return 0
+		}
+		if o.rec != nil {
+			end = min(end, o.rec.QuietUntil(task, true, lines))
+		}
+	}
+	if end <= from {
+		return 0
+	}
+	n := end - from
+	m.stats.TaskCycles[task] += n
+	m.stats.Holds += n
+	*m.holdOn += n
+	if p := m.seam.prof; p != nil {
+		p.heldRun(pc, n)
+	}
+	m.cycle = end
+	m.bulkHeld += n
+	return n
 }
 
 // observers is the machine's one observation seam: the cycle tracer (the
@@ -186,6 +230,14 @@ func (m *Machine) observe(now uint64, task int, pc microcode.Addr, held, exec bo
 	}
 	if o.prof != nil {
 		o.prof.cycle(pc, held, exec)
+	}
+}
+
+// guardFails reports n more rejected entries of the block at start, each
+// one a cycle the generic step retired in bulk (runTranslated).
+func (o *observers) guardFails(start microcode.Addr, n uint64) {
+	if o.prof != nil && n > 0 {
+		o.prof.guardFails(start, n)
 	}
 }
 

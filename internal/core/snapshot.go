@@ -18,6 +18,10 @@ const (
 	sectCoreDevs   = "DEVS"
 )
 
+// snapshotSlack sizes the part of a snapshot besides storage, microstore
+// and cache tags: registers, counters, the IFU's decode table, devices.
+const snapshotSlack = 16 << 10
+
 // Snapshot captures the complete machine state — control section, data
 // section, microstore, counters, memory system, IFU, and every attached
 // device — as one versioned binary document (see internal/state).
@@ -28,7 +32,10 @@ const (
 // architectural states produce byte-identical snapshots regardless of path,
 // which is the equality oracle the differential fuzzer is built on.
 func (m *Machine) Snapshot() []byte {
-	e := state.NewEncoder()
+	// Storage and the microstore are nearly all of the document; cache tags
+	// take under a byte per cached word, and snapshotSlack covers the rest.
+	mc := m.mem.Config()
+	e := state.NewEncoder(2*mc.StorageWords + mc.CacheWords + 8*microcode.StoreSize + snapshotSlack)
 
 	e.Section(sectCoreConfig)
 	var opt uint8
@@ -160,6 +167,7 @@ func (m *Machine) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
+	m.endQuiet() // device and memory timing are about to change
 
 	if err := d.Section(sectCoreConfig); err != nil {
 		return err

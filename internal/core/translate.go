@@ -68,9 +68,6 @@ type TranslationStats struct {
 	// FusedCycles counts machine cycles retired inside superblocks — the
 	// coverage the translator actually achieves (compare Machine.Cycle).
 	FusedCycles uint64 `json:"fused_cycles"`
-	// QuietCycles counts fused cycles that skipped the per-cycle device
-	// scan under a device.Idler quiet-horizon promise.
-	QuietCycles uint64 `json:"quiet_cycles"`
 	// Invalidations counts whole-cache flushes (microstore writes, Load,
 	// Restore).
 	Invalidations uint64 `json:"invalidations"`
@@ -118,11 +115,6 @@ type superblock struct {
 	// under task 0 the bit selects a stack operation, under any other task
 	// it releases the processor, so such blocks only run as task 0.
 	task0Only bool
-	// devSafe: no instruction in the block has an FF that can mutate a
-	// device (Input, Output, DevCtl, IOAttenAck), so a device.Idler quiet
-	// promise taken at block entry cannot be violated from inside the block
-	// and runBlock may skip the per-cycle device scan until the horizon.
-	devSafe bool
 	// ifuSafe: no instruction can start the IFU (FF IFUReset), so when the
 	// IFU is stopped at block entry it stays stopped and its per-cycle Tick
 	// (a no-op on a stopped unit) is skipped.
@@ -171,10 +163,20 @@ func (m *Machine) TranslationStats() TranslationStats {
 // addresses execute through their superblock. Attached observers see every
 // cycle either way: the block loops report fused cycles through the same
 // seam as step.
+//
+// A held cycle that provably repeats is retired with its repeats by the
+// generic step (retireHeld). Each repeat would have come back through this
+// loop at the same address and state, so its bookkeeping is charged in
+// bulk too: a rejected block entry counts once per retired cycle, and a
+// cold address's count advances by the retired cycles, which step may not
+// retire past the one that would make the address hot.
 func (m *Machine) runTranslated(limit uint64) {
 	t := m.trans
 	for !m.halted && m.cycle < limit {
 		pc := m.curPC
+		now := m.cycle
+		stepLimit := limit // how far the generic step may retire a held run
+		rejected := false
 		if b := t.blocks[pc]; b != nil {
 			// Entry guard: a pending task switch (BESTNEXTTASK above the
 			// running task) must happen on the generic loop, a task0Only
@@ -193,7 +195,8 @@ func (m *Machine) runTranslated(limit uint64) {
 			// generic loop. Each rejected attempt is one guard-fail event —
 			// sustained rejection (a long higher-priority burst) shows up as
 			// a proportionally large count, which is the point.
-			m.seam.blockExit(pc, ExitGuardFail, pc, 0, m.cycle)
+			m.seam.blockExit(pc, ExitGuardFail, pc, 0, now)
+			rejected = true
 		} else if !t.noBlock[pc] {
 			c := t.counts[pc] + 1
 			t.counts[pc] = c
@@ -203,9 +206,18 @@ func (m *Machine) runTranslated(limit uint64) {
 					continue
 				}
 				t.noBlock[pc] = true
+			} else {
+				stepLimit = min(limit, now+uint64(t.cfg.HotThreshold-c))
 			}
 		}
-		m.step()
+		m.step(stepLimit)
+		if n := m.cycle - now - 1; n > 0 {
+			if rejected {
+				m.seam.guardFails(pc, n)
+			} else {
+				t.counts[pc] += uint32(n)
+			}
+		}
 	}
 }
 
@@ -216,7 +228,8 @@ func (m *Machine) runTranslated(limit uint64) {
 // is given that constant), arbitration always re-selects task 0, and the
 // NEXT-bus notify has no listener — so the whole scheduler epilogue is
 // hoisted out and each cycle is: budget/quiescence check, IFU tick, fused
-// instruction, observation seam, cycle count.
+// instruction, observation seam, cycle count. A held cycle that provably
+// repeats retires its repeats in one step (retireHeld).
 // The READY check re-establishes the preconditions every cycle: an FF
 // ReadyB or a memory-fault wakeup lands in READY mid-cycle and is seen at
 // the top of the next one, exactly when step's wakeup latch would first
@@ -278,6 +291,9 @@ func (m *Machine) runBlockFast(b *superblock, limit uint64) {
 			// §5.7 no-op-jump-to-self — the retired cycle changed no state
 			// and curPC is unchanged, so retry the same fused instruction
 			// next cycle; memory timing and the IFU advance with now.
+			if m.holdUntil > m.cycle {
+				n += m.retireHeld(0, b.addrs[i], 1, limit)
+			}
 		default:
 			reason = b.termReason
 			goto out // instEnd: terminator done, curPC points past the block
@@ -290,31 +306,25 @@ out:
 
 // runBlock executes fused cycles on a machine with live controllers,
 // pending READY work, or a non-zero task: each cycle performs exactly
-// step's per-cycle scheduler work — device ticks, the WAKEUP latch, the
-// READY clear and NEXT-bus notify, arbitration into BESTNEXTTASK, and the
-// observation seam — with only the instruction fetch/decode/dispatch replaced
-// by the fused closure. The entry guard in runTranslated plus the per-cycle
-// BESTNEXTTASK check guarantee the running task keeps the processor for
-// every fused cycle, so the task-switch half of step's epilogue can never
-// be needed; the moment a higher-priority task is pending the block returns
-// before executing the cycle and the generic loop runs it.
+// step's per-cycle scheduler work — the device scan at the event horizon,
+// the WAKEUP latch, the READY clear and NEXT-bus notify, arbitration into
+// BESTNEXTTASK, and the observation seam — with only the instruction
+// fetch/decode/dispatch replaced by the fused closure, and a held cycle
+// that provably repeats retires its repeats in one step (retireHeld). The
+// entry guard in runTranslated plus the per-cycle BESTNEXTTASK check
+// guarantee the running task keeps the processor for every fused cycle,
+// so the task-switch half of step's epilogue can never be needed; the
+// moment a higher-priority task is pending the block returns before
+// executing the cycle and the generic loop runs it.
 func (m *Machine) runBlock(b *superblock, limit uint64) {
 	n := uint64(0)
 	code := b.code
 	// Loop invariants: no fused instruction switches tasks or attaches
 	// devices, so the running task (and its READY bit and NEXT-bus
 	// listener) are hoisted out of the cycle loop.
-	att := m.att
 	cur := m.curTask
 	readyBit := uint16(1) << cur
 	nextDev := m.devs[cur]
-	// Quiet horizon (device.Idler): when every attached controller promises
-	// it is between events, the per-cycle Tick/Wakeup scan is skipped until
-	// the earliest promised cycle. Sound only while nothing in the block can
-	// poke a device (b.devSafe); a device without the Idler view pins the
-	// horizon to "scan every cycle".
-	horizon := b.devSafe && m.anyIdler
-	quiet := uint64(0) // first cycle requiring a device scan
 	tickIFU := !b.ifuSafe || m.ifu.Running()
 	reason := ExitFallThrough
 	lastHeld := false
@@ -338,46 +348,19 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 			break
 		}
 		now := m.cycle
-		lines := uint16(1) | m.ready
-		scan := !horizon || now >= quiet
-		if scan {
-			for j := range att {
-				att[j].dev.Tick(now)
-			}
-		} else {
-			m.trans.stats.QuietCycles++
+		if now >= m.devQuiet {
+			m.scanDevices(now)
 		}
 		if tickIFU {
 			m.ifu.Tick(now)
 		}
-		if scan {
-			for j := range att {
-				if att[j].dev.Wakeup() {
-					lines |= att[j].bit
-				}
-			}
-			if horizon {
-				quiet = ^uint64(0)
-				for j := range att {
-					q := uint64(0)
-					if att[j].idler != nil {
-						q = att[j].idler.IdleUntil(now)
-					}
-					if q < quiet {
-						quiet = q
-					}
-				}
-				if quiet <= now {
-					quiet = now + 1
-				}
-			}
-		}
+		lines := uint16(1) | m.ready | m.devLines
 		exit := code[i](m, now)
 		held := exit == instHeld
 		// Service granted to the running task, as step's epilogue does
 		// (translation excludes the ExplicitNotify ablation).
 		m.ready &^= readyBit
-		if nextDev != nil {
+		if nextDev != nil && now+1 >= m.devQuiet {
 			nextDev.NotifyNext(now)
 		}
 		m.bestNext = 15 - bits.LeadingZeros16(lines)
@@ -400,6 +383,9 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 			// Retry the same fused instruction; the top-of-cycle
 			// BESTNEXTTASK check hands a preempting wakeup to the generic
 			// loop exactly one arbitration later, as step would.
+			if m.holdUntil > m.cycle {
+				n += m.retireHeld(cur, b.addrs[i], lines, limit)
+			}
 		default:
 			reason = b.termReason
 			goto out // instEnd
@@ -423,7 +409,7 @@ out:
 // inner loops of block transfers) amortize block entry over many cycles.
 func (m *Machine) translate(start microcode.Addr) *superblock {
 	t := m.trans
-	b := &superblock{start: start, devSafe: true, ifuSafe: true}
+	b := &superblock{start: start, ifuSafe: true}
 	visited := make([]microcode.Addr, 0, maxBlock)
 	visited = append(visited, start)
 	pc := start
@@ -433,10 +419,7 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 		if d.block {
 			b.task0Only = true
 		}
-		switch d.ffop {
-		case microcode.FFInput, microcode.FFOutput, microcode.FFDevCtl, microcode.FFIOAttenAck:
-			b.devSafe = false
-		case microcode.FFIFUReset:
+		if d.ffop == microcode.FFIFUReset {
 			b.ifuSafe = false
 		}
 		switch d.op.Kind {
@@ -799,8 +782,7 @@ func fuseWide(d *decoded, s succ) instFn {
 		// with the same-instruction MEMBASE constant pre-applied exactly as
 		// the issue below will use it. No state changes on a hold.
 		if usesMD && !m.mdReady(now) {
-			m.stats.HoldMD++
-			m.stats.Holds++
+			m.hold(&m.stats.HoldMD, m.mdReadyAt())
 			return instHeld
 		}
 		rIndex := m.rbase<<4 | raddr
@@ -817,8 +799,7 @@ func fuseWide(d *decoded, s succ) instFn {
 				ok = m.mem.CanRead(cur, va, now)
 			}
 			if !ok {
-				m.stats.HoldMem++
-				m.stats.Holds++
+				m.hold(&m.stats.HoldMem, m.mem.RefReleaseAt(cur, now))
 				return instHeld
 			}
 		}

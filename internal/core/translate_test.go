@@ -9,6 +9,7 @@ import (
 	"dorado/internal/masm"
 	"dorado/internal/memory"
 	"dorado/internal/microcode"
+	"dorado/internal/state"
 )
 
 // The translated-path scenarios: hot loops, so most cycles run inside
@@ -183,10 +184,10 @@ func TestTranslatedDifferentialDevices(t *testing.T) {
 }
 
 // TestTranslatedDifferentialIdlers: time-driven controllers implementing
-// device.Idler (WordSource, Pulse) let runBlock hoist the per-cycle device
-// scan under a quiet-horizon promise; the three paths must stay
+// device.Idler (WordSource, Pulse) let the machine skip the per-cycle
+// device scan until their event horizon; the three paths must stay
 // byte-identical through wakeups, preemptions, and service, and the
-// horizon must actually engage (QuietCycles > 0).
+// horizon must actually engage (fewer scans than cycles).
 func TestTranslatedDifferentialIdlers(t *testing.T) {
 	bl := masm.NewBuilder()
 	bl.EmitAt("emu", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0, LC: microcode.LCLoadRM})
@@ -222,20 +223,22 @@ func TestTranslatedDifferentialIdlers(t *testing.T) {
 	if st.BlocksBuilt == 0 || st.Entries == 0 {
 		t.Errorf("idler scenario built no superblocks: %+v", st)
 	}
-	if st.QuietCycles == 0 {
-		t.Error("idler devices attached but no fused cycle skipped the device scan")
+	if scans, _ := HorizonStats(tr); scans >= tr.Cycle() {
+		t.Errorf("idler devices attached but every one of %d cycles scanned them", tr.Cycle())
 	}
 	if s := tr.Stats(); s.TaskSwitches == 0 {
 		t.Errorf("idler scenario produced no task switches; wakeup fallback not exercised")
 	}
 }
 
-// TestTranslateDevUnsafeBlock: an FF that can poke a device (Output) keeps
-// the containing block off the quiet-horizon path.
+// TestTranslateDevUnsafeBlock: an FF that pokes a device (Output) inside a
+// fused block ends the device quiet window, so a wakeup the write raises
+// is latched on the next cycle on every path, as the per-cycle scan would.
 func TestTranslateDevUnsafeBlock(t *testing.T) {
 	bl := masm.NewBuilder()
 	bl.EmitAt("start", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelT, LC: microcode.LCLoadT})
 	bl.Emit(masm.I{FF: microcode.FFOutput, B: microcode.BSelT, Flow: masm.Goto("start")})
+	bl.EmitAt("svc", masm.I{Block: true, Flow: masm.Goto("svc")})
 	p := mustProgram(t, bl)
 	m, err := New(Config{Memory: smallMem, Translation: translateTestCfg})
 	if err != nil {
@@ -246,13 +249,49 @@ func TestTranslateDevUnsafeBlock(t *testing.T) {
 	if b == nil {
 		t.Fatal("loop did not translate")
 	}
-	if b.devSafe {
-		t.Error("block containing FF Output marked devSafe")
-	}
 	if !b.ifuSafe {
 		t.Error("block without FF IFUReset not marked ifuSafe")
 	}
+	tr := diffTranslated(t, "output-wakes", 3_000, 101, func(cfg Config) (*Machine, error) {
+		cfg.Memory = smallMem
+		m, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		m.Load(&p.Words)
+		m.Start(p.MustEntry("start"))
+		if err := m.Attach(&outputWaker{Nop: device.Nop{TaskNum: 9}}); err != nil {
+			return nil, err
+		}
+		m.SetIOAddress(0, 9)
+		m.SetTPC(9, p.MustEntry("svc"))
+		return m, nil
+	})
+	if s := tr.Stats(); s.TaskCycles[9] == 0 {
+		t.Error("the written device's task never ran: its wakeup was not latched")
+	}
 }
+
+// outputWaker raises its wakeup when the processor writes it and drops it
+// when its task is served; otherwise it is quiet forever (device.Idler).
+type outputWaker struct {
+	device.Nop
+	wake bool
+}
+
+func (d *outputWaker) Wakeup() bool          { return d.wake }
+func (d *outputWaker) Output(uint16, uint64) { d.wake = true }
+func (d *outputWaker) NotifyNext(uint64)     { d.wake = false }
+
+func (d *outputWaker) IdleUntil(now uint64) uint64 {
+	if d.wake {
+		return now
+	}
+	return ^uint64(0)
+}
+
+func (d *outputWaker) SaveState(e *state.Encoder)   { e.Bool(d.wake) }
+func (d *outputWaker) LoadState(dec *state.Decoder) { d.wake = dec.Bool() }
 
 // TestLoadIdempotent: reloading an identical microstore image neither
 // re-decodes nor flushes the superblock caches.

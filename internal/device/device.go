@@ -55,18 +55,26 @@ type Device interface {
 	LoadState(d *state.Decoder)
 }
 
-// Idler is an optional Device extension for time-driven controllers. The
+// Idler is an optional Device extension for event-driven controllers. The
 // scheduler calls IdleUntil(now) immediately after a Tick(now)/Wakeup()
-// scan; the device returns the first cycle q at which it must be consulted
-// again, promising that for every cycle t with now < t < q, Tick(t) would
-// change no state and Wakeup() would stay false. A device that cannot make
-// the promise (it is mid-transfer, or its wakeup line is up) returns now —
-// the scheduler then scans it every cycle, which is always correct.
+// scan; the device returns its event horizon, the first cycle q at which
+// it must be consulted again. The promise covers the cycles before q for
+// as long as the processor leaves the device alone: for every cycle t with
+// now < t < q, Tick(t) changes no state and Wakeup() keeps the value it had
+// at the scan, and NotifyNext(t) for now <= t < q is a no-op. A device that
+// cannot promise anything returns now.
 //
-// The superblock-translated execution path uses the promise to hoist the
-// per-cycle device scan out of fused loops while every attached controller
-// is between events; the generic cycle loop never relies on it, and a
-// device that does not implement Idler simply disables the optimization.
+// Every execution path relies on the promise: the processor ticks each
+// controller only at its horizon and reuses its latched wakeup line in
+// between. What can break a promise ends the quiet window: an FF Input,
+// Output, DevCtl or IOAttenAck ends the addressed device's; Attach,
+// Restore and every Run or Step entry (the host may have touched a device
+// between calls) end every device's. A promise may rest on
+// memory.System.StorageFreeAt: references and other controllers' transfers
+// only move it later, and a cache flush, the one thing that can move it
+// earlier, ends every window too. A device that does not implement Idler
+// is due again every cycle, so it is scanned every cycle, which is always
+// correct.
 type Idler interface {
 	IdleUntil(now uint64) uint64
 }

@@ -98,6 +98,20 @@ func (d *Display) Tick(now uint64) {
 	}
 }
 
+// IdleUntil implements Idler. The display acts only at its next consume
+// and, while a commanded block waits and the FIFO has room, when the
+// storage pipe frees; its wakeup line moves only at a consume or through
+// Output, which ends the quiet window.
+func (d *Display) IdleUntil(now uint64) uint64 {
+	if !d.started {
+		return now
+	}
+	if d.pHead < len(d.pending) && d.filled < d.BufferBlocks {
+		return min(d.consumeAt, d.mem.StorageFreeAt())
+	}
+	return d.consumeAt
+}
+
 // BlocksMoved returns the number of blocks transferred from storage.
 func (d *Display) BlocksMoved() uint64 { return d.blocksMoved }
 

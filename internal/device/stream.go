@@ -63,9 +63,10 @@ func (d *WordSource) Wakeup() bool { return d.n >= d.WordsPerWakeup }
 
 // IdleUntil implements Idler: between word arrivals the device is inert —
 // Tick returns without touching state until dueAt, and the FIFO level (and
-// so the wakeup line) can only drop, via Input, never rise.
+// so the wakeup line, up or down) moves only at an arrival or through
+// Input, which ends the quiet window.
 func (d *WordSource) IdleUntil(now uint64) uint64 {
-	if !d.started || d.Wakeup() {
+	if !d.started {
 		return now
 	}
 	return d.dueAt
@@ -115,15 +116,10 @@ func (d *Loopback) Arm(on bool) { d.wake = on }
 // Wakeup implements Device.
 func (d *Loopback) Wakeup() bool { return d.wake }
 
-// IdleUntil implements Idler: the wakeup line only moves when the host
-// calls Arm, never from Tick, so an unarmed loopback is quiet forever and
-// an armed one must be scanned every cycle.
-func (d *Loopback) IdleUntil(now uint64) uint64 {
-	if d.wake {
-		return now
-	}
-	return ^uint64(0)
-}
+// IdleUntil implements Idler: Tick does nothing and the wakeup line only
+// moves when the host calls Arm, between runs, so the loopback is quiet
+// forever, armed or not.
+func (d *Loopback) IdleUntil(uint64) uint64 { return ^uint64(0) }
 
 // Input implements Device: an endless counter pattern.
 func (d *Loopback) Input(now uint64) uint16 {

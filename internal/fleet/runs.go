@@ -271,18 +271,22 @@ func (s *Session) addRun(r *run) {
 }
 
 // subscribeRuns registers a watcher channel for the session's run-complete
-// events. The channel is buffered; a watcher that falls behind misses
+// events, or fails with errTooManyWatchers once maxWatchers are
+// registered. The channel is buffered; a watcher that falls behind misses
 // events rather than blocking completion (SSE clients resynchronize by
 // polling GetRun).
-func (s *Session) subscribeRuns() chan RunView {
-	c := make(chan RunView, 8)
+func (s *Session) subscribeRuns() (chan RunView, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.watchers) >= maxWatchers {
+		return nil, fmt.Errorf("%w: %d open on session %s", errTooManyWatchers, maxWatchers, s.id)
+	}
 	if s.watchers == nil {
 		s.watchers = map[chan RunView]struct{}{}
 	}
+	c := make(chan RunView, 8)
 	s.watchers[c] = struct{}{}
-	s.mu.Unlock()
-	return c
+	return c, nil
 }
 
 func (s *Session) unsubscribeRuns(c chan RunView) {

@@ -67,6 +67,8 @@ type Server struct {
 	mux *http.ServeMux
 	// DrainTimeout bounds the /v1/drain request (default 30s).
 	DrainTimeout time.Duration
+	// eventWriteTimeout bounds each event-stream write; tests shorten it.
+	eventWriteTimeout time.Duration
 	// Logger, when set, receives one structured record per request (request
 	// id, method, path, status, duration). NewServer seeds it from the
 	// manager's Config.Logger; nil disables access logging.
@@ -115,7 +117,7 @@ const maxSnapshotBody = 64 << 20
 
 // NewServer wraps a Manager in its HTTP API.
 func NewServer(m *Manager) *Server {
-	s := &Server{mgr: m, mux: http.NewServeMux(), DrainTimeout: 30 * time.Second, Logger: m.cfg.Logger}
+	s := &Server{mgr: m, mux: http.NewServeMux(), DrainTimeout: 30 * time.Second, eventWriteTimeout: eventWriteTimeout, Logger: m.cfg.Logger}
 	s.mux.HandleFunc("POST /v1/sessions", s.createSession)
 	s.mux.HandleFunc("GET /v1/sessions", s.listSessions)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.readState)
@@ -213,6 +215,8 @@ func classifyErr(err error) (string, int) {
 		return "busy", http.StatusConflict
 	case errors.Is(err, ErrNoStore):
 		return "no_store", http.StatusConflict
+	case errors.Is(err, errTooManyWatchers):
+		return "too_many_watchers", http.StatusTooManyRequests
 	case errors.As(err, &tooBig):
 		return "too_large", http.StatusRequestEntityTooLarge
 	case errors.Is(err, errBadInput):

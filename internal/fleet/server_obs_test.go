@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -349,5 +351,139 @@ func TestServerOpLatencyMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestServerEventsWatcherCap: a session serves at most maxWatchers event
+// streams; the next is refused with too_many_watchers (429) until one
+// closes, which frees its slot.
+func TestServerEventsWatcherCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	id := createSession(t, ts.URL, "")
+	url := ts.URL + "/v1/sessions/" + id + "/events?interval_ms=10000"
+	open := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	var streams []*http.Response
+	defer func() {
+		for _, resp := range streams {
+			resp.Body.Close()
+		}
+	}()
+	for i := 0; i < maxWatchers; i++ {
+		resp := open()
+		streams = append(streams, resp)
+		// The first event arrives after the subscription, so the slot is
+		// held once it is read.
+		if ev, ok := readSSE(t, bufio.NewReader(resp.Body)); resp.StatusCode != http.StatusOK || !ok || ev.name != "stats" {
+			t.Fatalf("stream %d: status %d, first event %+v", i, resp.StatusCode, ev)
+		}
+	}
+	resp := open()
+	var env ErrorEnvelope
+	err := json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || err != nil || env.Code != "too_many_watchers" {
+		t.Fatalf("stream %d: status %d, envelope %+v (%v), want 429 too_many_watchers", maxWatchers+1, resp.StatusCode, env, err)
+	}
+
+	streams[0].Body.Close()
+	streams = streams[1:]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp := open()
+		if resp.StatusCode == http.StatusOK {
+			streams = append(streams, resp)
+			break
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatalf("closing a stream did not free its slot: status %d", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// stalledWriter is the server side of a client that stopped reading: every
+// write blocks until the write deadline the handler set, then fails as a
+// socket write past its deadline does.
+type stalledWriter struct {
+	header   http.Header
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) FlushError() error   { return nil }
+
+func (w *stalledWriter) SetWriteDeadline(d time.Time) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.deadline = d
+	return nil
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	d := w.deadline
+	w.mu.Unlock()
+	if d.IsZero() {
+		// No deadline: a real socket would block for good. Give up after
+		// a while so the test fails instead of hanging.
+		d = time.Now().Add(3 * time.Second)
+	}
+	time.Sleep(time.Until(d))
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestServerEventsStalledReader: a stream whose client stops reading is
+// dropped once a write misses its deadline, and its watcher slot is
+// freed.
+func TestServerEventsStalledReader(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer drainNow(t, m)
+	srv := NewServer(m)
+	srv.eventWriteTimeout = 50 * time.Millisecond
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	id := createSession(t, ts.URL, "")
+	sess, ok := m.lookup(id)
+	if !ok {
+		t.Fatal("session not found")
+	}
+
+	w := &stalledWriter{header: http.Header{}}
+	req := httptest.NewRequest("GET", "/v1/sessions/"+id+"/events?interval_ms=50", nil)
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		srv.ServeHTTP(w, req)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream to a stalled reader was not dropped")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("stalled stream took %v to drop, want about the write timeout", took)
+	}
+	w.mu.Lock()
+	deadline := w.deadline
+	w.mu.Unlock()
+	if deadline.IsZero() {
+		t.Error("the stream wrote without a write deadline")
+	}
+	sess.mu.Lock()
+	n := len(sess.watchers)
+	sess.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d watchers still registered after the stalled stream ended", n)
 	}
 }

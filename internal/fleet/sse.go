@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -14,10 +15,12 @@ import (
 // Events stream (GET /v1/sessions/{id}/events) pushing periodic snapshots
 // of a session's counters while it runs. The stream reads only the
 // session's cached atomic stats — never the machine, never a session lock
-// around the simulation — so any number of watchers cost the hot loop
-// nothing. The flip side: the counters refresh when a worker finishes an
-// operation, so a stream shows progress at operation granularity (one
-// long run updates once, at its end).
+// around the simulation — so watchers cost the hot loop nothing. The flip
+// side: the counters refresh when a worker finishes an operation, so a
+// stream shows progress at operation granularity (one long run updates
+// once, at its end). A session serves at most maxWatchers streams, and
+// every write carries a deadline, so a client that stops reading is
+// dropped and its slot freed.
 //
 // Besides the periodic "stats" snapshots, the stream carries the runs
 // resource's completion notifications: every run that finishes on the
@@ -40,6 +43,18 @@ const (
 	minEventInterval     = 50 * time.Millisecond
 	maxEventInterval     = 10 * time.Second
 )
+
+// Event stream bounds. A session serves at most maxWatchers streams; the
+// next is refused with errTooManyWatchers (429 too_many_watchers) until
+// one ends. Every write must finish within eventWriteTimeout (the
+// Server's default), so a client that stops reading is dropped once the
+// kernel buffers fill, and its slot is freed.
+const (
+	maxWatchers       = 16
+	eventWriteTimeout = 10 * time.Second
+)
+
+var errTooManyWatchers = errors.New("fleet: session event stream limit reached")
 
 // Event is one SSE stats snapshot ("event: stats"). Counters come from
 // the session's scrape cache, refreshed after each completed operation.
@@ -102,58 +117,55 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		interval = min(max(time.Duration(ms)*time.Millisecond, minEventInterval), maxEventInterval)
 	}
-	runC := sess.subscribeRuns()
+	runC, err := sess.subscribeRuns()
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
 	defer sess.unsubscribeRuns(runC)
 
-	// Flush must reach the real writer through the access-log wrapper;
-	// statusWriter.Unwrap makes the controller's walk succeed.
+	// Flush and the write deadline must reach the real writer through the
+	// access-log wrapper; statusWriter.Unwrap makes the controller's walk
+	// succeed.
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
+	// send writes one event under a fresh write deadline, so a client that
+	// stops reading fails the write and ends the stream.
+	send := func(event string, data []byte) error {
+		if err := rc.SetWriteDeadline(time.Now().Add(s.eventWriteTimeout)); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+			return err
+		}
+		return rc.Flush()
+	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		if _, alive := s.mgr.lookup(id); !alive {
-			writeBye(w, rc, "destroyed")
+			send("bye", []byte(`{"reason":"destroyed"}`)) //nolint:errcheck // the stream ends either way
 			return
 		}
 		data, err := json.Marshal(sessionEvent(sess))
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: stats\ndata: %s\n\n", data); err != nil {
-			return
-		}
-		if err := rc.Flush(); err != nil {
+		if err != nil || send("stats", data) != nil {
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-s.mgr.DrainSignal():
-			writeBye(w, rc, "drain")
+			send("bye", []byte(`{"reason":"drain"}`)) //nolint:errcheck // the stream ends either way
 			return
 		case rv := <-runC:
 			data, err := json.Marshal(rv)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: run\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			if err := rc.Flush(); err != nil {
+			if err != nil || send("run", data) != nil {
 				return
 			}
 		case <-ticker.C:
 		}
 	}
-}
-
-// writeBye sends the terminal SSE event; errors are moot, the stream is
-// ending either way.
-func writeBye(w http.ResponseWriter, rc *http.ResponseController, reason string) {
-	fmt.Fprintf(w, "event: bye\ndata: {\"reason\":%q}\n\n", reason) //nolint:errcheck
-	rc.Flush()                                                      //nolint:errcheck
 }

@@ -10,8 +10,9 @@
 //     field-by-field comparison of the entire machine;
 //   - as bisection anchors: a checkpoint is taken every K cycles, and when
 //     a divergence appears the harness restores both paths from the last
-//     agreeing checkpoint and single-steps to the exact cycle — and thus
-//     the exact microinstruction — where the paths first disagree.
+//     agreeing checkpoint and reruns them for 1, 2, 3, ... cycles until the
+//     exact cycle — and thus the exact microinstruction — where the paths
+//     first disagree.
 //
 // The result is a Divergence carrying a ready-to-paste regression test, so
 // an overnight fuzz finding becomes a one-line repro in the test suite.
@@ -46,9 +47,7 @@ type Config struct {
 	// (hot threshold 4, so fuzz-sized programs get hot almost immediately):
 	// the differential then checks translated-vs-reference instead of
 	// predecoded-vs-reference, hunting translator bugs with the same
-	// oracle. Bisection advances the fast side with RunCycles(1) rather
-	// than Step so single-cycle execution still flows through the
-	// translated dispatch loop.
+	// oracle.
 	Translated bool
 	// FastIO attaches the fast-I/O pair — a Display consuming 16-word
 	// blocks from storage and a Scanner producing them — to both machines,
@@ -57,6 +56,13 @@ type Config struct {
 	// traffic they cause. Both sides get identical devices, so the oracle
 	// is unchanged.
 	FastIO bool
+	// Display attaches the display alone, at full storage bandwidth (a
+	// block every 8 cycles) and without the Scanner, whose missing event
+	// horizon (device.Idler) would make the processor scan devices every
+	// cycle: the shape of perfbench's devices sessions, where the device
+	// event horizon and the held-run shortcut carry the work. FastIO
+	// already includes a display, so with FastIO set it adds nothing.
+	Display bool
 
 	// Tamper, when set, mutates the fast-path machine before the given
 	// cycle executes — a fault injector proving a harness detects and
@@ -194,7 +200,8 @@ func stepBoth(cfg Config, fast, ref *core.Machine, k uint64) {
 // stepFast advances the fast side one cycle. In Translated mode it uses
 // RunCycles(1) so the cycle executes through the translated dispatch loop
 // (profile, enter, fuse) instead of the plain interpreter Step — otherwise
-// bisection would silently fall back to the very path it is not testing.
+// a tampered run would silently fall back to the very path it is not
+// testing.
 func stepFast(cfg Config, fast *core.Machine) {
 	if cfg.Translated {
 		fast.RunCycles(1)
@@ -204,7 +211,11 @@ func stepFast(cfg Config, fast *core.Machine) {
 }
 
 // bisect restores both interpreter paths from the last agreeing checkpoint
-// and single-steps them to the first cycle whose post-state differs.
+// and reruns them for n = 1, 2, 3, ... cycles until their post-states
+// first differ. Each rerun is one batched run, as the scan's were, so a
+// divergence that only a multi-cycle run can show (the device event
+// horizon, or held cycles retired in bulk) is localized too; stepping one
+// cycle at a time would hide it.
 func bisect(cfg Config, prog *masm.Program, lastGood []byte) (*Divergence, error) {
 	fast, err := buildMachine(prog, cfg, false)
 	if err != nil {
@@ -214,21 +225,26 @@ func bisect(cfg Config, prog *masm.Program, lastGood []byte) (*Divergence, error
 	if err != nil {
 		return nil, err
 	}
-	if err := fast.Restore(lastGood); err != nil {
-		return nil, fmt.Errorf("fuzzdiff: restore checkpoint onto fast path: %w", err)
-	}
-	if err := ref.Restore(lastGood); err != nil {
-		return nil, fmt.Errorf("fuzzdiff: restore checkpoint onto reference path: %w", err)
-	}
-	for i := uint64(0); i <= cfg.CheckpointEvery; i++ {
-		cycle := fast.Cycle()
-		task, pc := fast.CurTask(), fast.CurPC()
-		word := fast.IM(pc)
-		if cfg.Tamper != nil {
-			cfg.Tamper(cycle, fast)
+	restore := func() error {
+		if err := fast.Restore(lastGood); err != nil {
+			return fmt.Errorf("fuzzdiff: restore checkpoint onto fast path: %w", err)
 		}
-		stepFast(cfg, fast)
-		ref.Step()
+		if err := ref.Restore(lastGood); err != nil {
+			return fmt.Errorf("fuzzdiff: restore checkpoint onto reference path: %w", err)
+		}
+		return nil
+	}
+	if err := restore(); err != nil {
+		return nil, err
+	}
+	// The cycle the next rerun adds, and the instruction it runs.
+	cycle := fast.Cycle()
+	task, pc := fast.CurTask(), fast.CurPC()
+	for n := uint64(1); n <= cfg.CheckpointEvery; n++ {
+		if err := restore(); err != nil {
+			return nil, err
+		}
+		stepBoth(cfg, fast, ref, n)
 		fsnap, rsnap := fast.Snapshot(), ref.Snapshot()
 		if !bytes.Equal(fsnap, rsnap) {
 			d := &Divergence{
@@ -236,7 +252,7 @@ func bisect(cfg Config, prog *masm.Program, lastGood []byte) (*Divergence, error
 				Cycle:  cycle,
 				Task:   task,
 				PC:     pc,
-				Word:   word,
+				Word:   fast.IM(pc),
 				Detail: firstDiff(fsnap, rsnap),
 			}
 			d.Repro = repro(cfg, d)
@@ -245,8 +261,9 @@ func bisect(cfg Config, prog *masm.Program, lastGood []byte) (*Divergence, error
 		if fast.Halted() {
 			break
 		}
+		cycle, task, pc = fast.Cycle(), fast.CurTask(), fast.CurPC()
 	}
-	return nil, fmt.Errorf("fuzzdiff: checkpoint disagreed but single-stepping from it did not diverge within %d cycles", cfg.CheckpointEvery)
+	return nil, fmt.Errorf("fuzzdiff: checkpoint disagreed but rerunning from it did not diverge within %d cycles", cfg.CheckpointEvery)
 }
 
 // firstDiff describes the first byte at which two snapshots differ.
@@ -272,6 +289,8 @@ func repro(cfg Config, d *Divergence) string {
 	}
 	if cfg.FastIO {
 		fastPath += "+fastio"
+	} else if cfg.Display {
+		fastPath += "+display"
 	}
 	return fmt.Sprintf(`// Regression: %s and reference interpreters diverged.
 //   seed=%d cycle=%d task=%d pc=%v
@@ -284,6 +303,7 @@ func TestFuzzDiffSeed%d(t *testing.T) {
 		CheckpointEvery: %d,
 		Translated:      %t,
 		FastIO:          %t,
+		Display:         %t,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +313,7 @@ func TestFuzzDiffSeed%d(t *testing.T) {
 	}
 }
 `, fastPath, d.Seed, d.Cycle, d.Task, d.PC, d.Word, d.Word.Encode(),
-		d.Seed, d.Seed, cfg.Instructions, d.Cycle+1, cfg.CheckpointEvery, cfg.Translated, cfg.FastIO)
+		d.Seed, d.Seed, cfg.Instructions, d.Cycle+1, cfg.CheckpointEvery, cfg.Translated, cfg.FastIO, cfg.Display)
 }
 
 // fuzzMemConfig keeps storage small so per-checkpoint snapshots stay cheap
@@ -353,13 +373,18 @@ func buildMachine(prog *masm.Program, cfg Config, reference bool) (*core.Machine
 	m.SetIOAddress(9, 9)
 	m.SetTPC(9, prog.MustEntry("svc"))
 
-	if cfg.FastIO {
+	if cfg.FastIO || cfg.Display {
 		// The §7 fast-I/O pair on the generated "fio" routine: a display
-		// draining blocks from storage and a scanner writing them back.
-		// Block offsets accumulate in RM[2] and wrap within the small fuzz
-		// storage (memory.translate reduces out-of-range addresses mod the
-		// store), so the traffic is endless but deterministic.
-		disp := device.NewDisplay(13, m.Mem(), 24, 4)
+		// draining blocks from storage and, with FastIO, a scanner writing
+		// them back. Block offsets accumulate in RM[2] and wrap within the
+		// small fuzz storage (memory.translate reduces out-of-range
+		// addresses mod the store), so the traffic is endless but
+		// deterministic.
+		rate := 24
+		if !cfg.FastIO {
+			rate = 8
+		}
+		disp := device.NewDisplay(13, m.Mem(), rate, 4)
 		disp.SetBase(0x800)
 		if err := m.Attach(disp); err != nil {
 			return nil, err
@@ -367,6 +392,8 @@ func buildMachine(prog *masm.Program, cfg Config, reference bool) (*core.Machine
 		m.SetIOAddress(13, 13)
 		m.SetTPC(13, prog.MustEntry("fio"))
 		m.SetT(13, 16)
+	}
+	if cfg.FastIO {
 		sc := device.NewScanner(12, m.Mem(), 40, 4)
 		sc.SetBase(0xC00)
 		if err := m.Attach(sc); err != nil {

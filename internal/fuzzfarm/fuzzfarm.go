@@ -48,17 +48,24 @@ type Profile struct {
 	Translated bool `json:"translated"`
 	// FastIO attaches the display/scanner fast-I/O pair to both machines.
 	FastIO bool `json:"fastio"`
+	// Display attaches the display alone at full storage bandwidth
+	// (fuzzdiff.Config.Display): the devices-session shape, where the
+	// device event horizon and the held-run shortcut act.
+	Display bool `json:"display,omitempty"`
 }
 
 // DefaultProfiles returns the full campaign mix: reference vs predecoded
 // and vs translated, on bare machines and on device-driven (fast-I/O)
-// ones — the §7 configurations.
+// ones — the §7 configurations — plus the devices-session shape, whose
+// controllers all have event horizons (the fast-I/O profiles' Scanner has
+// none, which makes every cycle scan).
 func DefaultProfiles() []Profile {
 	return []Profile{
 		{Name: "bare"},
 		{Name: "bare-translated", Translated: true},
 		{Name: "fastio", FastIO: true},
 		{Name: "fastio-translated", Translated: true, FastIO: true},
+		{Name: "devices", Display: true},
 	}
 }
 
@@ -93,7 +100,8 @@ type Config struct {
 	Profiles []Profile
 	// Fuzz is the per-seed template: Instructions, Cycles, CheckpointEvery
 	// are taken from it (zero values pick the fuzzdiff defaults); Seed,
-	// Translated, FastIO, and Tamper are overwritten per work unit.
+	// Translated, FastIO, Display, and Tamper are overwritten per work
+	// unit.
 	Fuzz fuzzdiff.Config
 	// Duration, when positive, time-boxes the campaign: seeds not started
 	// by the deadline are skipped and the report is marked Interrupted.
@@ -373,6 +381,7 @@ func runShard(ctx context.Context, cfg Config, shard int, noteSeed func()) *shar
 			fcfg.Seed = seed
 			fcfg.Translated = p.Translated
 			fcfg.FastIO = p.FastIO
+			fcfg.Display = p.Display
 			fcfg.Tamper = cfg.Tamper
 			r, err := fuzzdiff.RunResult(fcfg)
 			res.stats.Cycles += r.Cycles

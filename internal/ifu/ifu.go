@@ -202,6 +202,17 @@ func (u *Unit) Tick(now uint64) {
 	u.stats.WordsFetch++
 }
 
+// IdleUntil returns the IFU's idle horizon after Tick(now): the first cycle
+// whose Tick may fetch, or now when the next one may. Until then Tick
+// changes nothing — a stopped unit or a full buffer stays so until the
+// processor dispatches or resets, so those report never.
+func (u *Unit) IdleUntil(now uint64) uint64 {
+	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes {
+		return ^uint64(0)
+	}
+	return max(u.readyAt, now)
+}
+
 // peekEntry returns the decode entry for the buffered opcode. An invalid
 // opcode with no Illegal handler never becomes ready (the machine holds
 // until its cycle limit; set an Illegal handler in real microcode).

@@ -189,8 +189,24 @@ func (s *System) translate(va uint32) uint32 {
 	return ra
 }
 
+// blockIndex translates the aligned block at va with one map lookup: a
+// block never crosses a page, so its words are consecutive in storage.
+// whole is false when the block runs past the end of storage, where each
+// word wraps and counts its own map fault (translate).
+func (s *System) blockIndex(va uint32) (ra uint32, whole bool) {
+	va &= VAMask
+	ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
+	return ra, int(ra)+LineWords <= len(s.data)
+}
+
 // storageFree reports whether a storage reference can start at cycle now.
 func (s *System) storageFree(now uint64) bool { return now >= s.storageFreeAt }
+
+// StorageFreeAt returns the first cycle at which a storage reference (a
+// miss fill, writeback or fast-I/O block) may start. Only a reference or a
+// Flush moves it, so an idle controller waiting for the pipe can sleep
+// until then.
+func (s *System) StorageFreeAt() uint64 { return s.storageFreeAt }
 
 // takeStorage occupies the storage pipe for n back-to-back RAM cycles.
 func (s *System) takeStorage(now uint64, n int) {
@@ -294,6 +310,30 @@ func (s *System) MDReadyFixed(task int, now uint64) bool {
 	return !md.pending || now >= md.issueAt+uint64(s.cfg.MissLatency)
 }
 
+// MDReadyAt returns the cycle at which a use of task's MD stops holding:
+// the fetch's readyAt, or under the fixed-wait ablation (fixedWait, see
+// MDReadyFixed) its issue cycle plus the miss latency.
+func (s *System) MDReadyAt(task int, fixedWait bool) uint64 {
+	md := &s.md[task&15]
+	if fixedWait {
+		return md.issueAt + uint64(s.cfg.MissLatency)
+	}
+	return md.readyAt
+}
+
+// RefReleaseAt returns a cycle before which a reference that CanRead or
+// CanWrite refused for task at now stays refused, provided no reference,
+// fast-I/O transfer or Flush happens in between: the earlier of the task's
+// outstanding fetch completing and the storage pipe freeing, counting only
+// the ones still ahead of now.
+func (s *System) RefReleaseAt(task int, now uint64) uint64 {
+	r := s.storageFreeAt
+	if md := &s.md[task&15]; md.pending && md.readyAt > now && (r <= now || md.readyAt < r) {
+		r = md.readyAt
+	}
+	return r
+}
+
 // MD returns task's memory-data word. Call only when MDReady; a too-early
 // call is a simulator-usage bug, not a hardware possibility.
 func (s *System) MD(task int, now uint64) uint16 {
@@ -339,8 +379,12 @@ func (s *System) FastRead(va uint32, now uint64) (block [LineWords]uint16, ok bo
 		return block, false
 	}
 	va &^= LineWords - 1
-	for i := range block {
-		block[i] = s.data[s.translate(va+uint32(i))]
+	if ra, whole := s.blockIndex(va); whole {
+		copy(block[:], s.data[ra:])
+	} else {
+		for i := range block {
+			block[i] = s.data[s.translate(va+uint32(i))]
+		}
 	}
 	s.takeStorage(now, 1)
 	s.stats.FastReads++
@@ -354,8 +398,12 @@ func (s *System) FastWrite(va uint32, block [LineWords]uint16, now uint64) bool 
 		return false
 	}
 	va &^= LineWords - 1
-	for i := range block {
-		s.data[s.translate(va+uint32(i))] = block[i]
+	if ra, whole := s.blockIndex(va); whole {
+		copy(s.data[ra:], block[:])
+	} else {
+		for i := range block {
+			s.data[s.translate(va+uint32(i))] = block[i]
+		}
 	}
 	s.cache.invalidate(va)
 	s.takeStorage(now, 1)

@@ -181,6 +181,22 @@ func (r *Recorder) NeedsCycle(now uint64, task int, held bool, lines uint16) boo
 	return key != r.fastKey || now+1 >= r.nextAt
 }
 
+// QuietUntil returns the first cycle at which NeedsCycle would report work
+// for cycles that all present this task, hold state and latch: 0 when the
+// next such cycle would, else the one before the next timeline sample.
+// Core bounds a run of identical held cycles it retires in one step with
+// it, so the recorder sees the same events as when called every cycle.
+func (r *Recorder) QuietUntil(task int, held bool, lines uint16) uint64 {
+	key := uint64(lines) | uint64(uint16(task))<<16
+	if held {
+		key |= heldKeyBit
+	}
+	if key != r.fastKey {
+		return 0
+	}
+	return r.nextAt - 1
+}
+
 // Cycle records one machine cycle. It is the hot-loop hook: core calls it
 // once per cycle when the recorder is attached (and, for speed, only when
 // NeedsCycle says there is work). Calling it on a no-event cycle is

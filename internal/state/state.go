@@ -47,9 +47,12 @@ type Encoder struct {
 	sect int // offset of the open section's length field, or -1
 }
 
-// NewEncoder starts a document with the magic and version header.
-func NewEncoder() *Encoder {
-	e := &Encoder{sect: -1}
+// NewEncoder starts a document with the magic and version header, with
+// room for a document of size bytes: a writer that knows about how large
+// its document is builds it in one allocation instead of growing the
+// buffer as it goes.
+func NewEncoder(size int) *Encoder {
+	e := &Encoder{sect: -1, data: make([]byte, 0, max(size, len(magic)+2))}
 	e.data = append(e.data, magic...)
 	e.data = binary.LittleEndian.AppendUint16(e.data, Version)
 	return e

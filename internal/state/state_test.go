@@ -8,7 +8,7 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	e := NewEncoder()
+	e := NewEncoder(0)
 	e.Section("AAAA")
 	e.U8(0x12)
 	e.U16(0x3456)
@@ -69,7 +69,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDeterministicEncoding(t *testing.T) {
 	build := func() []byte {
-		e := NewEncoder()
+		e := NewEncoder(0)
 		e.Section("TTTT")
 		e.U64(42)
 		return e.Bytes()
@@ -80,7 +80,7 @@ func TestDeterministicEncoding(t *testing.T) {
 }
 
 func TestStrictness(t *testing.T) {
-	e := NewEncoder()
+	e := NewEncoder(0)
 	e.Section("AAAA")
 	e.U32(7)
 	e.Section("ZZZZ")
@@ -128,14 +128,14 @@ func TestHeaderValidation(t *testing.T) {
 	if _, err := NewDecoder([]byte("junk")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	doc := NewEncoder().Bytes()
+	doc := NewEncoder(0).Bytes()
 	doc[4] = 0xFF // corrupt version
 	doc[5] = 0xFF
 	if _, err := NewDecoder(doc); err == nil {
 		t.Error("future version accepted")
 	}
 	// Truncated section framing.
-	e := NewEncoder()
+	e := NewEncoder(0)
 	e.Section("AAAA")
 	e.U64(1)
 	doc = e.Bytes()
@@ -145,7 +145,7 @@ func TestHeaderValidation(t *testing.T) {
 }
 
 func TestSplitJoinRoundTrip(t *testing.T) {
-	e := NewEncoder()
+	e := NewEncoder(0)
 	e.Section("AAAA")
 	e.U32(0xDEADBEEF)
 	e.Section("BBBB")
@@ -202,14 +202,14 @@ func TestU16sBulk(t *testing.T) {
 			for i := range words {
 				words[i] = uint16(rng.Uint32())
 			}
-			bulk := NewEncoder()
+			bulk := NewEncoder(0)
 			bulk.Section("WRDS")
 			bulk.U8(0xA5) // an odd offset: the run need not start aligned
 			bulk.U16s(words)
 			bulk.U8(0x5A)
 			doc := bulk.Bytes()
 
-			ref := NewEncoder()
+			ref := NewEncoder(0)
 			ref.Section("WRDS")
 			ref.U8(0xA5)
 			for _, w := range words {
@@ -247,7 +247,7 @@ func TestU16sBulk(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			short := NewEncoder() // the same run, one byte short
+			short := NewEncoder(0) // the same run, one byte short
 			short.Section("WRDS")
 			short.U16s(words[:n-1])
 			short.U8(uint8(words[n-1]))
