@@ -210,6 +210,13 @@ func TestDifferentialMesaEmulator(t *testing.T) {
 	diffPair(t, "mesa-emulator", 2_000_000, true, emulator.VAFrames, emulator.VAFrames+0x100, build)
 }
 
+// TestDifferentialMesaCalls runs compiled Mesa with recursive calls,
+// wide operands and frequent macro jumps (the mesacalls workload) on
+// every path.
+func TestDifferentialMesaCalls(t *testing.T) {
+	diffPair(t, "mesacalls", 300_000, true, emulator.VAFrames, emulator.VAFrames+0x100, BuildMesaCallsMachine)
+}
+
 // TestDifferentialDisk runs the E4 shape: disk word-source task alongside
 // the counting emulator, the 3-cycles-per-2-words transfer idiom.
 func TestDifferentialDisk(t *testing.T) {

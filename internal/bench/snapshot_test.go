@@ -77,11 +77,12 @@ func TestSplitRunEquivalence(t *testing.T) {
 // which should be a deliberate, reviewed event. On mismatch the test prints
 // the current hash; paste it here once the change is understood.
 var goldenHashes = map[string]string{
-	"emulator": "73896bd159681df8a3bc19b861a4febb7830f0f1300e4148cf273652ac4faf69",
-	"disk":     "ac7c024c2f51729c70860c8559adc11b66dc6e7bdf8a4cee14714ad744cb437a",
-	"fastio":   "7709b2c790ad111994dbb2248becc94c1f309e6c7e589b17e9ccc68f798e732c",
-	"slowio":   "a42382ef700d07588ebb80f2771cb77edb2df26efdaa8566a9b79519da9f34a2",
-	"bitblt":   "cf3cdafc2bc2d16870a9570cd7883a3292be881f6988442339ae4d3fd8777410",
+	"emulator":  "73896bd159681df8a3bc19b861a4febb7830f0f1300e4148cf273652ac4faf69",
+	"disk":      "ac7c024c2f51729c70860c8559adc11b66dc6e7bdf8a4cee14714ad744cb437a",
+	"fastio":    "7709b2c790ad111994dbb2248becc94c1f309e6c7e589b17e9ccc68f798e732c",
+	"slowio":    "a42382ef700d07588ebb80f2771cb77edb2df26efdaa8566a9b79519da9f34a2",
+	"bitblt":    "cf3cdafc2bc2d16870a9570cd7883a3292be881f6988442339ae4d3fd8777410",
+	"mesacalls": "fe841f593fbe901d5d3340f81b56024caade9bd81953b0f4058146f902ac05a4",
 }
 
 // TestGoldenSnapshots checks the content hash of each workload's snapshot

@@ -6,6 +6,7 @@ import (
 	"dorado/internal/device"
 	"dorado/internal/emulator"
 	"dorado/internal/masm"
+	"dorado/internal/mesac"
 	"dorado/internal/microcode"
 )
 
@@ -33,7 +34,60 @@ func Workloads() []Workload {
 		{ID: "fastio", Name: "Fast I/O display at full memory bandwidth (§7)", Build: BuildFastIOMachine},
 		{ID: "slowio", Name: "Slow I/O loopback through IODATA (§7)", Build: BuildSlowIOMachine},
 		{ID: "bitblt", Name: "BitBlt merge, src/dst/filter (§7)", Build: BuildBitBltMachine},
+		{ID: "mesacalls", Name: "Compiled Mesa: recursive calls, multiply/add and shift/xor loops", Build: BuildMesaCallsMachine},
 	}
+}
+
+// mesaCallsSource is a compiled-Mesa program of the shape perfbench's
+// Mesa sessions run (its emulate workload at seed 7): an endless main
+// loop over three instances each of a recursive kernel (CALL/RET), a
+// multiply/add loop and a shift/xor loop.
+const mesaCallsSource = `func rec0(n) { if n < 2 { return n + 13; } return rec0(n - 1) + rec0(n - 2); }
+func mix0(a, b) { var i = 0; while i < 9 { a = a * 17 + b; b = b ^ (a << 3); i = i + 1; } return a - b; }
+func bits0(x) { var c = 0; var i = 0; while i < 9 { c = c + (x & 11); x = (x ^ (x << 2)) | 45516; i = i + 1; } return c; }
+func rec1(n) { if n < 2 { return n + 9; } return rec1(n - 1) + rec1(n - 2); }
+func mix1(a, b) { var i = 0; while i < 9 { a = a * 5 + b; b = b ^ (a << 6); i = i + 1; } return a - b; }
+func bits1(x) { var c = 0; var i = 0; while i < 9 { c = c + (x & 199); x = (x ^ (x << 4)) | 30377; i = i + 1; } return c; }
+func rec2(n) { if n < 2 { return n + 15; } return rec2(n - 1) + rec2(n - 2); }
+func mix2(a, b) { var i = 0; while i < 9 { a = a * 17 + b; b = b ^ (a << 5); i = i + 1; } return a - b; }
+func bits2(x) { var c = 0; var i = 0; while i < 9 { c = c + (x & 44); x = (x ^ (x << 1)) | 45034; i = i + 1; } return c; }
+var acc = 30719;
+global 1 = 1;
+while 1 {
+    acc = acc ^ bits0(acc);
+    acc = mix1(acc, 12970);
+    acc = acc ^ bits2(acc);
+    acc = acc + rec2(7);
+    acc = mix2(acc, 38683);
+    acc = mix0(acc, 53759);
+    acc = acc + rec1(7);
+    acc = acc + rec0(7);
+    acc = acc ^ bits1(acc);
+    global 2 = acc;
+}
+`
+
+// BuildMesaCallsMachine boots the Mesa emulator on mesaCallsSource: the
+// call-heavy compiled mix (CALL/RET, wide operands, frequent IFU resets)
+// that the four-opcode emulator loop lacks.
+func BuildMesaCallsMachine(cfg core.Config) (*core.Machine, error) {
+	m, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mesa, err := emulator.BuildMesa()
+	if err != nil {
+		return nil, err
+	}
+	p, err := mesac.Compile(mesaCallsSource)
+	if err != nil {
+		return nil, err
+	}
+	p.InstallOn(m)
+	if err := mesa.InstallOn(m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // BuildEmulatorMachine boots the Mesa emulator on an endless

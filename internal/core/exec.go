@@ -290,11 +290,11 @@ func (m *Machine) nextAddr(d *decoded, ts *taskState, bVal uint16, now uint64) m
 	case microcode.NextReturn:
 		return ts.link
 	case microcode.NextIFUJump:
-		a := m.ifu.Dispatch(now)
-		if e := m.ifu.LastEntry(); e.LoadMemBase {
+		a, mb := m.ifu.Dispatch(now)
+		if mb >= 0 {
 			// §6.3.3: MEMBASE loaded from the IFU at the start of a
 			// macroinstruction.
-			m.membase = e.MemBase & 0x1F
+			m.membase = uint8(mb) & 0x1F
 		}
 		return a
 	case microcode.NextDispatch8:

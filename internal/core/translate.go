@@ -115,10 +115,6 @@ type superblock struct {
 	// under task 0 the bit selects a stack operation, under any other task
 	// it releases the processor, so such blocks only run as task 0.
 	task0Only bool
-	// ifuSafe: no instruction can start the IFU (FF IFUReset), so when the
-	// IFU is stopped at block entry it stays stopped and its per-cycle Tick
-	// (a no-op on a stopped unit) is skipped.
-	ifuSafe bool
 }
 
 // translator is the per-machine translation state: profile counters and
@@ -241,9 +237,6 @@ func (m *Machine) runBlockFast(b *superblock, limit uint64) {
 	code := b.code
 	reason := ExitFallThrough
 	lastHeld := false
-	// A stopped IFU stays stopped (nothing in the block can Reset it, see
-	// ifuSafe), so its no-op Tick is hoisted out of the cycle loop.
-	tickIFU := !b.ifuSafe || m.ifu.Running()
 	for i := 0; i < len(code); {
 		if m.cycle >= limit {
 			reason = ExitLimit
@@ -260,9 +253,7 @@ func (m *Machine) runBlockFast(b *superblock, limit uint64) {
 			break
 		}
 		now := m.cycle
-		if tickIFU {
-			m.ifu.Tick(now)
-		}
+		m.ifu.Tick(now)
 		exit := code[i](m, now)
 		held := exit == instHeld
 		// Service granted to task 0 every cycle it runs: step clears the
@@ -325,7 +316,6 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 	cur := m.curTask
 	readyBit := uint16(1) << cur
 	nextDev := m.devs[cur]
-	tickIFU := !b.ifuSafe || m.ifu.Running()
 	reason := ExitFallThrough
 	lastHeld := false
 	for i := 0; i < len(code); {
@@ -351,9 +341,7 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 		if now >= m.devQuiet {
 			m.scanDevices(now)
 		}
-		if tickIFU {
-			m.ifu.Tick(now)
-		}
+		m.ifu.Tick(now)
 		lines := uint16(1) | m.ready | m.devLines
 		exit := code[i](m, now)
 		held := exit == instHeld
@@ -409,7 +397,7 @@ out:
 // inner loops of block transfers) amortize block entry over many cycles.
 func (m *Machine) translate(start microcode.Addr) *superblock {
 	t := m.trans
-	b := &superblock{start: start, ifuSafe: true}
+	b := &superblock{start: start}
 	visited := make([]microcode.Addr, 0, maxBlock)
 	visited = append(visited, start)
 	pc := start
@@ -418,9 +406,6 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 		d := &m.dim[pc]
 		if d.block {
 			b.task0Only = true
-		}
-		if d.ffop == microcode.FFIFUReset {
-			b.ifuSafe = false
 		}
 		switch d.op.Kind {
 		case microcode.NextGoto, microcode.NextCall,

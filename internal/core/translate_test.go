@@ -249,9 +249,6 @@ func TestTranslateDevUnsafeBlock(t *testing.T) {
 	if b == nil {
 		t.Fatal("loop did not translate")
 	}
-	if !b.ifuSafe {
-		t.Error("block without FF IFUReset not marked ifuSafe")
-	}
 	tr := diffTranslated(t, "output-wakes", 3_000, 101, func(cfg Config) (*Machine, error) {
 		cfg.Memory = smallMem
 		m, err := New(cfg)

@@ -88,15 +88,38 @@ type Stats struct {
 	WordsFetch uint64 // words prefetched from memory
 }
 
-// Unit is the instruction fetch unit.
+// never is the horizon of an event that no amount of waiting brings: only
+// a Reset, a Dispatch or a table change can.
+const never = ^uint64(0)
+
+// noLast marks Unit.last as holding the most recent dispatch's entry.
+const noLast = -1
+
+// slot is the decode table compiled for dispatch: what the processor needs
+// of one opcode, with an invalid opcode already resolved to the Illegal
+// handler, or to never dispatching when there is none.
+type slot struct {
+	handler microcode.Addr
+	n       uint8 // instruction bytes, opcode included; 0: never dispatches
+	wide    bool
+	loadMB  bool
+	memBase uint8
+}
+
+// Unit is the instruction fetch unit. It decodes each opcode once, when
+// its table row is installed, into a dispatch slot, and keeps two event
+// horizons current as its buffer and table change: the next cycle whose
+// Tick fetches and the cycle the head instruction can dispatch. Tick and
+// DispatchReady are then one compare each, as the hardware's separate
+// decode stage makes them (§5.8).
 type Unit struct {
 	cfg   Config
 	mem   *memory.System
 	table [256]Entry
-	// Illegal is the handler used for invalid opcodes (set it before
-	// running; dispatching an invalid opcode without it is an error and
-	// halts decode).
-	Illegal microcode.Addr
+	// slots mirrors table (and the Illegal handler) for dispatch. SetEntry
+	// updates one slot; SetIllegal, ResetTable and LoadState rebuild all.
+	slots   [256]slot
+	illegal microcode.Addr
 	hasIll  bool
 
 	codeBase uint32 // word VA of byte 0 of the code segment
@@ -106,13 +129,24 @@ type Unit struct {
 	headPC  uint32 // byte offset of buf[0]
 	readyAt uint64 // cycle at which buffered bytes become usable (refill/decode latency)
 
+	// fetchAt is the first cycle whose Tick fetches (never while stopped
+	// or full); dispatchAt is the first cycle the head instruction can
+	// dispatch (never until all its bytes are buffered).
+	fetchAt    uint64
+	dispatchAt uint64
+
 	// Current (dispatched) instruction's pending operands. A fixed array
 	// (instructions carry at most one wide or two byte operands) so the
 	// dispatch/consume cycle never allocates.
 	ops    [2]uint16
 	opHead uint8 // next operand to deliver
 	opLen  uint8 // operands latched by the current instruction
-	last   Entry // most recently dispatched entry
+	// The most recently dispatched entry, built lazily: Dispatch records
+	// only the opcode in lastOp, and LastEntry reads its row from the
+	// table. A table change first settles the row into last (lastOp =
+	// noLast), so it stays the entry as dispatched.
+	last   Entry
+	lastOp int
 
 	running bool
 	stats   Stats
@@ -120,7 +154,7 @@ type Unit struct {
 
 // New builds an IFU reading code through mem.
 func New(mem *memory.System, cfg Config) *Unit {
-	return &Unit{cfg: cfg.withDefaults(), mem: mem}
+	return &Unit{cfg: cfg.withDefaults(), mem: mem, fetchAt: never, dispatchAt: never, lastOp: noLast}
 }
 
 // SetEntry installs a decode-table row for opcode op.
@@ -131,23 +165,75 @@ func (u *Unit) SetEntry(op uint8, e Entry) error {
 	if e.Wide && e.Operands != 2 {
 		return fmt.Errorf("ifu: opcode %#02x: Wide requires 2 operand bytes", op)
 	}
+	u.settleLast()
 	e.Valid = true
 	u.table[op] = e
+	u.compile(op)
+	u.armDispatch()
 	return nil
 }
 
 // ResetTable clears every decode entry and the Illegal handler (rebooting
 // a different emulator on the same machine).
 func (u *Unit) ResetTable() {
+	u.settleLast()
 	u.table = [256]Entry{}
 	u.hasIll = false
-	u.Illegal = 0
+	u.illegal = 0
+	u.compileAll()
 }
 
-// SetIllegal installs the handler for invalid opcodes.
+// SetIllegal installs the handler for invalid opcodes. Dispatching an
+// invalid opcode without one never becomes ready: the machine holds until
+// its cycle limit.
 func (u *Unit) SetIllegal(h microcode.Addr) {
-	u.Illegal = h
+	u.settleLast()
+	u.illegal = h
 	u.hasIll = true
+	u.compileAll()
+}
+
+// compile rebuilds opcode op's dispatch slot from its table row.
+func (u *Unit) compile(op uint8) {
+	e := &u.table[op]
+	switch {
+	case e.Valid:
+		u.slots[op] = slot{handler: e.Handler, n: uint8(1 + e.Operands), wide: e.Wide, loadMB: e.LoadMemBase, memBase: e.MemBase}
+	case u.hasIll:
+		u.slots[op] = slot{handler: u.illegal, n: 1}
+	default:
+		u.slots[op] = slot{}
+	}
+}
+
+// compileAll rebuilds every slot and both horizons.
+func (u *Unit) compileAll() {
+	for op := range u.slots {
+		u.compile(uint8(op))
+	}
+	u.armFetch()
+	u.armDispatch()
+}
+
+// armFetch recomputes fetchAt: the refill's first cycle while the unit
+// runs with room for a word, never otherwise.
+func (u *Unit) armFetch() {
+	u.fetchAt = never
+	if u.running && len(u.buf)+2 <= u.cfg.BufferBytes {
+		u.fetchAt = u.readyAt
+	}
+}
+
+// armDispatch recomputes dispatchAt from the buffer: the head instruction
+// dispatches DecodeLatency cycles after the refill's first word once all
+// its bytes are buffered.
+func (u *Unit) armDispatch() {
+	u.dispatchAt = never
+	if u.running && len(u.buf) > 0 {
+		if n := u.slots[u.buf[0]].n; n != 0 && len(u.buf) >= int(n) {
+			u.dispatchAt = u.readyAt + uint64(u.cfg.DecodeLatency)
+		}
+	}
 }
 
 // SetCodeBase points the IFU at the word VA holding byte 0 of the
@@ -160,10 +246,6 @@ func (u *Unit) Stats() Stats { return u.stats }
 
 // PC returns the byte offset of the next macroinstruction to dispatch.
 func (u *Unit) PC() uint32 { return u.headPC }
-
-// Running reports whether the IFU is fetching — a Reset has started it and
-// nothing has stopped it since. A stopped IFU's Tick is a no-op.
-func (u *Unit) Running() bool { return u.running }
 
 // Reset restarts the IFU at byte offset pc (the FF IFUReset operation; B
 // carries the 16-bit target). The buffer refills from scratch, modeling the
@@ -181,16 +263,21 @@ func (u *Unit) Reset(pc uint16, now uint64) {
 	u.readyAt = now + uint64(u.cfg.FetchLatency)
 	u.running = true
 	u.stats.Resets++
+	u.armFetch()
+	u.dispatchAt = never
 }
 
 // Tick advances the prefetcher one cycle: after the startup latency, one
 // word (two bytes) arrives per cycle until the buffer is full.
 func (u *Unit) Tick(now uint64) {
-	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes || now < u.readyAt {
-		return
+	if now >= u.fetchAt {
+		u.fetch()
 	}
-	// Fetch the word containing bytePC. Byte order within the stream is
-	// high byte first.
+}
+
+// fetch buffers the word containing bytePC. Byte order within the stream
+// is high byte first.
+func (u *Unit) fetch() {
 	w := u.mem.Peek(u.codeBase + u.bytePC/2)
 	if u.bytePC%2 == 0 {
 		u.buf = append(u.buf, byte(w>>8), byte(w))
@@ -200,70 +287,46 @@ func (u *Unit) Tick(now uint64) {
 		u.bytePC++
 	}
 	u.stats.WordsFetch++
+	if len(u.buf)+2 > u.cfg.BufferBytes {
+		u.fetchAt = never
+	}
+	if u.dispatchAt == never {
+		u.armDispatch()
+	}
 }
 
 // IdleUntil returns the IFU's idle horizon after Tick(now): the first cycle
 // whose Tick may fetch, or now when the next one may. Until then Tick
 // changes nothing — a stopped unit or a full buffer stays so until the
 // processor dispatches or resets, so those report never.
-func (u *Unit) IdleUntil(now uint64) uint64 {
-	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes {
-		return ^uint64(0)
-	}
-	return max(u.readyAt, now)
-}
-
-// peekEntry returns the decode entry for the buffered opcode. An invalid
-// opcode with no Illegal handler never becomes ready (the machine holds
-// until its cycle limit; set an Illegal handler in real microcode).
-func (u *Unit) peekEntry() (Entry, bool) {
-	if len(u.buf) == 0 {
-		return Entry{}, false
-	}
-	e := u.table[u.buf[0]]
-	if !e.Valid {
-		if !u.hasIll {
-			return Entry{}, false
-		}
-		e = Entry{Valid: true, Handler: u.Illegal, Name: "ILLEGAL"}
-	}
-	if len(u.buf) < 1+e.Operands {
-		return Entry{}, false
-	}
-	return e, true
-}
+func (u *Unit) IdleUntil(now uint64) uint64 { return max(u.fetchAt, now) }
 
 // DispatchReady reports whether an IFUJUMP can complete at cycle now: the
 // next instruction's bytes are buffered and decoded. When false the
 // processor holds.
-func (u *Unit) DispatchReady(now uint64) bool {
-	if !u.running || now < u.readyAt+uint64(u.cfg.DecodeLatency) {
-		return false
-	}
-	_, ok := u.peekEntry()
-	return ok
-}
+func (u *Unit) DispatchReady(now uint64) bool { return now >= u.dispatchAt }
 
 // Dispatch consumes the next macroinstruction: it returns the handler
-// address and latches the instruction's operands for IFUDATA. Call only
-// when DispatchReady. The full decode entry is available from LastEntry
-// (the processor applies LoadMemBase from it).
-func (u *Unit) Dispatch(now uint64) microcode.Addr {
-	e, ok := u.peekEntry()
-	if !ok {
+// address and the MEMBASE value the dispatch loads (§6.3.3: MEMBASE "can
+// be loaded from the IFU at the start of a macroinstruction"), or -1 when
+// the opcode loads none, and latches the instruction's operands for
+// IFUDATA. Call only when DispatchReady.
+func (u *Unit) Dispatch(now uint64) (handler microcode.Addr, memBase int) {
+	if u.dispatchAt == never {
 		panic("ifu: Dispatch while not ready (processor must Hold)")
 	}
-	u.last = e
-	n := 1 + e.Operands
-	u.opHead, u.opLen = 0, 0
-	if e.Wide {
+	op := u.buf[0]
+	s := &u.slots[op]
+	n := int(s.n)
+	u.opHead = 0
+	if s.wide {
 		u.ops[0] = uint16(u.buf[1])<<8 | uint16(u.buf[2])
 		u.opLen = 1
 	} else {
-		for i := 0; i < e.Operands; i++ {
-			u.ops[i] = uint16(u.buf[1+i])
+		for i := 1; i < n; i++ {
+			u.ops[i-1] = uint16(u.buf[i])
 		}
-		u.opLen = uint8(e.Operands)
+		u.opLen = uint8(n - 1)
 	}
 	// Copy-down instead of re-slicing: the buffer keeps its backing array,
 	// so the prefetcher's appends stay within capacity (no allocation).
@@ -271,7 +334,14 @@ func (u *Unit) Dispatch(now uint64) microcode.Addr {
 	u.headPC += uint32(n)
 	u.stats.BytesRead += uint64(n)
 	u.stats.Dispatches++
-	return e.Handler
+	u.lastOp = int(op)
+	u.armFetch()
+	u.armDispatch()
+	memBase = -1
+	if s.loadMB {
+		memBase = int(s.memBase)
+	}
+	return s.handler, memBase
 }
 
 // PeekOperand returns the next operand without consuming it (the processor
@@ -284,8 +354,26 @@ func (u *Unit) PeekOperand() uint16 {
 	return u.ops[u.opHead]
 }
 
-// LastEntry returns the decode entry of the most recent Dispatch.
-func (u *Unit) LastEntry() Entry { return u.last }
+// LastEntry returns the decode entry of the most recent Dispatch: the
+// opcode's table row, or for an invalid opcode the Illegal handler's
+// entry, as they stood when it dispatched.
+func (u *Unit) LastEntry() Entry {
+	if u.lastOp == noLast {
+		return u.last
+	}
+	e := u.table[u.lastOp]
+	if !e.Valid {
+		e = Entry{Valid: true, Handler: u.illegal, Name: "ILLEGAL"}
+	}
+	return e
+}
+
+// settleLast builds the last dispatch's entry before the table changes
+// under it.
+func (u *Unit) settleLast() {
+	u.last = u.LastEntry()
+	u.lastOp = noLast
+}
 
 // OperandReady reports whether an IFUDATA read can complete: dispatch has
 // latched at least one unconsumed operand. Operands are buffered with the

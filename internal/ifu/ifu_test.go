@@ -48,7 +48,7 @@ func TestDispatchSimpleOpcode(t *testing.T) {
 	}
 	u.Reset(0, 0)
 	now := waitReady(t, u, 0, 100)
-	if h := u.Dispatch(now); h != 0x123 {
+	if h, _ := u.Dispatch(now); h != 0x123 {
 		t.Fatalf("handler = %v", h)
 	}
 	if u.PC() != 1 {
@@ -77,7 +77,7 @@ func TestOperandsByteAndWide(t *testing.T) {
 	u.Reset(0, 0)
 
 	now := waitReady(t, u, 0, 100)
-	if h := u.Dispatch(now); h != 2 {
+	if h, _ := u.Dispatch(now); h != 2 {
 		t.Fatalf("first handler = %v", h)
 	}
 	if !u.OperandReady() {
@@ -91,7 +91,7 @@ func TestOperandsByteAndWide(t *testing.T) {
 	}
 
 	now = waitReady(t, u, now+1, now+100)
-	if h := u.Dispatch(now); h != 3 {
+	if h, _ := u.Dispatch(now); h != 3 {
 		t.Fatalf("second handler = %v", h)
 	}
 	if v := u.Operand(); v != 0xCDEF {
@@ -99,7 +99,7 @@ func TestOperandsByteAndWide(t *testing.T) {
 	}
 
 	now = waitReady(t, u, now+1, now+100)
-	if h := u.Dispatch(now); h != 1 {
+	if h, _ := u.Dispatch(now); h != 1 {
 		t.Fatalf("third handler = %v", h)
 	}
 	if u.OperandReady() {
@@ -157,7 +157,7 @@ func TestIllegalOpcode(t *testing.T) {
 	u.SetIllegal(0xABC)
 	u.Reset(0, 0)
 	now := waitReady(t, u, 0, 100)
-	if h := u.Dispatch(now); h != 0xABC {
+	if h, _ := u.Dispatch(now); h != 0xABC {
 		t.Fatalf("illegal handler = %v", h)
 	}
 }
@@ -179,7 +179,7 @@ func TestOddByteAlignment(t *testing.T) {
 	u.SetEntry(0x20, Entry{Handler: 5, Operands: 1})
 	u.Reset(1, 0)
 	now := waitReady(t, u, 0, 100)
-	if h := u.Dispatch(now); h != 5 {
+	if h, _ := u.Dispatch(now); h != 5 {
 		t.Fatalf("handler = %v", h)
 	}
 	if v := u.Operand(); v != 0xAB {
@@ -217,12 +217,16 @@ func TestLastEntryAndMemBase(t *testing.T) {
 	u.SetEntry(0x11, Entry{Handler: 2, Name: "MB", LoadMemBase: true, MemBase: 7})
 	u.Reset(0, 0)
 	now := waitReady(t, u, 0, 100)
-	u.Dispatch(now)
+	if _, mb := u.Dispatch(now); mb != 7 {
+		t.Fatalf("Dispatch MEMBASE = %d, want 7", mb)
+	}
 	if e := u.LastEntry(); !e.LoadMemBase || e.MemBase != 7 || e.Name != "MB" {
 		t.Fatalf("LastEntry = %+v", e)
 	}
 	now = waitReady(t, u, now+1, now+100)
-	u.Dispatch(now)
+	if _, mb := u.Dispatch(now); mb != -1 {
+		t.Fatalf("Dispatch MEMBASE = %d for an opcode that loads none", mb)
+	}
 	if e := u.LastEntry(); e.LoadMemBase {
 		t.Fatalf("LastEntry did not update: %+v", e)
 	}

@@ -22,7 +22,7 @@ func (u *Unit) SaveState(e *state.Encoder) {
 
 	e.Section(sectIFUState)
 	e.Bool(u.hasIll)
-	e.U16(uint16(u.Illegal))
+	e.U16(uint16(u.illegal))
 	e.U32(u.codeBase)
 	e.U32(u.bytePC)
 	e.U32(u.headPC)
@@ -33,7 +33,8 @@ func (u *Unit) SaveState(e *state.Encoder) {
 	e.U16(u.ops[1])
 	e.U8(u.opHead)
 	e.U8(u.opLen)
-	saveEntry(e, &u.last)
+	last := u.LastEntry()
+	saveEntry(e, &last)
 	e.U64(u.stats.Dispatches)
 	e.U64(u.stats.Resets)
 	e.U64(u.stats.BytesRead)
@@ -85,7 +86,7 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 		return err
 	}
 	u.hasIll = d.Bool()
-	u.Illegal = microcode.Addr(d.U16())
+	u.illegal = microcode.Addr(d.U16())
 	u.codeBase = d.U32()
 	u.bytePC = d.U32()
 	u.headPC = d.U32()
@@ -104,6 +105,7 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 	u.opHead = d.U8()
 	u.opLen = d.U8()
 	loadEntry(d, &u.last)
+	u.lastOp = noLast
 	u.stats.Dispatches = d.U64()
 	u.stats.Resets = d.U64()
 	u.stats.BytesRead = d.U64()
@@ -111,5 +113,6 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 	for i := range u.table {
 		loadEntry(d, &u.table[i])
 	}
+	u.compileAll()
 	return d.Err()
 }

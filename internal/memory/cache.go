@@ -1,6 +1,9 @@
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineWords is the cache line ("munch") size in 16-bit words. It equals the
 // fast-I/O block size: storage moves data in 16-word units (§5.8).
@@ -11,10 +14,13 @@ const LineWords = 16
 // resident, their dirtiness, and LRU order, to decide hit vs miss and
 // writeback traffic.
 type cache struct {
-	sets  int
 	ways  int
 	lines []line // sets × ways
-	clock uint32 // LRU timestamp source
+	// setMask and tagShift index by mask and shift, since sets is a power
+	// of two: set = va/LineWords mod sets, tag = va/LineWords/sets.
+	setMask  uint32
+	tagShift uint
+	clock    uint32 // LRU timestamp source
 	// stats
 	hits, misses, writebacks uint64
 }
@@ -34,41 +40,34 @@ func newCache(words, ways int) (*cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("memory: cache set count %d not a power of two", sets)
 	}
-	return &cache{sets: sets, ways: ways, lines: make([]line, sets*ways)}, nil
+	return &cache{ways: ways, lines: make([]line, sets*ways),
+		setMask: uint32(sets - 1), tagShift: uint(bits.TrailingZeros(uint(sets * LineWords)))}, nil
 }
 
 func (c *cache) set(va uint32) []line {
-	s := int(va/LineWords) & (c.sets - 1)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+	s := int(va/LineWords&c.setMask) * c.ways
+	return c.lines[s : s+c.ways]
 }
 
-func (c *cache) tag(va uint32) uint32 { return va / LineWords / uint32(c.sets) }
+func (c *cache) tag(va uint32) uint32 { return va >> c.tagShift }
 
-// lookup reports whether va hits, updating LRU on hit.
-func (c *cache) lookup(va uint32) bool {
+// find returns va's resident line, or nil on a miss, without LRU or stat
+// side effects.
+func (c *cache) find(va uint32) *line {
 	set := c.set(va)
 	t := c.tag(va)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
-			c.touch(&set[i])
-			c.hits++
-			return true
+			return &set[i]
 		}
 	}
-	c.misses++
-	return false
+	return nil
 }
 
-// peek is lookup without LRU/stat side effects.
-func (c *cache) peek(va uint32) bool {
-	set := c.set(va)
-	t := c.tag(va)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return true
-		}
-	}
-	return false
+// hit accounts a reference to resident line l: LRU and the hit count.
+func (c *cache) hit(l *line) {
+	c.touch(l)
+	c.hits++
 }
 
 func (c *cache) touch(l *line) {
@@ -76,9 +75,9 @@ func (c *cache) touch(l *line) {
 	l.lru = c.clock
 }
 
-// fill installs the line containing va, returning whether a dirty victim
-// was evicted (which costs a writeback storage cycle).
-func (c *cache) fill(va uint32) (evictedDirty bool) {
+// fill installs the line containing va, returning it and whether a dirty
+// victim was evicted (which costs a writeback storage cycle).
+func (c *cache) fill(va uint32) (l *line, evictedDirty bool) {
 	set := c.set(va)
 	victim := &set[0]
 	for i := range set {
@@ -96,19 +95,7 @@ func (c *cache) fill(va uint32) (evictedDirty bool) {
 	}
 	*victim = line{valid: true, tag: c.tag(va)}
 	c.touch(victim)
-	return evictedDirty
-}
-
-// markDirty marks va's line dirty (assumes resident).
-func (c *cache) markDirty(va uint32) {
-	set := c.set(va)
-	t := c.tag(va)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].dirty = true
-			return
-		}
-	}
+	return victim, evictedDirty
 }
 
 // invalidate drops the line containing va if resident, reporting whether it

@@ -104,6 +104,9 @@ func (s *System) TakeFault() (Fault, bool) {
 // a fault (recording it and counting it). Stores to WP pages must also be
 // suppressed by the caller.
 func (s *System) checkRef(task int, va uint32, isStore bool) (faulted bool) {
+	if len(s.vmapx) == 0 {
+		return false // no page has flags yet: the common, identity-mapped case
+	}
 	vp := (va & VAMask) / PageWords
 	e, ok := s.vmapx[vp]
 	if !ok {

@@ -178,10 +178,14 @@ func (s *System) MapGet(vp uint32) uint32 {
 	return vp
 }
 
-// translate maps a virtual address to a real storage index.
+// translate maps a virtual address to a real storage index. While no page
+// has an override the map is the identity, and the lookup is skipped.
 func (s *System) translate(va uint32) uint32 {
 	va &= VAMask
-	ra := s.MapGet(va/PageWords)*PageWords + va%PageWords
+	ra := va
+	if len(s.vmapx) != 0 {
+		ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
+	}
 	if int(ra) >= len(s.data) {
 		s.stats.MapFaults++
 		ra %= uint32(len(s.data))
@@ -195,7 +199,10 @@ func (s *System) translate(va uint32) uint32 {
 // word wraps and counts its own map fault (translate).
 func (s *System) blockIndex(va uint32) (ra uint32, whole bool) {
 	va &= VAMask
-	ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
+	ra = va
+	if len(s.vmapx) != 0 {
+		ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
+	}
 	return ra, int(ra)+LineWords <= len(s.data)
 }
 
@@ -222,13 +229,13 @@ func (s *System) CanRead(task int, va uint32, now uint64) bool {
 	if md.pending && now < md.readyAt {
 		return false
 	}
-	return s.cache.peek(va) || s.storageFree(now)
+	return s.cache.find(va) != nil || s.storageFree(now)
 }
 
 // CanWrite reports, without side effects, whether StartWrite would accept a
 // reference at cycle now.
 func (s *System) CanWrite(va uint32, now uint64) bool {
-	return s.cache.peek(va) || s.storageFree(now)
+	return s.cache.find(va) != nil || s.storageFree(now)
 }
 
 // StartRead begins a fetch for task at va. It returns false when the memory
@@ -240,18 +247,18 @@ func (s *System) StartRead(task int, va uint32, now uint64) bool {
 	if md.pending && now < md.readyAt {
 		return false // one outstanding fetch per task; use MD first
 	}
-	hit := s.cache.peek(va)
-	if !hit && !s.storageFree(now) {
+	l := s.cache.find(va)
+	if l == nil && !s.storageFree(now) {
 		return false // retried via Hold; counted once when accepted
 	}
 	s.stats.Reads++
 	s.checkRef(task, va, false) // flag maintenance + vacancy fault
 	latency := s.cfg.HitLatency
-	if hit {
-		s.cache.lookup(va) // LRU + hit accounting
+	if l != nil {
+		s.cache.hit(l)
 	} else {
 		s.cache.misses++ // accounted here; fill() below does the install
-		if s.cache.fill(va) {
+		if _, dirty := s.cache.fill(va); dirty {
 			s.takeStorage(now, 2) // line fill + victim writeback
 		} else {
 			s.takeStorage(now, 1)
@@ -269,8 +276,8 @@ func (s *System) StartRead(task int, va uint32, now uint64) bool {
 // they return false (Hold) only when they miss while the storage pipe is
 // busy. The cache is write-allocate, write-back.
 func (s *System) StartWrite(task int, va uint32, data uint16, now uint64) bool {
-	hit := s.cache.peek(va)
-	if !hit && !s.storageFree(now) {
+	l := s.cache.find(va)
+	if l == nil && !s.storageFree(now) {
 		return false
 	}
 	s.stats.Writes++
@@ -280,17 +287,18 @@ func (s *System) StartWrite(task int, va uint32, data uint16, now uint64) bool {
 		// task cleans up.
 		return true
 	}
-	if hit {
-		s.cache.lookup(va)
+	if l != nil {
+		s.cache.hit(l)
 	} else {
 		s.cache.misses++
-		if s.cache.fill(va) {
+		var dirty bool
+		if l, dirty = s.cache.fill(va); dirty {
 			s.takeStorage(now, 2)
 		} else {
 			s.takeStorage(now, 1)
 		}
 	}
-	s.cache.markDirty(va)
+	l.dirty = true
 	s.data[s.translate(va)] = data
 	return true
 }
@@ -348,7 +356,7 @@ func (s *System) MD(task int, now uint64) uint16 {
 // Warm installs va's cache line without any timing effects — a setup
 // helper for tests and benchmarks that need a known-warm cache.
 func (s *System) Warm(va uint32) {
-	if !s.cache.peek(va) {
+	if s.cache.find(va) == nil {
 		s.cache.fill(va)
 	}
 }
@@ -368,7 +376,7 @@ func (s *System) Flush(va uint32, now uint64) {
 }
 
 // CacheResident reports whether va's line is resident (no side effects).
-func (s *System) CacheResident(va uint32) bool { return s.cache.peek(va) }
+func (s *System) CacheResident(va uint32) bool { return s.cache.find(va) != nil }
 
 // FastRead transfers one aligned 16-word block from storage to a device
 // without polluting the cache (§5.8). It returns ok=false while the storage
