@@ -22,9 +22,8 @@ import (
 // live in internal/core/predecode_test.go and translate_test.go.
 
 // diffTranslation is the translation config the differential workloads run
-// under: a low hot threshold so even the short runs spend most of their
-// cycles inside fused superblocks.
-var diffTranslation = core.Translation{Enable: true, HotThreshold: 8}
+// under.
+var diffTranslation = core.Translation{Enable: true}
 
 // diffPaths lists the execution paths; the predecoded machine is the pivot.
 var diffPaths = []struct {

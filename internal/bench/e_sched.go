@@ -82,9 +82,11 @@ func E13MemoryLatency() Table {
 	}
 	mem := m.Mem()
 
-	// Hit latency: warm a line, fetch, count cycles to ready.
+	// Hit latency: warm a line, fetch, count cycles to ready. Each fetch
+	// is admitted (the processor's Hold phase, §5.7), then committed.
 	mem.Warm(64)
-	mem.StartRead(0, 64, 1000)
+	r, _, _ := mem.Admit(0, 64, false, 1000)
+	mem.Read(0, r, 1000)
 	hit := 0
 	for !mem.MDReady(0, uint64(1000+hit)) {
 		hit++
@@ -92,7 +94,8 @@ func E13MemoryLatency() Table {
 	mem.MD(0, uint64(1000+hit))
 
 	// Miss latency.
-	mem.StartRead(0, 0x9000, 2000)
+	r, _, _ = mem.Admit(0, 0x9000, false, 2000)
+	mem.Read(0, r, 2000)
 	miss := 0
 	for !mem.MDReady(0, uint64(2000+miss)) {
 		miss++
@@ -100,17 +103,22 @@ func E13MemoryLatency() Table {
 	mem.MD(0, uint64(2000+miss))
 
 	// Storage spacing: after one miss, the next miss cannot start for 8 cycles.
-	mem.StartRead(1, 0xA000, 3000)
+	r, _, _ = mem.Admit(1, 0xA000, false, 3000)
+	mem.Read(1, r, 3000)
 	spacing := 0
-	for !mem.CanRead(2, 0xB000, uint64(3000+spacing)) {
-		spacing++
+	for ; spacing < 100; spacing++ {
+		if _, _, ok := mem.Admit(2, 0xB000, false, uint64(3000+spacing)); ok {
+			break
+		}
 	}
 
 	// Hit throughput: one reference per cycle across tasks.
 	throughputOK := true
 	for i := 0; i < 4; i++ {
-		va := uint32(64 + i)
-		if !mem.StartRead(i+3, va, uint64(4000+i)) {
+		now := uint64(4000 + i)
+		if r, _, ok := mem.Admit(i+3, uint32(64+i), false, now); ok {
+			mem.Read(i+3, r, now)
+		} else {
 			throughputOK = false
 		}
 	}

@@ -27,7 +27,7 @@ var snapshotPaths = []struct {
 }{
 	{"predecoded", core.Config{}},
 	{"reference", core.Config{Reference: true}},
-	{"translated", core.Config{Translation: core.Translation{Enable: true, HotThreshold: 8}}},
+	{"translated", core.Config{Translation: core.Translation{Enable: true}}},
 }
 
 // TestSplitRunEquivalence: running N cycles straight must equal running k

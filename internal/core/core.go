@@ -96,7 +96,7 @@ type Config struct {
 	// differential tests diff all three, and cmd/simbench uses it as the
 	// host-performance baseline. Simulation semantics are unaffected.
 	Reference bool
-	// Translation enables the superblock translator (translate.go): hot
+	// Translation enables the superblock translator (translate.go):
 	// straight-line microcode runs execute as fused Go closures instead of
 	// per-cycle dispatch. Like Reference it selects how cycles are computed,
 	// not what they compute, and is excluded from snapshots. It requires the
@@ -140,9 +140,8 @@ type Machine struct {
 	mem *memory.System
 	ifu *ifu.Unit
 
-	devs   [NumTasks]device.Device // by task number
-	byAddr [NumTasks]device.Device // by IOADDRESS (low 4 bits)
-	att    []attachedDev           // attached devices in task order (hot loop)
+	devs [NumTasks]device.Device // by task number, which is also the IOADDRESS
+	att  []attachedDev           // attached devices in task order (hot loop)
 	// The device event horizon (device.Idler): no controller is ticked
 	// before cycle devQuiet, the earliest of their own horizons (devDue,
 	// by task number), and the wakeup lines latched at each one's last
@@ -243,7 +242,7 @@ func New(cfg Config) (*Machine, error) {
 		devQuiet: ^uint64(0), // no controllers: quiet forever
 	}
 	if cfg.Translation.Enable {
-		m.trans = &translator{cfg: cfg.Translation.withDefaults()}
+		m.trans = &translator{}
 	}
 	// Unloaded microstore halts immediately.
 	for i := range m.im {
@@ -282,7 +281,7 @@ func (m *Machine) Load(im *[microcode.StoreSize]microcode.Word) {
 // the reference path. Loaders and the console must route single-word
 // microstore writes through here (bulk images go through Load). The
 // superblock caches are flushed whole — any block may have fused the old
-// word — and rebuild from fresh profiles.
+// word — and rebuilt as the machine reaches each address again.
 func (m *Machine) SetIM(a microcode.Addr, w microcode.Word) {
 	a &= microcode.AddrMask
 	if m.im[a] == w {
@@ -319,7 +318,6 @@ func (m *Machine) Attach(d device.Device) error {
 		return fmt.Errorf("core: task %d already has a device", t)
 	}
 	m.devs[t] = d
-	m.byAddr[t] = d
 	// Rebuild the compact device list in task order, so Tick and wakeup
 	// sampling visit controllers exactly as the 16-slot scan did.
 	m.att = m.att[:0]
@@ -378,15 +376,11 @@ func (m *Machine) endQuiet() {
 	}
 }
 
-// touched ends the quiet window of dev alone, which the processor has just
-// read, written or notified through IOADDRESS (FF Input, Output, DevCtl,
-// IOAttenAck): the next cycle scans it.
-func (m *Machine) touched(dev device.Device) {
-	for i := range m.att {
-		if m.att[i].dev == dev {
-			m.devDue[m.att[i].task] = 0
-		}
-	}
+// touched ends the quiet window of the device at IOADDRESS a alone (its
+// task number), which the processor has just read, written or notified
+// (FF Input, Output, DevCtl, IOAttenAck): the next cycle scans it.
+func (m *Machine) touched(a uint16) {
+	m.devDue[a] = 0
 	m.devQuiet = 0
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dorado/internal/memory"
 	"dorado/internal/microcode"
 )
 
@@ -30,7 +31,10 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 	}
 	rIndex := m.rbase<<4 | d.raddr
 	useStack := d.block && m.curTask == 0 // "selects a stack operation for task 0" (§6.3.1)
+	var ref memory.Ref
 	if d.startsMem {
+		// MEMADDRESS is a copy of A (§6.3.2): the IFU operand, the stack
+		// top or the RM word, read here before any state changes.
 		var disp uint16
 		switch {
 		case d.aSel == microcode.ASelFetchIFU || d.aSel == microcode.ASelStoreIFU:
@@ -40,22 +44,9 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 		default:
 			disp = m.rm[rIndex]
 		}
-		// An FF MemBase constant in the same instruction takes effect
-		// before the reference (FF decodes at t0-t1, §5.5); the hold check
-		// must use the same base the issue will.
-		mb := m.membase
-		if d.ffMemBase >= 0 {
-			mb = uint8(d.ffMemBase)
-		}
-		va := m.mem.VA(mb, disp)
-		ok := false
-		if d.isStore {
-			ok = m.mem.CanWrite(va, now)
-		} else {
-			ok = m.mem.CanRead(m.curTask, va, now)
-		}
-		if !ok {
-			return m.hold(&m.stats.HoldMem, m.mem.RefReleaseAt(m.curTask, now))
+		var ok bool
+		if ref, ok = m.admit(d, disp, now); !ok {
+			return true, false, m.curPC
 		}
 	}
 
@@ -110,9 +101,9 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 		// IODATA drives the B bus (§6.3.2: the bus "can serve as a source
 		// as well"), so one instruction can move a device word through the
 		// ALU *and* into memory — the 3-cycles-per-2-words disk idiom (§7).
-		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
+		if dev := m.devs[ts.ioadr&15]; dev != nil {
 			bVal = dev.Input(now)
-			m.touched(dev)
+			m.touched(ts.ioadr & 15)
 		} else {
 			bVal = 0
 		}
@@ -141,21 +132,16 @@ func (m *Machine) exec(d *decoded, now uint64) (held, blocked bool, nextPC micro
 		result = m.execFF(ffop, d, aVal, rmVal, bVal, res, now)
 	}
 
-	// ---- Memory reference issue (MEMADDRESS is a copy of A, §6.3.2).
-	// execFF has already applied any same-instruction MEMBASE change. ----
+	// ---- Memory reference issue: commit the reference the hold phase
+	// admitted. ----
 	if d.startsMem {
-		va := m.mem.VA(m.membase, aVal)
-		if !d.isStore {
-			if !m.mem.StartRead(m.curTask, va, now) {
-				panic("core: StartRead refused after CanRead")
-			}
-		} else {
+		if d.isStore {
 			// The stored word is the B bus — which FFInput may be driving
 			// from IODATA (§5.8: memory reference + I/O transfer in one
 			// instruction).
-			if !m.mem.StartWrite(m.curTask, va, bVal, now) {
-				panic("core: StartWrite refused after CanWrite")
-			}
+			m.mem.Write(m.curTask, ref, bVal, now)
+		} else {
+			m.mem.Read(m.curTask, ref, now)
 		}
 	}
 
@@ -198,6 +184,25 @@ func (m *Machine) hold(counter *uint64, release uint64) (bool, bool, microcode.A
 		m.holdOn = counter
 	}
 	return true, false, m.curPC
+}
+
+// admit is the hold phase's memory check (§5.7) for exec and the fused
+// memory template. It forms the reference's VA from disp and MEMBASE, or
+// from a same-word FF MemBase constant, which FF decodes before the
+// reference (§5.5), and asks the memory to admit it; a refusal is charged
+// as a hold. The issue after the FF function commits the returned Ref, so
+// a same-word B-bus load of MEMBASE or a base register (FF PutMemBase,
+// PutBaseLo, PutBaseHi) applies from the next reference.
+func (m *Machine) admit(d *decoded, disp uint16, now uint64) (memory.Ref, bool) {
+	mb := m.membase
+	if d.ffMemBase >= 0 {
+		mb = uint8(d.ffMemBase)
+	}
+	r, release, ok := m.mem.Admit(m.curTask, m.mem.VA(mb, disp), d.isStore, now)
+	if !ok {
+		m.hold(&m.stats.HoldMem, release)
+	}
+	return r, ok
 }
 
 // mdReady consults the memory, honoring the fixed-wait ablation (§5.7).
@@ -333,7 +338,7 @@ func (m *Machine) evalCond(c microcode.Condition, ts *taskState, now uint64) boo
 		ts.stackErr = false
 		return v
 	case microcode.CondIOAtten:
-		if d := m.byAddr[ts.ioadr&15]; d != nil {
+		if d := m.devs[ts.ioadr&15]; d != nil {
 			return d.Atten()
 		}
 		return false

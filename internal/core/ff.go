@@ -132,21 +132,21 @@ func (m *Machine) execFF(ff uint8, d *decoded, aVal, rmVal, bVal, res uint16, no
 		return m.divStep(aVal, bVal)
 
 	case microcode.FFOutput:
-		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
+		if dev := m.devs[ts.ioadr&15]; dev != nil {
 			dev.Output(bVal, now)
-			m.touched(dev)
+			m.touched(ts.ioadr & 15)
 		}
 	case microcode.FFIOAttenAck:
 		// Explicit service acknowledgement — the grain-3 ablation's notify
 		// (§6.2.1), and a general-purpose device poke otherwise.
-		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
+		if dev := m.devs[ts.ioadr&15]; dev != nil {
 			dev.NotifyNext(now)
-			m.touched(dev)
+			m.touched(ts.ioadr & 15)
 		}
 	case microcode.FFDevCtl:
-		if dev := m.byAddr[ts.ioadr&15]; dev != nil {
+		if dev := m.devs[ts.ioadr&15]; dev != nil {
 			dev.Control(bVal, now)
-			m.touched(dev)
+			m.touched(ts.ioadr & 15)
 		}
 
 	default:

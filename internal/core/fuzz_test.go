@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dorado/internal/memory"
@@ -10,7 +11,11 @@ import (
 
 // fuzzStepMachine builds one side of the predecode differential pair with a
 // small memory (snapshots embed all of storage) and nonzero register state,
-// so a fuzzed word's reads and writes land somewhere visible.
+// so a fuzzed word's reads and writes land somewhere visible. The lines at
+// the addresses the registers and the stack top name are resident and
+// dirty, and a store miss holds the storage pipe for the first cycles, so
+// a fuzzed reference can hit a dirty line, miss while the pipe is busy,
+// and miss once it frees.
 func fuzzStepMachine(w microcode.Word, reference bool) (*Machine, error) {
 	m, err := New(Config{
 		Memory:    memory.Config{CacheWords: 256, CacheWays: 2, StorageWords: 4096},
@@ -28,9 +33,27 @@ func fuzzStepMachine(w microcode.Word, reference bool) (*Machine, error) {
 	m.SetQ(0xBEEF)
 	m.SetStackPtr(0x42)
 	m.SetShiftCtl(0x0123)
-	m.Mem().SetBase(0, 0x100)
+	mem := m.Mem()
+	mem.SetBase(0, 0x100)
 	for va := uint32(0); va < 0x200; va++ {
-		m.Mem().Poke(va, uint16(0xA000+va))
+		mem.Poke(va, uint16(0xA000+va))
+	}
+	store := func(va uint32) {
+		if r, _, ok := mem.Admit(0, va, true, 0); ok {
+			mem.Write(0, r, mem.Peek(va), 0)
+		}
+	}
+	dirty := func(va uint32) {
+		mem.Warm(va)
+		store(va) // a hit: dirties the line
+	}
+	for i := 0; i < 16; i++ {
+		dirty(mem.VA(0, m.RM(i)))
+	}
+	dirty(mem.VA(0, m.Stack(int(m.StackPtr()))))
+	store(0xF00) // a miss: the pipe is busy until cycle 8 or 16
+	if mem.StorageFreeAt() == 0 {
+		return nil, errors.New("fuzzStepMachine: the storage pipe is idle")
 	}
 	m.SetIM(0, w)
 	m.Start(0)
@@ -51,6 +74,14 @@ func FuzzPredecode(f *testing.F) {
 	f.Add(microcode.Word{BSel: microcode.BSelConstLo, FF: 0x55, LC: microcode.LCLoadRM,
 		ALUOp: uint8(microcode.ALUB)}.Encode())
 	f.Add(uint64(1)<<34 - 1)
+	// A fetch or store whose own FF flushes the dirty line it hits, or
+	// moves its base to a line that misses while the pipe is busy: the
+	// Hold phase admitted the reference before the FF ran (§5.7).
+	for _, ff := range []uint8{microcode.FFFlushCache, microcode.FFPutMemBase, microcode.FFPutBaseLo} {
+		for _, a := range []microcode.ASelect{microcode.ASelFetch, microcode.ASelStore} {
+			f.Add(microcode.Word{RAddr: 3, ASel: a, BSel: microcode.BSelT, FF: ff}.Encode())
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw uint64) {
 		w := microcode.Decode(raw & (1<<34 - 1))
 		if w.Validate() != nil {
@@ -68,8 +99,9 @@ func FuzzPredecode(f *testing.F) {
 			t.Fatal("machines differ before the first step (builder bug)")
 		}
 		// The first step executes the fuzzed word; the rest let its effect on
-		// the successor address and task pipeline play out.
-		for i := 0; i < 4; i++ {
+		// the successor address and task pipeline play out, and a reference
+		// held on the busy pipe issue once it frees.
+		for i := 0; i < 20; i++ {
 			fast.Step()
 			ref.Step()
 			if !bytes.Equal(fast.Snapshot(), ref.Snapshot()) {

@@ -19,9 +19,8 @@ import (
 // bytes after every chunk, so the device event horizon and the held-run
 // shortcut are checked where they act.
 
-// heldRunTranslation fuses early, so most cycles of the short runs below
-// run inside superblocks.
-var heldRunTranslation = core.Translation{Enable: true, HotThreshold: 8}
+// heldRunTranslation is the translated path of the lockstep runs below.
+var heldRunTranslation = core.Translation{Enable: true}
 
 // heldRunChunks is the lockstep schedule: prime-sized runs, which expire
 // the budget mid-skip and mid-superblock, between 1- and 7-cycle runs,

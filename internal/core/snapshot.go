@@ -162,6 +162,13 @@ func (m *Machine) Snapshot() []byte {
 // Restoring rebuilds the predecode cache from the restored microstore: the
 // dim cache is derived state, never serialized, so the restored machine
 // executes identically on both interpreter paths.
+//
+// Restore refuses a snapshot whose task numbers, microaddresses, IFU
+// operand latch or decode rows, or microstore words
+// (microcode.Word.Validate) no machine can hold, before the offending
+// value is installed. A refused restore may
+// leave part of the snapshot in place, so restore a good one before
+// running the machine again.
 func (m *Machine) Restore(data []byte) error {
 	d, err := state.NewDecoder(data)
 	if err != nil {
@@ -197,15 +204,22 @@ func (m *Machine) Restore(data []byte) error {
 	m.halted = d.Bool()
 	m.haltPC = microcode.Addr(d.U16())
 	m.stalls = d.U64()
-	m.curTask = int(d.U8())
+	curTask := int(d.U8())
 	m.lastTask = int(d.U8())
-	m.curPC = microcode.Addr(d.U16())
-	m.bestNext = int(d.I8())
+	curPC := microcode.Addr(d.U16())
+	bestNext := int(d.I8())
 	m.ready = d.U16()
+	if curTask >= NumTasks || bestNext < 0 || bestNext >= NumTasks || curPC > microcode.AddrMask {
+		return fmt.Errorf("core: snapshot runs task %d at %v with BESTNEXTTASK %d: out of range", curTask, curPC, bestNext)
+	}
+	m.curTask, m.curPC, m.bestNext = curTask, curPC, bestNext
 	for i := range m.tasks {
+		tpc, link := microcode.Addr(d.U16()), microcode.Addr(d.U16())
+		if tpc > microcode.AddrMask || link > microcode.AddrMask {
+			return fmt.Errorf("core: snapshot task %d TPC %v, LINK %v: out of range", i, tpc, link)
+		}
 		ts := &m.tasks[i]
-		ts.tpc = microcode.Addr(d.U16())
-		ts.link = microcode.Addr(d.U16())
+		ts.tpc, ts.link = tpc, link
 		ts.t = d.U16()
 		ts.ioadr = d.U16()
 		fl := d.U8()
@@ -233,14 +247,12 @@ func (m *Machine) Restore(data []byte) error {
 		m.alufm[i] = microcode.DecodeALUCtl(d.U8())
 	}
 	m.cpreg = d.U16()
-	m.pend.valid = d.Bool()
-	m.pend.toT = d.Bool()
-	m.pend.task = int(d.U8())
-	m.pend.toRM = d.Bool()
-	m.pend.rmIndex = d.U8()
-	m.pend.toStack = d.Bool()
-	m.pend.stIndex = d.U8()
-	m.pend.val = d.U16()
+	p := pendingWrite{valid: d.Bool(), toT: d.Bool(), task: int(d.U8()), toRM: d.Bool(),
+		rmIndex: d.U8(), toStack: d.Bool(), stIndex: d.U8(), val: d.U16()}
+	if p.task >= NumTasks {
+		return fmt.Errorf("core: snapshot's pending register write names task %d", p.task)
+	}
+	m.pend = p
 
 	if err := d.Section(sectCoreStats); err != nil {
 		return err
@@ -266,7 +278,11 @@ func (m *Machine) Restore(data []byte) error {
 		return err
 	}
 	for i := range m.im {
-		m.im[i] = microcode.Decode(d.U64())
+		w := microcode.Decode(d.U64())
+		if err := w.Validate(); err != nil {
+			return fmt.Errorf("core: snapshot microstore word %v: %w", microcode.Addr(i), err)
+		}
+		m.im[i] = w
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -275,7 +291,7 @@ func (m *Machine) Restore(data []byte) error {
 	// never serialized, so it must be rebuilt here, exactly as Load does.
 	// Superblock caches are derived state too: flushing them guarantees a
 	// snapshot taken mid-block rehydrates onto the generic cycle loop and
-	// re-translates from fresh profiles — restore is deterministic whether
+	// re-translates from scratch — restore is deterministic whether
 	// or not the snapshotting machine had translation on.
 	m.predecodeAll()
 	m.trans.reset()

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dorado/internal/device"
 	"dorado/internal/masm"
 	"dorado/internal/microcode"
+	"dorado/internal/state"
 )
 
 // snapMachine builds a machine exercising every snapshotted component: the
@@ -146,6 +148,73 @@ func TestRestoreInvalidatesPredecode(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Snapshot(), src.Snapshot()) {
 		t.Fatal("restored machine diverged from the source")
+	}
+}
+
+// patchSection returns a copy of snap whose section tag has been passed
+// through patch.
+func patchSection(t *testing.T, snap []byte, tag string, patch func(body []byte)) []byte {
+	t.Helper()
+	doc, err := state.Split(bytes.Clone(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range doc.Sections {
+		if sec.Tag == tag {
+			patch(sec.Body)
+			return doc.Join()
+		}
+	}
+	t.Fatalf("no section %q", tag)
+	return nil
+}
+
+// TestRestoreRejectsImpossibleState: a crafted snapshot whose task
+// numbers, microaddresses, IFU operand latch, decode rows or microstore
+// words no machine can hold is refused, and the refused machine still
+// runs. Each field is patched at its offset in the section Snapshot
+// writes.
+func TestRestoreRejectsImpossibleState(t *testing.T) {
+	src := snapMachine(t, Config{})
+	src.RunCycles(100)
+	snap := src.Snapshot()
+	le := binary.LittleEndian
+	// IFUS: the prefetch buffer's length prefix sits at 24; the operand
+	// latch's head and length follow the buffer and the two operands.
+	latch := func(b []byte) int { return 28 + int(le.Uint32(b[24:])) + 4 }
+	for _, c := range []struct {
+		name, tag string
+		patch     func(b []byte)
+	}{
+		{"current task 200", "CTRL", func(b []byte) { b[19] = 200 }},
+		{"current PC past the microstore", "CTRL", func(b []byte) { le.PutUint16(b[21:], microcode.StoreSize) }},
+		{"BESTNEXTTASK 16", "CTRL", func(b []byte) { b[23] = 16 }},
+		{"BESTNEXTTASK -1", "CTRL", func(b []byte) { b[23] = 0xFF }},
+		{"task 3 TPC past the microstore", "CTRL", func(b []byte) { le.PutUint16(b[26+3*9:], 0xFFFF) }},
+		{"pending write to task 16", "DATA", func(b []byte) { b[1053] = 16 }},
+		{"reserved FF", "UIMS", func(b []byte) { le.PutUint64(b, microcode.Word{FF: 0xC0}.Encode()) }},
+		{"reserved NextControl", "UIMS", func(b []byte) {
+			w := microcode.Decode(le.Uint64(b[8*5:]))
+			w.Next = 0x7F
+			if w.Validate() == nil {
+				t.Fatal("NextControl 0x7f validates")
+			}
+			le.PutUint64(b[8*5:], w.Encode())
+		}},
+		{"operand head 3", "IFUS", func(b []byte) { b[latch(b)] = 3 }},
+		{"operand length 3", "IFUS", func(b []byte) { b[latch(b)+1] = 3 }},
+	} {
+		bad := patchSection(t, snap, c.tag, c.patch)
+		m := snapMachine(t, Config{})
+		if err := m.Restore(bad); err == nil {
+			t.Errorf("%s: restore accepted", c.name)
+		}
+		m.RunCycles(200) // must not panic
+	}
+	// The patches above touch only what they name: unpatched, the same
+	// document restores.
+	if err := snapMachine(t, Config{}).Restore(patchSection(t, snap, "CTRL", func([]byte) {})); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,10 +25,10 @@ while 1 {
 
 // TestTemplateMix pins how many fused slots each template builds — the
 // register/stack ALU template, the memory/MD template, and exec — on every
-// §7 workload and a booted Mesa program, after a warm-up with the default
-// translation settings. Which template takes a word is decided at
-// translation time alone, so these counts move only when a word changes
-// template.
+// §7 workload and a booted Mesa program, after a warm-up. Blocks are built
+// at the first visit to an address, and which template takes a word is
+// decided at translation time alone, so these counts move only when a
+// word changes template or the cycle loop starts blocks elsewhere.
 func TestTemplateMix(t *testing.T) {
 	const warm = 300_000
 	type mix struct{ alu, mem, exec int }
@@ -36,10 +36,10 @@ func TestTemplateMix(t *testing.T) {
 		"emulator":  {0, 0, 5},
 		"disk":      {48, 48, 96},
 		"fastio":    {96, 0, 48},
-		"slowio":    {1, 0, 1},
-		"bitblt":    {4, 14, 0},
-		"mesacalls": {12, 41, 37},
-		"mesa":      {12, 41, 39},
+		"slowio":    {49, 0, 1},
+		"bitblt":    {12, 16, 50},
+		"mesacalls": {11, 25, 33},
+		"mesa":      {11, 25, 33},
 	}
 	cfg := core.Config{Translation: core.Translation{Enable: true}}
 	check := func(id string, m *core.Machine) {
@@ -66,4 +66,32 @@ func TestTemplateMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("mesa", sys.Machine)
+}
+
+// TestRunLengthKeepsBlocks: a run whose budget stops it inside a block
+// continues that block when the next run starts, so a machine run in
+// short pieces builds exactly the blocks one long run builds, and none at
+// the addresses where the pieces happened to stop.
+func TestRunLengthKeepsBlocks(t *testing.T) {
+	const cycles, piece = 60_000, 997
+	cfg := core.Config{Translation: core.Translation{Enable: true}}
+	for _, w := range bench.Workloads() {
+		one, err := w.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pieces, err := w.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.RunCycles(cycles)
+		for pieces.Cycle() < one.Cycle() && !pieces.Halted() {
+			pieces.RunCycles(min(piece, one.Cycle()-pieces.Cycle()))
+		}
+		a, b := one.TranslationStats(), pieces.TranslationStats()
+		if a.BlocksBuilt != b.BlocksBuilt || a.Instructions != b.Instructions || a.FusedCycles != b.FusedCycles {
+			t.Errorf("%s: one run built %d blocks (%d words, %d fused cycles), pieces %d (%d, %d)",
+				w.ID, a.BlocksBuilt, a.Instructions, a.FusedCycles, b.BlocksBuilt, b.Instructions, b.FusedCycles)
+		}
+	}
 }

@@ -3,13 +3,13 @@ package core
 import (
 	"math/bits"
 
+	"dorado/internal/memory"
 	"dorado/internal/microcode"
 )
 
 // This file is the superblock translator: the third execution path
-// (reference → predecoded → translated). A lightweight profiler counts how
-// often each microword executes on the generic loop; when a word crosses
-// Translation.HotThreshold, the translator walks the predecoded successor
+// (reference → predecoded → translated). The first time the cycle loop
+// reaches a microaddress, the translator walks the predecoded successor
 // chain from it and fuses the straight-line run into a superblock — a
 // single Go closure that executes the whole run without per-cycle
 // NextControl dispatch. Successor addresses, subroutine-linkage values, and
@@ -31,22 +31,11 @@ import (
 // differential tests and internal/fuzzdiff enforce.
 
 // Translation configures the superblock translator. The zero value
-// disables it; Enable with a zero HotThreshold picks the default. The
-// translator requires the as-built machine (no Options ablations, not
-// Reference) — core.New rejects other combinations.
+// disables it. The translator requires the as-built machine (no Options
+// ablations, not Reference) — core.New rejects other combinations.
 type Translation struct {
 	// Enable turns the translated execution path on.
 	Enable bool
-	// HotThreshold is how many times a microword must execute on the
-	// generic loop before a superblock is built at its address (default 64).
-	HotThreshold uint32
-}
-
-func (t Translation) withDefaults() Translation {
-	if t.HotThreshold == 0 {
-		t.HotThreshold = 64
-	}
-	return t
 }
 
 // maxBlock bounds the number of microinstructions fused into one
@@ -117,31 +106,34 @@ type superblock struct {
 	task0Only bool
 }
 
-// translator is the per-machine translation state: profile counters and
-// the block cache, both derived from the microstore and rebuilt on demand —
-// never serialized (the snapshot stays path-agnostic).
+// translator is the per-machine translation state: the block cache,
+// derived from the microstore and rebuilt on demand — never serialized
+// (the snapshot stays path-agnostic).
 type translator struct {
-	cfg Translation
-	// counts profiles generic-loop executions per microstore address.
-	counts [microcode.StoreSize]uint32
-	// blocks caches one superblock per start address (nil: none yet).
+	// blocks caches one superblock per start address: nil until the
+	// address is first reached, declined where its run is too short.
 	blocks [microcode.StoreSize]*superblock
-	// noBlock marks addresses where translation was attempted and declined
-	// (run too short), so the generic loop stops re-trying them.
-	noBlock [microcode.StoreSize]bool
-	stats   TranslationStats
+	// resume is the block a run's cycle budget cut short, and resumeAt
+	// the index of the word it stopped before: the next run continues
+	// the block there instead of building one inside it.
+	resume   *superblock
+	resumeAt int
+	stats    TranslationStats
 }
 
-// reset flushes the profile and block caches. Called on any microstore
-// write (SetIM, Load) and on Restore, so a snapshot taken mid-block always
-// rehydrates onto the cycle loop deterministically.
+// declined marks the addresses whose straight-line run is too short to
+// fuse, so the cycle loop does not try them again.
+var declined = &superblock{}
+
+// reset flushes the block cache. Called on any microstore write (SetIM,
+// Load) and on Restore, so a snapshot taken mid-block always rehydrates
+// onto the cycle loop deterministically.
 func (t *translator) reset() {
 	if t == nil {
 		return
 	}
-	t.counts = [microcode.StoreSize]uint32{}
 	t.blocks = [microcode.StoreSize]*superblock{}
-	t.noBlock = [microcode.StoreSize]bool{}
+	t.resume = nil
 	t.stats.Invalidations++
 }
 
@@ -154,26 +146,36 @@ func (m *Machine) TranslationStats() TranslationStats {
 	return m.trans.stats
 }
 
-// runTranslated is Run's hot loop when translation is enabled. Cold
-// addresses execute on the generic step while the profiler counts them; hot
-// addresses execute through their superblock. Attached observers see every
+// runTranslated is Run's hot loop when translation is enabled. The first
+// visit to an address builds its superblock; an address with a block runs
+// through it, and the rest execute on the generic step. A run that starts
+// where the last one's budget cut a block short continues that block, so
+// runs of any length build the same blocks. Attached observers see every
 // cycle either way: the block loops report fused cycles through the same
 // seam as step.
 //
 // A held cycle that provably repeats is retired with its repeats by the
 // generic step (retireHeld). Each repeat would have come back through this
-// loop at the same address and state, so its bookkeeping is charged in
-// bulk too: a rejected block entry counts once per retired cycle, and a
-// cold address's count advances by the retired cycles, which step may not
-// retire past the one that would make the address hot.
+// loop at the same address and state, so a rejected block entry is
+// charged once per retired cycle.
 func (m *Machine) runTranslated(limit uint64) {
 	t := m.trans
 	for !m.halted && m.cycle < limit {
 		pc := m.curPC
 		now := m.cycle
-		stepLimit := limit // how far the generic step may retire a held run
+		b, at := t.blocks[pc], 0
+		if r := t.resume; r != nil {
+			t.resume = nil
+			if r.addrs[t.resumeAt] == pc {
+				b, at = r, t.resumeAt
+			}
+		}
+		if b == nil {
+			b = m.translate(pc)
+			t.blocks[pc] = b
+		}
 		rejected := false
-		if b := t.blocks[pc]; b != nil {
+		if b != declined {
 			// Entry guard: a pending task switch (BESTNEXTTASK above the
 			// running task) must happen on the generic loop, a task0Only
 			// block only runs as task 0, and owed stall cycles burn
@@ -181,9 +183,9 @@ func (m *Machine) runTranslated(limit uint64) {
 			if m.bestNext <= m.curTask && (!b.task0Only || m.curTask == 0) && m.stalls == 0 {
 				t.stats.Entries++
 				if len(m.att) == 0 && m.ready == 0 && m.curTask == 0 && m.bestNext == 0 {
-					m.runBlockFast(b, limit)
+					m.runBlockFast(b, at, limit)
 				} else {
-					m.runBlock(b, limit)
+					m.runBlock(b, at, limit)
 				}
 				continue
 			}
@@ -191,33 +193,18 @@ func (m *Machine) runTranslated(limit uint64) {
 			// generic loop. Each rejected attempt is one guard-fail event —
 			// sustained rejection (a long higher-priority burst) shows up as
 			// a proportionally large count, which is the point.
-			m.seam.blockExit(pc, ExitGuardFail, pc, 0, now)
+			m.seam.blockExit(b.start, ExitGuardFail, pc, 0, now)
 			rejected = true
-		} else if !t.noBlock[pc] {
-			c := t.counts[pc] + 1
-			t.counts[pc] = c
-			if c >= t.cfg.HotThreshold {
-				if nb := m.translate(pc); nb != nil {
-					t.blocks[pc] = nb
-					continue
-				}
-				t.noBlock[pc] = true
-			} else {
-				stepLimit = min(limit, now+uint64(t.cfg.HotThreshold-c))
-			}
 		}
-		m.step(stepLimit)
-		if n := m.cycle - now - 1; n > 0 {
-			if rejected {
-				m.seam.guardFails(pc, n)
-			} else {
-				t.counts[pc] += uint32(n)
-			}
+		m.step(limit)
+		if n := m.cycle - now - 1; rejected && n > 0 {
+			m.seam.guardFails(b.start, n)
 		}
 	}
 }
 
-// runBlockFast executes fused cycles on a quiescent single-task machine:
+// runBlockFast executes b's fused cycles from code slot i (0, or where a
+// budget cut the block short) on a quiescent single-task machine:
 // no devices attached, READY empty, task 0 running, and no better task
 // pending (the caller checked all four). Under those preconditions step's
 // wakeup latch is the constant line for task 0 (so an attached recorder
@@ -232,14 +219,15 @@ func (m *Machine) runTranslated(limit uint64) {
 // see it (the arbitration it feeds happens one cycle later still, and
 // m.bestNext is left at 0 — the value step would have computed from the
 // preceding cycle's empty latch).
-func (m *Machine) runBlockFast(b *superblock, limit uint64) {
+func (m *Machine) runBlockFast(b *superblock, i int, limit uint64) {
 	n := uint64(0)
 	code := b.code
 	reason := ExitFallThrough
 	lastHeld := false
-	for i := 0; i < len(code); {
+	for i < len(code) {
 		if m.cycle >= limit {
 			reason = ExitLimit
+			m.trans.resume, m.trans.resumeAt = b, i
 			break
 		}
 		if m.ready != 0 {
@@ -295,8 +283,9 @@ out:
 	m.seam.blockExit(b.start, reason, m.curPC, n, m.cycle)
 }
 
-// runBlock executes fused cycles on a machine with live controllers,
-// pending READY work, or a non-zero task: each cycle performs exactly
+// runBlock executes b's fused cycles from code slot i on a machine with
+// live controllers, pending READY work, or a non-zero task: each cycle
+// performs exactly
 // step's per-cycle scheduler work — the device scan at the event horizon,
 // the WAKEUP latch, the READY clear and NEXT-bus notify, arbitration into
 // BESTNEXTTASK, and the observation seam — with only the instruction
@@ -307,7 +296,7 @@ out:
 // so the task-switch half of step's epilogue can never be needed; the
 // moment a higher-priority task is pending the block returns before
 // executing the cycle and the generic loop runs it.
-func (m *Machine) runBlock(b *superblock, limit uint64) {
+func (m *Machine) runBlock(b *superblock, i int, limit uint64) {
 	n := uint64(0)
 	code := b.code
 	// Loop invariants: no fused instruction switches tasks or attaches
@@ -318,9 +307,10 @@ func (m *Machine) runBlock(b *superblock, limit uint64) {
 	nextDev := m.devs[cur]
 	reason := ExitFallThrough
 	lastHeld := false
-	for i := 0; i < len(code); {
+	for i < len(code) {
 		if m.cycle >= limit {
 			reason = ExitLimit
+			m.trans.resume, m.trans.resumeAt = b, i
 			break
 		}
 		if m.bestNext > cur {
@@ -385,7 +375,8 @@ out:
 }
 
 // translate fuses the straight-line run beginning at start into a
-// superblock, or returns nil when the run is too short to be worth one.
+// superblock, or returns declined when the run is too short to be worth
+// one.
 // The run extends through statically-addressed NextControls (GOTO, CALL,
 // LGOTO, LCALL) and closes with one dynamically-addressed terminator
 // (BRANCH, RETURN, IFUJUMP, DISP8, DISP256) when present; it stops early
@@ -453,7 +444,7 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 	}
 done:
 	if len(b.code) < 2 {
-		return nil
+		return declined
 	}
 	t.stats.BlocksBuilt++
 	t.stats.Instructions += uint64(len(b.code))
@@ -529,21 +520,22 @@ func fuseInst(d *decoded, s succ) instFn {
 	if fn := fuseWide(d, s); fn != nil {
 		return fn
 	}
-	return fuseExec(d, s.next)
+	return fuseExec(d, instOK)
 }
 
-// fuseExec is the generic fused form: execute through exec (identical
-// semantics by construction — hold detection, memory issue, FF, stores,
-// LINK), then advance to the pre-resolved successor instead of re-deriving
-// it.
-func fuseExec(d *decoded, next microcode.Addr) instFn {
+// fuseExec is the generic fused form: the word runs through exec
+// (identical semantics by construction — hold detection, memory issue, FF,
+// stores, LINK, the successor), and exit tells the block loop what
+// follows: instOK for a statically-successored word, instEnd for the
+// terminator.
+func fuseExec(d *decoded, exit instExit) instFn {
 	return func(m *Machine, now uint64) instExit {
-		held, _, _ := m.exec(d, now)
+		held, _, nextPC := m.exec(d, now)
 		if held {
 			return instHeld
 		}
-		m.curPC = next
-		return instOK
+		m.curPC = nextPC
+		return exit
 	}
 }
 
@@ -558,14 +550,7 @@ func fuseTerm(start, pc microcode.Addr, d *decoded) instFn {
 			return fn
 		}
 	}
-	return func(m *Machine, now uint64) instExit {
-		held, _, nextPC := m.exec(d, now)
-		if held {
-			return instHeld
-		}
-		m.curPC = nextPC
-		return instEnd
-	}
+	return fuseExec(d, instEnd)
 }
 
 // Operand-source kinds for the specialized templates.
@@ -764,27 +749,16 @@ func fuseWide(d *decoded, s succ) instFn {
 		cur := m.curTask
 		m.stats.TaskCycles[cur]++
 		// Hold phase, in exec's order: MD readiness, then memory admission
-		// with the same-instruction MEMBASE constant pre-applied exactly as
-		// the issue below will use it. No state changes on a hold.
+		// (admit). No state changes on a hold.
 		if usesMD && !m.mdReady(now) {
 			m.hold(&m.stats.HoldMD, m.mdReadyAt())
 			return instHeld
 		}
 		rIndex := m.rbase<<4 | raddr
+		var ref memory.Ref
 		if startsMem {
-			mb := m.membase
-			if mbConst >= 0 {
-				mb = uint8(mbConst)
-			}
-			va := m.mem.VA(mb, m.rm[rIndex])
-			ok := false
-			if isStore {
-				ok = m.mem.CanWrite(va, now)
-			} else {
-				ok = m.mem.CanRead(cur, va, now)
-			}
-			if !ok {
-				m.hold(&m.stats.HoldMem, m.mem.RefReleaseAt(cur, now))
+			var ok bool
+			if ref, ok = m.admit(d, m.rm[rIndex], now); !ok {
 				return instHeld
 			}
 		}
@@ -820,8 +794,8 @@ func fuseWide(d *decoded, s succ) instFn {
 		if ctl.Fn.IsArith() {
 			ts.savedCarry = carry
 		}
-		// FF effects for the admitted subset (execFF order: before the
-		// memory issue, so a MEMBASE constant governs this reference).
+		// FF effects for the admitted subset, then the issue of the
+		// reference admitted above (exec's order).
 		if mbConst >= 0 {
 			m.membase = uint8(mbConst)
 		}
@@ -829,15 +803,10 @@ func fuseWide(d *decoded, s succ) instFn {
 			m.count = uint16(countConst)
 		}
 		if startsMem {
-			va := m.mem.VA(m.membase, aVal)
 			if isStore {
-				if !m.mem.StartWrite(cur, va, bVal, now) {
-					panic("core: StartWrite refused after CanWrite")
-				}
+				m.mem.Write(cur, ref, bVal, now)
 			} else {
-				if !m.mem.StartRead(cur, va, now) {
-					panic("core: StartRead refused after CanRead")
-				}
+				m.mem.Read(cur, ref, now)
 			}
 		}
 		if loadsT {

@@ -19,8 +19,8 @@ import (
 // boundary. The chunk sizes are prime so the cycle budget repeatedly
 // expires mid-superblock, covering the partial-block exit.
 
-// translateTestCfg makes blocks form fast in short tests.
-var translateTestCfg = Translation{Enable: true, HotThreshold: 4}
+// translateTestCfg is the translated path of the scenarios.
+var translateTestCfg = Translation{Enable: true}
 
 // smallMem keeps per-chunk snapshots cheap (a snapshot embeds storage).
 var smallMem = memory.Config{CacheWords: 256, CacheWays: 2, StorageWords: 1 << 16}
@@ -63,9 +63,6 @@ func TestTranslationConfigValidation(t *testing.T) {
 	}
 	if m.trans == nil {
 		t.Fatal("Translation enabled but no translator allocated")
-	}
-	if got := m.trans.cfg; got.HotThreshold != 64 {
-		t.Errorf("defaults = %+v, want HotThreshold 64", got)
 	}
 	if m2, err := New(Config{}); err != nil || m2.trans != nil {
 		t.Errorf("plain machine got a translator (err %v)", err)

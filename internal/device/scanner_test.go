@@ -54,7 +54,8 @@ func TestScannerWakeupAndOverrun(t *testing.T) {
 func TestScannerInvalidatesCache(t *testing.T) {
 	m, _ := memory.New(memory.Config{})
 	// Warm the destination line with processor data.
-	m.StartRead(0, 0x9000, 0)
+	r, _, _ := m.Admit(0, 0x9000, false, 0)
+	m.Read(0, r, 0)
 	m.MD(0, 100)
 	d := NewScanner(12, m, 8, 2)
 	d.SetBase(0x9000)
@@ -63,7 +64,8 @@ func TestScannerInvalidatesCache(t *testing.T) {
 		d.Tick(now)
 	}
 	// The processor's next read must see the scanner's data.
-	m.StartRead(0, 0x9000, 200)
+	r, _, _ = m.Admit(0, 0x9000, false, 200)
+	m.Read(0, r, 200)
 	if got := m.MD(0, 300); got != 1 {
 		t.Errorf("processor read %d after fast write, want 1", got)
 	}

@@ -161,7 +161,7 @@ func TestStressTranslatedSessions(t *testing.T) {
 		iterations = 6
 	)
 	spec := smallSpec()
-	spec.Machine.Translation = dorado.Translation{Enable: true, HotThreshold: 8}
+	spec.Machine.Translation = dorado.Translation{Enable: true}
 	m := New(Config{
 		Workers:     4,
 		MaxSessions: sessions,
@@ -203,8 +203,8 @@ func TestStressTranslatedSessions(t *testing.T) {
 			}
 			var model uint64
 			for it := 0; it < iterations; it++ {
-				// Long enough to cross the hot threshold many times over:
-				// the spin loop is translated almost immediately.
+				// Long enough for the spin loop's block, built at its
+				// first visit, to run many times over.
 				r, err := m.Run(tctx, id, 3000)
 				if err != nil {
 					t.Errorf("%s: run: %v", id, err)

@@ -44,8 +44,8 @@ type Config struct {
 	// Smaller K means cheaper bisection and more expensive scanning.
 	CheckpointEvery uint64
 	// Translated runs the fast side with superblock translation enabled
-	// (hot threshold 4, so fuzz-sized programs get hot almost immediately):
-	// the differential then checks translated-vs-reference instead of
+	// (blocks are built at an address's first visit): the differential
+	// then checks translated-vs-reference instead of
 	// predecoded-vs-reference, hunting translator bugs with the same
 	// oracle.
 	Translated bool
@@ -332,7 +332,7 @@ var fuzzMemConfig = memory.Config{
 func buildMachine(prog *masm.Program, cfg Config, reference bool) (*core.Machine, error) {
 	mcfg := core.Config{Memory: fuzzMemConfig, Reference: reference}
 	if cfg.Translated && !reference {
-		mcfg.Translation = core.Translation{Enable: true, HotThreshold: 4}
+		mcfg.Translation = core.Translation{Enable: true}
 	}
 	m, err := core.New(mcfg)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"dorado/internal/memory"
+	"dorado/internal/microcode"
+	"dorado/internal/state"
 )
 
 // loadBytes writes a byte stream into memory at word VA base.
@@ -250,4 +252,33 @@ func TestPeekOperandDoesNotConsume(t *testing.T) {
 		}
 	}()
 	u.PeekOperand()
+}
+
+// TestLoadStateRejectsImpossibleState: a snapshot whose operand latch
+// runs past its two slots, or whose decode rows or Illegal handler no
+// SetEntry or SetIllegal could install, is refused; the same unit's own
+// snapshot restores.
+func TestLoadStateRejectsImpossibleState(t *testing.T) {
+	for i, spoil := range []func(u *Unit){
+		func(u *Unit) {},
+		func(u *Unit) { u.opHead = 3 },
+		func(u *Unit) { u.opLen = 3 },
+		func(u *Unit) { u.table[7] = Entry{Valid: true, Operands: 5} },
+		func(u *Unit) { u.table[7] = Entry{Valid: true, Operands: 1, Wide: true} },
+		func(u *Unit) { u.table[7] = Entry{Valid: true, Handler: microcode.StoreSize} },
+		func(u *Unit) { u.illegal = microcode.StoreSize },
+	} {
+		u := newUnit(t, []byte{0x10})
+		spoil(u)
+		e := state.NewEncoder(0)
+		u.SaveState(e)
+		d, err := state.NewDecoder(e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = newUnit(t, nil).LoadState(d)
+		if ok := i == 0; (err == nil) != ok {
+			t.Errorf("case %d: LoadState error %v", i, err)
+		}
+	}
 }

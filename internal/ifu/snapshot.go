@@ -65,7 +65,8 @@ func loadEntry(d *state.Decoder, ent *Entry) {
 }
 
 // LoadState restores the IFU from a snapshot taken by SaveState. The target
-// unit must have been built with the identical timing configuration.
+// unit must have been built with the identical timing configuration. A
+// snapshot whose operand latch or decode rows no unit can hold is refused.
 func (u *Unit) LoadState(d *state.Decoder) error {
 	if err := d.Section(sectIFUConfig); err != nil {
 		return err
@@ -102,8 +103,11 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 	copy(u.buf, buf)
 	u.ops[0] = d.U16()
 	u.ops[1] = d.U16()
-	u.opHead = d.U8()
-	u.opLen = d.U8()
+	head, n := d.U8(), d.U8()
+	if int(head) > len(u.ops) || int(n) > len(u.ops) {
+		return fmt.Errorf("ifu: snapshot operand latch head %d, length %d: it holds %d", head, n, len(u.ops))
+	}
+	u.opHead, u.opLen = head, n
 	loadEntry(d, &u.last)
 	u.lastOp = noLast
 	u.stats.Dispatches = d.U64()
@@ -111,7 +115,14 @@ func (u *Unit) LoadState(d *state.Decoder) error {
 	u.stats.BytesRead = d.U64()
 	u.stats.WordsFetch = d.U64()
 	for i := range u.table {
-		loadEntry(d, &u.table[i])
+		e := &u.table[i]
+		loadEntry(d, e)
+		if e.Valid && (e.Operands > 2 || e.Wide && e.Operands != 2 || e.Handler > microcode.AddrMask) {
+			return fmt.Errorf("ifu: snapshot decode row %#02x is unusable: %+v", i, *e)
+		}
+	}
+	if u.illegal > microcode.AddrMask {
+		return fmt.Errorf("ifu: snapshot Illegal handler %v out of range", u.illegal)
 	}
 	u.compileAll()
 	return d.Err()

@@ -2,9 +2,9 @@ package memory
 
 import "testing"
 
-// BenchmarkStartReadHit measures the hot path of the simulation: a cache
-// hit per call.
-func BenchmarkStartReadHit(b *testing.B) {
+// BenchmarkReadHit measures the hot path of the simulation: an admitted
+// and committed cache hit per iteration.
+func BenchmarkReadHit(b *testing.B) {
 	s, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -14,13 +14,13 @@ func BenchmarkStartReadHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 3
-		s.StartRead(0, 64, now)
+		startRead(s, 0, 64, now)
 		s.MD(0, now+2)
 	}
 }
 
-// BenchmarkStartReadMissSweep measures miss handling over a large stride.
-func BenchmarkStartReadMissSweep(b *testing.B) {
+// BenchmarkReadMissSweep measures miss handling over a large stride.
+func BenchmarkReadMissSweep(b *testing.B) {
 	s, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -31,7 +31,7 @@ func BenchmarkStartReadMissSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now += 40
 		va = (va + LineWords) & VAMask
-		s.StartRead(0, va, now)
+		startRead(s, 0, va, now)
 		s.MD(0, now+30)
 	}
 }

@@ -64,6 +64,17 @@ func (c *cache) find(va uint32) *line {
 	return nil
 }
 
+// rehit charges a hit to the line r found at admission and reports true,
+// or reports false when that line no longer holds r's address: r missed,
+// or the same instruction's FF flushed the line since.
+func (c *cache) rehit(r Ref) bool {
+	if l := r.line; l != nil && l.valid && l.tag == c.tag(r.va) {
+		c.hit(l)
+		return true
+	}
+	return false
+}
+
 // hit accounts a reference to resident line l: LRU and the hit count.
 func (c *cache) hit(l *line) {
 	c.touch(l)

@@ -34,20 +34,21 @@ func TestIdentityMapFastPath(t *testing.T) {
 		now += uint64(rng.IntN(4))
 		task, a := rng.IntN(NumTasks), va()
 		switch rng.IntN(8) {
-		case 0, 1:
-			if p, m := plain.CanRead(task, a, now), mapped.CanRead(task, a, now); p != m {
-				t.Fatalf("step %d: CanRead(%d, %#x) = %v, mapped %v", i, task, a, p, m)
+		case 0, 1, 2, 3:
+			store, v := rng.IntN(2) == 1, uint16(rng.Uint32())
+			pr, prel, pok := plain.Admit(task, a, store, now)
+			mr, mrel, mok := mapped.Admit(task, a, store, now)
+			if pok != mok || prel != mrel {
+				t.Fatalf("step %d: Admit(%d, %#x, %v) = %v/%d, mapped %v/%d", i, task, a, store, pok, prel, mok, mrel)
 			}
-			if p, m := plain.StartRead(task, a, now), mapped.StartRead(task, a, now); p != m {
-				t.Fatalf("step %d: StartRead(%d, %#x) = %v, mapped %v", i, task, a, p, m)
-			}
-		case 2, 3:
-			v := uint16(rng.Uint32())
-			if p, m := plain.CanWrite(a, now), mapped.CanWrite(a, now); p != m {
-				t.Fatalf("step %d: CanWrite(%#x) = %v, mapped %v", i, a, p, m)
-			}
-			if p, m := plain.StartWrite(task, a, v, now), mapped.StartWrite(task, a, v, now); p != m {
-				t.Fatalf("step %d: StartWrite(%d, %#x) = %v, mapped %v", i, task, a, p, m)
+			switch {
+			case !pok:
+			case store:
+				plain.Write(task, pr, v, now)
+				mapped.Write(task, mr, v, now)
+			default:
+				plain.Read(task, pr, now)
+				mapped.Read(task, mr, now)
 			}
 		case 4:
 			pb, pok := plain.FastRead(a, now)
@@ -107,7 +108,7 @@ func TestIdentityMapFastPath(t *testing.T) {
 // the very next reference.
 func TestFirstMapFlagsLeaveFastPath(t *testing.T) {
 	s := newSys(t, Config{})
-	if !s.StartRead(0, 3*PageWords+5, 0) {
+	if !startRead(s, 0, 3*PageWords+5, 0) {
 		t.Fatal("read rejected")
 	}
 	s.MD(0, 100)
@@ -115,7 +116,7 @@ func TestFirstMapFlagsLeaveFastPath(t *testing.T) {
 		t.Fatal("fault with an empty map")
 	}
 	s.SetMapFlags(3, MapFlags{Vacant: true})
-	if !s.StartRead(1, 3*PageWords+7, 200) {
+	if !startRead(s, 1, 3*PageWords+7, 200) {
 		t.Fatal("read rejected")
 	}
 	f, ok := s.TakeFault()

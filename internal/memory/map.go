@@ -102,11 +102,9 @@ func (s *System) TakeFault() (Fault, bool) {
 
 // checkRef applies the flag side effects of a reference to va and reports
 // a fault (recording it and counting it). Stores to WP pages must also be
-// suppressed by the caller.
+// suppressed by the caller. Callers skip it while the map is empty: no
+// page has flags yet, the common, identity-mapped case.
 func (s *System) checkRef(task int, va uint32, isStore bool) (faulted bool) {
-	if len(s.vmapx) == 0 {
-		return false // no page has flags yet: the common, identity-mapped case
-	}
 	vp := (va & VAMask) / PageWords
 	e, ok := s.vmapx[vp]
 	if !ok {

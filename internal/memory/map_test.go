@@ -8,12 +8,12 @@ func TestMapFlagsRefAndDirty(t *testing.T) {
 	if f := s.MapFlagsOf(4); f.Ref || f.Dirty {
 		t.Fatal("fresh page already referenced")
 	}
-	s.StartRead(0, 4*PageWords+3, 0)
+	startRead(s, 0, 4*PageWords+3, 0)
 	s.MD(0, 100)
 	if f := s.MapFlagsOf(4); !f.Ref || f.Dirty {
 		t.Errorf("after read: %+v", f)
 	}
-	s.StartWrite(0, 4*PageWords+3, 9, 200)
+	startWrite(s, 0, 4*PageWords+3, 9, 200)
 	if f := s.MapFlagsOf(4); !f.Dirty {
 		t.Errorf("after write: %+v", f)
 	}
@@ -26,7 +26,7 @@ func TestWriteProtectFault(t *testing.T) {
 	var seen []Fault
 	s.OnFault(func(f Fault) { seen = append(seen, f) })
 
-	if !s.StartWrite(3, 5*PageWords, 0x2222, 10) {
+	if !startWrite(s, 3, 5*PageWords, 0x2222, 10) {
 		t.Fatal("faulting store must still be accepted (no Hold for faults)")
 	}
 	if got := s.Peek(5*PageWords + 0); got != 0x1111 {
@@ -43,7 +43,7 @@ func TestWriteProtectFault(t *testing.T) {
 		t.Error("fault not cleared by TakeFault")
 	}
 	// Reads of a WP page are fine.
-	if !s.StartRead(0, 5*PageWords, 100) {
+	if !startRead(s, 0, 5*PageWords, 100) {
 		t.Error("read of WP page refused")
 	}
 	if _, ok := s.LastFault(); ok {
@@ -54,7 +54,7 @@ func TestWriteProtectFault(t *testing.T) {
 func TestVacantPageFaults(t *testing.T) {
 	s := newSys(t, Config{})
 	s.SetMapFlags(7, MapFlags{Vacant: true})
-	s.StartRead(2, 7*PageWords+1, 0)
+	startRead(s, 2, 7*PageWords+1, 0)
 	f, ok := s.LastFault()
 	if !ok || f.Kind != FaultVacant || f.Task != 2 {
 		t.Fatalf("vacant read fault = %+v, %v", f, ok)
@@ -62,7 +62,7 @@ func TestVacantPageFaults(t *testing.T) {
 	s.TakeFault()
 	// MapSet re-maps the page and clears Vacant.
 	s.MapSet(7, 9)
-	s.StartRead(2, 7*PageWords+1, 100)
+	startRead(s, 2, 7*PageWords+1, 100)
 	if _, ok := s.LastFault(); ok {
 		t.Error("mapped page still faulting")
 	}
@@ -74,8 +74,8 @@ func TestVacantPageFaults(t *testing.T) {
 func TestFaultStats(t *testing.T) {
 	s := newSys(t, Config{})
 	s.SetMapFlags(8, MapFlags{WP: true})
-	s.StartWrite(0, 8*PageWords, 1, 0)
-	s.StartWrite(0, 8*PageWords+1, 2, 100)
+	startWrite(s, 0, 8*PageWords, 1, 0)
+	startWrite(s, 0, 8*PageWords+1, 2, 100)
 	if got := s.Stats().Faults; got != 2 {
 		t.Errorf("fault count = %d", got)
 	}
@@ -83,7 +83,7 @@ func TestFaultStats(t *testing.T) {
 
 func TestUnextendedPagesHaveNoFlagOverhead(t *testing.T) {
 	s := newSys(t, Config{})
-	s.StartRead(0, 100, 0)
+	startRead(s, 0, 100, 0)
 	if len(s.vmapx) != 0 {
 		t.Error("plain reference materialized a map entry")
 	}

@@ -221,86 +221,81 @@ func (s *System) takeStorage(now uint64, n int) {
 	s.stats.StorageOps += uint64(n)
 }
 
-// CanRead reports, without side effects, whether StartRead would accept a
-// reference at cycle now. The processor evaluates this during its Hold
-// phase, before committing any state change (§5.7).
-func (s *System) CanRead(task int, va uint32, now uint64) bool {
-	md := &s.md[task&15]
-	if md.pending && now < md.readyAt {
-		return false
-	}
-	return s.cache.find(va) != nil || s.storageFree(now)
+// Ref is a reference the memory has admitted (Admit): its virtual
+// address and the cache line it found there, nil on a miss. Read or Write
+// commits it later in the same cycle.
+type Ref struct {
+	va   uint32
+	line *line
 }
 
-// CanWrite reports, without side effects, whether StartWrite would accept a
-// reference at cycle now.
-func (s *System) CanWrite(va uint32, now uint64) bool {
-	return s.cache.find(va) != nil || s.storageFree(now)
+// Admit decides, without side effects, whether the memory accepts a
+// reference by task to va at cycle now (a fetch, or a store when store is
+// set). It refuses a fetch while the task's previous fetch is outstanding,
+// and any reference that misses while the storage pipe is busy. The
+// processor asks in its Hold phase (§5.7) and commits an admitted Ref with
+// Read or Write. On refusal, release is a cycle before which the same
+// reference stays refused, provided no reference, fast-I/O transfer or
+// Flush happens in between.
+func (s *System) Admit(task int, va uint32, store bool, now uint64) (r Ref, release uint64, ok bool) {
+	if md := &s.md[task&15]; !store && md.pending && now < md.readyAt {
+		return r, md.readyAt, false // one outstanding fetch per task; use MD first
+	}
+	r = Ref{va: va, line: s.cache.find(va)}
+	if r.line == nil && !s.storageFree(now) {
+		return r, s.storageFreeAt, false // retried via Hold; counted once when committed
+	}
+	return r, 0, true
 }
 
-// StartRead begins a fetch for task at va. It returns false when the memory
-// cannot accept the reference this cycle (the processor asserts Hold and
-// retries): the task already has a fetch outstanding, or the reference
-// misses while the storage pipe is busy.
-func (s *System) StartRead(task int, va uint32, now uint64) bool {
-	md := &s.md[task&15]
-	if md.pending && now < md.readyAt {
-		return false // one outstanding fetch per task; use MD first
-	}
-	l := s.cache.find(va)
-	if l == nil && !s.storageFree(now) {
-		return false // retried via Hold; counted once when accepted
-	}
+// Read commits an admitted fetch for task at cycle now; it cannot refuse.
+// MD holds the word once the hit or miss latency has passed.
+func (s *System) Read(task int, r Ref, now uint64) {
 	s.stats.Reads++
-	s.checkRef(task, va, false) // flag maintenance + vacancy fault
-	latency := s.cfg.HitLatency
-	if l != nil {
-		s.cache.hit(l)
-	} else {
-		s.cache.misses++ // accounted here; fill() below does the install
-		if _, dirty := s.cache.fill(va); dirty {
-			s.takeStorage(now, 2) // line fill + victim writeback
-		} else {
-			s.takeStorage(now, 1)
-		}
-		latency = s.cfg.MissLatency
+	if len(s.vmapx) != 0 {
+		s.checkRef(task, r.va, false) // flag maintenance + vacancy fault
 	}
-	md.val = s.data[s.translate(va)]
-	md.readyAt = now + uint64(latency)
-	md.issueAt = now
+	md := &s.md[task&15]
+	md.issueAt, md.readyAt = now, now+uint64(s.cfg.HitLatency)
+	if !s.cache.rehit(r) {
+		_, md.issueAt = s.refill(r.va, now)
+		md.readyAt = md.issueAt + uint64(s.cfg.MissLatency)
+	}
+	md.val = s.data[s.translate(r.va)]
 	md.pending = true
-	return true
 }
 
-// StartWrite begins a store of data to va for task. Stores do not touch MD;
-// they return false (Hold) only when they miss while the storage pipe is
-// busy. The cache is write-allocate, write-back.
-func (s *System) StartWrite(task int, va uint32, data uint16, now uint64) bool {
-	l := s.cache.find(va)
-	if l == nil && !s.storageFree(now) {
-		return false
-	}
+// Write commits an admitted store of data for task at cycle now; it cannot
+// refuse. Stores do not touch MD. The cache is write-allocate, write-back.
+func (s *System) Write(task int, r Ref, data uint16, now uint64) {
 	s.stats.Writes++
-	if s.checkRef(task, va, true) {
-		// A faulting store is accepted (the instruction completes; §5.7's
+	if len(s.vmapx) != 0 && s.checkRef(task, r.va, true) {
+		// A faulting store completes (the instruction is not held; §5.7's
 		// Hold is not for faults) but its data is suppressed; the fault
 		// task cleans up.
-		return true
+		return
 	}
-	if l != nil {
-		s.cache.hit(l)
-	} else {
-		s.cache.misses++
-		var dirty bool
-		if l, dirty = s.cache.fill(va); dirty {
-			s.takeStorage(now, 2)
-		} else {
-			s.takeStorage(now, 1)
-		}
+	l := r.line
+	if !s.cache.rehit(r) {
+		l, _ = s.refill(r.va, now)
 	}
 	l.dirty = true
-	s.data[s.translate(va)] = data
-	return true
+	s.data[s.translate(r.va)] = data
+}
+
+// refill installs the line of a committed reference that misses, or whose
+// hit the same instruction's FF flushed after admission. The fill starts
+// when the storage pipe frees; refill returns the line and that cycle.
+func (s *System) refill(va uint32, now uint64) (*line, uint64) {
+	s.cache.misses++
+	start := max(now, s.storageFreeAt)
+	l, dirty := s.cache.fill(va)
+	if dirty {
+		s.takeStorage(start, 2) // line fill + victim writeback
+	} else {
+		s.takeStorage(start, 1)
+	}
+	return l, start
 }
 
 // MDReady reports whether task's most recent fetch has delivered (§5.7: the
@@ -327,19 +322,6 @@ func (s *System) MDReadyAt(task int, fixedWait bool) uint64 {
 		return md.issueAt + uint64(s.cfg.MissLatency)
 	}
 	return md.readyAt
-}
-
-// RefReleaseAt returns a cycle before which a reference that CanRead or
-// CanWrite refused for task at now stays refused, provided no reference,
-// fast-I/O transfer or Flush happens in between: the earlier of the task's
-// outstanding fetch completing and the storage pipe freeing, counting only
-// the ones still ahead of now.
-func (s *System) RefReleaseAt(task int, now uint64) uint64 {
-	r := s.storageFreeAt
-	if md := &s.md[task&15]; md.pending && md.readyAt > now && (r <= now || md.readyAt < r) {
-		r = md.readyAt
-	}
-	return r
 }
 
 // MD returns task's memory-data word. Call only when MDReady; a too-early

@@ -14,11 +14,30 @@ func newSys(t *testing.T, cfg Config) *System {
 	return s
 }
 
+// startRead admits a fetch and, if admitted, commits it: the processor's
+// hold-phase Admit and its issue-time Read in one call.
+func startRead(s *System, task int, va uint32, now uint64) bool {
+	r, _, ok := s.Admit(task, va, false, now)
+	if ok {
+		s.Read(task, r, now)
+	}
+	return ok
+}
+
+// startWrite is startRead for a store of data.
+func startWrite(s *System, task int, va uint32, data uint16, now uint64) bool {
+	r, _, ok := s.Admit(task, va, true, now)
+	if ok {
+		s.Write(task, r, data, now)
+	}
+	return ok
+}
+
 func TestHitLatencyTwoCycles(t *testing.T) {
 	s := newSys(t, Config{})
 	s.Poke(100, 0xBEEF)
 	// Warm the line.
-	if !s.StartRead(0, 100, 0) {
+	if !startRead(s, 0, 100, 0) {
 		t.Fatal("cold read rejected")
 	}
 	for !s.MDReady(0, 1000) {
@@ -26,7 +45,7 @@ func TestHitLatencyTwoCycles(t *testing.T) {
 	}
 	s.MD(0, 1000)
 	// Hit: issued at cycle 2000, ready at 2002, not before.
-	if !s.StartRead(0, 100, 2000) {
+	if !startRead(s, 0, 100, 2000) {
 		t.Fatal("hit read rejected")
 	}
 	if s.MDReady(0, 2001) {
@@ -43,7 +62,7 @@ func TestHitLatencyTwoCycles(t *testing.T) {
 func TestMissLatency(t *testing.T) {
 	s := newSys(t, Config{})
 	s.Poke(0x5000, 0x1234)
-	if !s.StartRead(3, 0x5000, 10) {
+	if !startRead(s, 3, 0x5000, 10) {
 		t.Fatal("miss read rejected with free storage")
 	}
 	if s.MDReady(3, 10+25) {
@@ -73,15 +92,15 @@ func TestMissHitGapIsOrderOfMagnitude(t *testing.T) {
 func TestStoragePipeBackpressure(t *testing.T) {
 	s := newSys(t, Config{})
 	// First miss occupies the storage pipe for one RAM cycle (8 cycles).
-	if !s.StartRead(0, 0x1000, 0) {
+	if !startRead(s, 0, 0x1000, 0) {
 		t.Fatal("first miss rejected")
 	}
 	// A second miss (different task, different line) cannot start until
 	// cycle 8.
-	if s.StartRead(1, 0x2000, 3) {
+	if startRead(s, 1, 0x2000, 3) {
 		t.Error("second miss accepted while storage busy")
 	}
-	if !s.StartRead(1, 0x2000, 8) {
+	if !startRead(s, 1, 0x2000, 8) {
 		t.Error("second miss rejected after storage cycle elapsed")
 	}
 }
@@ -89,15 +108,15 @@ func TestStoragePipeBackpressure(t *testing.T) {
 func TestHitUnderMiss(t *testing.T) {
 	s := newSys(t, Config{})
 	// Warm a line for task 1.
-	s.StartRead(1, 64, 0)
+	startRead(s, 1, 64, 0)
 	s.MD(1, 100)
 	// Task 0 misses at cycle 200 (storage busy until 208).
-	if !s.StartRead(0, 0x3000, 200) {
+	if !startRead(s, 0, 0x3000, 200) {
 		t.Fatal("miss rejected")
 	}
 	// Task 1 can still hit in the cache during the miss (the cache is
 	// fully segmented, §3).
-	if !s.StartRead(1, 64, 201) {
+	if !startRead(s, 1, 64, 201) {
 		t.Error("hit under miss rejected")
 	}
 	if !s.MDReady(1, 203) {
@@ -107,25 +126,25 @@ func TestHitUnderMiss(t *testing.T) {
 
 func TestOneOutstandingFetchPerTask(t *testing.T) {
 	s := newSys(t, Config{})
-	if !s.StartRead(0, 0x1000, 0) {
+	if !startRead(s, 0, 0x1000, 0) {
 		t.Fatal("first read rejected")
 	}
 	// Same task, before data ready: must hold.
-	if s.StartRead(0, 0x1010, 5) {
+	if startRead(s, 0, 0x1010, 5) {
 		t.Error("second fetch accepted while first outstanding")
 	}
 	// After MD is ready the next fetch is fine even without reading MD.
-	if !s.StartRead(0, 64, 40) {
+	if !startRead(s, 0, 64, 40) {
 		t.Error("fetch after ready rejected")
 	}
 }
 
 func TestWriteReadBack(t *testing.T) {
 	s := newSys(t, Config{})
-	if !s.StartWrite(0, 777, 0xCAFE, 0) {
+	if !startWrite(s, 0, 777, 0xCAFE, 0) {
 		t.Fatal("write rejected")
 	}
-	if !s.StartRead(0, 777, 20) {
+	if !startRead(s, 0, 777, 20) {
 		t.Fatal("read rejected")
 	}
 	if got := s.MD(0, 60); got != 0xCAFE {
@@ -135,14 +154,14 @@ func TestWriteReadBack(t *testing.T) {
 
 func TestWriteMissAllocates(t *testing.T) {
 	s := newSys(t, Config{})
-	if !s.StartWrite(0, 0x4000, 1, 0) {
+	if !startWrite(s, 0, 0x4000, 1, 0) {
 		t.Fatal("write miss rejected")
 	}
 	if !s.CacheResident(0x4000) {
 		t.Error("write-allocate did not install the line")
 	}
 	// Subsequent read is a hit.
-	if !s.StartRead(0, 0x4001, 100) {
+	if !startRead(s, 0, 0x4001, 100) {
 		t.Fatal("read rejected")
 	}
 	if !s.MDReady(0, 102) {
@@ -154,16 +173,16 @@ func TestDirtyEvictionCostsWriteback(t *testing.T) {
 	s := newSys(t, Config{CacheWords: 64, CacheWays: 2}) // 2 sets × 2 ways
 	// Three lines mapping to the same set: with 2 sets of 2 ways and line
 	// 16, set = (va/16) % 2, so va 0, 64, 128 share set 0.
-	s.StartWrite(0, 0, 7, 0) // dirty line A
-	s.StartRead(0, 64, 100)  // line B
+	startWrite(s, 0, 0, 7, 0) // dirty line A
+	startRead(s, 0, 64, 100)  // line B
 	s.MD(0, 200)
 	base := s.Stats().Writebacks
-	s.StartRead(0, 128, 300) // evicts dirty A
+	startRead(s, 0, 128, 300) // evicts dirty A
 	if s.Stats().Writebacks != base+1 {
 		t.Errorf("writebacks = %d, want %d", s.Stats().Writebacks, base+1)
 	}
 	// Data survives eviction.
-	s.StartRead(0, 0, 500)
+	startRead(s, 0, 0, 500)
 	if got := s.MD(0, 600); got != 7 {
 		t.Errorf("evicted data lost: %d", got)
 	}
@@ -218,7 +237,7 @@ func TestFastIOBypassesCache(t *testing.T) {
 
 func TestFastReadSeesDirtyData(t *testing.T) {
 	s := newSys(t, Config{})
-	s.StartWrite(0, 0x8000, 0x7777, 0) // dirty in cache
+	startWrite(s, 0, 0x8000, 0x7777, 0) // dirty in cache
 	blk, ok := s.FastRead(0x8000, 50)
 	if !ok {
 		t.Fatal("fast read rejected")
@@ -230,14 +249,14 @@ func TestFastReadSeesDirtyData(t *testing.T) {
 
 func TestFastWriteInvalidatesCache(t *testing.T) {
 	s := newSys(t, Config{})
-	s.StartRead(0, 0x8000, 0)
+	startRead(s, 0, 0x8000, 0)
 	s.MD(0, 100)
 	var blk [LineWords]uint16
 	blk[0] = 0x9999
 	if !s.FastWrite(0x8000, blk, 200) {
 		t.Fatal("fast write rejected")
 	}
-	s.StartRead(0, 0x8000, 300)
+	startRead(s, 0, 0x8000, 300)
 	if got := s.MD(0, 400); got != 0x9999 {
 		t.Errorf("processor read stale data %#04x after fast write", got)
 	}
@@ -267,7 +286,7 @@ func TestFastIORateLimit(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	s := newSys(t, Config{})
-	s.StartWrite(0, 0x100, 5, 0)
+	startWrite(s, 0, 0x100, 5, 0)
 	if !s.CacheResident(0x100) {
 		t.Fatal("line not resident")
 	}
@@ -307,13 +326,89 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	s := newSys(t, Config{})
-	s.StartRead(0, 0, 0) // miss
+	startRead(s, 0, 0, 0) // miss
 	s.MD(0, 100)
-	s.StartRead(0, 1, 200) // hit
+	startRead(s, 0, 1, 200) // hit
 	s.MD(0, 300)
-	s.StartWrite(0, 2, 9, 400) // hit
+	startWrite(s, 0, 2, 9, 400) // hit
 	st := s.Stats()
 	if st.Reads != 2 || st.Writes != 1 || st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestAdmitHasNoSideEffects: a refused or admitted but uncommitted
+// reference changes no counter, no LRU order and no timing, and a refusal
+// names the cycle its cause ends.
+func TestAdmitHasNoSideEffects(t *testing.T) {
+	s := newSys(t, Config{CacheWords: 64, CacheWays: 2}) // 2 sets × 2 ways
+	startRead(s, 0, 0, 0)                                // miss: storage busy until 8, MD at 26
+	s.Warm(64)                                           // same set as va 0, more recent
+	before := s.Stats()
+	if _, rel, ok := s.Admit(0, 64, false, 5); ok || rel != 26 {
+		t.Errorf("fetch with one outstanding: ok %v, release %d; want refused until 26", ok, rel)
+	}
+	if _, rel, ok := s.Admit(1, 0x2000, true, 5); ok || rel != 8 {
+		t.Errorf("store miss with the pipe busy: ok %v, release %d; want refused until 8", ok, rel)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, ok := s.Admit(1, 0, false, 6); !ok { // a hit on the older line
+			t.Fatal("hit refused")
+		}
+	}
+	if s.Stats() != before {
+		t.Errorf("Admit changed Stats: %+v, was %+v", s.Stats(), before)
+	}
+	// Admitting va 0 did not refresh its LRU: the next fill in the set
+	// still evicts it, not 64.
+	startRead(s, 1, 128, 40)
+	if s.CacheResident(0) || !s.CacheResident(64) {
+		t.Error("Admit touched the LRU order")
+	}
+}
+
+// TestReadAfterSameWordFlush: a hit admitted in the Hold phase whose line
+// the same instruction's FF then flushes is fetched again. A dirty line's
+// writeback holds the storage pipe for one RAM cycle first, so MD is ready
+// a miss latency after the pipe frees; a clean line refills at once.
+func TestReadAfterSameWordFlush(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		s := newSys(t, Config{})
+		s.Poke(0x500, 0x4242)
+		s.Warm(0x500)
+		if dirty {
+			startWrite(s, 0, 0x500, 0x4343, 0)
+		}
+		const now = 100
+		r, _, ok := s.Admit(2, 0x500, false, now)
+		if !ok {
+			t.Fatal("hit refused")
+		}
+		before := s.Stats()
+		s.Flush(0x500, now)
+		s.Read(2, r, now)
+		want := uint64(now + 26)
+		ops := before.StorageOps + 1
+		if dirty {
+			want += 8
+			ops++
+		}
+		if s.MDReady(2, want-1) || !s.MDReady(2, want) || s.MDReadyAt(2, false) != want || s.MDReadyAt(2, true) != want {
+			t.Errorf("dirty=%v: MD ready at %d (fixed wait %d), want %d", dirty, s.MDReadyAt(2, false), s.MDReadyAt(2, true), want)
+		}
+		st := s.Stats()
+		if st.Misses != before.Misses+1 || st.Hits != before.Hits || st.StorageOps != ops || s.StorageFreeAt() != want-26+8 {
+			t.Errorf("dirty=%v: stats %+v (storage free at %d), before %+v", dirty, st, s.StorageFreeAt(), before)
+		}
+		if !s.CacheResident(0x500) {
+			t.Errorf("dirty=%v: refetched line not resident", dirty)
+		}
+		wantMD := uint16(0x4242)
+		if dirty {
+			wantMD = 0x4343
+		}
+		if got := s.MD(2, want); got != wantMD {
+			t.Errorf("dirty=%v: MD = %#04x, want %#04x", dirty, got, wantMD)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // DebugServer is the cmd tools' observability endpoint: expvar
@@ -16,9 +15,6 @@ import (
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
-
-	mu   sync.Mutex
-	snap func() *Snapshot
 }
 
 // RegisterDebug mounts the out-of-band inspection endpoints — expvar
@@ -51,46 +47,24 @@ func RegisterMetrics(mux *http.ServeMux, snapshot func() *Snapshot) {
 }
 
 // ServeDebug starts a debug server on addr (e.g. "localhost:6060").
-// snapshot may be nil (the /metrics endpoint then reports no families);
-// swap it later with SetSnapshot. The server runs until Close.
+// snapshot is the /metrics source, called once per scrape (see
+// RegisterMetrics); nil reports no families. The server runs until Close.
 func ServeDebug(addr string, snapshot func() *Snapshot) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	d := &DebugServer{ln: ln, snap: snapshot}
-
 	mux := http.NewServeMux()
 	RegisterDebug(mux)
-	RegisterMetrics(mux, d.snapshot)
+	RegisterMetrics(mux, snapshot)
 
-	d.srv = &http.Server{Handler: mux}
+	d := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go d.srv.Serve(ln) //nolint:errcheck // Serve returns on Close
 	return d, nil
 }
 
-// snapshot reads the swappable snapshot source (see SetSnapshot).
-func (d *DebugServer) snapshot() *Snapshot {
-	d.mu.Lock()
-	f := d.snap
-	d.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f()
-}
-
 // Addr returns the bound address (useful with ":0").
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
-
-// SetSnapshot installs the /metrics source. The function is called per
-// scrape; it must be safe to run concurrently with the simulation (the
-// cmd tools publish a fresh snapshot between run slices, see cmd/dorado).
-func (d *DebugServer) SetSnapshot(f func() *Snapshot) {
-	d.mu.Lock()
-	d.snap = f
-	d.mu.Unlock()
-}
 
 // Close shuts the listener down.
 func (d *DebugServer) Close() error { return d.srv.Close() }

@@ -12,7 +12,6 @@ import (
 
 	"dorado/internal/core"
 	"dorado/internal/microcode"
-	"dorado/internal/obs"
 )
 
 // testSnapshot is a small hand-built core snapshot: two routines, one
@@ -278,40 +277,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if spans != 2 {
 		t.Errorf("%d superblock events, want 2", spans)
-	}
-}
-
-func TestAddMetrics(t *testing.T) {
-	p := Build(testSnapshot(), testSymbols())
-	var s obs.Snapshot
-	AddMetrics(&s, `{session="s1"}`, p)
-	var b bytes.Buffer
-	if err := obs.WritePrometheus(&b, &s); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`dorado_prof_cycles_total{session="s1"} 175`,
-		`dorado_prof_block_exits_total{session="s1",reason="branch"} 7`,
-		`dorado_prof_block_exits_total{session="s1",reason="guard_fail"} 1`,
-		`dorado_prof_block_exits_total{session="s1",reason="ifujump"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Unlabeled form and determinism.
-	var s2, s3 obs.Snapshot
-	AddMetrics(&s2, "", p)
-	AddMetrics(&s3, "", p)
-	var b2, b3 bytes.Buffer
-	obs.WritePrometheus(&b2, &s2)
-	obs.WritePrometheus(&b3, &s3)
-	if !bytes.Equal(b2.Bytes(), b3.Bytes()) {
-		t.Error("exposition not deterministic")
-	}
-	if !strings.Contains(b2.String(), `dorado_prof_block_exits_total{reason="branch"} 7`) {
-		t.Errorf("unlabeled exposition wrong:\n%s", b2.String())
 	}
 }
 

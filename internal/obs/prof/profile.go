@@ -1,8 +1,8 @@
 // Package prof is the model half of the microarchitectural profiler: it
 // turns a core.Profiler snapshot into a portable Profile — microaddresses
 // named by masm symbols, superblock lifecycles with abort reasons — and
-// exports it as JSON, pprof protobuf (WritePprof), Prometheus families
-// (AddMetrics), and Chrome trace_event spans (WriteChromeTrace).
+// exports it as JSON, pprof protobuf (WritePprof), and Chrome trace_event
+// spans (WriteChromeTrace).
 //
 // A Profile is a value: Merge folds many (a fleet's sessions) into one,
 // Diff subtracts a baseline (two reads of one live session bracket a

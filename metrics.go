@@ -57,8 +57,9 @@ func (s *System) WriteChromeTrace(w io.Writer) error {
 // ServeDebug starts an HTTP server exposing /metrics (Prometheus),
 // /debug/vars (expvar) and /debug/pprof on addr (use "127.0.0.1:0" for an
 // ephemeral port; the chosen address is Addr() on the returned server).
-// The /metrics snapshot is the one current at each call to
-// (*obs.DebugServer).SetSnapshot; cmd tools refresh it between run slices.
+// Each /metrics scrape calls snapshot, which must be safe to run
+// concurrently with the simulation; cmd/dorado's publishes the snapshot
+// it last took between run slices.
 func ServeDebug(addr string, snapshot func() *MetricsSnapshot) (*obs.DebugServer, error) {
 	return obs.ServeDebug(addr, snapshot)
 }

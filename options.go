@@ -45,12 +45,12 @@ func WithMetrics(m *Metrics) Option {
 	return func(s *settings) { s.metrics = m }
 }
 
-// WithTranslation enables the superblock translator: hot straight-line
-// microcode runs are compiled into fused Go closures, typically 1.5x or
-// better over the predecoded interpreter on compute-bound workloads
-// (identical simulated behavior — the translator falls back to the cycle
-// loop on task switches, holds, and IFU dispatches). Pass
-// Translation{Enable: true} for the defaults.
+// WithTranslation enables the superblock translator: straight-line
+// microcode runs are compiled into fused Go closures the first time the
+// machine reaches them, typically 1.5x or better over the predecoded
+// interpreter on compute-bound workloads (identical simulated behavior —
+// the translator falls back to the cycle loop on task switches, holds, and
+// IFU dispatches). Pass Translation{Enable: true} to turn it on.
 //
 //	sys, err := dorado.New(dorado.WithTranslation(dorado.Translation{Enable: true}))
 func WithTranslation(t Translation) Option {

@@ -65,14 +65,14 @@ func TestNewOptionMatrix(t *testing.T) {
 	}
 }
 
-// WithTranslation must produce a system that translates hot microcode and
+// WithTranslation must produce a system that translates its microcode and
 // still computes the same answer as an untranslated one.
 func TestWithTranslation(t *testing.T) {
 	plain, err := New(WithLanguage(Mesa))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := New(WithLanguage(Mesa), WithTranslation(Translation{Enable: true, HotThreshold: 4}))
+	trans, err := New(WithLanguage(Mesa), WithTranslation(Translation{Enable: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
