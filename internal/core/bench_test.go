@@ -139,13 +139,9 @@ func (d *benchDev) Input(uint64) uint16    { return uint16(d.n) }
 func (d *benchDev) Output(uint16, uint64)  {}
 func (d *benchDev) Control(uint16, uint64) {}
 func (d *benchDev) Atten() bool            { return false }
-func (d *benchDev) SaveState(e *state.Encoder) {
-	e.Bool(d.wake)
-	e.U64(d.n)
-}
-func (d *benchDev) LoadState(dec *state.Decoder) {
-	d.wake = dec.Bool()
-	d.n = dec.U64()
+func (d *benchDev) State(c *state.Codec) {
+	c.Bool(&d.wake)
+	c.U64(&d.n)
 }
 
 // BenchmarkSnapshot measures encoding a whole machine (the 1M-word storage

@@ -81,7 +81,6 @@ type Options struct {
 // Config assembles a Machine.
 type Config struct {
 	Memory  memory.Config
-	IFU     ifu.Config
 	Options Options
 	// FaultTask, when 1..15, is woken (via its READY flipflop) whenever the
 	// memory system records a map fault — the Dorado's fault-handling
@@ -237,7 +236,7 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:      cfg,
 		mem:      mem,
-		ifu:      ifu.New(mem, cfg.IFU),
+		ifu:      ifu.New(mem),
 		alufm:    microcode.DefaultALUFM(),
 		devQuiet: ^uint64(0), // no controllers: quiet forever
 	}
@@ -365,10 +364,9 @@ func (m *Machine) scanDevices(now uint64) {
 }
 
 // endQuiet ends every controller's quiet window, so the next cycle scans
-// them all. Anything that may break an Idler promise calls it: a cache
-// flush (it can free the storage pipe early), Attach, Restore, and every
-// Run or Step entry (the host may have touched a device). A machine
-// without controllers stays quiet forever.
+// them all. Anything that may break an Idler promise calls it: Attach,
+// Restore, and every Run or Step entry (the host may have touched a
+// device). A machine without controllers stays quiet forever.
 func (m *Machine) endQuiet() {
 	m.devDue = [NumTasks]uint64{}
 	if len(m.att) != 0 {

@@ -41,7 +41,6 @@ func (m *Machine) execFF(ff uint8, d *decoded, aVal, rmVal, bVal, res uint16, no
 		m.cpreg = bVal
 	case microcode.FFFlushCache:
 		m.mem.Flush(m.mem.VA(m.membase, aVal), now)
-		m.endQuiet()
 	case microcode.FFMapSet:
 		m.mem.MapSet(m.mem.VA(m.membase, aVal)/256, uint32(bVal))
 	case microcode.FFMapGet:

@@ -29,10 +29,12 @@ start:  const=0x0040 alu=b lc=rm r=1
 		if got := m.T(0); got != 0x00A5 {
 			t.Errorf("T = %#04x, want the stored 0x00a5", got)
 		}
-		// The refetch starts when the writeback frees the pipe (8 cycles)
-		// and delivers a miss latency (26) later: the MD use holds 33.
-		if st := m.Stats(); st.HoldMD != 8+26-1 || st.HoldMem != 0 {
-			t.Errorf("holds: MD %d, memory %d; want 33 and 0", st.HoldMD, st.HoldMem)
+		// The flush's writeback waits 7 cycles for the store's fill to
+		// free the pipe, the refetch starts when the writeback frees it (8
+		// cycles) and delivers a miss latency (26) later: the MD use
+		// holds 40.
+		if st := m.Stats(); st.HoldMD != 7+8+26-1 || st.HoldMem != 0 {
+			t.Errorf("holds: MD %d, memory %d; want 40 and 0", st.HoldMD, st.HoldMem)
 		}
 		if st := m.Mem().Stats(); st.Misses != 2 || st.Hits != 0 || st.Writebacks != 1 || st.StorageOps != 3 {
 			t.Errorf("memory stats %+v: want 2 misses (store, refetch), 1 writeback, 3 storage ops", st)

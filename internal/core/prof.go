@@ -296,20 +296,6 @@ func (p *Profiler) Snapshot() Snapshot {
 // (Snapshot walks the full counter planes; this copies nine words).
 func (p *Profiler) ExitCounts() [NumExitReasons]uint64 { return p.exits }
 
-// Reset clears every counter (the block table included), so one profiler
-// can cover successive measurement windows without reallocation of the
-// counter planes.
-func (p *Profiler) Reset() {
-	p.cycles = [microcode.StoreSize]uint64{}
-	p.executed = [microcode.StoreSize]uint64{}
-	p.holds = [microcode.StoreSize]uint64{}
-	p.blocks = map[microcode.Addr]*blockProf{}
-	p.exits = [NumExitReasons]uint64{}
-	p.spans = p.spans[:0]
-	p.spanHead = 0
-	p.spansDropped = 0
-}
-
 // SetProfiler attaches (or, with nil, detaches) a microarchitectural
 // profiler: every cycle is then charged to the microaddress occupying the
 // processor — on the generic loop and inside superblocks alike — and every

@@ -161,33 +161,6 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProfilerReset: Reset returns the profiler to empty and a subsequent
-// window accumulates independently.
-func TestProfilerReset(t *testing.T) {
-	p := profTestProgram(t)
-	m := profTestMachine(t, p, Config{Translation: translateTestCfg})
-	prof := NewProfiler()
-	m.SetProfiler(prof)
-	m.RunCycles(300)
-	if s := prof.Snapshot(); len(s.Addrs) == 0 {
-		t.Fatal("first window empty")
-	}
-	prof.Reset()
-	if s := prof.Snapshot(); len(s.Addrs) != 0 || len(s.Blocks) != 0 {
-		t.Fatalf("Reset left state: %d addrs, %d blocks", len(s.Addrs), len(s.Blocks))
-	}
-	before := m.Cycle()
-	m.RunCycles(100)
-	s := prof.Snapshot()
-	var cycles uint64
-	for _, a := range s.Addrs {
-		cycles += a.Cycles
-	}
-	if cycles != m.Cycle()-before {
-		t.Errorf("post-Reset window attributed %d cycles, ran %d", cycles, m.Cycle()-before)
-	}
-}
-
 // TestProfilerOffNoAllocs: with no profiler attached the hot loops must not
 // allocate per cycle — the acceptance criterion guarding the prof-off path.
 func TestProfilerOffNoAllocs(t *testing.T) {

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"dorado/internal/device"
+	"dorado/internal/ifu"
 	"dorado/internal/masm"
+	"dorado/internal/memory"
 	"dorado/internal/microcode"
 	"dorado/internal/state"
 )
@@ -244,4 +247,140 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err := src.Restore(snap[:len(snap)-3]); err == nil {
 		t.Error("restore accepted a truncated document")
 	}
+}
+
+// restoreMachine builds the small machine FuzzRestore's seeds come from:
+// 256 cache words over 4096 storage words, a page-map override, a few
+// IFU decode rows, and a Display on task 13 fed by a two-word service
+// routine. With run set it loads and starts the program; without, it is
+// only a restore target of the same shape.
+func restoreMachine(t testing.TB, run bool) *Machine {
+	t.Helper()
+	m, err := New(Config{Memory: memory.Config{CacheWords: 256, CacheWays: 2, StorageWords: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disp := device.NewDisplay(13, m.Mem(), 24, 4)
+	disp.SetBase(0x800)
+	if err := m.Attach(disp); err != nil {
+		t.Fatal(err)
+	}
+	if !run {
+		return m
+	}
+	bl := masm.NewBuilder()
+	bl.EmitAt("emu", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0,
+		LC: microcode.LCLoadRM})
+	bl.Emit(masm.I{A: microcode.ASelFetch, R: 0})
+	bl.Emit(masm.I{ALU: microcode.ALUAplusB, A: microcode.ASelMD, B: microcode.BSelT,
+		LC: microcode.LCLoadT})
+	bl.Emit(masm.I{A: microcode.ASelStore, R: 0, B: microcode.BSelT, Flow: masm.Goto("emu")})
+	bl.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
+		ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
+	bl.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
+	p := mustProgram(t, bl)
+	m.Load(&p.Words)
+	m.Mem().MapSet(3, 5)
+	for op, e := range []ifu.Entry{{Handler: 0x10, Name: "NOP"}, {Handler: 0x20, Operands: 2, Wide: true, Name: "LIW"}} {
+		if err := m.IFU().SetEntry(uint8(op), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.SetIOAddress(13, 13)
+	m.SetTPC(13, p.MustEntry("disp"))
+	m.SetT(13, 16)
+	m.Start(p.MustEntry("emu"))
+	return m
+}
+
+// restoreSeeds are FuzzRestore's base snapshots: restoreMachine at two
+// cycle counts, one early (the display still filling) and one later.
+func restoreSeeds(t testing.TB) [][]byte {
+	m := restoreMachine(t, true)
+	m.RunCycles(300)
+	early := m.Snapshot()
+	m.RunCycles(3000)
+	return [][]byte{early, m.Snapshot()}
+}
+
+// TestRestoreBoundsCounts: a snapshot whose MEMS page-map count, or whose
+// Display's pending-block count, claims 2^20 entries over none is refused
+// before anything is sized by the count, the refused Restore allocates
+// under 1 MiB, and the machine still runs.
+func TestRestoreBoundsCounts(t *testing.T) {
+	src := snapMachine(t, Config{})
+	src.RunCycles(100)
+	le := binary.LittleEndian
+	// MEMS: storage-pipe release (8), base registers (32x4), per-task MD
+	// state (16x19), the fault latch (6) and counters (7x8), then the
+	// page map's count, the last field of a machine with an empty map.
+	const pageCount = 8 + 32*4 + 16*19 + 6 + 7*8
+	mems := patchSection(t, src.Snapshot(), "MEMS", func(b []byte) {
+		if len(b) != pageCount+4 || le.Uint32(b[pageCount:]) != 0 {
+			t.Fatalf("MEMS is %d bytes, page map count %d: want an empty map", len(b), le.Uint32(b[pageCount:]))
+		}
+		le.PutUint32(b[pageCount:], 1<<20)
+	})
+	// DEVS: the device count, the Display's task and base register, then
+	// its pending-block count; the seed machine's queue is empty.
+	disp := restoreMachine(t, true)
+	disp.RunCycles(2)
+	devs := patchSection(t, disp.Snapshot(), "DEVS", func(b []byte) {
+		if le.Uint32(b[6:]) != 0 {
+			t.Fatalf("display queue holds %d blocks, want none", le.Uint32(b[6:]))
+		}
+		le.PutUint32(b[6:], 1<<20)
+	})
+	for _, c := range []struct {
+		name string
+		snap []byte
+		m    *Machine
+	}{
+		{"page map", mems, snapMachine(t, Config{})},
+		{"display queue", devs, restoreMachine(t, false)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.m.Restore(c.snap)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count of 2^20 over no entries restored", c.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: refused Restore allocated %d bytes", c.name, n)
+		}
+		c.m.RunCycles(1000) // must not panic
+	}
+}
+
+// FuzzRestore lays an (offset, patch) pair over one of restoreSeeds and
+// restores the result onto a fresh machine of the same shape. Restore
+// must never panic; a snapshot it accepts must leave a machine whose own
+// snapshot restores onto another fresh machine to the same bytes, and
+// which runs 1000 cycles without panicking. Patches rather than whole
+// documents keep each input small: a whole 46 KB snapshot per input
+// slows the fuzzer to a crawl.
+func FuzzRestore(f *testing.F) {
+	seeds := restoreSeeds(f)
+	f.Add(uint8(0), uint32(0), []byte{})
+	f.Add(uint8(1), uint32(0), []byte{})
+	f.Add(uint8(0), uint32(6), []byte("CONF"))
+	f.Add(uint8(1), uint32(40), []byte{0xFF, 0xFF, 0xFF, 0x7F})
+	f.Fuzz(func(t *testing.T, seed uint8, off uint32, patch []byte) {
+		snap := bytes.Clone(seeds[int(seed)%len(seeds)])
+		copy(snap[int(off%uint32(len(snap))):], patch)
+		m := restoreMachine(t, false)
+		if m.Restore(snap) != nil {
+			return
+		}
+		again := m.Snapshot()
+		fresh := restoreMachine(t, false)
+		if err := fresh.Restore(again); err != nil {
+			t.Fatalf("the re-snapshot of an accepted snapshot is refused: %v", err)
+		}
+		if !bytes.Equal(fresh.Snapshot(), again) {
+			t.Fatal("the re-snapshot of an accepted snapshot does not restore to the same bytes")
+		}
+		m.RunCycles(1000)
+	})
 }

@@ -284,8 +284,7 @@ func (d *outputWaker) IdleUntil(now uint64) uint64 {
 	return ^uint64(0)
 }
 
-func (d *outputWaker) SaveState(e *state.Encoder)   { e.Bool(d.wake) }
-func (d *outputWaker) LoadState(dec *state.Decoder) { d.wake = dec.Bool() }
+func (d *outputWaker) State(c *state.Codec) { c.Bool(&d.wake) }
 
 // TestLoadIdempotent: reloading an identical microstore image neither
 // re-decodes nor flushes the superblock caches.

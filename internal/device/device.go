@@ -46,13 +46,11 @@ type Device interface {
 	// Atten reports the device's attention line (the IOAtten branch
 	// condition).
 	Atten() bool
-	// SaveState appends the device's mutable state (FIFOs, timers,
-	// counters) to a machine snapshot. Devices with no mutable state
-	// inherit the no-op from Nop.
-	SaveState(e *state.Encoder)
-	// LoadState restores what SaveState wrote. The decoder is already
-	// positioned at this device's data.
-	LoadState(d *state.Decoder)
+	// State describes the device's mutable state (FIFOs, timers,
+	// counters) to a machine snapshot's codec, which is positioned at this
+	// device's data in the processor's device section. Devices with no
+	// mutable state inherit the no-op from Nop.
+	State(c *state.Codec)
 }
 
 // Idler is an optional Device extension for event-driven controllers. The
@@ -70,10 +68,9 @@ type Device interface {
 // Output, DevCtl or IOAttenAck ends the addressed device's; Attach,
 // Restore and every Run or Step entry (the host may have touched a device
 // between calls) end every device's. A promise may rest on
-// memory.System.StorageFreeAt: references and other controllers' transfers
-// only move it later, and a cache flush, the one thing that can move it
-// earlier, ends every window too. A device that does not implement Idler
-// is due again every cycle, so it is scanned every cycle, which is always
+// memory.System.StorageFreeAt: references, flushes and other controllers'
+// transfers only move it later. A device that does not implement Idler is
+// due again every cycle, so it is scanned every cycle, which is always
 // correct.
 type Idler interface {
 	IdleUntil(now uint64) uint64
@@ -107,8 +104,5 @@ func (*Nop) Control(uint16, uint64) {}
 // Atten implements Device.
 func (*Nop) Atten() bool { return false }
 
-// SaveState implements Device: no mutable state.
-func (*Nop) SaveState(*state.Encoder) {}
-
-// LoadState implements Device: no mutable state.
-func (*Nop) LoadState(*state.Decoder) {}
+// State implements Device: no mutable state.
+func (*Nop) State(*state.Codec) {}

@@ -2,145 +2,87 @@ package device
 
 import "dorado/internal/state"
 
-// Device snapshot implementations. These append into the machine's open
-// device section (they do not open sections of their own), so each device
-// must read back exactly what it wrote. Queues backed by slices are encoded
-// in canonical form — only the live entries, with drained prefixes dropped —
-// so Snapshot→Restore→Snapshot is byte-identical.
+// Device snapshot descriptions. These code into the machine's open device
+// section (they do not open sections of their own). Queues are coded in
+// canonical form — only the live entries, from the head, with drained
+// prefixes dropped — so Snapshot→Restore→Snapshot is byte-identical.
 
-// SaveState implements Device.
-func (d *WordSource) SaveState(e *state.Encoder) {
-	// The FIFO ring is canonicalized to start at index 0.
-	e.U8(uint8(d.n))
+// State implements Device.
+func (d *WordSource) State(c *state.Codec) {
+	// The FIFO ring is coded from its head and restored to start at slot 0.
+	head := d.head
+	if c.Decoding() {
+		head = 0
+	}
+	c.Int(&d.n, len(d.fifo)+1)
 	for i := 0; i < d.n; i++ {
-		e.U16(d.fifo[(d.head+i)&15])
+		c.U16(&d.fifo[(head+i)&15])
 	}
-	e.U16(d.next)
-	e.U64(d.dueAt)
-	e.U64(d.overruns)
-	e.U64(d.produced)
-	e.U64(d.consumed)
-	e.Bool(d.started)
-}
-
-// LoadState implements Device.
-func (d *WordSource) LoadState(dec *state.Decoder) {
-	d.fifo = [16]uint16{}
-	d.head = 0
-	d.n = int(dec.U8())
-	for i := 0; i < d.n && i < len(d.fifo); i++ {
-		d.fifo[i] = dec.U16()
+	if c.Decoded() {
+		d.head = 0
 	}
-	d.next = dec.U16()
-	d.dueAt = dec.U64()
-	d.overruns = dec.U64()
-	d.produced = dec.U64()
-	d.consumed = dec.U64()
-	d.started = dec.Bool()
+	c.U16(&d.next)
+	c.U64(&d.dueAt)
+	c.U64(&d.overruns)
+	c.U64(&d.produced)
+	c.U64(&d.consumed)
+	c.Bool(&d.started)
 }
 
-// SaveState implements Device.
-func (d *Loopback) SaveState(e *state.Encoder) {
-	e.Bool(d.wake)
-	e.U16(d.seq)
-	e.U64(d.in)
-	e.U64(d.out)
-	e.U16(d.last)
+// State implements Device.
+func (d *Loopback) State(c *state.Codec) {
+	c.Bool(&d.wake)
+	c.U16(&d.seq)
+	c.U64(&d.in)
+	c.U64(&d.out)
+	c.U16(&d.last)
 }
 
-// LoadState implements Device.
-func (d *Loopback) LoadState(dec *state.Decoder) {
-	d.wake = dec.Bool()
-	d.seq = dec.U16()
-	d.in = dec.U64()
-	d.out = dec.U64()
-	d.last = dec.U16()
+// State implements Device.
+func (d *Pulse) State(c *state.Codec) {
+	c.Bool(&d.wake)
+	c.U64(&d.raised)
+	c.U64(&d.nextAt)
+	c.Bool(&d.started)
+	state.List(c, &d.lats, 8, c.U64)
 }
 
-// SaveState implements Device.
-func (d *Pulse) SaveState(e *state.Encoder) {
-	e.Bool(d.wake)
-	e.U64(d.raised)
-	e.U64(d.nextAt)
-	e.Bool(d.started)
-	e.U32(uint32(len(d.lats)))
-	for _, l := range d.lats {
-		e.U64(l)
+// State implements Device.
+func (d *Display) State(c *state.Codec) {
+	c.U32(&d.base)
+	// The queue is coded from pHead and restored to start at 0.
+	live := d.pending[d.pHead:]
+	if c.Decoding() {
+		live = d.pending[:0]
 	}
+	state.List(c, &live, 4, c.U32)
+	if c.Decoded() {
+		d.pending, d.pHead = live, 0
+	}
+	codeInt(c, &d.filled)
+	c.U64(&d.consumeAt)
+	c.Bool(&d.started)
+	c.U64(&d.blocksMoved)
+	c.U64(&d.underruns)
+	c.U32(&d.checksum)
 }
 
-// LoadState implements Device.
-func (d *Pulse) LoadState(dec *state.Decoder) {
-	d.wake = dec.Bool()
-	d.raised = dec.U64()
-	d.nextAt = dec.U64()
-	d.started = dec.Bool()
-	n := dec.U32()
-	d.lats = d.lats[:0]
-	for i := uint32(0); i < n && dec.Err() == nil; i++ {
-		d.lats = append(d.lats, dec.U64())
-	}
+// State implements Device.
+func (d *Scanner) State(c *state.Codec) {
+	c.U32(&d.base)
+	codeInt(c, &d.filled)
+	state.List(c, &d.dests, 4, c.U32)
+	c.U16(&d.seq)
+	c.U64(&d.writeAt)
+	c.Bool(&d.started)
+	c.U64(&d.blocksMoved)
+	c.U64(&d.overruns)
 }
 
-// SaveState implements Device.
-func (d *Display) SaveState(e *state.Encoder) {
-	e.U32(d.base)
-	e.U32(uint32(len(d.pending) - d.pHead))
-	for _, va := range d.pending[d.pHead:] {
-		e.U32(va)
+// codeInt codes a block count as a 32-bit value.
+func codeInt(c *state.Codec, p *int) {
+	v := uint32(*p)
+	if c.U32(&v); c.Decoded() {
+		*p = int(v)
 	}
-	e.U32(uint32(d.filled))
-	e.U64(d.consumeAt)
-	e.Bool(d.started)
-	e.U64(d.blocksMoved)
-	e.U64(d.underruns)
-	e.U32(d.checksum)
-}
-
-// LoadState implements Device.
-func (d *Display) LoadState(dec *state.Decoder) {
-	d.base = dec.U32()
-	n := dec.U32()
-	d.pending = d.pending[:0]
-	d.pHead = 0
-	for i := uint32(0); i < n && dec.Err() == nil; i++ {
-		d.pending = append(d.pending, dec.U32())
-	}
-	d.filled = int(dec.U32())
-	d.consumeAt = dec.U64()
-	d.started = dec.Bool()
-	d.blocksMoved = dec.U64()
-	d.underruns = dec.U64()
-	d.checksum = dec.U32()
-}
-
-// SaveState implements Device.
-func (d *Scanner) SaveState(e *state.Encoder) {
-	e.U32(d.base)
-	e.U32(uint32(d.filled))
-	e.U32(uint32(len(d.dests)))
-	for _, va := range d.dests {
-		e.U32(va)
-	}
-	e.U16(d.seq)
-	e.U64(d.writeAt)
-	e.Bool(d.started)
-	e.U64(d.blocksMoved)
-	e.U64(d.overruns)
-}
-
-// LoadState implements Device.
-func (d *Scanner) LoadState(dec *state.Decoder) {
-	d.base = dec.U32()
-	d.filled = int(dec.U32())
-	n := dec.U32()
-	d.dests = d.dests[:0]
-	for i := uint32(0); i < n && dec.Err() == nil; i++ {
-		d.dests = append(d.dests, dec.U32())
-	}
-	d.seq = dec.U16()
-	d.writeAt = dec.U64()
-	d.started = dec.Bool()
-	d.blocksMoved = dec.U64()
-	d.overruns = dec.U64()
 }

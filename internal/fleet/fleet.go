@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -134,9 +133,6 @@ type Config struct {
 	// WebhookBackoff is the first retry delay after a failed webhook
 	// delivery; it doubles per attempt. Default 250ms.
 	WebhookBackoff time.Duration
-	// WebhookClient issues webhook POSTs. Nil uses a client with a 10s
-	// timeout.
-	WebhookClient *http.Client
 
 	// now is the test clock hook; nil means time.Now.
 	now func() time.Time
@@ -166,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WebhookBackoff <= 0 {
 		c.WebhookBackoff = 250 * time.Millisecond
-	}
-	if c.WebhookClient == nil {
-		c.WebhookClient = &http.Client{Timeout: 10 * time.Second}
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -364,8 +357,13 @@ func (m *Manager) worker() {
 			res.service = time.Since(picked)
 			ran = true
 		}
-		if res.err == nil && sys != nil {
-			s.noteStats(sys)
+		if res.err == nil {
+			s.mu.Lock()
+			sys = s.sys // a restore installs a new machine
+			s.mu.Unlock()
+			if sys != nil {
+				s.noteStats(sys)
+			}
 		}
 		// Account the operation here, not in submit: a canceled submitter
 		// has already returned, and success/latency bookkeeping must not
@@ -628,13 +626,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 		}
 	})
 	return nil
-}
-
-// Draining reports whether Drain has begun.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }
 
 // DrainSignal returns a channel closed the moment Drain begins. Long-

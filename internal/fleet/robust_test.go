@@ -112,3 +112,89 @@ func TestServerRejectsImpossibleSnapshots(t *testing.T) {
 		t.Fatalf("other session: status %d, %+v", code, st)
 	}
 }
+
+// patchSnapshot returns a copy of snap with the named section's body
+// passed through patch.
+func patchSnapshot(t *testing.T, snap []byte, tag string, patch func(b []byte)) []byte {
+	t.Helper()
+	doc, err := state.Split(bytes.Clone(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range doc.Sections {
+		if s.Tag == tag {
+			patch(s.Body)
+			return doc.Join()
+		}
+	}
+	t.Fatalf("no section %q", tag)
+	return nil
+}
+
+// TestServerRefusedRestoreKeepsSession: a PUT .../snapshot that is refused
+// leaves the session exactly as it was. The session runs to cycle 5,000,
+// then gets its own cycle-100 snapshot back with microstore word 00.9
+// holding a reserved FF, or with a page-map count of 2^20 over no
+// entries: each is a 400, the session's snapshot is byte-equal to the one
+// taken just before, and it still runs.
+func TestServerRefusedRestoreKeepsSession(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	id := createSession(t, ts.URL, "")
+	if code := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/microcode",
+		map[string]string{"text": SpinMicrocode, "start": "start"}, nil); code != http.StatusOK {
+		t.Fatalf("microcode: status %d", code)
+	}
+	snapURL := ts.URL + "/v1/sessions/" + id + "/snapshot"
+	if code := runHTTP(t, ts.URL, id, 100, nil); code != http.StatusAccepted {
+		t.Fatalf("run: status %d", code)
+	}
+	early := getBytes(t, snapURL)
+	// MEMS ends with the page map: its count follows the storage pipe's
+	// release, the base registers, the MD state, the fault latch and the
+	// counters, and the session's map is empty.
+	const pageCount = 8 + 32*4 + 16*19 + 6 + 7*8
+	for _, c := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"reserved FF at 00.9", patchSnapshot(t, early, "UIMS", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[8*9:], microcode.Word{FF: 0xC0}.Encode())
+		})},
+		{"page map count 2^20", patchSnapshot(t, early, "MEMS", func(b []byte) {
+			if len(b) != pageCount+4 {
+				t.Fatalf("MEMS is %d bytes, want %d (an empty page map)", len(b), pageCount+4)
+			}
+			binary.LittleEndian.PutUint32(b[pageCount:], 1<<20)
+		})},
+	} {
+		var st State
+		if code := runHTTP(t, ts.URL, id, 4900, nil); code != http.StatusAccepted {
+			t.Fatalf("%s: run: status %d", c.name, code)
+		}
+		before := getBytes(t, snapURL)
+		if code := call(t, "PUT", snapURL, c.bad, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: crafted restore: status %d, want 400", c.name, code)
+		}
+		if after := getBytes(t, snapURL); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the refused restore changed the session", c.name)
+		}
+		if code := call(t, "GET", ts.URL+"/v1/sessions/"+id, nil, &st); code != http.StatusOK || st.Cycle < 5000 {
+			t.Fatalf("%s: state: status %d, %+v", c.name, code, st)
+		}
+		if code := runHTTP(t, ts.URL, id, 100, nil); code != http.StatusAccepted {
+			t.Fatalf("%s: run after a refused restore: status %d", c.name, code)
+		}
+	}
+	// An accepted PUT installs the snapshot's machine, and the listing's
+	// cached counters read it.
+	if code := call(t, "PUT", snapURL, early, nil); code != http.StatusOK {
+		t.Fatalf("restore: status %d", code)
+	}
+	var list struct{ Sessions []Info }
+	if code := call(t, "GET", ts.URL+"/v1/sessions", nil, &list); code != http.StatusOK || len(list.Sessions) != 1 || list.Sessions[0].Cycle != 100 {
+		t.Fatalf("listing after restore: status %d, %+v", code, list.Sessions)
+	}
+	if !bytes.Equal(getBytes(t, snapURL), early) {
+		t.Fatal("the restored session's snapshot differs from the one it restored")
+	}
+}

@@ -332,7 +332,9 @@ func TestServerDrain(t *testing.T) {
 	if code := call(t, "GET", ts.URL+"/healthz", nil, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after drain: status %d", code)
 	}
-	if !m.Draining() {
+	select {
+	case <-m.DrainSignal():
+	default:
 		t.Error("manager not draining")
 	}
 }

@@ -93,6 +93,20 @@ func (sp Spec) build() (*dorado.System, error) {
 	return sys, nil
 }
 
+// restore builds the Spec's machine and restores data into it: the one
+// path revival, forks and PUT .../snapshot share. A refused snapshot
+// leaves nothing behind, since the machine it went into is discarded.
+func (sp Spec) restore(data []byte) (*dorado.System, error) {
+	sys, err := sp.build()
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Machine.Restore(data); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
 // op is one queued unit of work; done is buffered so a worker never blocks
 // on a departed caller. ctx is the submitter's context: the worker skips
 // the body if it is already canceled at pickup, and the operation log
@@ -310,11 +324,10 @@ func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 // reviveLocked rebuilds a parked session's machine and restores its
 // snapshot — from the in-memory bytes when present, else from the store
 // blob named by parkedHash (a store-backed park, or a session adopted
-// from a previous process's manifest). Both shapes share one path: build
-// the machine from the Spec (devices and all), then Restore, so a
-// from-disk revival cannot drift from an in-memory one. Caller holds
-// s.mu. A failure is sticky: the session keeps reporting it rather than
-// silently restarting from scratch.
+// from a previous process's manifest). Both shapes share one path,
+// Spec.restore, so a from-disk revival cannot drift from an in-memory
+// one. Caller holds s.mu. A failure is sticky: the session keeps
+// reporting it rather than silently restarting from scratch.
 func (s *Session) reviveLocked(m *Manager) {
 	data := s.parked
 	var err error
@@ -323,10 +336,7 @@ func (s *Session) reviveLocked(m *Manager) {
 	}
 	var sys *dorado.System
 	if err == nil {
-		sys, err = s.spec.build()
-	}
-	if err == nil {
-		err = sys.Machine.Restore(data)
+		sys, err = s.spec.restore(data)
 	}
 	if err != nil {
 		s.reviveErr = fmt.Errorf("fleet: reviving session %s: %w", s.id, err)
@@ -391,11 +401,8 @@ func (m *Manager) CreateFrom(hash string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sys, err := spec.build()
+	sys, err := spec.restore(data)
 	if err != nil {
-		return "", err
-	}
-	if err := sys.Machine.Restore(data); err != nil {
 		return "", fmt.Errorf("fleet: restoring snapshot %s: %w", hash, err)
 	}
 	spec.Language = sys.Language.String()
@@ -681,11 +688,25 @@ func (m *Manager) Snapshot(ctx context.Context, id string) ([]byte, error) {
 	return v.([]byte), nil
 }
 
-// Restore replaces the session's machine state with a snapshot previously
-// taken from a session with the same Spec.
+// Restore replaces the session's machine with one restored from a
+// snapshot previously taken from a session with the same Spec. The new
+// machine is built from the Spec and installed only once the snapshot
+// restores, so a refused snapshot leaves the session exactly as it was.
+// Like a revival, it starts a fresh recorder and profiler.
 func (m *Manager) Restore(ctx context.Context, id string, data []byte) error {
-	_, err := m.submit(ctx, id, opRestore, func(sys *system) (any, error) {
-		return nil, sys.Machine.Restore(data)
+	s, ok := m.lookup(id)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	_, err := m.submit(ctx, id, opRestore, func(*system) (any, error) {
+		sys, err := s.spec.restore(data)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		s.sys = sys
+		s.mu.Unlock()
+		return nil, nil
 	})
 	return err
 }

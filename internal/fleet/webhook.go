@@ -111,6 +111,9 @@ func (m *Manager) deliverWebhook(hook string, v RunView) {
 	}
 }
 
+// webhookClient issues every webhook POST.
+var webhookClient = &http.Client{Timeout: 10 * time.Second}
+
 // postWebhook issues one delivery attempt. Success is any 2xx response.
 func (m *Manager) postWebhook(hook string, body []byte, v RunView) error {
 	req, err := http.NewRequest(http.MethodPost, hook, bytes.NewReader(body))
@@ -121,7 +124,7 @@ func (m *Manager) postWebhook(hook string, body []byte, v RunView) error {
 	req.Header.Set("Dorado-Event", "run")
 	req.Header.Set("Dorado-Session", v.Session)
 	req.Header.Set("Dorado-Run", v.ID)
-	resp, err := m.cfg.WebhookClient.Do(req)
+	resp, err := webhookClient.Do(req)
 	if err != nil {
 		return err
 	}

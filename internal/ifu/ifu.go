@@ -54,31 +54,18 @@ type Entry struct {
 	Name string
 }
 
-// Config sizes the IFU timing model.
-type Config struct {
-	// FetchLatency is the startup delay, in cycles, before the first word
-	// of a refill arrives (default 2 — a cache hit).
-	FetchLatency int
-	// BufferBytes is the prefetch buffer capacity (default 8, enough to
-	// cover decode of the longest instruction plus prefetch slack).
-	BufferBytes int
-	// DecodeLatency is the pipeline delay, in cycles, between the bytes of
-	// an instruction arriving and its dispatch being ready (default 1).
-	DecodeLatency int
-}
-
-func (c Config) withDefaults() Config {
-	if c.FetchLatency == 0 {
-		c.FetchLatency = 2
-	}
-	if c.BufferBytes == 0 {
-		c.BufferBytes = 8
-	}
-	if c.DecodeLatency == 0 {
-		c.DecodeLatency = 1
-	}
-	return c
-}
+// The IFU's timing model.
+const (
+	// fetchLatency is the startup delay, in cycles, before the first word
+	// of a refill arrives (a cache hit).
+	fetchLatency = 2
+	// bufferBytes is the prefetch buffer capacity: enough to cover decode
+	// of the longest instruction plus prefetch slack.
+	bufferBytes = 8
+	// decodeLatency is the pipeline delay, in cycles, between the bytes of
+	// an instruction arriving and its dispatch being ready.
+	decodeLatency = 1
+)
 
 // Stats counts IFU activity.
 type Stats struct {
@@ -113,19 +100,23 @@ type slot struct {
 // DispatchReady are then one compare each, as the hardware's separate
 // decode stage makes them (§5.8).
 type Unit struct {
-	cfg   Config
 	mem   *memory.System
 	table [256]Entry
 	// slots mirrors table (and the Illegal handler) for dispatch. SetEntry
-	// updates one slot; SetIllegal, ResetTable and LoadState rebuild all.
+	// updates one slot; SetIllegal, ResetTable and a restoring State
+	// rebuild all.
 	slots   [256]slot
 	illegal microcode.Addr
 	hasIll  bool
 
 	codeBase uint32 // word VA of byte 0 of the code segment
 
-	bytePC  uint32 // byte offset of the next *unbuffered* byte (prefetch head)
-	buf     []byte // prefetched bytes; buf[0] is at stream position headPC
+	bytePC uint32 // byte offset of the next *unbuffered* byte (prefetch head)
+	// buf holds the prefetched bytes; buf[0] is at stream position headPC.
+	// Its backing array has the full capacity from New on, and Dispatch
+	// copies down rather than re-slicing, so the prefetcher's appends
+	// never reallocate and Step stays allocation-free.
+	buf     []byte
 	headPC  uint32 // byte offset of buf[0]
 	readyAt uint64 // cycle at which buffered bytes become usable (refill/decode latency)
 
@@ -153,8 +144,8 @@ type Unit struct {
 }
 
 // New builds an IFU reading code through mem.
-func New(mem *memory.System, cfg Config) *Unit {
-	return &Unit{cfg: cfg.withDefaults(), mem: mem, fetchAt: never, dispatchAt: never, lastOp: noLast}
+func New(mem *memory.System) *Unit {
+	return &Unit{mem: mem, buf: make([]byte, 0, bufferBytes), fetchAt: never, dispatchAt: never, lastOp: noLast}
 }
 
 // SetEntry installs a decode-table row for opcode op.
@@ -219,7 +210,7 @@ func (u *Unit) compileAll() {
 // runs with room for a word, never otherwise.
 func (u *Unit) armFetch() {
 	u.fetchAt = never
-	if u.running && len(u.buf)+2 <= u.cfg.BufferBytes {
+	if u.running && len(u.buf)+2 <= bufferBytes {
 		u.fetchAt = u.readyAt
 	}
 }
@@ -231,7 +222,7 @@ func (u *Unit) armDispatch() {
 	u.dispatchAt = never
 	if u.running && len(u.buf) > 0 {
 		if n := u.slots[u.buf[0]].n; n != 0 && len(u.buf) >= int(n) {
-			u.dispatchAt = u.readyAt + uint64(u.cfg.DecodeLatency)
+			u.dispatchAt = u.readyAt + decodeLatency
 		}
 	}
 }
@@ -253,14 +244,9 @@ func (u *Unit) PC() uint32 { return u.headPC }
 func (u *Unit) Reset(pc uint16, now uint64) {
 	u.bytePC = uint32(pc)
 	u.headPC = uint32(pc)
-	if cap(u.buf) < u.cfg.BufferBytes {
-		// Full capacity up front: with the copy-down in Dispatch, the
-		// buffer never reallocates again, keeping Step allocation-free.
-		u.buf = make([]byte, 0, u.cfg.BufferBytes)
-	}
 	u.buf = u.buf[:0]
 	u.opHead, u.opLen = 0, 0
-	u.readyAt = now + uint64(u.cfg.FetchLatency)
+	u.readyAt = now + fetchLatency
 	u.running = true
 	u.stats.Resets++
 	u.armFetch()
@@ -287,7 +273,7 @@ func (u *Unit) fetch() {
 		u.bytePC++
 	}
 	u.stats.WordsFetch++
-	if len(u.buf)+2 > u.cfg.BufferBytes {
+	if len(u.buf)+2 > bufferBytes {
 		u.fetchAt = never
 	}
 	if u.dispatchAt == never {

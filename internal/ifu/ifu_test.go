@@ -25,7 +25,7 @@ func newUnit(t *testing.T, bs []byte) *Unit {
 		t.Fatal(err)
 	}
 	loadBytes(m, 0x1000, bs)
-	u := New(m, Config{})
+	u := New(m)
 	u.SetCodeBase(0x1000)
 	return u
 }
@@ -270,15 +270,15 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	} {
 		u := newUnit(t, []byte{0x10})
 		spoil(u)
-		e := state.NewEncoder(0)
-		u.SaveState(e)
-		d, err := state.NewDecoder(e.Bytes())
+		e := state.Encode(0)
+		u.State(e)
+		d, err := state.Decode(e.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = newUnit(t, nil).LoadState(d)
-		if ok := i == 0; (err == nil) != ok {
-			t.Errorf("case %d: LoadState error %v", i, err)
+		newUnit(t, nil).State(d)
+		if err, ok := d.Finish(), i == 0; (err == nil) != ok {
+			t.Errorf("case %d: restoring State: error %v", i, err)
 		}
 	}
 }

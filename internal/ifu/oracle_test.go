@@ -13,10 +13,10 @@ import (
 
 // The IFU oracle: the Unit and the reference unit (reference_test.go,
 // the IFU as first written) run in lockstep over one seeded stream of
-// code bytes, decode tables, timing settings and processor actions, and
-// must agree on everything the processor or a snapshot can see, every
-// cycle. The machine-level differentials cannot see a fault here: every
-// execution path shares one Unit.
+// code bytes, decode tables and processor actions, and must agree on
+// everything the processor or a snapshot can see, every cycle. The
+// machine-level differentials cannot see a fault here: every execution
+// path shares one Unit.
 
 // chooser makes the harness's choices: from data while it lasts (the fuzz
 // target's input), then from rng.
@@ -61,12 +61,11 @@ func (c *chooser) entry() Entry {
 // ifuLockstep drives a Unit and a reference unit for cycles cycles and
 // returns the reference's counters.
 func ifuLockstep(t *testing.T, c *chooser, cycles int) Stats {
-	cfg := Config{FetchLatency: c.intn(5), BufferBytes: c.intn(13), DecodeLatency: c.intn(4)}
 	mem, err := memory.New(memory.Config{StorageWords: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, r := New(mem, cfg), newRefUnit(mem, cfg)
+	u, r := New(mem), newRefUnit(mem)
 	// A small opcode alphabet, so most bytes of the stream decode.
 	alphabet := 4 + c.intn(253)
 	setEntry := func(op uint8) {
@@ -158,15 +157,15 @@ func ifuLockstep(t *testing.T, c *chooser, cycles int) Stats {
 			}
 		case 4:
 			// Revive a fresh unit from the reference's snapshot.
-			e := state.NewEncoder(0)
-			r.SaveState(e)
-			d, err := state.NewDecoder(e.Bytes())
+			e := state.Encode(0)
+			r.State(e)
+			d, err := state.Decode(e.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			u = New(mem, cfg)
-			if err := u.LoadState(d); err != nil {
-				t.Fatalf("cycle %d: LoadState: %v", now, err)
+			u = New(mem)
+			if u.State(d); d.Finish() != nil {
+				t.Fatalf("cycle %d: restoring State: %v", now, d.Finish())
 			}
 		}
 		compareUnits(t, now, u, r, true)
@@ -199,11 +198,11 @@ func compareUnits(t *testing.T, now uint64, u *Unit, r *refUnit, snap bool) {
 	if !snap {
 		return
 	}
-	eu, er := state.NewEncoder(0), state.NewEncoder(0)
-	u.SaveState(eu)
-	r.SaveState(er)
+	eu, er := state.Encode(0), state.Encode(0)
+	u.State(eu)
+	r.State(er)
 	if !bytes.Equal(eu.Bytes(), er.Bytes()) {
-		t.Fatalf("cycle %d: SaveState bytes differ from the reference's", now)
+		t.Fatalf("cycle %d: snapshot bytes differ from the reference's", now)
 	}
 }
 
@@ -228,8 +227,8 @@ func TestIFUOracle(t *testing.T) {
 }
 
 // FuzzIFU is the oracle as a native fuzz target: the input's bytes make
-// the harness's first choices (timing, code, table, the first cycles'
-// actions) and the seed the rest.
+// the harness's first choices (code, table, the first cycles' actions)
+// and the seed the rest.
 func FuzzIFU(f *testing.F) {
 	f.Add(uint64(1), []byte{})
 	f.Add(uint64(2), []byte{2, 8, 1})

@@ -9,15 +9,16 @@ import (
 )
 
 // This file keeps the IFU as it was before dispatch slots and event
-// horizons, unchanged but for its name and the Running accessor nothing
-// reads any more, as the oracle the lockstep test (oracle_test.go)
-// drives the Unit against. Nothing outside the tests uses it.
+// horizons, unchanged but for its name, the Running accessor nothing
+// reads any more, its timing settings (now the Unit's constants) and its
+// snapshot encoder's calls (now a Codec's), as the oracle the lockstep
+// test (oracle_test.go) drives the Unit against. Nothing outside the
+// tests uses it.
 
 // refUnit is the instruction fetch unit as first written: it decodes the
 // head instruction from the full table on every DispatchReady, Dispatch
 // and peek, and tests Tick's conditions on every cycle.
 type refUnit struct {
-	cfg   Config
 	mem   *memory.System
 	table [256]Entry
 	// Illegal is the handler used for invalid opcodes (set it before
@@ -46,8 +47,8 @@ type refUnit struct {
 }
 
 // newRefUnit builds a reference IFU reading code through mem.
-func newRefUnit(mem *memory.System, cfg Config) *refUnit {
-	return &refUnit{cfg: cfg.withDefaults(), mem: mem}
+func newRefUnit(mem *memory.System) *refUnit {
+	return &refUnit{mem: mem}
 }
 
 // SetEntry installs a decode-table row for opcode op.
@@ -94,14 +95,14 @@ func (u *refUnit) PC() uint32 { return u.headPC }
 func (u *refUnit) Reset(pc uint16, now uint64) {
 	u.bytePC = uint32(pc)
 	u.headPC = uint32(pc)
-	if cap(u.buf) < u.cfg.BufferBytes {
+	if cap(u.buf) < bufferBytes {
 		// Full capacity up front: with the copy-down in Dispatch, the
 		// buffer never reallocates again, keeping Step allocation-free.
-		u.buf = make([]byte, 0, u.cfg.BufferBytes)
+		u.buf = make([]byte, 0, bufferBytes)
 	}
 	u.buf = u.buf[:0]
 	u.opHead, u.opLen = 0, 0
-	u.readyAt = now + uint64(u.cfg.FetchLatency)
+	u.readyAt = now + fetchLatency
 	u.running = true
 	u.stats.Resets++
 }
@@ -109,7 +110,7 @@ func (u *refUnit) Reset(pc uint16, now uint64) {
 // Tick advances the prefetcher one cycle: after the startup latency, one
 // word (two bytes) arrives per cycle until the buffer is full.
 func (u *refUnit) Tick(now uint64) {
-	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes || now < u.readyAt {
+	if !u.running || len(u.buf)+2 > bufferBytes || now < u.readyAt {
 		return
 	}
 	// Fetch the word containing bytePC. Byte order within the stream is
@@ -130,7 +131,7 @@ func (u *refUnit) Tick(now uint64) {
 // changes nothing — a stopped unit or a full buffer stays so until the
 // processor dispatches or resets, so those report never.
 func (u *refUnit) IdleUntil(now uint64) uint64 {
-	if !u.running || len(u.buf)+2 > u.cfg.BufferBytes {
+	if !u.running || len(u.buf)+2 > bufferBytes {
 		return ^uint64(0)
 	}
 	return max(u.readyAt, now)
@@ -160,7 +161,7 @@ func (u *refUnit) peekEntry() (Entry, bool) {
 // next instruction's bytes are buffered and decoded. When false the
 // processor holds.
 func (u *refUnit) DispatchReady(now uint64) bool {
-	if !u.running || now < u.readyAt+uint64(u.cfg.DecodeLatency) {
+	if !u.running || now < u.readyAt+decodeLatency {
 		return false
 	}
 	_, ok := u.peekEntry()
@@ -226,43 +227,46 @@ func (u *refUnit) Operand() uint16 {
 	return v
 }
 
-// SaveState appends the IFU's state: configuration fingerprint, decode
-// table, prefetch buffer, operand latch, timing, and counters.
-func (u *refUnit) SaveState(e *state.Encoder) {
-	e.Section(sectIFUConfig)
-	e.U32(uint32(u.cfg.FetchLatency))
-	e.U32(uint32(u.cfg.BufferBytes))
-	e.U32(uint32(u.cfg.DecodeLatency))
+// State encodes the IFU's state: configuration fingerprint, decode
+// table, prefetch buffer, operand latch, timing, and counters. It is an
+// encoder only: the oracle revives the Unit from these bytes.
+func (u *refUnit) State(c *state.Codec) {
+	c.Section(sectIFUConfig)
+	for _, v := range [...]uint32{fetchLatency, bufferBytes, decodeLatency} {
+		c.U32(&v)
+	}
 
-	e.Section(sectIFUState)
-	e.Bool(u.hasIll)
-	e.U16(uint16(u.Illegal))
-	e.U32(u.codeBase)
-	e.U32(u.bytePC)
-	e.U32(u.headPC)
-	e.U64(u.readyAt)
-	e.Bool(u.running)
-	e.Bytes32(u.buf)
-	e.U16(u.ops[0])
-	e.U16(u.ops[1])
-	e.U8(u.opHead)
-	e.U8(u.opLen)
-	refSaveEntry(e, &u.last)
-	e.U64(u.stats.Dispatches)
-	e.U64(u.stats.Resets)
-	e.U64(u.stats.BytesRead)
-	e.U64(u.stats.WordsFetch)
+	c.Section(sectIFUState)
+	ill := uint16(u.Illegal)
+	c.Bool(&u.hasIll)
+	c.U16(&ill)
+	c.U32(&u.codeBase)
+	c.U32(&u.bytePC)
+	c.U32(&u.headPC)
+	c.U64(&u.readyAt)
+	c.Bool(&u.running)
+	c.Bytes32(&u.buf, len(u.buf))
+	c.U16(&u.ops[0])
+	c.U16(&u.ops[1])
+	c.U8(&u.opHead)
+	c.U8(&u.opLen)
+	refSaveEntry(c, &u.last)
+	c.U64(&u.stats.Dispatches)
+	c.U64(&u.stats.Resets)
+	c.U64(&u.stats.BytesRead)
+	c.U64(&u.stats.WordsFetch)
 	for i := range u.table {
-		refSaveEntry(e, &u.table[i])
+		refSaveEntry(c, &u.table[i])
 	}
 }
 
-func refSaveEntry(e *state.Encoder, ent *Entry) {
-	e.Bool(ent.Valid)
-	e.U16(uint16(ent.Handler))
-	e.U8(uint8(ent.Operands))
-	e.Bool(ent.Wide)
-	e.Bool(ent.LoadMemBase)
-	e.U8(ent.MemBase)
-	e.String(ent.Name)
+func refSaveEntry(c *state.Codec, ent *Entry) {
+	h, ops := uint16(ent.Handler), uint8(ent.Operands)
+	c.Bool(&ent.Valid)
+	c.U16(&h)
+	c.U8(&ops)
+	c.Bool(&ent.Wide)
+	c.Bool(&ent.LoadMemBase)
+	c.U8(&ent.MemBase)
+	c.String(&ent.Name)
 }

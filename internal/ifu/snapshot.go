@@ -12,118 +12,76 @@ const (
 	sectIFUState  = "IFUS"
 )
 
-// SaveState appends the IFU's state: configuration fingerprint, decode
-// table, prefetch buffer, operand latch, timing, and counters.
-func (u *Unit) SaveState(e *state.Encoder) {
-	e.Section(sectIFUConfig)
-	e.U32(uint32(u.cfg.FetchLatency))
-	e.U32(uint32(u.cfg.BufferBytes))
-	e.U32(uint32(u.cfg.DecodeLatency))
+// State describes the IFU's state to a snapshot codec: timing fingerprint
+// (compared, never applied), decode table, prefetch buffer, operand latch,
+// timing, and counters. Decoding refuses an operand latch, buffer, decode
+// row or Illegal handler no unit can hold before storing it, and rebuilds
+// the dispatch slots from whatever it stored.
+func (u *Unit) State(c *state.Codec) {
+	c.Section(sectIFUConfig)
+	want := [...]uint32{fetchLatency, bufferBytes, decodeLatency}
+	got := want
+	for i := range got {
+		c.U32(&got[i])
+	}
+	if got != want {
+		c.Fail(fmt.Errorf("ifu: snapshot config %v, machine config %v", got, want))
+	}
 
-	e.Section(sectIFUState)
-	e.Bool(u.hasIll)
-	e.U16(uint16(u.illegal))
-	e.U32(u.codeBase)
-	e.U32(u.bytePC)
-	e.U32(u.headPC)
-	e.U64(u.readyAt)
-	e.Bool(u.running)
-	e.Bytes32(u.buf)
-	e.U16(u.ops[0])
-	e.U16(u.ops[1])
-	e.U8(u.opHead)
-	e.U8(u.opLen)
+	c.Section(sectIFUState)
+	c.Bool(&u.hasIll)
+	ill := uint16(u.illegal)
+	if c.U16(&ill); ill > microcode.AddrMask {
+		c.Fail(fmt.Errorf("ifu: snapshot Illegal handler %v out of range", microcode.Addr(ill)))
+	} else if c.Decoded() {
+		u.illegal = microcode.Addr(ill)
+	}
+	c.U32(&u.codeBase)
+	c.U32(&u.bytePC)
+	c.U32(&u.headPC)
+	c.U64(&u.readyAt)
+	c.Bool(&u.running)
+	c.Bytes32(&u.buf, bufferBytes)
+	c.U16(&u.ops[0])
+	c.U16(&u.ops[1])
+	head, n := u.opHead, u.opLen
+	c.U8(&head)
+	if c.U8(&n); int(head) > len(u.ops) || int(n) > len(u.ops) {
+		c.Fail(fmt.Errorf("ifu: snapshot operand latch head %d, length %d: it holds %d", head, n, len(u.ops)))
+	} else if c.Decoded() {
+		u.opHead, u.opLen = head, n
+	}
 	last := u.LastEntry()
-	saveEntry(e, &last)
-	e.U64(u.stats.Dispatches)
-	e.U64(u.stats.Resets)
-	e.U64(u.stats.BytesRead)
-	e.U64(u.stats.WordsFetch)
+	if codeEntry(c, &last); c.Decoded() {
+		u.last, u.lastOp = last, noLast
+	}
+	for _, p := range [...]*uint64{&u.stats.Dispatches, &u.stats.Resets, &u.stats.BytesRead, &u.stats.WordsFetch} {
+		c.U64(p)
+	}
 	for i := range u.table {
-		saveEntry(e, &u.table[i])
+		codeEntry(c, &u.table[i])
+	}
+	if c.Decoding() {
+		u.compileAll()
 	}
 }
 
-func saveEntry(e *state.Encoder, ent *Entry) {
-	e.Bool(ent.Valid)
-	e.U16(uint16(ent.Handler))
-	e.U8(uint8(ent.Operands))
-	e.Bool(ent.Wide)
-	e.Bool(ent.LoadMemBase)
-	e.U8(ent.MemBase)
-	e.String(ent.Name)
-}
-
-func loadEntry(d *state.Decoder, ent *Entry) {
-	ent.Valid = d.Bool()
-	ent.Handler = microcode.Addr(d.U16())
-	ent.Operands = int(d.U8())
-	ent.Wide = d.Bool()
-	ent.LoadMemBase = d.Bool()
-	ent.MemBase = d.U8()
-	ent.Name = d.String()
-}
-
-// LoadState restores the IFU from a snapshot taken by SaveState. The target
-// unit must have been built with the identical timing configuration. A
-// snapshot whose operand latch or decode rows no unit can hold is refused.
-func (u *Unit) LoadState(d *state.Decoder) error {
-	if err := d.Section(sectIFUConfig); err != nil {
-		return err
+// codeEntry codes one decode-table row. Decoding refuses a valid row that
+// SetEntry would not install, or whose handler is past the microstore.
+func codeEntry(c *state.Codec, p *Entry) {
+	e := *p
+	h, ops := uint16(e.Handler), uint8(e.Operands)
+	c.Bool(&e.Valid)
+	c.U16(&h)
+	c.U8(&ops)
+	c.Bool(&e.Wide)
+	c.Bool(&e.LoadMemBase)
+	c.U8(&e.MemBase)
+	c.String(&e.Name)
+	e.Handler, e.Operands = microcode.Addr(h), int(ops)
+	if e.Valid && (e.Operands > 2 || e.Wide && e.Operands != 2 || e.Handler > microcode.AddrMask) {
+		c.Fail(fmt.Errorf("ifu: snapshot decode row %+v is unusable", e))
+	} else if c.Decoded() {
+		*p = e
 	}
-	got := Config{
-		FetchLatency:  int(d.U32()),
-		BufferBytes:   int(d.U32()),
-		DecodeLatency: int(d.U32()),
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if got != u.cfg {
-		return fmt.Errorf("ifu: snapshot config %+v, machine config %+v", got, u.cfg)
-	}
-
-	if err := d.Section(sectIFUState); err != nil {
-		return err
-	}
-	u.hasIll = d.Bool()
-	u.illegal = microcode.Addr(d.U16())
-	u.codeBase = d.U32()
-	u.bytePC = d.U32()
-	u.headPC = d.U32()
-	u.readyAt = d.U64()
-	u.running = d.Bool()
-	buf := d.Bytes32()
-	if len(buf) > u.cfg.BufferBytes {
-		return fmt.Errorf("ifu: snapshot buffer holds %d bytes, capacity is %d", len(buf), u.cfg.BufferBytes)
-	}
-	// Full capacity up front, as in Reset: the prefetcher's appends must
-	// stay within the backing array so Step never allocates.
-	u.buf = make([]byte, len(buf), u.cfg.BufferBytes)
-	copy(u.buf, buf)
-	u.ops[0] = d.U16()
-	u.ops[1] = d.U16()
-	head, n := d.U8(), d.U8()
-	if int(head) > len(u.ops) || int(n) > len(u.ops) {
-		return fmt.Errorf("ifu: snapshot operand latch head %d, length %d: it holds %d", head, n, len(u.ops))
-	}
-	u.opHead, u.opLen = head, n
-	loadEntry(d, &u.last)
-	u.lastOp = noLast
-	u.stats.Dispatches = d.U64()
-	u.stats.Resets = d.U64()
-	u.stats.BytesRead = d.U64()
-	u.stats.WordsFetch = d.U64()
-	for i := range u.table {
-		e := &u.table[i]
-		loadEntry(d, e)
-		if e.Valid && (e.Operands > 2 || e.Wide && e.Operands != 2 || e.Handler > microcode.AddrMask) {
-			return fmt.Errorf("ifu: snapshot decode row %#02x is unusable: %+v", i, *e)
-		}
-	}
-	if u.illegal > microcode.AddrMask {
-		return fmt.Errorf("ifu: snapshot Illegal handler %v out of range", u.illegal)
-	}
-	u.compileAll()
-	return d.Err()
 }

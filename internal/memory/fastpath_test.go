@@ -95,9 +95,9 @@ func TestIdentityMapFastPath(t *testing.T) {
 		t.Fatalf("the stream touched the override page: %+v", f)
 	}
 	plain.MapSet(untouched, untouched)
-	ep, em := state.NewEncoder(0), state.NewEncoder(0)
-	plain.SaveState(ep)
-	mapped.SaveState(em)
+	ep, em := state.Encode(0), state.Encode(0)
+	plain.State(ep)
+	mapped.State(em)
 	if !bytes.Equal(ep.Bytes(), em.Bytes()) {
 		t.Fatal("snapshots differ")
 	}

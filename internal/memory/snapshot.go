@@ -1,8 +1,9 @@
 package memory
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dorado/internal/state"
 )
@@ -17,150 +18,89 @@ const (
 	sectMemCache   = "MCCH"
 )
 
-// SaveState appends the memory system's complete state to a snapshot:
-// configuration fingerprint, base registers, page map, per-task MD state,
-// storage-pipe timing, fault latch, counters, the cache's residency/LRU
-// metadata, and the full storage contents.
-func (s *System) SaveState(e *state.Encoder) {
-	e.Section(sectMemConfig)
-	e.U32(uint32(s.cfg.CacheWords))
-	e.U32(uint32(s.cfg.CacheWays))
-	e.U32(uint32(s.cfg.StorageWords))
-	e.U32(uint32(s.cfg.HitLatency))
-	e.U32(uint32(s.cfg.MissLatency))
-	e.U32(uint32(s.cfg.StorageCycle))
-
-	e.Section(sectMemState)
-	e.U64(s.storageFreeAt)
-	for _, b := range s.base {
-		e.U32(b)
-	}
-	for i := range s.md {
-		md := &s.md[i]
-		e.U16(md.val)
-		e.U64(md.readyAt)
-		e.U64(md.issueAt)
-		e.Bool(md.pending)
-	}
-	e.U8(uint8(s.fault.Kind))
-	e.U32(s.fault.VA)
-	e.U8(uint8(s.fault.Task))
-	e.U64(s.stats.Reads)
-	e.U64(s.stats.Writes)
-	e.U64(s.stats.StorageOps)
-	e.U64(s.stats.FastReads)
-	e.U64(s.stats.FastWrites)
-	e.U64(s.stats.MapFaults)
-	e.U64(s.stats.Faults)
-	// The page-map overrides, sorted by virtual page so the encoding is
-	// canonical (Go map iteration order is deliberately random).
-	vps := make([]uint32, 0, len(s.vmapx))
-	for vp := range s.vmapx {
-		vps = append(vps, vp)
-	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	e.U32(uint32(len(vps)))
-	for _, vp := range vps {
-		ent := s.vmapx[vp]
-		e.U32(vp)
-		e.U32(ent.rp)
-		e.Bool(ent.flags.WP)
-		e.Bool(ent.flags.Vacant)
-		e.Bool(ent.flags.Ref)
-		e.Bool(ent.flags.Dirty)
-	}
-
-	e.Section(sectMemCache)
-	e.U32(s.cache.clock)
-	e.U64(s.cache.hits)
-	e.U64(s.cache.misses)
-	e.U64(s.cache.writebacks)
-	for i := range s.cache.lines {
-		l := &s.cache.lines[i]
-		e.Bool(l.valid)
-		e.Bool(l.dirty)
-		e.U32(l.tag)
-		e.U32(l.lru)
-	}
-
-	e.Section(sectMemStorage)
-	e.U16s(s.data)
+// page is one page-map override as a snapshot codes it.
+type page struct {
+	vp uint32
+	e  mapEntry
 }
 
-// LoadState restores the memory system from a snapshot taken by SaveState.
-// The target system must have been built with the identical configuration.
-func (s *System) LoadState(d *state.Decoder) error {
-	if err := d.Section(sectMemConfig); err != nil {
-		return err
+// State describes the memory system's complete state to a snapshot codec:
+// configuration fingerprint (compared, never applied), base registers,
+// page map, per-task MD state, storage-pipe timing, fault latch, counters,
+// the cache's residency/LRU metadata, and the full storage contents. A
+// restoring system must have been built with the identical configuration.
+func (s *System) State(c *state.Codec) {
+	c.Section(sectMemConfig)
+	want := [...]uint32{uint32(s.cfg.CacheWords), uint32(s.cfg.CacheWays), uint32(s.cfg.StorageWords),
+		hitLatency, missLatency, storageCycle}
+	got := want
+	for i := range got {
+		c.U32(&got[i])
 	}
-	got := Config{
-		CacheWords:   int(d.U32()),
-		CacheWays:    int(d.U32()),
-		StorageWords: int(d.U32()),
-		HitLatency:   int(d.U32()),
-		MissLatency:  int(d.U32()),
-		StorageCycle: int(d.U32()),
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if got != s.cfg {
-		return fmt.Errorf("memory: snapshot config %+v, machine config %+v", got, s.cfg)
+	if got != want {
+		c.Fail(fmt.Errorf("memory: snapshot config %v, machine config %v", got, want))
 	}
 
-	if err := d.Section(sectMemState); err != nil {
-		return err
-	}
-	s.storageFreeAt = d.U64()
+	c.Section(sectMemState)
+	c.U64(&s.storageFreeAt)
 	for i := range s.base {
-		s.base[i] = d.U32()
+		c.U32(&s.base[i])
 	}
 	for i := range s.md {
 		md := &s.md[i]
-		md.val = d.U16()
-		md.readyAt = d.U64()
-		md.issueAt = d.U64()
-		md.pending = d.Bool()
+		c.U16(&md.val)
+		c.U64(&md.readyAt)
+		c.U64(&md.issueAt)
+		c.Bool(&md.pending)
 	}
-	s.fault = Fault{Kind: FaultKind(d.U8()), VA: d.U32(), Task: int(d.U8())}
-	s.stats.Reads = d.U64()
-	s.stats.Writes = d.U64()
-	s.stats.StorageOps = d.U64()
-	s.stats.FastReads = d.U64()
-	s.stats.FastWrites = d.U64()
-	s.stats.MapFaults = d.U64()
-	s.stats.Faults = d.U64()
-	n := d.U32()
-	s.vmapx = make(map[uint32]mapEntry, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		vp := d.U32()
-		var ent mapEntry
-		ent.rp = d.U32()
-		ent.flags.WP = d.Bool()
-		ent.flags.Vacant = d.Bool()
-		ent.flags.Ref = d.Bool()
-		ent.flags.Dirty = d.Bool()
-		s.vmapx[vp] = ent
+	kind := uint8(s.fault.Kind)
+	if c.U8(&kind); c.Decoded() {
+		s.fault.Kind = FaultKind(kind)
+	}
+	c.U32(&s.fault.VA)
+	c.Int(&s.fault.Task, NumTasks)
+	st := &s.stats
+	for _, p := range [...]*uint64{&st.Reads, &st.Writes, &st.StorageOps, &st.FastReads, &st.FastWrites, &st.MapFaults, &st.Faults} {
+		c.U64(p)
+	}
+	// The page-map overrides, sorted by virtual page so the encoding is
+	// canonical (Go map iteration order is deliberately random).
+	var pages []page
+	if !c.Decoding() && len(s.vmapx) > 0 {
+		pages = make([]page, 0, len(s.vmapx))
+		for vp, e := range s.vmapx {
+			pages = append(pages, page{vp, e})
+		}
+		slices.SortFunc(pages, func(a, b page) int { return cmp.Compare(a.vp, b.vp) })
+	}
+	state.List(c, &pages, 12, func(p *page) {
+		c.U32(&p.vp)
+		c.U32(&p.e.rp)
+		c.Bool(&p.e.flags.WP)
+		c.Bool(&p.e.flags.Vacant)
+		c.Bool(&p.e.flags.Ref)
+		c.Bool(&p.e.flags.Dirty)
+	})
+	if c.Decoded() {
+		s.vmapx = make(map[uint32]mapEntry, len(pages))
+		for _, p := range pages {
+			s.vmapx[p.vp] = p.e
+		}
 	}
 
-	if err := d.Section(sectMemCache); err != nil {
-		return err
-	}
-	s.cache.clock = d.U32()
-	s.cache.hits = d.U64()
-	s.cache.misses = d.U64()
-	s.cache.writebacks = d.U64()
+	c.Section(sectMemCache)
+	c.U32(&s.cache.clock)
+	c.U64(&s.cache.hits)
+	c.U64(&s.cache.misses)
+	c.U64(&s.cache.writebacks)
 	for i := range s.cache.lines {
 		l := &s.cache.lines[i]
-		l.valid = d.Bool()
-		l.dirty = d.Bool()
-		l.tag = d.U32()
-		l.lru = d.U32()
+		c.Bool(&l.valid)
+		c.Bool(&l.dirty)
+		c.U32(&l.tag)
+		c.U32(&l.lru)
 	}
 
-	if err := d.Section(sectMemStorage); err != nil {
-		return err
-	}
-	d.U16s(s.data)
-	return d.Err()
+	c.Section(sectMemStorage)
+	c.U16s(s.data)
 }

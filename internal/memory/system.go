@@ -4,8 +4,8 @@ import (
 	"fmt"
 )
 
-// Config sizes and times the memory system. The defaults correspond to the
-// machine the paper describes.
+// Config sizes the memory system. The defaults correspond to the machine
+// the paper describes.
 type Config struct {
 	// CacheWords is the cache capacity in 16-bit words (default 4096).
 	CacheWords int
@@ -14,20 +14,23 @@ type Config struct {
 	// StorageWords is the real-memory size in words (default 1<<20 = 2 MB;
 	// the Dorado supported up to 4 M words = 8 MB).
 	StorageWords int
-	// HitLatency is the cycle count from Fetch to MD-ready on a hit
-	// (default 2: "a cache which has a latency of two cycles, and can
-	// deliver a word every cycle", §3).
-	HitLatency int
-	// MissLatency is the Fetch-to-MD-ready count on a miss (default 26:
-	// "the difference between the best case and the worst is more than an
-	// order of magnitude", §5.7).
-	MissLatency int
-	// StorageCycle is the minimum spacing of storage references in cycles
-	// (default 8: "the maximum rate at which storage references can be made
-	// is one every eight cycles; this is the cycle time of the main storage
-	// RAMs", §6.2.1).
-	StorageCycle int
 }
+
+// The memory system's timing, in cycles.
+const (
+	// hitLatency runs from Fetch to MD-ready on a hit: "a cache which has
+	// a latency of two cycles, and can deliver a word every cycle" (§3).
+	hitLatency = 2
+	// missLatency runs from Fetch to MD-ready on a miss: "the difference
+	// between the best case and the worst is more than an order of
+	// magnitude" (§5.7).
+	missLatency = 26
+	// storageCycle is the minimum spacing of storage references: "the
+	// maximum rate at which storage references can be made is one every
+	// eight cycles; this is the cycle time of the main storage RAMs"
+	// (§6.2.1).
+	storageCycle = 8
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -39,15 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StorageWords == 0 {
 		c.StorageWords = 1 << 20
-	}
-	if c.HitLatency == 0 {
-		c.HitLatency = 2
-	}
-	if c.MissLatency == 0 {
-		c.MissLatency = 26
-	}
-	if c.StorageCycle == 0 {
-		c.StorageCycle = 8
 	}
 	return c
 }
@@ -217,7 +211,7 @@ func (s *System) StorageFreeAt() uint64 { return s.storageFreeAt }
 
 // takeStorage occupies the storage pipe for n back-to-back RAM cycles.
 func (s *System) takeStorage(now uint64, n int) {
-	s.storageFreeAt = now + uint64(n*s.cfg.StorageCycle)
+	s.storageFreeAt = now + uint64(n*storageCycle)
 	s.stats.StorageOps += uint64(n)
 }
 
@@ -256,10 +250,10 @@ func (s *System) Read(task int, r Ref, now uint64) {
 		s.checkRef(task, r.va, false) // flag maintenance + vacancy fault
 	}
 	md := &s.md[task&15]
-	md.issueAt, md.readyAt = now, now+uint64(s.cfg.HitLatency)
+	md.issueAt, md.readyAt = now, now+hitLatency
 	if !s.cache.rehit(r) {
 		_, md.issueAt = s.refill(r.va, now)
-		md.readyAt = md.issueAt + uint64(s.cfg.MissLatency)
+		md.readyAt = md.issueAt + missLatency
 	}
 	md.val = s.data[s.translate(r.va)]
 	md.pending = true
@@ -310,7 +304,7 @@ func (s *System) MDReady(task int, now uint64) bool {
 // took the full miss latency.
 func (s *System) MDReadyFixed(task int, now uint64) bool {
 	md := &s.md[task&15]
-	return !md.pending || now >= md.issueAt+uint64(s.cfg.MissLatency)
+	return !md.pending || now >= md.issueAt+missLatency
 }
 
 // MDReadyAt returns the cycle at which a use of task's MD stops holding:
@@ -319,7 +313,7 @@ func (s *System) MDReadyFixed(task int, now uint64) bool {
 func (s *System) MDReadyAt(task int, fixedWait bool) uint64 {
 	md := &s.md[task&15]
 	if fixedWait {
-		return md.issueAt + uint64(s.cfg.MissLatency)
+		return md.issueAt + missLatency
 	}
 	return md.readyAt
 }
@@ -351,9 +345,10 @@ func (s *System) Peek(va uint32) uint16 { return s.data[s.translate(va)] }
 func (s *System) Poke(va uint32, v uint16) { s.data[s.translate(va)] = v }
 
 // Flush writes back and invalidates the cache line covering va (FF op).
+// A dirty line's writeback waits for the storage pipe, as a fill does.
 func (s *System) Flush(va uint32, now uint64) {
 	if s.cache.invalidate(va) {
-		s.takeStorage(now, 1)
+		s.takeStorage(max(now, s.storageFreeAt), 1)
 	}
 }
 

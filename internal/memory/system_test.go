@@ -82,10 +82,9 @@ func TestMissLatency(t *testing.T) {
 
 func TestMissHitGapIsOrderOfMagnitude(t *testing.T) {
 	// §5.7: best case vs worst case differ by more than an order of
-	// magnitude. Our defaults: 2 vs 26.
-	cfg := Config{}.withDefaults()
-	if cfg.MissLatency < 10*cfg.HitLatency {
-		t.Errorf("miss %d vs hit %d: not an order of magnitude", cfg.MissLatency, cfg.HitLatency)
+	// magnitude: 2 vs 26.
+	if missLatency < 10*hitLatency {
+		t.Errorf("miss %d vs hit %d: not an order of magnitude", missLatency, hitLatency)
 	}
 }
 

@@ -213,36 +213,6 @@ func ClassifyFF(ff FF) FFClass {
 	return FFClassReserved
 }
 
-// ReadsB reports whether executing ff as an operation consumes the B bus
-// (used by the assembler to detect conflicts with B-bus constants).
-func FFReadsB(ff FF) bool {
-	switch ff {
-	case FFReadyB, FFWriteTPC, FFReadTPC, FFCPRegPut, FFMapSet, FFIFUReset,
-		FFStackReset, FFOutput, FFDevCtl:
-		return true
-	}
-	return ClassifyFF(ff) == FFClassPut
-}
-
-// WritesResult reports whether ff overrides the RESULT bus (so LoadControl
-// stores the FF-produced value rather than the ALU output).
-func FFWritesResult(ff FF) bool {
-	switch ClassifyFF(ff) {
-	case FFClassGet, FFClassShifter:
-		return true
-	}
-	switch ff {
-	case FFReadTPC, FFCPRegGet, FFMapGet:
-		return true
-	}
-	return false
-}
-
-// FFDrivesB reports whether ff sources the B bus from outside the data
-// section (FF Input puts the IODATA word on B, §6.3.2: the I/O busses "can
-// serve as a source as well"), overriding the BSelect field.
-func FFDrivesB(ff FF) bool { return ff == FFInput }
-
 var ffNames = map[FF]string{
 	FFNop: "Nop", FFReadyB: "ReadyB", FFReadTPC: "ReadTPC", FFWriteTPC: "WriteTPC",
 	FFCPRegGet: "CPRegGet", FFCPRegPut: "CPRegPut", FFFlushCache: "FlushCache",

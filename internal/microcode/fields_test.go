@@ -44,54 +44,11 @@ func TestFFClassification(t *testing.T) {
 }
 
 func TestFFClassificationTotal(t *testing.T) {
-	// Every byte classifies, and classification is consistent with the
-	// helper predicates.
+	// Every byte classifies into one of the declared classes.
 	for b := 0; b < 256; b++ {
-		ff := FF(b)
-		c := ClassifyFF(ff)
-		if c == FFClassPut && !FFReadsB(ff) {
-			t.Errorf("put op %#02x does not read B", b)
+		if c := ClassifyFF(FF(b)); c > FFClassReserved {
+			t.Errorf("ClassifyFF(%#02x) = %d, past the declared classes", b, c)
 		}
-		if c == FFClassGet && !FFWritesResult(ff) {
-			t.Errorf("get op %#02x does not write RESULT", b)
-		}
-	}
-}
-
-func TestFFReadsB(t *testing.T) {
-	for _, ff := range []FF{FFReadyB, FFWriteTPC, FFCPRegPut, FFMapSet,
-		FFIFUReset, FFStackReset, FFOutput, FFDevCtl, FFPutQ, FFPutBaseLo} {
-		if !FFReadsB(ff) {
-			t.Errorf("%s should read B", FFName(ff))
-		}
-	}
-	for _, ff := range []FF{FFNop, FFHalt, FFGetQ, FFShiftNoMask, FFCountBase + 3} {
-		if FFReadsB(ff) {
-			t.Errorf("%s should not read B", FFName(ff))
-		}
-	}
-}
-
-func TestFFWritesResult(t *testing.T) {
-	for _, ff := range []FF{FFGetQ, FFGetLink, FFShiftMaskZ, FFMulStep,
-		FFReadTPC, FFCPRegGet, FFMapGet} {
-		if !FFWritesResult(ff) {
-			t.Errorf("%s should write RESULT", FFName(ff))
-		}
-	}
-	for _, ff := range []FF{FFNop, FFOutput, FFPutQ, FFSetMB} {
-		if FFWritesResult(ff) {
-			t.Errorf("%s should not write RESULT", FFName(ff))
-		}
-	}
-}
-
-func TestFFDrivesB(t *testing.T) {
-	if !FFDrivesB(FFInput) {
-		t.Error("Input drives B (IODATA sources the bus)")
-	}
-	if FFDrivesB(FFOutput) || FFDrivesB(FFNop) {
-		t.Error("only Input drives B")
 	}
 }
 

@@ -132,26 +132,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	before := Build(testSnapshot(), testSymbols())
-	after := Merge(before, before) // doubled counters = "later read"
-	d := Diff(before, after)
-	if d.Cycles != before.Cycles {
-		t.Errorf("window cycles = %d, want %d", d.Cycles, before.Cycles)
-	}
-	if len(d.Addrs) != 3 || d.Addrs[0].Cycles != 100 {
-		t.Errorf("window addrs: %+v", d.Addrs)
-	}
-	if d.Blocks[0].Exits["branch"] != 7 {
-		t.Errorf("window block exits: %v", d.Blocks[0].Exits)
-	}
-	// Identical reads produce an empty window.
-	z := Diff(before, before)
-	if len(z.Addrs) != 0 || len(z.Blocks) != 0 || z.Cycles != 0 {
-		t.Errorf("self-diff not empty: %+v", z)
-	}
-}
-
 // scanProto walks top-level (field, wire) records of an encoded message.
 func scanProto(t *testing.T, b []byte) map[int]int {
 	t.Helper()

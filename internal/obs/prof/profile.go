@@ -5,9 +5,8 @@
 // spans (WriteChromeTrace).
 //
 // A Profile is a value: Merge folds many (a fleet's sessions) into one,
-// Diff subtracts a baseline (two reads of one live session bracket a
-// window). Both drop the time-domain span ring, which only makes sense
-// inside a single machine's cycle domain.
+// dropping the time-domain span ring, which only makes sense inside a
+// single machine's cycle domain.
 package prof
 
 import (
@@ -259,69 +258,6 @@ func Merge(profiles ...*Profile) *Profile {
 	return out
 }
 
-// Diff returns after minus before: the window profile between two reads of
-// one session's monotonically growing counters. Rows that vanish entirely
-// are omitted; counts saturate at zero (a Reset between reads shows as a
-// small, not negative, window). Spans are dropped.
-func Diff(before, after *Profile) *Profile {
-	baseAddr := map[microcode.Addr]Addr{}
-	for _, a := range before.Addrs {
-		baseAddr[a.Addr] = a
-	}
-	baseBlock := map[microcode.Addr]Block{}
-	for _, b := range before.Blocks {
-		baseBlock[b.Start] = b
-	}
-	out := &Profile{
-		Cycles:   sub(after.Cycles, before.Cycles),
-		Executed: sub(after.Executed, before.Executed),
-		Holds:    sub(after.Holds, before.Holds),
-	}
-	for _, a := range after.Addrs {
-		base := baseAddr[a.Addr]
-		d := Addr{
-			Addr: a.Addr, Name: a.Name,
-			Cycles:   sub(a.Cycles, base.Cycles),
-			Executed: sub(a.Executed, base.Executed),
-			Holds:    sub(a.Holds, base.Holds),
-		}
-		if d.Cycles != 0 || d.Executed != 0 || d.Holds != 0 {
-			out.Addrs = append(out.Addrs, d)
-		}
-	}
-	for _, b := range after.Blocks {
-		base := baseBlock[b.Start]
-		d := Block{
-			Start: b.Start, Name: b.Name, Instructions: b.Instructions,
-			Compiled: sub(b.Compiled, base.Compiled),
-			Entries:  sub(b.Entries, base.Entries),
-			Cycles:   sub(b.Cycles, base.Cycles),
-			Exits:    subMap(b.Exits, base.Exits),
-		}
-		basePCs := map[microcode.Addr]uint64{}
-		for _, pc := range base.ExitPCs {
-			basePCs[pc.PC] = pc.Count
-		}
-		for _, pc := range b.ExitPCs {
-			if n := sub(pc.Count, basePCs[pc.PC]); n != 0 {
-				d.ExitPCs = append(d.ExitPCs, PC{PC: pc.PC, Name: pc.Name, Count: n})
-			}
-		}
-		if d.Compiled != 0 || d.Entries != 0 || d.Cycles != 0 || len(d.Exits) != 0 {
-			out.Blocks = append(out.Blocks, d)
-		}
-	}
-	out.Exits = subMap(after.Exits, before.Exits)
-	return out
-}
-
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
 func copyMap(m map[string]uint64) map[string]uint64 {
 	if m == nil {
 		return nil
@@ -344,19 +280,6 @@ func addMap(dst, src map[string]uint64) map[string]uint64 {
 		dst[k] += v
 	}
 	return dst
-}
-
-func subMap(a, b map[string]uint64) map[string]uint64 {
-	var out map[string]uint64
-	for k, v := range a {
-		if n := sub(v, b[k]); n != 0 {
-			if out == nil {
-				out = map[string]uint64{}
-			}
-			out[k] = n
-		}
-	}
-	return out
 }
 
 func sortedAddrKeys(m map[microcode.Addr]*Addr) []microcode.Addr {

@@ -20,11 +20,14 @@
 // old snapshots (and old golden hashes) invalid rather than silently
 // misread.
 //
-// Decoding is strict three ways: a section must exist when opened, must be
-// fully consumed before the next section is opened, and Finish fails if any
-// section in the document was never opened. A machine restored from a
-// snapshot therefore has exactly the component set the snapshot was taken
-// from (e.g. the same devices attached), or the restore fails loudly.
+// A component describes its state once, as a sequence of Codec calls on
+// pointers to its fields: the same description encodes (each call appends
+// the value) and decodes (each call stores into it). Decoding is strict
+// three ways: a section must exist when opened, must be fully consumed
+// before the next section is opened, and Finish fails if any section in
+// the document was never opened. A machine restored from a snapshot
+// therefore has exactly the component set the snapshot was taken from
+// (e.g. the same devices attached), or the restore fails loudly.
 package state
 
 import (
@@ -40,82 +43,287 @@ const magic = "DSNP"
 // section's layout; see DESIGN.md "Machine snapshots" for the rules.
 const Version = 1
 
-// Encoder builds a snapshot document. Create with NewEncoder, open a
-// section with Section, append primitives, and call Bytes to finish.
-type Encoder struct {
+// Codec is one pass over a snapshot document, in one direction: Encode
+// starts a document that each call appends to, Decode opens one that each
+// call reads from and stores into the pointer it was given. Decoding is
+// sticky-error: after the first failure nothing more is read or stored,
+// and Err (or Finish) reports what went wrong.
+type Codec struct {
+	decoding bool
+	err      error
+
+	// Encoding: the document so far and the offset of the open section's
+	// length field, or -1.
 	data []byte
-	sect int // offset of the open section's length field, or -1
+	sect int
+
+	// Decoding: the document's sections by tag, in document order, which
+	// of them were opened, and the unread rest of the open one.
+	sections map[string][]byte
+	order    []string
+	opened   map[string]bool
+	cur      []byte
+	curTag   string
 }
 
-// NewEncoder starts a document with the magic and version header, with
-// room for a document of size bytes: a writer that knows about how large
-// its document is builds it in one allocation instead of growing the
-// buffer as it goes.
-func NewEncoder(size int) *Encoder {
-	e := &Encoder{sect: -1, data: make([]byte, 0, max(size, len(magic)+2))}
-	e.data = append(e.data, magic...)
-	e.data = binary.LittleEndian.AppendUint16(e.data, Version)
-	return e
+// Encode starts a document with the magic and version header, with room
+// for a document of size bytes: a writer that knows about how large its
+// document is builds it in one allocation instead of growing the buffer
+// as it goes.
+func Encode(size int) *Codec {
+	c := &Codec{sect: -1, data: make([]byte, 0, max(size, len(magic)+2))}
+	c.data = append(c.data, magic...)
+	c.data = binary.LittleEndian.AppendUint16(c.data, Version)
+	return c
 }
 
-// Section closes any open section and starts a new one. Tags are exactly
-// four bytes; a malformed tag is a programming error.
-func (e *Encoder) Section(tag string) {
+// Decode parses the document structure (header and section framing) for
+// decoding.
+func Decode(data []byte) (*Codec, error) {
+	doc, err := Split(data)
+	if err != nil {
+		return nil, err
+	}
+	if v := binary.LittleEndian.Uint16(doc.Header[len(magic):]); v != Version {
+		return nil, fmt.Errorf("state: snapshot format version %d, this build reads version %d", v, Version)
+	}
+	c := &Codec{decoding: true, sections: make(map[string][]byte, len(doc.Sections)), opened: map[string]bool{}}
+	for _, s := range doc.Sections {
+		if _, dup := c.sections[s.Tag]; dup {
+			return nil, fmt.Errorf("state: duplicate section %q", s.Tag)
+		}
+		c.sections[s.Tag] = s.Body
+		c.order = append(c.order, s.Tag)
+	}
+	return c, nil
+}
+
+// Decoding reports the direction: true while decoding, false while
+// encoding.
+func (c *Codec) Decoding() bool { return c.decoding }
+
+// Decoded reports whether the codec is decoding and every value so far
+// decoded cleanly: a description that codes a field through a copy (a
+// conversion, or a value to check first) stores the copy only then.
+func (c *Codec) Decoded() bool { return c.decoding && c.err == nil }
+
+// Section starts a section (encoding) or opens the named one (decoding),
+// which must exist, must not have been opened before, and may be opened
+// only once the previous one is fully consumed. Tags are exactly four
+// bytes; a malformed tag is a programming error.
+func (c *Codec) Section(tag string) {
 	if len(tag) != 4 {
 		panic(fmt.Sprintf("state: section tag %q is not 4 bytes", tag))
 	}
-	e.closeSection()
-	e.data = append(e.data, tag...)
-	e.sect = len(e.data)
-	e.data = append(e.data, 0, 0, 0, 0) // length, patched by closeSection
-}
-
-func (e *Encoder) closeSection() {
-	if e.sect < 0 {
+	if !c.decoding {
+		c.closeSection()
+		c.data = append(c.data, tag...)
+		c.sect = len(c.data)
+		c.data = append(c.data, 0, 0, 0, 0) // length, patched by closeSection
 		return
 	}
-	binary.LittleEndian.PutUint32(e.data[e.sect:], uint32(len(e.data)-e.sect-4))
-	e.sect = -1
+	if c.err != nil {
+		return
+	}
+	body, ok := c.sections[tag]
+	switch {
+	case len(c.cur) != 0:
+		c.Fail(fmt.Errorf("state: section %q has %d unread bytes", c.curTag, len(c.cur)))
+	case !ok:
+		c.Fail(fmt.Errorf("state: snapshot has no section %q", tag))
+	case c.opened[tag]:
+		c.Fail(fmt.Errorf("state: section %q opened twice", tag))
+	default:
+		c.opened[tag] = true
+		c.cur, c.curTag = body, tag
+	}
+}
+
+func (c *Codec) closeSection() {
+	if c.sect < 0 {
+		return
+	}
+	binary.LittleEndian.PutUint32(c.data[c.sect:], uint32(len(c.data)-c.sect-4))
+	c.sect = -1
 }
 
 // Bytes closes the open section and returns the finished document.
-func (e *Encoder) Bytes() []byte {
-	e.closeSection()
-	return e.data
+func (c *Codec) Bytes() []byte {
+	c.closeSection()
+	return c.data
 }
 
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.data = append(e.data, v) }
-
-// U16 appends a 16-bit value.
-func (e *Encoder) U16(v uint16) { e.data = binary.LittleEndian.AppendUint16(e.data, v) }
-
-// U32 appends a 32-bit value.
-func (e *Encoder) U32(v uint32) { e.data = binary.LittleEndian.AppendUint32(e.data, v) }
-
-// U64 appends a 64-bit value.
-func (e *Encoder) U64(v uint64) { e.data = binary.LittleEndian.AppendUint64(e.data, v) }
-
-// I8 appends a signed byte.
-func (e *Encoder) I8(v int8) { e.data = append(e.data, uint8(v)) }
-
-// Bool appends a boolean as one byte (0 or 1).
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.data = append(e.data, 1)
-	} else {
-		e.data = append(e.data, 0)
+// Fail records err as the decoding error unless one is already recorded:
+// a description calls it for a decoded value the machine cannot hold.
+// Encoding writes whatever the machine holds, so it ignores Fail.
+func (c *Codec) Fail(err error) {
+	if c.decoding && c.err == nil {
+		c.err = err
 	}
 }
 
-// U16s appends a run of 16-bit values with no count prefix (fixed-size
+// Err returns the first decoding error.
+func (c *Codec) Err() error { return c.err }
+
+// Finish verifies the document was consumed completely: no decode errors,
+// the last section fully read, and every section opened.
+func (c *Codec) Finish() error {
+	if c.err != nil {
+		return c.err
+	}
+	if len(c.cur) != 0 {
+		return fmt.Errorf("state: section %q has %d unread bytes", c.curTag, len(c.cur))
+	}
+	for _, tag := range c.order {
+		if !c.opened[tag] {
+			return fmt.Errorf("state: section %q was not consumed (component mismatch?)", tag)
+		}
+	}
+	return nil
+}
+
+// take returns the next n bytes of the open section. After an error, or
+// on a short read (which it records), it returns nil.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if len(c.cur) < n {
+		c.Fail(fmt.Errorf("state: section %q: short read (%d bytes wanted, %d left)", c.curTag, n, len(c.cur)))
+		return nil
+	}
+	b := c.cur[:n]
+	c.cur = c.cur[n:]
+	return b
+}
+
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if !c.decoding {
+		c.data = append(c.data, *p)
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
+	}
+}
+
+// U16 codes a 16-bit value.
+func (c *Codec) U16(p *uint16) {
+	if !c.decoding {
+		c.data = binary.LittleEndian.AppendUint16(c.data, *p)
+	} else if b := c.take(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
+	}
+}
+
+// U32 codes a 32-bit value.
+func (c *Codec) U32(p *uint32) {
+	if !c.decoding {
+		c.data = binary.LittleEndian.AppendUint32(c.data, *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 codes a 64-bit value.
+func (c *Codec) U64(p *uint64) {
+	if !c.decoding {
+		c.data = binary.LittleEndian.AppendUint64(c.data, *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// Bool codes a boolean as one byte, 0 or 1; decoding refuses any other.
+func (c *Codec) Bool(p *bool) { c.Bits(p) }
+
+// Bits codes up to eight booleans as one byte, flags[i] in bit i.
+// Decoding refuses a byte with a bit set past the last flag.
+func (c *Codec) Bits(flags ...*bool) {
+	var v uint8
+	for i, f := range flags {
+		if *f {
+			v |= 1 << i
+		}
+	}
+	c.U8(&v)
+	if v>>len(flags) != 0 {
+		c.Fail(fmt.Errorf("state: section %q: flag byte %#02x has bits past its %d flags", c.curTag, v, len(flags)))
+	} else if c.Decoded() {
+		for i, f := range flags {
+			*f = v&(1<<i) != 0
+		}
+	}
+}
+
+// Int codes an int in [0, n) as one byte; decoding refuses a value
+// outside that range.
+func (c *Codec) Int(p *int, n int) {
+	v := uint8(*p)
+	c.U8(&v)
+	if int(v) >= n {
+		c.Fail(fmt.Errorf("state: section %q: value %d out of range [0, %d)", c.curTag, v, n))
+	} else if c.Decoded() {
+		*p = int(v)
+	}
+}
+
+// Count codes a length as a 32-bit value. Decoding refuses a count whose
+// elements, at least size (one or more) bytes each, the open section's
+// remaining bytes cannot hold, before anything is sized by it.
+func (c *Codec) Count(p *int, size int) {
+	v := uint32(*p)
+	c.U32(&v)
+	if c.Decoded() {
+		if uint64(v)*uint64(size) > uint64(len(c.cur)) {
+			c.Fail(fmt.Errorf("state: section %q: count %d of %d-byte elements, %d bytes left", c.curTag, v, size, len(c.cur)))
+			return
+		}
+		*p = int(v)
+	}
+}
+
+// List codes a slice as its Count and then each element through each,
+// every element at least size bytes. Decoding reuses the slice's backing
+// array when it is large enough.
+func List[T any](c *Codec, s *[]T, size int, each func(*T)) {
+	n := len(*s)
+	c.Count(&n, size)
+	if c.err != nil {
+		return
+	}
+	if c.decoding {
+		*s = slices.Grow((*s)[:0], n)[:n]
+	}
+	for i := range *s {
+		each(&(*s)[i])
+	}
+}
+
+// U16s codes a run of 16-bit values with no count prefix (fixed-size
 // arrays whose length both sides know). The bytes are exactly those of a
-// U16 per value; the run is written in bulk, four words per 64-bit
+// U16 per value; the run moves in bulk, four words per 64-bit load or
 // store, because the storage image (a million words) rides through here.
-func (e *Encoder) U16s(vs []uint16) {
-	n := len(e.data)
-	e.data = slices.Grow(e.data, 2*len(vs))[:n+2*len(vs)]
-	b := e.data[n:]
+// Decoding reads the whole run with one take, so a short section fails
+// before any word is stored.
+func (c *Codec) U16s(vs []uint16) {
+	if c.decoding {
+		b := c.take(2 * len(vs))
+		if c.err != nil {
+			return
+		}
+		i := 0
+		for ; i+4 <= len(vs); i += 4 {
+			w := binary.LittleEndian.Uint64(b[2*i:])
+			vs[i], vs[i+1], vs[i+2], vs[i+3] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
+		}
+		for ; i < len(vs); i++ {
+			vs[i] = binary.LittleEndian.Uint16(b[2*i:])
+		}
+		return
+	}
+	n := len(c.data)
+	c.data = slices.Grow(c.data, 2*len(vs))[:n+2*len(vs)]
+	b := c.data[n:]
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
 		binary.LittleEndian.PutUint64(b[2*i:], uint64(vs[i])|uint64(vs[i+1])<<16|uint64(vs[i+2])<<32|uint64(vs[i+3])<<48)
@@ -125,107 +333,31 @@ func (e *Encoder) U16s(vs []uint16) {
 	}
 }
 
-// Bytes32 appends a uint32 length prefix followed by raw bytes.
-func (e *Encoder) Bytes32(b []byte) {
-	e.U32(uint32(len(b)))
-	e.data = append(e.data, b...)
+// Bytes32 codes a byte run as a 32-bit length and the bytes. Decoding
+// refuses a run longer than limit and stores into the slice's backing
+// array when it is large enough.
+func (c *Codec) Bytes32(p *[]byte, limit int) {
+	n := len(*p)
+	c.Count(&n, 1)
+	if !c.decoding {
+		c.data = append(c.data, *p...)
+	} else if n > limit {
+		c.Fail(fmt.Errorf("state: section %q: %d-byte run, at most %d fit", c.curTag, n, limit))
+	} else if b := c.take(n); c.err == nil {
+		*p = append((*p)[:0], b...)
+	}
 }
 
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) { e.Bytes32([]byte(s)) }
-
-// Decoder reads a snapshot document written by Encoder. All read methods
-// are sticky-error: after the first failure they return zero values, and
-// Err (or Finish) reports what went wrong.
-type Decoder struct {
-	sections map[string][]byte
-	order    []string
-	opened   map[string]bool
-	cur      []byte
-	curTag   string
-	err      error
-}
-
-// NewDecoder parses the document structure (header and section framing).
-func NewDecoder(data []byte) (*Decoder, error) {
-	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("state: not a snapshot (bad magic)")
+// String codes a string as a 32-bit length and its bytes. Decoding keeps
+// the string it replaces when the bytes are the same.
+func (c *Codec) String(p *string) {
+	n := len(*p)
+	c.Count(&n, 1)
+	if !c.decoding {
+		c.data = append(c.data, *p...)
+	} else if b := c.take(n); c.err == nil && string(b) != *p {
+		*p = string(b)
 	}
-	v := binary.LittleEndian.Uint16(data[len(magic):])
-	if v != Version {
-		return nil, fmt.Errorf("state: snapshot format version %d, this build reads version %d", v, Version)
-	}
-	d := &Decoder{sections: map[string][]byte{}, opened: map[string]bool{}}
-	rest := data[len(magic)+2:]
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("state: truncated section header (%d bytes left)", len(rest))
-		}
-		tag := string(rest[:4])
-		n := binary.LittleEndian.Uint32(rest[4:8])
-		rest = rest[8:]
-		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("state: section %q claims %d bytes, %d remain", tag, n, len(rest))
-		}
-		if _, dup := d.sections[tag]; dup {
-			return nil, fmt.Errorf("state: duplicate section %q", tag)
-		}
-		d.sections[tag] = rest[:n]
-		d.order = append(d.order, tag)
-		rest = rest[n:]
-	}
-	return d, nil
-}
-
-// Section opens the named section for reading. The previously open section
-// must have been fully consumed.
-func (d *Decoder) Section(tag string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.cur) != 0 {
-		d.err = fmt.Errorf("state: section %q has %d unread bytes", d.curTag, len(d.cur))
-		return d.err
-	}
-	body, ok := d.sections[tag]
-	if !ok {
-		d.err = fmt.Errorf("state: snapshot has no section %q", tag)
-		return d.err
-	}
-	if d.opened[tag] {
-		d.err = fmt.Errorf("state: section %q opened twice", tag)
-		return d.err
-	}
-	d.opened[tag] = true
-	d.cur, d.curTag = body, tag
-	return nil
-}
-
-// Has reports whether the document contains the named section (for callers
-// that branch on optional components, e.g. devices).
-func (d *Decoder) Has(tag string) bool {
-	_, ok := d.sections[tag]
-	return ok
-}
-
-// Err returns the first decoding error.
-func (d *Decoder) Err() error { return d.err }
-
-// Finish verifies the document was consumed completely: no decode errors,
-// the last section fully read, and every section opened.
-func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.cur) != 0 {
-		return fmt.Errorf("state: section %q has %d unread bytes", d.curTag, len(d.cur))
-	}
-	for _, tag := range d.order {
-		if !d.opened[tag] {
-			return fmt.Errorf("state: section %q was not consumed (component mismatch?)", tag)
-		}
-	}
-	return nil
 }
 
 // RawSection is one framed section of a snapshot document, split out by
@@ -251,7 +383,7 @@ type Doc struct {
 // (tag, length, body) triples — without interpreting any section body and
 // without checking the format version. Deduplicating storage must keep
 // working across format generations, so Split accepts any version as long
-// as the framing is intact; NewDecoder is where version strictness lives.
+// as the framing is intact; Decode is where version strictness lives.
 // Section bodies alias data (no copy).
 func Split(data []byte) (Doc, error) {
 	hdr := len(magic) + 2
@@ -293,107 +425,3 @@ func (d Doc) Join() []byte {
 	}
 	return out
 }
-
-// take returns the next n bytes of the open section.
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.cur) < n {
-		d.err = fmt.Errorf("state: section %q: short read (%d bytes wanted, %d left)", d.curTag, n, len(d.cur))
-		return nil
-	}
-	b := d.cur[:n]
-	d.cur = d.cur[n:]
-	return b
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U16 reads a 16-bit value.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a 32-bit value.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a 64-bit value.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I8 reads a signed byte.
-func (d *Decoder) I8() int8 { return int8(d.U8()) }
-
-// Bool reads a boolean; any byte other than 0 or 1 is a decode error.
-func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("state: section %q: bad boolean", d.curTag)
-		}
-		return false
-	}
-}
-
-// U16s fills a fixed-size destination with 16-bit values, reading the
-// whole run with one take (so a short section fails before any word is
-// written) and four words per 64-bit load.
-func (d *Decoder) U16s(dst []uint16) {
-	b := d.take(2 * len(dst))
-	if b == nil {
-		return
-	}
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		w := binary.LittleEndian.Uint64(b[2*i:])
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-}
-
-// Bytes32 reads a uint32-length-prefixed byte string.
-func (d *Decoder) Bytes32() []byte {
-	n := d.U32()
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes32()) }

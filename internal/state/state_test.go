@@ -2,65 +2,83 @@ package state
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func TestRoundTrip(t *testing.T) {
-	e := NewEncoder(0)
+	u8, u16, u32, u64, i8 := uint8(0x12), uint16(0x3456), uint32(0x789ABCDE), uint64(0x1122334455667788), int(-3)
+	yes, no := true, false
+	three := []uint16{1, 2, 3}
+	hello, world := []byte("hello"), "world"
+	e := Encode(0)
 	e.Section("AAAA")
-	e.U8(0x12)
-	e.U16(0x3456)
-	e.U32(0x789ABCDE)
-	e.U64(0x1122334455667788)
-	e.I8(-3)
-	e.Bool(true)
-	e.Bool(false)
+	e.U8(&u8)
+	e.U16(&u16)
+	e.U32(&u32)
+	e.U64(&u64)
+	i8b := uint8(int8(i8))
+	e.U8(&i8b)
+	e.Bool(&yes)
+	e.Bool(&no)
 	e.Section("BBBB")
-	e.U16s([]uint16{1, 2, 3})
-	e.Bytes32([]byte("hello"))
-	e.String("world")
+	e.U16s(three)
+	e.Bytes32(&hello, 5)
+	e.String(&world)
 	doc := e.Bytes()
 
-	d, err := NewDecoder(doc)
+	d, err := Decode(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("AAAA"); err != nil {
-		t.Fatal(err)
+	var (
+		g8, gi8 uint8
+		g16     uint16
+		g32     uint32
+		g64     uint64
+		gy, gn  = false, true
+		g3      [3]uint16
+		gb      []byte
+		gs      string
+	)
+	d.Section("AAAA")
+	d.U8(&g8)
+	d.U16(&g16)
+	d.U32(&g32)
+	d.U64(&g64)
+	d.U8(&gi8)
+	d.Bool(&gy)
+	d.Bool(&gn)
+	if g8 != 0x12 {
+		t.Errorf("U8 = %#x", g8)
 	}
-	if v := d.U8(); v != 0x12 {
-		t.Errorf("U8 = %#x", v)
+	if g16 != 0x3456 {
+		t.Errorf("U16 = %#x", g16)
 	}
-	if v := d.U16(); v != 0x3456 {
-		t.Errorf("U16 = %#x", v)
+	if g32 != 0x789ABCDE {
+		t.Errorf("U32 = %#x", g32)
 	}
-	if v := d.U32(); v != 0x789ABCDE {
-		t.Errorf("U32 = %#x", v)
+	if g64 != 0x1122334455667788 {
+		t.Errorf("U64 = %#x", g64)
 	}
-	if v := d.U64(); v != 0x1122334455667788 {
-		t.Errorf("U64 = %#x", v)
+	if int8(gi8) != -3 {
+		t.Errorf("I8 = %d", int8(gi8))
 	}
-	if v := d.I8(); v != -3 {
-		t.Errorf("I8 = %d", v)
-	}
-	if !d.Bool() || d.Bool() {
+	if !gy || gn {
 		t.Errorf("Bool round trip failed")
 	}
-	if err := d.Section("BBBB"); err != nil {
-		t.Fatal(err)
+	d.Section("BBBB")
+	d.U16s(g3[:])
+	if g3 != [3]uint16{1, 2, 3} {
+		t.Errorf("U16s = %v", g3)
 	}
-	var three [3]uint16
-	d.U16s(three[:])
-	if three != [3]uint16{1, 2, 3} {
-		t.Errorf("U16s = %v", three)
+	if d.Bytes32(&gb, 5); !bytes.Equal(gb, []byte("hello")) {
+		t.Errorf("Bytes32 = %q", gb)
 	}
-	if got := d.Bytes32(); !bytes.Equal(got, []byte("hello")) {
-		t.Errorf("Bytes32 = %q", got)
-	}
-	if got := d.String(); got != "world" {
-		t.Errorf("String = %q", got)
+	if d.String(&gs); gs != "world" {
+		t.Errorf("String = %q", gs)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -69,9 +87,10 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDeterministicEncoding(t *testing.T) {
 	build := func() []byte {
-		e := NewEncoder(0)
+		v := uint64(42)
+		e := Encode(0)
 		e.Section("TTTT")
-		e.U64(42)
+		e.U64(&v)
 		return e.Bytes()
 	}
 	if !bytes.Equal(build(), build()) {
@@ -79,77 +98,179 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
-func TestStrictness(t *testing.T) {
-	e := NewEncoder(0)
+// doc2 is a two-section document: a uint32 7 in AAAA, a byte 1 in ZZZZ.
+func doc2() []byte {
+	seven, one := uint32(7), uint8(1)
+	e := Encode(0)
 	e.Section("AAAA")
-	e.U32(7)
+	e.U32(&seven)
 	e.Section("ZZZZ")
-	e.U8(1)
-	doc := e.Bytes()
+	e.U8(&one)
+	return e.Bytes()
+}
+
+func TestStrictness(t *testing.T) {
+	doc := doc2()
+	var b uint8
+	var w uint32
+	var q uint64
 
 	// Missing section.
-	d, _ := NewDecoder(doc)
-	if err := d.Section("NOPE"); err == nil {
+	d, _ := Decode(doc)
+	if d.Section("NOPE"); d.Err() == nil {
 		t.Error("opening a missing section succeeded")
 	}
 
 	// Partially consumed section.
-	d, _ = NewDecoder(doc)
-	if err := d.Section("AAAA"); err != nil {
-		t.Fatal(err)
+	d, _ = Decode(doc)
+	if d.Section("AAAA"); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	d.U8()
-	if err := d.Section("ZZZZ"); err == nil {
+	d.U8(&b)
+	if d.Section("ZZZZ"); d.Err() == nil {
 		t.Error("opening the next section with unread bytes succeeded")
 	}
 
 	// Unopened section caught by Finish.
-	d, _ = NewDecoder(doc)
-	if err := d.Section("AAAA"); err != nil {
-		t.Fatal(err)
+	d, _ = Decode(doc)
+	if d.Section("AAAA"); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	d.U32()
+	d.U32(&w)
 	if err := d.Finish(); err == nil {
 		t.Error("Finish accepted a document with an unopened section")
 	}
 
 	// Over-read inside a section.
-	d, _ = NewDecoder(doc)
-	if err := d.Section("AAAA"); err != nil {
-		t.Fatal(err)
+	d, _ = Decode(doc)
+	if d.Section("AAAA"); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	d.U64()
+	d.U64(&q)
 	if d.Err() == nil {
 		t.Error("short read not detected")
 	}
 }
 
+// TestDecodeStoresNothingAfterAnError: once a value is refused, no later
+// call reads or stores anything, and Finish reports the first error.
+func TestDecodeStoresNothingAfterAnError(t *testing.T) {
+	d, err := Decode(doc2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Section("AAAA")
+	n := 3
+	d.Int(&n, 7) // the first byte of 7 is 7: out of [0, 7)
+	if d.Err() == nil || n != 3 {
+		t.Fatalf("Int stored %d, error %v", n, d.Err())
+	}
+	b := uint8(9)
+	if d.U8(&b); b != 9 {
+		t.Fatalf("U8 after an error stored %d", b)
+	}
+	first := d.Err()
+	d.Fail(errors.New("second"))
+	if err := d.Finish(); err != first {
+		t.Fatalf("Finish = %v, want the first error %v", err, first)
+	}
+}
+
+// TestBitsAndBool: Bits packs flags into one byte, flag i in bit i, and
+// decoding refuses a byte with a bit past the last flag (a Bool is one
+// flag, so it accepts only 0 and 1).
+func TestBitsAndBool(t *testing.T) {
+	a, b, c := true, false, true
+	e := Encode(0)
+	e.Section("BITS")
+	e.Bits(&a, &b, &c)
+	doc := e.Bytes()
+	if got := doc[len(doc)-1]; got != 0b101 {
+		t.Fatalf("Bits byte = %#b, want 0b101", got)
+	}
+	d, _ := Decode(doc)
+	d.Section("BITS")
+	var x, y, z bool
+	if d.Bits(&x, &y, &z); !x || y || !z || d.Finish() != nil {
+		t.Fatalf("Bits decoded %v %v %v (%v)", x, y, z, d.Finish())
+	}
+	for _, c := range []struct {
+		flags int
+		v     uint8
+	}{{3, 0b1000}, {1, 2}, {7, 0x80}} {
+		e := Encode(0)
+		e.Section("BITS")
+		e.U8(&c.v)
+		d, _ := Decode(e.Bytes())
+		d.Section("BITS")
+		fs := make([]*bool, c.flags)
+		for i := range fs {
+			fs[i] = new(bool)
+		}
+		if d.Bits(fs...); d.Err() == nil {
+			t.Errorf("%d flags accepted byte %#02x", c.flags, c.v)
+		}
+	}
+}
+
+// TestCountRefusedBeforeSizing: a count the section's remaining bytes
+// cannot hold is refused before any slice is sized by it, and a count
+// that fits decodes into the slice's backing array when it is large
+// enough.
+func TestCountRefusedBeforeSizing(t *testing.T) {
+	list := func(vs []uint64, claim uint32) []byte {
+		e := Encode(0)
+		e.Section("LIST")
+		e.U32(&claim)
+		for i := range vs {
+			e.U64(&vs[i])
+		}
+		return e.Bytes()
+	}
+	d, _ := Decode(list([]uint64{1, 2}, 1<<20))
+	d.Section("LIST")
+	var got []uint64
+	if List(d, &got, 8, d.U64); d.Err() == nil || got != nil {
+		t.Fatalf("count 2^20 over 2 elements: %d elements, error %v", len(got), d.Err())
+	}
+
+	d, _ = Decode(list([]uint64{7, 8}, 2))
+	d.Section("LIST")
+	got = make([]uint64, 5)
+	backing := &got[0]
+	if List(d, &got, 8, d.U64); d.Finish() != nil || len(got) != 2 || got[0] != 7 || got[1] != 8 || &got[0] != backing {
+		t.Fatalf("List decoded %v (%v), reused backing array: %v", got, d.Finish(), &got[0] == backing)
+	}
+}
+
 func TestHeaderValidation(t *testing.T) {
-	if _, err := NewDecoder([]byte("junk")); err == nil {
+	if _, err := Decode([]byte("junk")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	doc := NewEncoder(0).Bytes()
+	doc := Encode(0).Bytes()
 	doc[4] = 0xFF // corrupt version
 	doc[5] = 0xFF
-	if _, err := NewDecoder(doc); err == nil {
+	if _, err := Decode(doc); err == nil {
 		t.Error("future version accepted")
 	}
 	// Truncated section framing.
-	e := NewEncoder(0)
+	one := uint64(1)
+	e := Encode(0)
 	e.Section("AAAA")
-	e.U64(1)
+	e.U64(&one)
 	doc = e.Bytes()
-	if _, err := NewDecoder(doc[:len(doc)-2]); err == nil {
+	if _, err := Decode(doc[:len(doc)-2]); err == nil {
 		t.Error("truncated section accepted")
 	}
 }
 
 func TestSplitJoinRoundTrip(t *testing.T) {
-	e := NewEncoder(0)
+	word, payload := uint32(0xDEADBEEF), "payload"
+	e := Encode(0)
 	e.Section("AAAA")
-	e.U32(0xDEADBEEF)
+	e.U32(&word)
 	e.Section("BBBB")
-	e.String("payload")
+	e.String(&payload)
 	e.Section("CCCC") // empty section: framing only
 	doc := e.Bytes()
 
@@ -202,37 +323,37 @@ func TestU16sBulk(t *testing.T) {
 			for i := range words {
 				words[i] = uint16(rng.Uint32())
 			}
-			bulk := NewEncoder(0)
+			pre, post := uint8(0xA5), uint8(0x5A)
+			bulk := Encode(0)
 			bulk.Section("WRDS")
-			bulk.U8(0xA5) // an odd offset: the run need not start aligned
+			bulk.U8(&pre) // an odd offset: the run need not start aligned
 			bulk.U16s(words)
-			bulk.U8(0x5A)
+			bulk.U8(&post)
 			doc := bulk.Bytes()
 
-			ref := NewEncoder(0)
+			ref := Encode(0)
 			ref.Section("WRDS")
-			ref.U8(0xA5)
-			for _, w := range words {
-				ref.U16(w)
+			ref.U8(&pre)
+			for i := range words {
+				ref.U16(&words[i])
 			}
-			ref.U8(0x5A)
+			ref.U8(&post)
 			if !bytes.Equal(doc, ref.Bytes()) {
 				t.Fatal("bulk encoding differs from per-word U16 encoding")
 			}
 
-			d, err := NewDecoder(doc)
+			d, err := Decode(doc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Section("WRDS"); err != nil {
-				t.Fatal(err)
-			}
+			d.Section("WRDS")
 			got := make([]uint16, n)
-			if d.U8() != 0xA5 {
+			var b uint8
+			if d.U8(&b); b != 0xA5 {
 				t.Fatal("prefix byte lost")
 			}
 			d.U16s(got)
-			if d.U8() != 0x5A {
+			if d.U8(&b); b != 0x5A {
 				t.Fatal("suffix byte lost")
 			}
 			if err := d.Finish(); err != nil {
@@ -247,22 +368,23 @@ func TestU16sBulk(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			short := NewEncoder(0) // the same run, one byte short
+			short := Encode(0) // the same run, one byte short
 			short.Section("WRDS")
 			short.U16s(words[:n-1])
-			short.U8(uint8(words[n-1]))
-			d, err = NewDecoder(short.Bytes())
+			last := uint8(words[n-1])
+			short.U8(&last)
+			d, err = Decode(short.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Section("WRDS"); err != nil {
-				t.Fatal(err)
+			if d.Section("WRDS"); d.Err() != nil {
+				t.Fatal(d.Err())
 			}
 			d.U16s(got)
 			if d.Err() == nil {
 				t.Fatal("short word run not detected")
 			}
-			if d.U8(); d.Err() == nil {
+			if d.U8(&b); d.Err() == nil {
 				t.Fatal("short-read error is not sticky")
 			}
 			if err := d.Finish(); err == nil {
