@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"dorado/internal/core"
+	"dorado/internal/memory"
+	"dorado/internal/state/statetest"
 )
 
 // This file is the workload-level checkpointing suite: every §7 workload
@@ -77,6 +79,20 @@ func TestSplitRunEquivalence(t *testing.T) {
 // which should be a deliberate, reviewed event. On mismatch the test prints
 // the current hash; paste it here once the change is understood.
 var goldenHashes = map[string]string{
+	"emulator":  "36d94335a971db8847b0f74f5b91de26a1278d0ddab6d3e91e4eb3c35176341c",
+	"disk":      "4362419842eda6dba88c38e490afbe59d77ea0abd7b194c266450a71983bff42",
+	"fastio":    "6f2cf4db6d8cb0f3019c21be96d1a747eafb5a7a24f0f2108fb6cfc2734fd1f6",
+	"slowio":    "50429e97135d1f5d17cd0b3cea2607fa8d07682474b502aa823ff53f0998a09e",
+	"bitblt":    "0f5c1fc13cc991861cef2536b35d6376aa31084997dad652403103c4f7d38428",
+	"mesacalls": "201d0f922a08cc90f73253f41e3939a495749298ec54917aea7485198ea3c3e3",
+}
+
+// goldenV1 are the same states' hashes in format version 1, which coded
+// the storage image densely; they are the values goldenHashes held
+// before version 2. Each workload's snapshot, rendered as version 1 by
+// statetest.VersionOne, must still hash to them: the encoding changed,
+// the machine state it carries did not.
+var goldenV1 = map[string]string{
 	"emulator":  "73896bd159681df8a3bc19b861a4febb7830f0f1300e4148cf273652ac4faf69",
 	"disk":      "ac7c024c2f51729c70860c8559adc11b66dc6e7bdf8a4cee14714ad744cb437a",
 	"fastio":    "7709b2c790ad111994dbb2248becc94c1f309e6c7e589b17e9ccc68f798e732c",
@@ -88,7 +104,8 @@ var goldenHashes = map[string]string{
 // TestGoldenSnapshots checks the content hash of each workload's snapshot
 // at a fixed cycle count — on every execution path, which must all hash the
 // same — and that restoring that snapshot re-serializes byte-identically
-// (the round-trip property at workload scale).
+// (the round-trip property at workload scale). The snapshot's version-1
+// rendering must hash to goldenV1 and restore to the same machine.
 func TestGoldenSnapshots(t *testing.T) {
 	const cycles = 5000
 	for _, w := range Workloads() {
@@ -104,8 +121,7 @@ func TestGoldenSnapshots(t *testing.T) {
 				}
 				m.RunCycles(cycles)
 				snap := m.Snapshot()
-				h := sha256.Sum256(snap)
-				if got := hex.EncodeToString(h[:]); got != want {
+				if got := hash(snap); got != want {
 					t.Errorf("%s: snapshot hash changed after %d cycles:\n got %s\nwant %s\n"+
 						"(expected only when the state format or machine behavior deliberately changes)",
 						p.name, cycles, got, want)
@@ -121,9 +137,33 @@ func TestGoldenSnapshots(t *testing.T) {
 				if !bytes.Equal(fresh.Snapshot(), snap) {
 					t.Errorf("%s: restore → snapshot is not byte-identical", p.name)
 				}
+
+				v1, err := statetest.VersionOne(snap, m.Mem().Config().StorageWords, memory.PageWords)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := hash(v1); got != goldenV1[w.ID] {
+					t.Errorf("%s: version-1 rendering hashes to %s, want %s", p.name, got, goldenV1[w.ID])
+				}
+				old, err := w.Build(p.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := old.Restore(v1); err != nil {
+					t.Fatalf("%s: version-1 restore: %v", p.name, err)
+				}
+				if !bytes.Equal(old.Snapshot(), snap) {
+					t.Errorf("%s: the version-1 rendering does not restore to the version-2 snapshot", p.name)
+				}
 			}
 		})
 	}
+}
+
+// hash is the hex SHA-256 of a snapshot document.
+func hash(doc []byte) string {
+	h := sha256.Sum256(doc)
+	return hex.EncodeToString(h[:])
 }
 
 // TestSnapshotAllocation guards the snapshot encoder's buffer growth. The

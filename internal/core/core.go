@@ -85,7 +85,7 @@ type Config struct {
 	// FaultTask, when 1..15, is woken (via its READY flipflop) whenever the
 	// memory system records a map fault — the Dorado's fault-handling
 	// discipline: faults are service requests to a microcode task, not
-	// processor traps.
+	// processor traps. 0 means no fault task; New refuses any other value.
 	FaultTask int
 	// Reference selects the unoptimized reference interpreter: every cycle
 	// re-decodes the packed microword from scratch and the scheduler scans
@@ -221,6 +221,9 @@ func (s *Stats) Utilization(t int) float64 {
 
 // New builds a Machine.
 func New(cfg Config) (*Machine, error) {
+	if cfg.FaultTask < 0 || cfg.FaultTask >= NumTasks {
+		return nil, fmt.Errorf("core: fault task %d is not a task (0 means none, 1-%d wake that task)", cfg.FaultTask, NumTasks-1)
+	}
 	mem, err := memory.New(cfg.Memory)
 	if err != nil {
 		return nil, err
@@ -248,7 +251,7 @@ func New(cfg Config) (*Machine, error) {
 		m.im[i] = microcode.Word{FF: microcode.FFHalt}
 	}
 	m.predecodeAll()
-	if ft := cfg.FaultTask; ft > 0 && ft < NumTasks {
+	if ft := cfg.FaultTask; ft > 0 {
 		mem.OnFault(func(memory.Fault) { m.ready |= 1 << ft })
 	}
 	return m, nil

@@ -18,8 +18,10 @@ const (
 	sectCoreDevs   = "DEVS"
 )
 
-// snapshotSlack sizes the part of a snapshot besides storage, microstore
-// and cache tags: registers, counters, the IFU's decode table, devices.
+// snapshotSlack sizes the part of a snapshot besides the microstore and
+// cache tags: registers, counters, the IFU's decode table, devices, and
+// the storage pages of a typical session (a booted Mesa machine holds
+// 14-17 pages of 516 bytes). A machine with more grows the buffer.
 const snapshotSlack = 16 << 10
 
 // Snapshot captures the complete machine state — control section, data
@@ -32,10 +34,9 @@ const snapshotSlack = 16 << 10
 // architectural states produce byte-identical snapshots regardless of path,
 // which is the equality oracle the differential fuzzer is built on.
 func (m *Machine) Snapshot() []byte {
-	// Storage and the microstore are nearly all of the document; cache tags
-	// take under a byte per cached word, and snapshotSlack covers the rest.
-	mc := m.mem.Config()
-	c := state.Encode(2*mc.StorageWords + mc.CacheWords + 8*microcode.StoreSize + snapshotSlack)
+	// The microstore is most of the document; cache tags take under a byte
+	// per cached word, and snapshotSlack covers the rest.
+	c := state.Encode(m.mem.Config().CacheWords + 8*microcode.StoreSize + snapshotSlack)
 	m.state(c)
 	return c.Bytes()
 }
@@ -75,10 +76,10 @@ func (m *Machine) Restore(data []byte) error {
 // device's. Snapshot encodes through it and Restore decodes.
 func (m *Machine) state(c *state.Codec) {
 	c.Section(sectCoreConfig)
-	opt, ft := m.cfg.Options, uint8(m.cfg.FaultTask)
+	opt, ft := m.cfg.Options, m.cfg.FaultTask
 	c.Bits(&opt.NoBypass, &opt.DelayedBranch, &opt.ExplicitNotify, &opt.FixedWaitMemory)
-	c.U8(&ft)
-	if opt != m.cfg.Options || int(ft) != m.cfg.FaultTask {
+	c.Int(&ft, NumTasks)
+	if opt != m.cfg.Options || ft != m.cfg.FaultTask {
 		c.Fail(fmt.Errorf("core: snapshot options %+v and fault task %d, machine options %+v and fault task %d",
 			opt, ft, m.cfg.Options, m.cfg.FaultTask))
 	}

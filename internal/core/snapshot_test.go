@@ -12,6 +12,7 @@ import (
 	"dorado/internal/memory"
 	"dorado/internal/microcode"
 	"dorado/internal/state"
+	"dorado/internal/state/statetest"
 )
 
 // snapMachine builds a machine exercising every snapshotted component: the
@@ -249,6 +250,51 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestFaultTaskRange: New refuses a fault task no task number names (0
+// means none, 1-15 wake that task), so every machine it builds codes its
+// fault task in CONF and restores its own snapshot; fault task 15, the
+// highest, is the edge.
+func TestFaultTaskRange(t *testing.T) {
+	for _, ft := range []int{-1, 16, 300} {
+		if _, err := New(Config{FaultTask: ft}); err == nil {
+			t.Errorf("New accepted fault task %d", ft)
+		}
+	}
+	src := snapMachine(t, Config{FaultTask: 15})
+	src.RunCycles(500)
+	snap := src.Snapshot()
+	dst := snapMachine(t, Config{FaultTask: 15})
+	if err := dst.Restore(snap); err != nil {
+		t.Fatalf("fault task 15: %v", err)
+	}
+	if !bytes.Equal(dst.Snapshot(), snap) {
+		t.Fatal("fault task 15: the restored machine does not snapshot to the same bytes")
+	}
+	if err := snapMachine(t, Config{FaultTask: 14}).Restore(snap); err == nil {
+		t.Fatal("a fault-task-15 snapshot restored onto a fault-task-14 machine")
+	}
+}
+
+// TestRestoreClearsStorage: storage words the snapshot does not hold are
+// zero after Restore, whatever the machine held before. The split-run
+// tests restore only into fresh machines, whose storage is already zero.
+func TestRestoreClearsStorage(t *testing.T) {
+	src := snapMachine(t, Config{})
+	src.RunCycles(1000)
+	snap := src.Snapshot()
+	dst := snapMachine(t, Config{})
+	dst.RunCycles(3000)
+	for va := uint32(0); va < 1<<20; va += 997 {
+		dst.Mem().Poke(va, uint16(va)|1)
+	}
+	if err := dst.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.Snapshot(), snap) {
+		t.Fatal("restoring onto dirty storage kept words the snapshot does not hold")
+	}
+}
+
 // restoreMachine builds the small machine FuzzRestore's seeds come from:
 // 256 cache words over 4096 storage words, a page-map override, a few
 // IFU decode rows, and a Display on task 13 fed by a two-word service
@@ -294,19 +340,26 @@ func restoreMachine(t testing.TB, run bool) *Machine {
 }
 
 // restoreSeeds are FuzzRestore's base snapshots: restoreMachine at two
-// cycle counts, one early (the display still filling) and one later.
+// cycle counts, one early (the display still filling) and one later, and
+// the later one rendered as format version 1.
 func restoreSeeds(t testing.TB) [][]byte {
 	m := restoreMachine(t, true)
 	m.RunCycles(300)
 	early := m.Snapshot()
 	m.RunCycles(3000)
-	return [][]byte{early, m.Snapshot()}
+	late := m.Snapshot()
+	v1, err := statetest.VersionOne(late, m.Mem().Config().StorageWords, memory.PageWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{early, late, v1}
 }
 
 // TestRestoreBoundsCounts: a snapshot whose MEMS page-map count, or whose
-// Display's pending-block count, claims 2^20 entries over none is refused
-// before anything is sized by the count, the refused Restore allocates
-// under 1 MiB, and the machine still runs.
+// Display's pending-block count, claims 2^20 entries over none, or whose
+// MDAT claims 2^31 storage pages, is refused before anything is sized by
+// the count, the refused Restore allocates under 1 MiB, and the machine
+// still runs.
 func TestRestoreBoundsCounts(t *testing.T) {
 	src := snapMachine(t, Config{})
 	src.RunCycles(100)
@@ -331,6 +384,8 @@ func TestRestoreBoundsCounts(t *testing.T) {
 		}
 		le.PutUint32(b[6:], 1<<20)
 	})
+	// MDAT: the count of storage pages that hold data comes first.
+	mdat := patchSection(t, src.Snapshot(), "MDAT", func(b []byte) { le.PutUint32(b, 1<<31) })
 	for _, c := range []struct {
 		name string
 		snap []byte
@@ -338,6 +393,7 @@ func TestRestoreBoundsCounts(t *testing.T) {
 	}{
 		{"page map", mems, snapMachine(t, Config{})},
 		{"display queue", devs, restoreMachine(t, false)},
+		{"storage pages", mdat, snapMachine(t, Config{})},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -357,7 +413,8 @@ func TestRestoreBoundsCounts(t *testing.T) {
 // restores the result onto a fresh machine of the same shape. Restore
 // must never panic; a snapshot it accepts must leave a machine whose own
 // snapshot restores onto another fresh machine to the same bytes, and
-// which runs 1000 cycles without panicking. Patches rather than whole
+// which runs 1000 cycles without panicking. The version-1 seed's re-
+// snapshot is version 2, so its round trip crosses the versions. Patches rather than whole
 // documents keep each input small: a whole 46 KB snapshot per input
 // slows the fuzzer to a crawl.
 func FuzzRestore(f *testing.F) {
@@ -366,6 +423,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(uint8(1), uint32(0), []byte{})
 	f.Add(uint8(0), uint32(6), []byte("CONF"))
 	f.Add(uint8(1), uint32(40), []byte{0xFF, 0xFF, 0xFF, 0x7F})
+	f.Add(uint8(2), uint32(0), []byte{})
 	f.Fuzz(func(t *testing.T, seed uint8, off uint32, patch []byte) {
 		snap := bytes.Clone(seeds[int(seed)%len(seeds)])
 		copy(snap[int(off%uint32(len(snap))):], patch)

@@ -99,6 +99,20 @@ func TestMesaSessionBootSource(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesFaultTask: a machine whose fault task is no task
+// number cannot be built (its snapshot could not hold it), so Create
+// fails and registers no session.
+func TestCreateRefusesFaultTask(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer drainNow(t, m)
+	if id, err := m.Create(Spec{Machine: dorado.Config{FaultTask: 300}}); err == nil {
+		t.Fatalf("Create accepted fault task 300 as %s", id)
+	}
+	if infos := m.Sessions(); len(infos) != 0 {
+		t.Fatalf("sessions after a refused create = %+v", infos)
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	m := New(Config{Workers: 2})
 	defer drainNow(t, m)

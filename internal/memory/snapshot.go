@@ -27,8 +27,9 @@ type page struct {
 // State describes the memory system's complete state to a snapshot codec:
 // configuration fingerprint (compared, never applied), base registers,
 // page map, per-task MD state, storage-pipe timing, fault latch, counters,
-// the cache's residency/LRU metadata, and the full storage contents. A
-// restoring system must have been built with the identical configuration.
+// the cache's residency/LRU metadata, and the storage contents as the
+// pages that hold a nonzero word. A restoring system must have been built
+// with the identical configuration.
 func (s *System) State(c *state.Codec) {
 	c.Section(sectMemConfig)
 	want := [...]uint32{uint32(s.cfg.CacheWords), uint32(s.cfg.CacheWays), uint32(s.cfg.StorageWords),
@@ -102,5 +103,5 @@ func (s *System) State(c *state.Codec) {
 	}
 
 	c.Section(sectMemStorage)
-	c.U16s(s.data)
+	c.Pages(s.data, PageWords)
 }

@@ -4,8 +4,9 @@
 // A snapshot document is:
 //
 //	magic    "DSNP" (4 bytes)
-//	version  uint16 little-endian (the format generation, not negotiable:
-//	         a decoder accepts exactly the version it was built for)
+//	version  uint16 little-endian (the format generation: a decoder reads
+//	         this generation and the one before it, an encoder writes
+//	         only this one)
 //	sections, each:
 //	    tag     4 ASCII bytes (component-chosen, unique per document)
 //	    length  uint32 little-endian (body bytes)
@@ -16,9 +17,11 @@
 // no skipping. Determinism is the point — Snapshot→Restore→Snapshot must be
 // byte-identical, so every writer emits values in one canonical order (maps
 // are sorted before encoding) and every reader consumes exactly what was
-// written. Any structural change to any section bumps Version, which makes
-// old snapshots (and old golden hashes) invalid rather than silently
-// misread.
+// written. Any structural change to any section bumps Version, so an old
+// snapshot is never silently misread: it is either read by the code that
+// knows its layout or refused. Version 2 differs from version 1 only in
+// the Pages primitive (a word run coded as its nonzero pages instead of
+// densely), and Decode still reads version 1.
 //
 // A component describes its state once, as a sequence of Codec calls on
 // pointers to its fields: the same description encodes (each call appends
@@ -31,6 +34,7 @@
 package state
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -41,7 +45,7 @@ const magic = "DSNP"
 
 // Version is the current format generation. Bump it on ANY change to any
 // section's layout; see DESIGN.md "Machine snapshots" for the rules.
-const Version = 1
+const Version = 2
 
 // Codec is one pass over a snapshot document, in one direction: Encode
 // starts a document that each call appends to, Decode opens one that each
@@ -50,6 +54,7 @@ const Version = 1
 // and Err (or Finish) reports what went wrong.
 type Codec struct {
 	decoding bool
+	version  uint16 // the document's format generation
 	err      error
 
 	// Encoding: the document so far and the offset of the open section's
@@ -71,23 +76,24 @@ type Codec struct {
 // document is builds it in one allocation instead of growing the buffer
 // as it goes.
 func Encode(size int) *Codec {
-	c := &Codec{sect: -1, data: make([]byte, 0, max(size, len(magic)+2))}
+	c := &Codec{sect: -1, version: Version, data: make([]byte, 0, max(size, len(magic)+2))}
 	c.data = append(c.data, magic...)
 	c.data = binary.LittleEndian.AppendUint16(c.data, Version)
 	return c
 }
 
 // Decode parses the document structure (header and section framing) for
-// decoding.
+// decoding. It reads versions 1 and 2.
 func Decode(data []byte) (*Codec, error) {
 	doc, err := Split(data)
 	if err != nil {
 		return nil, err
 	}
-	if v := binary.LittleEndian.Uint16(doc.Header[len(magic):]); v != Version {
-		return nil, fmt.Errorf("state: snapshot format version %d, this build reads version %d", v, Version)
+	v := binary.LittleEndian.Uint16(doc.Header[len(magic):])
+	if v != 1 && v != Version {
+		return nil, fmt.Errorf("state: snapshot format version %d, this build reads versions 1 and %d", v, Version)
 	}
-	c := &Codec{decoding: true, sections: make(map[string][]byte, len(doc.Sections)), opened: map[string]bool{}}
+	c := &Codec{decoding: true, version: v, sections: make(map[string][]byte, len(doc.Sections)), opened: map[string]bool{}}
 	for _, s := range doc.Sections {
 		if _, dup := c.sections[s.Tag]; dup {
 			return nil, fmt.Errorf("state: duplicate section %q", s.Tag)
@@ -302,35 +308,146 @@ func List[T any](c *Codec, s *[]T, size int, each func(*T)) {
 // U16s codes a run of 16-bit values with no count prefix (fixed-size
 // arrays whose length both sides know). The bytes are exactly those of a
 // U16 per value; the run moves in bulk, four words per 64-bit load or
-// store, because the storage image (a million words) rides through here.
-// Decoding reads the whole run with one take, so a short section fails
-// before any word is stored.
+// store. Decoding reads the whole run with one take, so a short section
+// fails before any word is stored.
 func (c *Codec) U16s(vs []uint16) {
-	if c.decoding {
-		b := c.take(2 * len(vs))
-		if c.err != nil {
-			return
-		}
-		i := 0
-		for ; i+4 <= len(vs); i += 4 {
-			w := binary.LittleEndian.Uint64(b[2*i:])
-			vs[i], vs[i+1], vs[i+2], vs[i+3] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
-		}
-		for ; i < len(vs); i++ {
-			vs[i] = binary.LittleEndian.Uint16(b[2*i:])
-		}
-		return
+	if !c.decoding {
+		c.appendWords(vs)
+	} else if b := c.take(2 * len(vs)); c.err == nil {
+		getWords(vs, b)
 	}
+}
+
+// appendWords appends vs, a U16 per word, four words per 64-bit store.
+func (c *Codec) appendWords(vs []uint16) {
 	n := len(c.data)
 	c.data = slices.Grow(c.data, 2*len(vs))[:n+2*len(vs)]
 	b := c.data[n:]
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
-		binary.LittleEndian.PutUint64(b[2*i:], uint64(vs[i])|uint64(vs[i+1])<<16|uint64(vs[i+2])<<32|uint64(vs[i+3])<<48)
+		binary.LittleEndian.PutUint64(b[2*i:], quad(vs[i:]))
 	}
 	for ; i < len(vs); i++ {
 		binary.LittleEndian.PutUint16(b[2*i:], vs[i])
 	}
+}
+
+// getWords stores the 2*len(vs) bytes of b, a U16 per word, into vs, four
+// words per 64-bit load.
+func getWords(vs []uint16, b []byte) {
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		w := binary.LittleEndian.Uint64(b[2*i:])
+		vs[i], vs[i+1], vs[i+2], vs[i+3] = uint16(w), uint16(w>>16), uint16(w>>32), uint16(w>>48)
+	}
+	for ; i < len(vs); i++ {
+		vs[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+}
+
+// Pages codes a run of words as its pages of page words that hold a
+// nonzero word: a 32-bit count, then each such page in increasing order,
+// as its 32-bit index and its words (the run's last page may be short).
+// A run that is nearly all zero, like the storage image, costs only the
+// pages that hold data. Encoding scans the run once and patches the count
+// afterwards. Decoding checks every listed page before it stores a word,
+// then zeroes the run and fills the listed pages. It refuses a count the
+// section cannot hold, a page past the run, a page not above the one
+// before it and a listed page that is all zero, so every run has exactly
+// one encoding. In a version-1 document the run is dense, as U16s codes
+// it. A page size below one is a programming error.
+func (c *Codec) Pages(vs []uint16, page int) {
+	if page < 1 {
+		panic(fmt.Sprintf("state: page size %d", page))
+	}
+	switch {
+	case !c.decoding:
+		at := len(c.data)
+		c.data = append(c.data, 0, 0, 0, 0) // the count, patched below
+		n := 0
+		for i := 0; i < len(vs); i += page {
+			p := vs[i:min(i+page, len(vs))]
+			if zero(p) {
+				continue
+			}
+			c.data = binary.LittleEndian.AppendUint32(c.data, uint32(i/page))
+			c.appendWords(p)
+			n++
+		}
+		binary.LittleEndian.PutUint32(c.data[at:], uint32(n))
+	case c.version == 1:
+		c.U16s(vs)
+	default:
+		c.decodePages(vs, page)
+	}
+}
+
+// decodePages reads what Pages encodes: one pass checks the listed pages
+// and measures them, a second stores them.
+func (c *Codec) decodePages(vs []uint16, page int) {
+	var n int
+	if c.Count(&n, 4+2); c.err != nil { // an index and at least one word
+		return
+	}
+	rest, size, prev := c.cur, 0, -1
+	for range n {
+		if len(rest) < 4 {
+			c.take(size + 4) // records the short read
+			return
+		}
+		i := binary.LittleEndian.Uint32(rest)
+		if uint64(i)*uint64(page) >= uint64(len(vs)) {
+			c.Fail(fmt.Errorf("state: section %q: page %d is past the %d-word run", c.curTag, i, len(vs)))
+			return
+		}
+		if int(i) <= prev {
+			c.Fail(fmt.Errorf("state: section %q: page %d follows page %d", c.curTag, i, prev))
+			return
+		}
+		w := 2 * min(page, len(vs)-int(i)*page)
+		if len(rest) < 4+w {
+			c.take(size + 4 + w) // records the short read
+			return
+		}
+		if bytes.Count(rest[4:4+w], []byte{0}) == w {
+			c.Fail(fmt.Errorf("state: section %q: page %d is listed but all zero", c.curTag, i))
+			return
+		}
+		prev, rest, size = int(i), rest[4+w:], size+4+w
+	}
+	b := c.take(size)
+	clear(vs)
+	for len(b) > 0 {
+		i := int(binary.LittleEndian.Uint32(b)) * page
+		w := min(page, len(vs)-i)
+		getWords(vs[i:i+w], b[4:])
+		b = b[4+2*w:]
+	}
+}
+
+// zero reports whether every word of s is zero. It tests 32 words per
+// iteration, four at a time: the compiler combines each group of four
+// 16-bit loads into one 64-bit load, which makes the scan of a million
+// mostly zero words about three times as fast as ORing the 16-bit words
+// themselves.
+func zero(s []uint16) bool {
+	for ; len(s) >= 32; s = s[32:] {
+		if quad(s[0:])|quad(s[4:])|quad(s[8:])|quad(s[12:])|quad(s[16:])|quad(s[20:])|quad(s[24:])|quad(s[28:]) != 0 {
+			return false
+		}
+	}
+	for _, v := range s {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// quad returns the first four words of s as one little-endian 64-bit
+// value.
+func quad(s []uint16) uint64 {
+	return uint64(s[0]) | uint64(s[1])<<16 | uint64(s[2])<<32 | uint64(s[3])<<48
 }
 
 // Bytes32 codes a byte run as a 32-bit length and the bytes. Decoding

@@ -2,9 +2,11 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -392,4 +394,169 @@ func TestU16sBulk(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pagesDoc is a version-2 document whose one section, PAGE, has the given
+// body.
+func pagesDoc(body []byte) []byte {
+	return Doc{Header: []byte{'D', 'S', 'N', 'P', Version, 0}, Sections: []RawSection{{"PAGE", body}}}.Join()
+}
+
+// encodePages returns the PAGE section body Pages encodes vs as.
+func encodePages(vs []uint16, page int) []byte {
+	e := Encode(0)
+	e.Section("PAGE")
+	e.Pages(vs, page)
+	d, _ := Split(e.Bytes())
+	return d.Sections[0].Body
+}
+
+// decodePagesInto decodes body into vs and returns the error, if any.
+func decodePagesInto(body []byte, vs []uint16, page int) error {
+	d, err := Decode(pagesDoc(body))
+	if err != nil {
+		return err
+	}
+	d.Section("PAGE")
+	d.Pages(vs, page)
+	return d.Finish()
+}
+
+// TestPagesRoundTrip: random sparse runs, with and without a short last
+// page, encode to a count and their nonzero pages only, and decode back,
+// even into a run whose every word was dirty.
+func TestPagesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range []struct{ words, page int }{{0, 8}, {1, 8}, {64, 8}, {70, 8}, {1000, 64}, {4096, 256}, {4096 + 17, 256}} {
+		for range 20 {
+			vs := make([]uint16, c.words)
+			nonzero := 0
+			for p := 0; p < c.words; p += c.page {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				nonzero++
+				// One random word, sometimes the page's last one.
+				i := p + rng.Intn(min(c.page, c.words-p))
+				if rng.Intn(2) == 0 {
+					i = min(p+c.page, c.words) - 1
+				}
+				vs[i] = uint16(rng.Intn(0xFFFF)) + 1
+			}
+			body := encodePages(vs, c.page)
+			want := 4
+			for p := 0; p < c.words; p += c.page {
+				if slices.ContainsFunc(vs[p:min(p+c.page, c.words)], func(v uint16) bool { return v != 0 }) {
+					want += 4 + 2*min(c.page, c.words-p)
+				}
+			}
+			if len(body) != want || int(binary.LittleEndian.Uint32(body)) != nonzero {
+				t.Fatalf("%d words in pages of %d: %d-byte body counting %d pages, want %d bytes and %d pages",
+					c.words, c.page, len(body), binary.LittleEndian.Uint32(body), want, nonzero)
+			}
+			got := make([]uint16, c.words)
+			for i := range got {
+				got[i] = 0xDEAD
+			}
+			if err := decodePagesInto(body, got, c.page); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, vs) {
+				t.Fatalf("%d words in pages of %d: the run did not round-trip", c.words, c.page)
+			}
+		}
+	}
+}
+
+// TestPagesRefusals: a count the section cannot hold, a page past the
+// run, a page not above the one before it and a listed page that is all
+// zero are each refused, and a refused decode stores nothing.
+func TestPagesRefusals(t *testing.T) {
+	const words, page = 40, 16 // pages 0, 1 and a short page 2 of 8 words
+	le := binary.LittleEndian
+	// pages builds a body from (index, fill word, length) triples, with
+	// the given count.
+	pages := func(count uint32, ps ...[3]int) []byte {
+		b := le.AppendUint32(nil, count)
+		for _, p := range ps {
+			b = le.AppendUint32(b, uint32(p[0]))
+			for range p[2] {
+				b = le.AppendUint16(b, uint16(p[1]))
+			}
+		}
+		return b
+	}
+	if err := decodePagesInto(pages(2, [3]int{0, 7, 16}, [3]int{2, 9, 8}), make([]uint16, words), page); err != nil {
+		t.Fatalf("a well-formed body was refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		late bool // found by Finish, after the run is stored
+	}{
+		{"count 2^31", pages(1<<31, [3]int{0, 7, 16}), false},
+		{"count past the section", pages(3, [3]int{0, 7, 16}, [3]int{1, 7, 16}), false},
+		{"page past the run", pages(1, [3]int{3, 7, 16}), false},
+		{"page 2^32-1", pages(1, [3]int{1<<32 - 1, 7, 16}), false},
+		{"page repeated", pages(2, [3]int{1, 7, 16}, [3]int{1, 7, 16}), false},
+		{"pages out of order", pages(2, [3]int{1, 7, 16}, [3]int{0, 7, 16}), false},
+		{"listed page all zero", pages(2, [3]int{0, 7, 16}, [3]int{1, 0, 16}), false},
+		{"short page", pages(1, [3]int{1, 7, 15}), false},
+		{"long last page", pages(1, [3]int{2, 7, 16}), true},
+		{"no pages but trailing bytes", pages(0, [3]int{0, 7, 1}), true},
+	} {
+		vs := make([]uint16, words)
+		for i := range vs {
+			vs[i] = 0xBEEF
+		}
+		if err := decodePagesInto(c.body, vs, page); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if !c.late && slices.ContainsFunc(vs, func(v uint16) bool { return v != 0xBEEF }) {
+			t.Errorf("%s: the refused decode stored words", c.name)
+		}
+	}
+}
+
+// TestPagesVersionOne: in a version-1 document Pages reads the run
+// densely, as U16s wrote it, and Encode writes version 2.
+func TestPagesVersionOne(t *testing.T) {
+	vs := []uint16{0, 0, 5, 0, 0, 0, 0, 9, 0}
+	e := Encode(0)
+	e.Section("PAGE")
+	e.U16s(vs)
+	doc := e.Bytes()
+	if v := binary.LittleEndian.Uint16(doc[4:]); v != 2 {
+		t.Fatalf("Encode wrote version %d", v)
+	}
+	doc[4] = 1
+	d, err := Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint16, len(vs))
+	d.Section("PAGE")
+	if d.Pages(got, 4); d.Finish() != nil || !slices.Equal(got, vs) {
+		t.Fatalf("version-1 Pages decoded %v (%v)", got, d.Finish())
+	}
+}
+
+// FuzzPages decodes arbitrary section bytes as a pages run: decoding
+// never panics, and an accepted body re-encodes to exactly its bytes.
+func FuzzPages(f *testing.F) {
+	const words, page = 300, 64 // four full pages and a short one of 44
+	run := make([]uint16, words)
+	run[5], run[200], run[299] = 1, 0x8000, 7
+	f.Add(encodePages(run, page))
+	f.Add(encodePages(make([]uint16, words), page))
+	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		vs := make([]uint16, words)
+		if decodePagesInto(body, vs, page) != nil {
+			return
+		}
+		if again := encodePages(vs, page); !bytes.Equal(again, body) {
+			t.Fatalf("accepted body % x re-encodes as % x", body, again)
+		}
+	})
 }
