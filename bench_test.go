@@ -97,3 +97,49 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
+
+// BenchmarkNewMesa measures building a Mesa system: the machine, its
+// memory and the emulator's microcode. The fleet builds one for every
+// create, revive and fork of a Mesa session.
+func BenchmarkNewMesa(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := New(WithLanguage(Mesa))
+		if err != nil {
+			b.Fatal(err)
+		}
+		systemSink = sys
+	}
+}
+
+// BenchmarkRevive measures a fleet revive or fork without the store:
+// build a Mesa system and restore a booted Mesa session's snapshot onto
+// it.
+func BenchmarkRevive(b *testing.B) {
+	src, err := New(WithLanguage(Mesa))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.BootSource("return 6*7;"); err != nil {
+		b.Fatal(err)
+	}
+	if !src.Run(1_000_000) {
+		b.Fatal("did not halt")
+	}
+	snap := src.Machine.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := New(WithLanguage(Mesa))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Machine.Restore(snap); err != nil {
+			b.Fatal(err)
+		}
+		systemSink = sys
+	}
+}
+
+// systemSink keeps the built systems live.
+var systemSink *System

@@ -134,8 +134,7 @@ type pendingWrite struct {
 type Machine struct {
 	cfg Config
 
-	im  [microcode.StoreSize]microcode.Word
-	dim [microcode.StoreSize]decoded // predecode cache, in step with im
+	im  microstore // each microstore word and its decoded form
 	mem *memory.System
 	ifu *ifu.Unit
 
@@ -246,11 +245,9 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Translation.Enable {
 		m.trans = &translator{}
 	}
-	// Unloaded microstore halts immediately.
-	for i := range m.im {
-		m.im[i] = microcode.Word{FF: microcode.FFHalt}
+	for i := range m.im.word {
+		m.im.word[i], m.im.dec[i] = halt, haltDecoded
 	}
-	m.predecodeAll()
 	if ft := cfg.FaultTask; ft > 0 {
 		mem.OnFault(func(memory.Fault) { m.ready |= 1 << ft })
 	}
@@ -263,39 +260,33 @@ func (m *Machine) Mem() *memory.System { return m.mem }
 // IFU returns the instruction fetch unit.
 func (m *Machine) IFU() *ifu.Unit { return m.ifu }
 
-// Load installs a microstore image (e.g. masm.Program.Words) and rebuilds
-// the predecode cache. Reloading an identical image is a no-op — the
-// derived caches (predecode, superblocks) stay warm, which matters to
-// callers that re-Load the same program per work item (BitBlt runs one
-// Setup per blit).
+// Load installs a microstore image (e.g. masm.Program.Words) word by
+// word, decoding only the words that differ from those stored, and then
+// flushes the superblock translator. An identical image changes nothing
+// and keeps the blocks warm, which matters to callers that re-Load the
+// same program per work item (BitBlt runs one Setup per blit).
 func (m *Machine) Load(im *[microcode.StoreSize]microcode.Word) {
-	if m.im == *im {
+	if m.im.word == *im {
 		return
 	}
-	m.im = *im
-	m.predecodeAll()
+	for a := range im {
+		m.im.set(microcode.Addr(a), im[a])
+	}
 	m.trans.reset()
 }
 
-// SetIM writes one microstore word. This is the invalidation point of the
-// predecode layer: the written word is re-decoded immediately, so a
-// subsequent fetch of a executes the new instruction on both the fast and
-// the reference path. Loaders and the console must route single-word
-// microstore writes through here (bulk images go through Load). The
-// superblock caches are flushed whole — any block may have fused the old
-// word — and rebuilt as the machine reaches each address again.
+// SetIM writes one microstore word, which executes at its next fetch on
+// every path. Loaders and the console route single-word writes here (bulk
+// images go through Load). Rewriting the same word changes nothing; a new
+// word flushes the superblock translator, since any block may hold the old.
 func (m *Machine) SetIM(a microcode.Addr, w microcode.Word) {
-	a &= microcode.AddrMask
-	if m.im[a] == w {
-		return // rewriting the same word invalidates nothing
+	if m.im.set(a&microcode.AddrMask, w) {
+		m.trans.reset()
 	}
-	m.im[a] = w
-	m.dim[a] = decodeWord(w)
-	m.trans.reset()
 }
 
 // IM reads one microstore word.
-func (m *Machine) IM(a microcode.Addr) microcode.Word { return m.im[a&microcode.AddrMask] }
+func (m *Machine) IM(a microcode.Addr) microcode.Word { return m.im.word[a&microcode.AddrMask] }
 
 // attachedDev pairs a device with its precomputed wakeup-line bit so the
 // scheduler's hot loop touches only live controllers.

@@ -3,19 +3,18 @@ package core
 import "dorado/internal/microcode"
 
 // decoded is the predecoded form of one microstore word: every per-cycle
-// bit extraction exec used to perform on the packed 34-bit Word — the
-// NextControl decode, the FF classification, the §5.9 constant, the hold
-// predicates — done once, when the word enters the microstore.
+// bit extraction exec would otherwise perform on the packed 34-bit Word —
+// the NextControl decode, the FF classification, the §5.9 constant, the
+// hold predicates — done once, when the word is written (microstore.set).
 //
 // The real Dorado splits instruction decode across pipeline stages so that
 // by the time an instruction executes, its control lines are already
-// resolved (§5.4–5.5). The simulator's analogue is this struct: Load (and
-// every microstore write, see SetIM) decodes each Word into a decoded, and
-// the hot loop executes straight off the precomputed fields. The reference
-// interpreter (Config.Reference) instead re-derives a decoded from the raw
-// Word every cycle, which is the seed simulator's behavior; the two paths
-// share exec and are proved cycle-for-cycle identical by the differential
-// tests.
+// resolved (§5.4–5.5). The simulator's analogue is this struct: the hot
+// loop executes straight off the precomputed fields. The reference
+// interpreter (Config.Reference) instead re-derives a decoded from the
+// stored Word every cycle, which is the seed simulator's behavior; the two
+// paths share exec and are proved cycle-for-cycle identical by the
+// differential tests.
 type decoded struct {
 	op     microcode.NextOp // resolved NextControl (kind, word, condition)
 	constB uint16           // the §5.9 constant when isConstB
@@ -44,8 +43,8 @@ type decoded struct {
 }
 
 // decodeWord flattens one microinstruction. It is the single point of
-// truth for both execution paths: the predecode cache stores its result,
-// the reference interpreter calls it every cycle.
+// truth for both execution paths: the microstore stores its result, the
+// reference interpreter calls it every cycle.
 func decodeWord(w microcode.Word) decoded {
 	op := w.NextOp()
 	ffop := w.FFOp()
@@ -83,9 +82,26 @@ func decodeWord(w microcode.Word) decoded {
 	return d
 }
 
-// predecodeAll rebuilds the whole predecode cache from the microstore.
-func (m *Machine) predecodeAll() {
-	for i := range m.im {
-		m.dim[i] = decodeWord(m.im[i])
+// microstore is the writable microstore: each word as written and its
+// decoded form, written only by set (and New's fill with halt). The words
+// have an array of their own so that Load compares an unchanged image as
+// one block: Go compares two Words field by field.
+type microstore struct {
+	word [microcode.StoreSize]microcode.Word
+	dec  [microcode.StoreSize]decoded
+}
+
+// An unloaded microstore holds halt everywhere; New copies haltDecoded,
+// decoded once, rather than decoding halt 4,096 times.
+var halt, haltDecoded = microcode.Word{FF: microcode.FFHalt}, decodeWord(halt)
+
+// set installs w at a, decoding it only when it differs from the stored
+// word, and reports whether it did; a caller that sees true flushes the
+// translator, whose blocks may have fused the old word.
+func (s *microstore) set(a microcode.Addr, w microcode.Word) bool {
+	if s.word[a] == w {
+		return false
 	}
+	s.word[a], s.dec[a] = w, decodeWord(w)
+	return true
 }

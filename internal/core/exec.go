@@ -8,8 +8,8 @@ import (
 )
 
 // exec runs the instruction at (curTask, curPC) for one cycle, driven by
-// its predecoded form d (from the predecode cache, or rebuilt on the fly by
-// the reference interpreter). It returns held=true when the instruction
+// its decoded form d (from the microstore, or decoded on the fly by the
+// reference interpreter). It returns held=true when the instruction
 // could not proceed (§5.7: it becomes "no-op, jump to self": no state
 // changes, nextPC = curPC, Block suppressed), blocked=true when the
 // instruction released the processor, and the successor address otherwise.

@@ -300,9 +300,8 @@ func TestPredecodeDifferentialAblations(t *testing.T) {
 	}
 }
 
-// TestSetIMInvalidation is the predecode invalidation rule: a microstore
-// write must take effect on the very next fetch of that address, on both
-// paths identically.
+// TestSetIMInvalidation: a microstore write must take effect on the very
+// next fetch of that address, on every path identically.
 func TestSetIMInvalidation(t *testing.T) {
 	bl := masm.NewBuilder()
 	bl.EmitAt("start", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelT,
@@ -336,8 +335,8 @@ func TestSetIMInvalidation(t *testing.T) {
 		if !m.Halted() {
 			t.Fatalf("microstore write did not take effect on the %s path", pathName(m))
 		}
-		// The write must have reached both the raw store and the predecode
-		// cache; a stale cache would have kept the machine looping.
+		// The write must have reached both the stored word and its decoded
+		// form; a stale decoded form would have kept the machine looping.
 		if got := m.IM(p.MustEntry("start")).FF; got != microcode.FFHalt {
 			t.Fatalf("%s: IM readback = %#x, want FFHalt", pathName(m), got)
 		}

@@ -34,7 +34,7 @@ func (m *Machine) stepReference() {
 		m.stats.BranchStalls++
 		m.stats.TaskCycles[m.curTask]++
 	} else {
-		d := decodeWord(m.im[m.curPC])
+		d := decodeWord(m.im.word[m.curPC])
 		held, blocked, nextPC = m.exec(&d, now)
 		didExec = true
 	}

@@ -94,7 +94,7 @@ func (m *Machine) step(limit uint64) {
 		m.stats.BranchStalls++
 		m.stats.TaskCycles[m.curTask]++
 	} else {
-		held, blocked, nextPC = m.exec(&m.dim[m.curPC], now)
+		held, blocked, nextPC = m.exec(&m.im.dec[m.curPC], now)
 		didExec = true
 	}
 
@@ -223,7 +223,7 @@ func (o *observers) wants(now uint64, task int, held bool, lines uint16) bool {
 func (m *Machine) observe(now uint64, task int, pc microcode.Addr, held, exec bool, lines uint16) {
 	o := &m.seam
 	if o.tracer != nil {
-		o.tracer.Trace(TraceEvent{Cycle: now, Task: task, PC: pc, Held: held, Word: m.im[pc]})
+		o.tracer.Trace(TraceEvent{Cycle: now, Task: task, PC: pc, Held: held, Word: m.im.word[pc]})
 	}
 	if o.rec != nil {
 		o.rec.Cycle(now, task, held, lines, &m.stats.TaskCycles)

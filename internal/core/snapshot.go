@@ -55,10 +55,10 @@ func (m *Machine) Snapshot() []byte {
 // run with, so restore a good one (or build a fresh machine) before
 // relying on it again.
 //
-// Whether it succeeds or not, Restore rebuilds the predecode cache from
-// the microstore and flushes the superblock translator: both are derived
-// state, never serialized, so the machine executes what its microstore
-// holds on every interpreter path.
+// Each microstore word is installed like a Load's, decoded only where it
+// differs from the word stored. Whether it succeeds or not, Restore then
+// flushes the superblock translator, whose blocks and budget continuation
+// depend on where the machine was, not on the snapshot.
 func (m *Machine) Restore(data []byte) error {
 	c, err := state.Decode(data)
 	if err != nil {
@@ -66,7 +66,6 @@ func (m *Machine) Restore(data []byte) error {
 	}
 	m.endQuiet() // device and memory timing are about to change
 	m.state(c)
-	m.predecodeAll()
 	m.trans.reset()
 	return c.Finish()
 }
@@ -143,8 +142,8 @@ func (m *Machine) state(c *state.Codec) {
 	}
 
 	c.Section(sectCoreStore)
-	for i := range m.im {
-		codeWord(c, &m.im[i], microcode.Addr(i))
+	for a := range m.im.word {
+		codeWord(c, &m.im, microcode.Addr(a))
 	}
 
 	m.mem.State(c)
@@ -176,11 +175,11 @@ func codeAddr(c *state.Codec, p *microcode.Addr) {
 }
 
 // codeWord codes the microstore word at a; decoding refuses one that
-// microcode.Word.Validate rejects.
-func codeWord(c *state.Codec, p *microcode.Word, a microcode.Addr) {
+// microcode.Word.Validate rejects and installs any other.
+func codeWord(c *state.Codec, s *microstore, a microcode.Addr) {
 	var v uint64
 	if !c.Decoding() {
-		v = p.Encode()
+		v = s.word[a].Encode()
 	}
 	if c.U64(&v); !c.Decoded() {
 		return
@@ -190,5 +189,5 @@ func codeWord(c *state.Codec, p *microcode.Word, a microcode.Addr) {
 		c.Fail(fmt.Errorf("core: snapshot microstore word %v: %w", a, err))
 		return
 	}
-	*p = w
+	s.set(a, w)
 }

@@ -129,8 +129,8 @@ func TestSnapshotCrossPath(t *testing.T) {
 
 // TestRestoreInvalidatesPredecode is the restore analogue of the SetIM rule:
 // a machine whose microstore differs from the snapshot must, after Restore,
-// execute the *snapshot's* program on the predecoded path — i.e. the dim
-// cache was rebuilt, not left stale.
+// execute the *snapshot's* program on the predecoded path — i.e. every
+// restored word was decoded as it was installed, not left stale.
 func TestRestoreInvalidatesPredecode(t *testing.T) {
 	src := snapMachine(t, Config{})
 	src.RunCycles(1000)

@@ -125,9 +125,9 @@ type translator struct {
 // fuse, so the cycle loop does not try them again.
 var declined = &superblock{}
 
-// reset flushes the block cache. Called on any microstore write (SetIM,
-// Load) and on Restore, so a snapshot taken mid-block always rehydrates
-// onto the cycle loop deterministically.
+// reset flushes the block cache. Called when a microstore write (SetIM,
+// Load) changes a word and on every Restore, so a snapshot taken
+// mid-block always rehydrates onto the cycle loop deterministically.
 func (t *translator) reset() {
 	if t == nil {
 		return
@@ -394,7 +394,7 @@ func (m *Machine) translate(start microcode.Addr) *superblock {
 	pc := start
 	iterLen := 0 // instructions per unrolled iteration, once known
 	for len(b.code) < maxBlock {
-		d := &m.dim[pc]
+		d := &m.im.dec[pc]
 		if d.block {
 			b.task0Only = true
 		}

@@ -287,18 +287,27 @@ func (d *outputWaker) IdleUntil(now uint64) uint64 {
 func (d *outputWaker) State(c *state.Codec) { c.Bool(&d.wake) }
 
 // TestLoadIdempotent: reloading an identical microstore image neither
-// re-decodes nor flushes the superblock caches.
+// re-decodes nor flushes the superblock caches, and an image that differs
+// in one word executes the new word at its next fetch on every path with
+// exactly one flush.
 func TestLoadIdempotent(t *testing.T) {
 	bl := masm.NewBuilder()
 	bl.EmitAt("start", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelT, LC: microcode.LCLoadT, Flow: masm.Goto("start")})
 	p := mustProgram(t, bl)
-	m, err := New(Config{Memory: smallMem, Translation: translateTestCfg})
-	if err != nil {
-		t.Fatal(err)
+	a := p.MustEntry("start")
+	machines := make([]*Machine, len(allPaths))
+	for i, cfg := range allPaths {
+		cfg.Memory = smallMem
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Load(&p.Words)
+		m.Start(a)
+		m.RunCycles(100)
+		machines[i] = m
 	}
-	m.Load(&p.Words)
-	m.Start(p.MustEntry("start"))
-	m.RunCycles(100)
+	m := machines[2]
 	st := m.TranslationStats()
 	if st.BlocksBuilt == 0 {
 		t.Fatalf("loop not translated: %+v", st)
@@ -307,10 +316,30 @@ func TestLoadIdempotent(t *testing.T) {
 	if got := m.TranslationStats().Invalidations; got != st.Invalidations {
 		t.Errorf("identical Load bumped Invalidations %d → %d", st.Invalidations, got)
 	}
-	a := p.MustEntry("start")
 	m.SetIM(a, m.IM(a)) // identical word: must be a no-op
 	if got := m.TranslationStats().Invalidations; got != st.Invalidations {
 		t.Errorf("identical SetIM bumped Invalidations %d → %d", st.Invalidations, got)
+	}
+
+	// The same loop word, now also halting.
+	halting := p.Words
+	halting[a].FF = microcode.FFHalt
+	for _, m := range machines {
+		m.Load(&halting)
+	}
+	if got := m.TranslationStats().Invalidations; got != st.Invalidations+1 {
+		t.Errorf("Load of a one-word change bumped Invalidations %d → %d, want %d", st.Invalidations, got, st.Invalidations+1)
+	}
+	m.Load(&halting) // that image again: must be a no-op
+	if got := m.TranslationStats().Invalidations; got != st.Invalidations+1 {
+		t.Errorf("reloading the changed image bumped Invalidations to %d, want %d", got, st.Invalidations+1)
+	}
+	diffMachines(t, "load", 1, 1, machines...)
+	for _, m := range machines {
+		if !m.Halted() || m.HaltPC() != a || m.T(0) != 101 {
+			t.Errorf("%s: after one cycle halted=%v at %v with T=%d, want the changed word executed once at %v: halted, T=101",
+				pathName(m), m.Halted(), m.HaltPC(), m.T(0), a)
+		}
 	}
 }
 

@@ -521,8 +521,10 @@ func TestGCChurn(t *testing.T) {
 // TestAdoptVersion1Store is the upgrade story for snapshot format 2: a
 // store whose parks an older build wrote as format version 1 keeps its
 // sessions. A fresh Manager adopts the version-1 park, revives it with
-// its stack intact and parks it again as version 2 under a new hash; a
-// sweep then reclaims the version-1 recipe.
+// its stack intact, forks it and parks it again as version 2 under a new
+// hash; a sweep then reclaims the version-1 recipe. Older builds also
+// wrote a "MetricsConfig" key into every Spec sidecar and manifest entry,
+// which must not stop any of that.
 func TestAdoptVersion1Store(t *testing.T) {
 	src := New(Config{Workers: 1})
 	id, err := src.Create(Spec{Language: "mesa"})
@@ -545,8 +547,6 @@ func TestAdoptVersion1Store(t *testing.T) {
 	}
 	drainNow(t, src)
 
-	// What the older build left behind: the version-1 snapshot, its Spec
-	// sidecar and the manifest entry, written in persist's order.
 	spec := Spec{Language: "Mesa"}
 	sys, err := spec.build()
 	if err != nil {
@@ -560,51 +560,71 @@ func TestAdoptVersion1Store(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	old := openStore(t, dir)
-	hash := store.Hash(v1)
-	if _, err := old.PutSnapshot(v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.PutMeta(hash, specJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.SaveSession(store.Entry{ID: id, Seq: 1, Spec: specJSON, Hash: hash, Cycle: before.Cycle, ParkedAt: time.Now()}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ name, spec string }{
+		{"spec", string(specJSON)},
+		{"MetricsConfig", `{"Language":"Mesa","Machine":{"Memory":{"CacheWords":0,"CacheWays":0,"StorageWords":0},` +
+			`"Options":{"NoBypass":false,"DelayedBranch":false,"ExplicitNotify":false,"FixedWaitMemory":false},` +
+			`"FaultTask":0,"Reference":false,"Translation":{"Enable":false}},"Metrics":false,` +
+			`"MetricsConfig":{"MaxSpans":0,"TimelineInterval":0,"MaxSlices":0},"Profile":false,"Devices":null,"Webhook":""}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// What the older build left behind: the version-1 snapshot,
+			// its Spec sidecar and the manifest entry, written in
+			// persist's order.
+			dir := t.TempDir()
+			old := openStore(t, dir)
+			hash := store.Hash(v1)
+			if _, err := old.PutSnapshot(v1); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.PutMeta(hash, []byte(tc.spec)); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.SaveSession(store.Entry{ID: id, Seq: 1, Spec: json.RawMessage(tc.spec), Hash: hash, Cycle: before.Cycle, ParkedAt: time.Now()}); err != nil {
+				t.Fatal(err)
+			}
 
-	m := New(Config{Workers: 1, Store: openStore(t, dir), GCMaxAge: -1})
-	defer drainNow(t, m)
-	if infos := m.Sessions(); len(infos) != 1 || !infos[0].Parked || infos[0].Snapshot != hash {
-		t.Fatalf("adopted sessions = %+v, want %s parked as %s", infos, id, hash)
-	}
-	st, err := m.ReadState(tctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Parked || !st.Halted || st.Cycle != before.Cycle || !slices.Equal(st.Stack, []uint16{42}) {
-		t.Fatalf("revived state = %+v, want the parked machine at cycle %d with stack [42]", st, before.Cycle)
-	}
+			m := New(Config{Workers: 1, Store: openStore(t, dir), GCMaxAge: -1})
+			defer drainNow(t, m)
+			if infos := m.Sessions(); len(infos) != 1 || !infos[0].Parked || infos[0].Snapshot != hash {
+				t.Fatalf("adopted sessions = %+v, want %s parked as %s", infos, id, hash)
+			}
+			st, err := m.ReadState(tctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Parked || !st.Halted || st.Cycle != before.Cycle || !slices.Equal(st.Stack, []uint16{42}) {
+				t.Fatalf("revived state = %+v, want the parked machine at cycle %d with stack [42]", st, before.Cycle)
+			}
+			fork, err := m.CreateFrom(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := m.ReadState(tctx, fork); err != nil || st.Cycle != before.Cycle || !slices.Equal(st.Stack, []uint16{42}) {
+				t.Fatalf("fork of the version-1 park = %+v, %v, want cycle %d with stack [42]", st, err, before.Cycle)
+			}
 
-	res := parkNow(t, m, id)
-	if res.Snapshot == hash {
-		t.Fatal("the re-park kept the version-1 hash")
-	}
-	blob, err := m.cfg.Store.Get(res.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blob[:4]) != "DSNP" || blob[4] != 2 || blob[5] != 0 {
-		t.Fatalf("re-park header = % x, want DSNP version 2", blob[:6])
-	}
-	sweep, err := m.GCStore(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.ReclaimedRecipes != 1 || m.cfg.Store.Has(hash) {
-		t.Fatalf("sweep = %+v, version-1 recipe still present: %v", sweep, m.cfg.Store.Has(hash))
-	}
-	if st, err := m.ReadState(tctx, id); err != nil || !slices.Equal(st.Stack, []uint16{42}) {
-		t.Fatalf("state after the sweep = %+v, %v", st, err)
+			res := parkNow(t, m, id)
+			if res.Snapshot == hash {
+				t.Fatal("the re-park kept the version-1 hash")
+			}
+			blob, err := m.cfg.Store.Get(res.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(blob[:4]) != "DSNP" || blob[4] != 2 || blob[5] != 0 {
+				t.Fatalf("re-park header = % x, want DSNP version 2", blob[:6])
+			}
+			sweep, err := m.GCStore(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sweep.ReclaimedRecipes != 1 || m.cfg.Store.Has(hash) {
+				t.Fatalf("sweep = %+v, version-1 recipe still present: %v", sweep, m.cfg.Store.Has(hash))
+			}
+			if st, err := m.ReadState(tctx, id); err != nil || !slices.Equal(st.Stack, []uint16{42}) {
+				t.Fatalf("state after the sweep = %+v, %v", st, err)
+			}
+		})
 	}
 }

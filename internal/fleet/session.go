@@ -34,14 +34,10 @@ type Spec struct {
 	// session's machine (dorado.WithMetrics); it costs a few percent of
 	// throughput and enables the per-session wakeup/latency histograms,
 	// the Chrome-trace export (GET /v1/sessions/{id}/trace), and the obs
-	// summary (GET /v1/sessions/{id}/obs).
+	// summary (GET /v1/sessions/{id}/obs). Parking a session serializes
+	// only machine state: a revived session runs with a fresh recorder,
+	// so trace data covers the span since revival.
 	Metrics bool
-	// MetricsConfig sizes the recorder when Metrics is set: span and
-	// timeline buffer bounds and the utilization sampling interval. The
-	// zero value picks the obs defaults. Note that parking a session
-	// serializes only machine state: a revived session runs with a fresh
-	// recorder, so trace data covers the span since revival.
-	MetricsConfig obs.Config
 	// Profile attaches a microarchitectural profiler (dorado.WithProfiler):
 	// every cycle is charged to its microaddress and superblock executions
 	// record their exit reason. Enables GET /v1/sessions/{id}/profile and
@@ -74,7 +70,7 @@ func (sp Spec) build() (*dorado.System, error) {
 		opts = append(opts, dorado.WithLanguage(lang))
 	}
 	if sp.Metrics {
-		opts = append(opts, dorado.WithMetrics(dorado.NewMetricsWith(sp.MetricsConfig)))
+		opts = append(opts, dorado.WithMetrics(dorado.NewMetrics()))
 	}
 	if sp.Profile {
 		opts = append(opts, dorado.WithProfiler(dorado.NewProfiler()))

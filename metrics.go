@@ -15,8 +15,6 @@ import (
 type (
 	// Metrics is the cycle-level observability recorder.
 	Metrics = obs.Recorder
-	// MetricsConfig sizes a Metrics recorder (zero value = defaults).
-	MetricsConfig = obs.Config
 	// MetricsSnapshot is an ordered set of metric families ready for
 	// Prometheus rendering.
 	MetricsSnapshot = obs.Snapshot
@@ -26,9 +24,6 @@ type (
 
 // NewMetrics builds a recorder with default buffer sizes.
 func NewMetrics() *Metrics { return obs.NewRecorder(obs.Config{}) }
-
-// NewMetricsWith builds a recorder with explicit buffer sizes.
-func NewMetricsWith(cfg MetricsConfig) *Metrics { return obs.NewRecorder(cfg) }
 
 // Snapshot assembles the machine's counters (and the recorder's, when one
 // is attached) into an ordered metric set.

@@ -47,10 +47,10 @@ func WithMetrics(m *Metrics) Option {
 
 // WithTranslation enables the superblock translator: straight-line
 // microcode runs are compiled into fused Go closures the first time the
-// machine reaches them, typically 1.5x or better over the predecoded
-// interpreter on compute-bound workloads (identical simulated behavior —
-// the translator falls back to the cycle loop on task switches, holds, and
-// IFU dispatches). Pass Translation{Enable: true} to turn it on.
+// machine reaches them, with identical simulated behavior. EXPERIMENTS.md
+// E-TRANS gives predecoded/translated time per cycle as 1.43 on disk and
+// 1.48 on BitBlt, but 0.99 on mesacalls and 0.92 on the Mesa emulator:
+// Mesa sessions gain nothing. Pass Translation{Enable: true} to turn it on.
 //
 //	sys, err := dorado.New(dorado.WithTranslation(dorado.Translation{Enable: true}))
 func WithTranslation(t Translation) Option {

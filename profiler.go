@@ -18,8 +18,8 @@ type (
 	// Profiler is the exact-counter attribution state (internal/core).
 	Profiler = core.Profiler
 	// Profile is the portable symbolized profile document
-	// (internal/obs/prof): JSON-marshalable, Merge/Diff-able, exportable
-	// as pprof, Prometheus families, or Chrome-trace spans.
+	// (internal/obs/prof): JSON-marshalable, mergeable, exportable as
+	// pprof or Chrome-trace spans.
 	Profile = prof.Profile
 	// ExitReason classifies how a superblock execution ended.
 	ExitReason = core.ExitReason
