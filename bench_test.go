@@ -99,13 +99,29 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkNewMesa measures building a Mesa system: the machine, its
-// memory and the emulator's microcode. The fleet builds one for every
-// create, revive and fork of a Mesa session.
+// memory and its microstore loaded from the shared Mesa emulator. The
+// fleet builds one for every create, revive and fork of a Mesa session.
 func BenchmarkNewMesa(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys, err := New(WithLanguage(Mesa))
 		if err != nil {
+			b.Fatal(err)
+		}
+		systemSink = sys
+	}
+}
+
+// BenchmarkCreateBoot measures a fleet create of a Mesa session: build
+// the system, then compile a program and boot it.
+func BenchmarkCreateBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := New(WithLanguage(Mesa))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.BootSource("return 6*7;"); err != nil {
 			b.Fatal(err)
 		}
 		systemSink = sys

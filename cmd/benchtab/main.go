@@ -6,16 +6,18 @@
 // Usage:
 //
 //	benchtab            run everything
-//	benchtab E3 E7      run selected experiments
+//	benchtab E3 E7      run selected experiments (an unknown ID is an
+//	                    error)
 //	benchtab -host BENCH_SIM.json
-//	                    also render the host-throughput report as a
+//	                    render only the host-throughput report, as a
 //	                    workload × execution-path table (predecoded,
-//	                    reference, instrumented, translated, profiled)
+//	                    reference, instrumented, translated, profiled);
+//	                    experiments named after the flags run as well
 //	benchtab -profile profiles.json
-//	                    also render a simbench -profile artifact as a
+//	                    render only a simbench -profile artifact, as a
 //	                    workload × abort-reason table (why each workload's
 //	                    superblocks exit: fallthrough, IFU dispatch, task
-//	                    switch, hold, ...)
+//	                    switch, hold, ...); named experiments run as well
 //	benchtab -json      emit the tables as JSON instead of text
 //	benchtab -json -o tables.json
 //	                    write the JSON to a file (atomically: a killed run
@@ -27,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"dorado/internal/bench"
 	"dorado/internal/obs"
@@ -37,46 +40,49 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit experiment tables as JSON")
 	out := flag.String("o", "", "with -json: write to this file instead of stdout")
 	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this address while experiments run")
-	host := flag.String("host", "", "also render this simbench report (e.g. BENCH_SIM.json) as a workload × path table")
-	profile := flag.String("profile", "", "also render this simbench -profile artifact as a workload × abort-reason table")
+	host := flag.String("host", "", "render this simbench report (e.g. BENCH_SIM.json) as a workload × path table; run only the experiments named")
+	profile := flag.String("profile", "", "render this simbench -profile artifact as a workload × abort-reason table; run only the experiments named")
 	flag.Parse()
+	exps := bench.Experiments()
+	want := map[string]bool{}
+	for _, id := range flag.Args() {
+		if !slices.ContainsFunc(exps, func(e bench.Experiment) bool { return e.ID == id }) {
+			fatal(fmt.Errorf("unknown experiment %s", id))
+		}
+		want[id] = true
+	}
 	if *host != "" {
 		rep, err := bench.ReadHostReportFile(*host)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Println(rep.HostTable())
 	}
 	if *profile != "" {
 		data, err := os.ReadFile(*profile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		var rep prof.BenchReport
 		if err := json.Unmarshal(data, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", *profile, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("%s: %v", *profile, err))
 		}
 		fmt.Println(prof.AbortTable(&rep))
+	}
+	if (*host != "" || *profile != "") && len(want) == 0 {
+		return
 	}
 	if *httpAddr != "" {
 		srv, err := obs.ServeDebug(*httpAddr, nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "benchtab: debug server on http://%s\n", srv.Addr())
 	}
-	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[a] = true
-	}
 	failures := 0
 	var tables []bench.TableJSON
-	for _, e := range bench.Experiments() {
+	for _, e := range exps {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
@@ -98,12 +104,15 @@ func main() {
 			err = bench.WriteJSON(os.Stdout, tables)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchtab: %d experiment(s) did not match the paper's shape\n", failures)
-		os.Exit(1)
+		fatal(fmt.Errorf("%d experiment(s) did not match the paper's shape", failures))
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+	os.Exit(1)
 }

@@ -133,6 +133,9 @@ func (l Language) String() string {
 type System struct {
 	Machine  *Machine
 	Language Language
+	// Emulator is the language's assembled emulator, nil on a bare
+	// System. Every System of one language shares it, so it is
+	// read-only.
 	Emulator *emulator.Program
 	Metrics  *Metrics
 	Profiler *Profiler
@@ -234,8 +237,8 @@ func (s *System) BootSource(src string) error {
 	return fmt.Errorf("%w %v (BCPL programs assemble via Asm)", ErrNoCompiler, s.Language)
 }
 
-// BuildSystemImage assembles all four emulators into one microstore image
-// (any language bootable from the same store, like the production
+// BuildSystemImage splices the four shared emulators into one microstore
+// image (any language bootable from the same store, like the production
 // machine's writable microstore).
 func BuildSystemImage() (*emulator.SystemImage, error) { return emulator.BuildSystemImage() }
 

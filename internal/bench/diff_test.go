@@ -183,10 +183,7 @@ func TestDifferentialMesaEmulator(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		mesa, err := emulator.BuildMesa()
-		if err != nil {
-			return nil, err
-		}
+		mesa := emulator.Mesa()
 		a := emulator.NewAsm(mesa)
 		a.OpB("LIB", 40)
 		a.OpB("SL", 4)

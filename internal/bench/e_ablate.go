@@ -55,10 +55,7 @@ func runMesaWorkload(micro *masm.Program, table *emulator.Program, opts core.Opt
 func E10BypassAblation() Table {
 	const title = "Data bypassing: Model 1 vs Model 0"
 	const claim = `"In the Model 0 Dorado, we omitted bypassing logic in a few places ... The result was a number of subtle bugs and a significant loss of performance" (§5.6)`
-	table, err := emulator.BuildMesa()
-	if err != nil {
-		return fail("E10", title, err)
-	}
+	table := emulator.Mesa()
 	paddedTable, pads, err := emulator.BuildMesaPadded()
 	if err != nil {
 		return fail("E10", title, err)
@@ -103,10 +100,7 @@ func E10BypassAblation() Table {
 func E11BranchAblation() Table {
 	const title = "Conditional branch cost: late-select vs delayed"
 	const claim = `branches use the late-arriving condition "so the late arriving branch condition does not increase the total cycle time"; the alternative "inserts ... an extra cycle" (§5.5)`
-	table, err := emulator.BuildMesa()
-	if err != nil {
-		return fail("E11", title, err)
-	}
+	table := emulator.Mesa()
 	baseCycles, baseResult, err := runMesaWorkload(nil, table, core.Options{})
 	if err != nil {
 		return fail("E11", title, err)

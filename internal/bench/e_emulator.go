@@ -62,10 +62,7 @@ func opCost(prog *emulator.Program, k int,
 func E1MesaSimpleOps() Table {
 	const title = "Simple macroinstructions per cycle (Mesa)"
 	const claim = `"can execute a simple macroinstruction in one cycle" (abstract, §3)`
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return fail("E1", title, err)
-	}
+	mesa := emulator.Mesa()
 	const n = 400
 	m, err := buildEmu(mesa, func(a *emulator.Asm) {
 		a.OpB("LIB", 1)
@@ -91,22 +88,10 @@ func E1MesaSimpleOps() Table {
 func E2OpcodeClasses() Table {
 	const title = "Microinstructions per opcode class"
 	const claim = `"load or store ... one or two microinstructions in Mesa (or BCPL), and five in Lisp; ... complex operations five to ten in Mesa and ten to twenty in Lisp" (§7)`
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return fail("E2", title, err)
-	}
-	bcpl, err := emulator.BuildBCPL()
-	if err != nil {
-		return fail("E2", title, err)
-	}
-	lisp, err := emulator.BuildLisp()
-	if err != nil {
-		return fail("E2", title, err)
-	}
-	st, err := emulator.BuildSmalltalk()
-	if err != nil {
-		return fail("E2", title, err)
-	}
+	mesa := emulator.Mesa()
+	bcpl := emulator.BCPL()
+	lisp := emulator.Lisp()
+	st := emulator.Smalltalk()
 	const k = 24
 
 	// Mesa. LIB and DROP are single-microinstruction by construction; use
@@ -250,14 +235,8 @@ func E2OpcodeClasses() Table {
 func E14FunctionCall() Table {
 	const title = "Function call+return microinstructions"
 	const claim = `"Function calls take about 50 microinstructions for Mesa and 200 for Lisp" (§7)`
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return fail("E14", title, err)
-	}
-	lisp, err := emulator.BuildLisp()
-	if err != nil {
-		return fail("E14", title, err)
-	}
+	mesa := emulator.Mesa()
+	lisp := emulator.Lisp()
 	const k = 16
 	var rows []Row
 	var mesaCosts, lispCosts []float64

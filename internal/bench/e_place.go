@@ -68,21 +68,17 @@ func E7Placement() Table {
 			fmt.Sprintf("largest same-page cluster %d words", st.LargestCluster)},
 	}
 	// Real microcode placement, for context.
-	for _, build := range []struct {
+	for _, ep := range []struct {
 		name string
-		f    func() (*emulator.Program, error)
+		prog *emulator.Program
 	}{
-		{"Mesa emulator", emulator.BuildMesa},
-		{"BCPL emulator", emulator.BuildBCPL},
-		{"Lisp emulator", emulator.BuildLisp},
-		{"Smalltalk emulator", emulator.BuildSmalltalk},
+		{"Mesa emulator", emulator.Mesa()},
+		{"BCPL emulator", emulator.BCPL()},
+		{"Lisp emulator", emulator.Lisp()},
+		{"Smalltalk emulator", emulator.Smalltalk()},
 	} {
-		ep, err := build.f()
-		if err != nil {
-			return fail("E7", title, err)
-		}
-		s := ep.Micro.Stats
-		rows = append(rows, Row{build.name, "", pct(s.UtilizationTouched),
+		s := ep.prog.Micro.Stats
+		rows = append(rows, Row{ep.name, "", pct(s.UtilizationTouched),
 			fmt.Sprintf("%d µinsts in %d pages", s.Instructions, s.PagesTouched)})
 	}
 	// The composed production suite (all four emulators in one store).

@@ -27,11 +27,7 @@ import (
 func workloadSymbols(id string) (map[string]microcode.Addr, error) {
 	switch id {
 	case "emulator":
-		mesa, err := emulator.BuildMesa()
-		if err != nil {
-			return nil, err
-		}
-		return mesa.Micro.Symbols, nil
+		return emulator.Mesa().Micro.Symbols, nil
 	case "disk":
 		p, err := diskProgram()
 		if err != nil {

@@ -75,10 +75,7 @@ func BuildMesaCallsMachine(cfg core.Config) (*core.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return nil, err
-	}
+	mesa := emulator.Mesa()
 	p, err := mesac.Compile(mesaCallsSource)
 	if err != nil {
 		return nil, err
@@ -98,10 +95,7 @@ func BuildEmulatorMachine(cfg core.Config) (*core.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return nil, err
-	}
+	mesa := emulator.Mesa()
 	a := emulator.NewAsm(mesa)
 	a.OpB("LIB", 40)
 	a.OpB("SL", 4)

@@ -31,17 +31,11 @@ const (
 	BCPLHALT = 0x1F
 )
 
-// BuildBCPL assembles the BCPL emulator.
-func BuildBCPL() (*Program, error) {
-	b := masm.NewBuilder()
-	emitBoot(b)
-	emitBCPLHandlers(b)
-	p, err := b.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return finishBCPL(p, "")
-}
+// BCPL returns the BCPL emulator, assembled on first use. Every
+// caller shares the one Program and only reads it.
+func BCPL() *Program { return bcpl() }
+
+var bcpl = bundled(emitBCPLHandlers, finishBCPL)
 
 // finishBCPL builds the decode table from the placed (or relocated) image.
 func finishBCPL(p *masm.Program, prefix string) (*Program, error) {

@@ -8,10 +8,7 @@ import (
 
 func newBCPLMachine(t *testing.T, build func(a *Asm)) *core.Machine {
 	t.Helper()
-	p, err := BuildBCPL()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := BCPL()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,7 @@ import (
 // benchMesa runs a Mesa loop workload once per iteration, reporting
 // simulated macroinstructions per host second.
 func BenchmarkMesaEmulation(b *testing.B) {
-	p, err := BuildMesa()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := Mesa()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -47,10 +44,7 @@ func BenchmarkMesaEmulation(b *testing.B) {
 // loop: IFU dispatch, frame load/store, and a taken conditional jump every
 // iteration — the steady-state emulator workload.
 func steadyMesaMachine(b *testing.B) *core.Machine {
-	p, err := BuildMesa()
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := Mesa()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -91,15 +85,4 @@ func BenchmarkStepBaseline(b *testing.B) {
 // reportCycleRate emits cycles/sec when one iteration is one cycle.
 func reportCycleRate(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-}
-
-// BenchmarkBuildEmulators measures microcode assembly of all four.
-func BenchmarkBuildEmulators(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, f := range []func() (*Program, error){BuildMesa, BuildBCPL, BuildLisp, BuildSmalltalk} {
-			if _, err := f(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }

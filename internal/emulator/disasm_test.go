@@ -6,10 +6,7 @@ import (
 )
 
 func TestDisassemble(t *testing.T) {
-	p, err := BuildMesa()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Mesa()
 	a := NewAsm(p)
 	a.OpB("LIB", 5).OpW("LIW", 1000).Op("ADD").OpW("CALL", 100).Op("HALT")
 	code, err := a.Bytes()
@@ -29,10 +26,7 @@ func TestDisassemble(t *testing.T) {
 }
 
 func TestDisassembleSmalltalkTwoByte(t *testing.T) {
-	p, err := BuildSmalltalk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Smalltalk()
 	a := NewAsm(p)
 	a.OpB2("SEND", 3, 1)
 	code, err := a.Bytes()
@@ -46,10 +40,7 @@ func TestDisassembleSmalltalkTwoByte(t *testing.T) {
 }
 
 func TestDisassembleInvalidAndTruncated(t *testing.T) {
-	p, err := BuildMesa()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Mesa()
 	out := Disassemble(p, []byte{0xEE, MesaLIW, 0x01})
 	if !strings.Contains(out, "??") || !strings.Contains(out, "truncated") {
 		t.Errorf("edge cases not rendered:\n%s", out)

@@ -2,12 +2,13 @@ package emulator
 
 import "fmt"
 
-// InstallError reports a failure while assembling, combining, or installing
-// an emulator. It wraps the underlying cause so callers can classify
-// failures with errors.As without parsing message strings.
+// InstallError reports a failure while combining or installing an emulator
+// or assembling a byte program for it. It wraps the underlying cause so
+// callers can classify failures with errors.As without parsing message
+// strings.
 type InstallError struct {
 	Emulator string // emulator name ("mesa", "lisp", ...); "" when not specific
-	Stage    string // "assemble", "splice", "decode-table", "macrocode"
+	Stage    string // "splice", "decode-table", "macrocode"
 	Err      error
 }
 

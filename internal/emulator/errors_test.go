@@ -8,10 +8,7 @@ import (
 )
 
 func TestAsmInstallErrorIsTyped(t *testing.T) {
-	p, err := BuildMesa()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Mesa()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +36,8 @@ func TestInstallErrorMessage(t *testing.T) {
 	if got, want := e.Error(), "emulator lisp: splice: boom"; got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}
-	anon := &InstallError{Stage: "assemble", Err: errors.New("boom")}
-	if got, want := anon.Error(), "emulator: assemble: boom"; got != want {
+	anon := &InstallError{Stage: "decode-table", Err: errors.New("boom")}
+	if got, want := anon.Error(), "emulator: decode-table: boom"; got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}
 }

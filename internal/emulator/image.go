@@ -17,28 +17,14 @@ type SystemImage struct {
 	Mesa, BCPL, Lisp, Smalltalk *Program
 }
 
-// BuildSystemImage assembles the four emulators and splices them into a
-// single microstore image.
+// BuildSystemImage splices the four bundled emulators into a single
+// microstore image.
 func BuildSystemImage() (*SystemImage, error) {
-	type part struct {
-		name  string
-		build func() (*Program, error)
-	}
-	parts := []part{
-		{"mesa", BuildMesa},
-		{"bcpl", BuildBCPL},
-		{"lisp", BuildLisp},
-		{"smalltalk", BuildSmalltalk},
-	}
 	combined := masm.EmptyProgram()
-	for _, pt := range parts {
-		ep, err := pt.build()
-		if err != nil {
-			return nil, &InstallError{Emulator: pt.name, Stage: "assemble", Err: err}
-		}
-		combined, err = masm.SpliceAs(combined, ep.Micro, pt.name+"/")
-		if err != nil {
-			return nil, &InstallError{Emulator: pt.name, Stage: "splice", Err: err}
+	for _, p := range []*Program{Mesa(), BCPL(), Lisp(), Smalltalk()} {
+		var err error
+		if combined, err = masm.SpliceAs(combined, p.Micro, p.Name+"/"); err != nil {
+			return nil, &InstallError{Emulator: p.Name, Stage: "splice", Err: err}
 		}
 	}
 	img := &SystemImage{Micro: combined}

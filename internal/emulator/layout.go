@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"fmt"
+	"sync"
 
 	"dorado/internal/core"
 	"dorado/internal/ifu"
@@ -62,7 +63,9 @@ const (
 )
 
 // Program is an assembled emulator: microcode image plus the IFU decode
-// table and boot entry.
+// table and boot entry. The bundled emulators (Mesa, BCPL, Lisp,
+// Smalltalk) are each one Program per process, shared by every machine
+// that installs it, so a Program is read-only once assembled.
 type Program struct {
 	Name    string
 	Micro   *masm.Program
@@ -146,6 +149,28 @@ func LoadCode(m *core.Machine, code []byte) {
 	if len(code)%2 == 1 {
 		mem.Poke(VACode+uint32(len(code)/2), uint16(code[len(code)-1])<<8)
 	}
+}
+
+// bundled returns the accessor of a bundled emulator. The first call
+// assembles the boot microcode plus emit's handlers and has finish build
+// the decode table; every call returns that one Program. The sources are
+// constants, so an error is a bug in this package that every test sees,
+// and it panics, as masm.Program.MustEntry does.
+func bundled(emit func(*masm.Builder), finish func(*masm.Program, string) (*Program, error)) func() *Program {
+	return sync.OnceValue(func() *Program {
+		b := masm.NewBuilder()
+		emitBoot(b)
+		emit(b)
+		p, err := b.Assemble()
+		if err != nil {
+			panic(err)
+		}
+		prog, err := finish(p, "")
+		if err != nil {
+			panic(err)
+		}
+		return prog
+	})
 }
 
 // Boot emits the shared boot/trap microcode into b: a dispatch entry, an

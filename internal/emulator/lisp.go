@@ -38,17 +38,11 @@ const (
 	LispHALT    = 0x1F
 )
 
-// BuildLisp assembles the Lisp emulator.
-func BuildLisp() (*Program, error) {
-	b := masm.NewBuilder()
-	emitBoot(b)
-	emitLispHandlers(b)
-	p, err := b.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return finishLisp(p, "")
-}
+// Lisp returns the Lisp emulator, assembled on first use. Every
+// caller shares the one Program and only reads it.
+func Lisp() *Program { return lisp() }
+
+var lisp = bundled(emitLispHandlers, finishLisp)
 
 // finishLisp builds the decode table from the placed (or relocated) image.
 func finishLisp(p *masm.Program, prefix string) (*Program, error) {

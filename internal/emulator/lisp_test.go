@@ -8,10 +8,7 @@ import (
 
 func newLispMachine(t *testing.T, build func(a *Asm)) *core.Machine {
 	t.Helper()
-	p, err := BuildLisp()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Lisp()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

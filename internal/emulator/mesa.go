@@ -46,17 +46,11 @@ const (
 	pop  = 15 // two's-complement −1
 )
 
-// BuildMesa assembles the Mesa emulator.
-func BuildMesa() (*Program, error) {
-	b := masm.NewBuilder()
-	emitBoot(b)
-	emitMesaHandlers(b)
-	p, err := b.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return finishMesa(p, "")
-}
+// Mesa returns the Mesa emulator, assembled on first use. Every
+// caller shares the one Program and only reads it.
+func Mesa() *Program { return mesa() }
+
+var mesa = bundled(emitMesaHandlers, finishMesa)
 
 // BuildMesaPadded assembles the Mesa emulator scheduled for a machine
 // without bypassing (§5.6's Model 0): a no-op is inserted at every

@@ -10,10 +10,7 @@ import (
 // given macroprogram loaded and booted.
 func newMesaMachine(t *testing.T, build func(a *Asm)) (*core.Machine, *Program) {
 	t.Helper()
-	p, err := BuildMesa()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Mesa()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

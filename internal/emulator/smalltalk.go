@@ -33,17 +33,11 @@ const (
 	STHALT     = 0x1F
 )
 
-// BuildSmalltalk assembles the Smalltalk emulator.
-func BuildSmalltalk() (*Program, error) {
-	b := masm.NewBuilder()
-	emitBoot(b)
-	emitSmalltalkHandlers(b)
-	p, err := b.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return finishSmalltalk(p, "")
-}
+// Smalltalk returns the Smalltalk emulator, assembled on first use. Every
+// caller shares the one Program and only reads it.
+func Smalltalk() *Program { return smalltalk() }
+
+var smalltalk = bundled(emitSmalltalkHandlers, finishSmalltalk)
 
 // finishSmalltalk builds the decode table from the placed image.
 func finishSmalltalk(p *masm.Program, prefix string) (*Program, error) {

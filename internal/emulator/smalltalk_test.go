@@ -44,10 +44,7 @@ func buildSmalltalkWorld(m *core.Machine, intMethods, ptMethods [][2]uint16) {
 
 func newSTMachine(t *testing.T, build func(a *Asm)) *core.Machine {
 	t.Helper()
-	p, err := BuildSmalltalk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Smalltalk()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -56,9 +56,9 @@ func newOpHistograms() *opHistograms {
 // in the queue (that interval is real load data) but has no service time
 // worth recording.
 func (h *opHistograms) observe(k opKind, queue, service time.Duration, ran bool) {
-	h.queue[k].Observe(uint64(max64(queue.Microseconds(), 0)))
+	h.queue[k].Observe(uint64(max(queue.Microseconds(), 0)))
 	if ran {
-		h.service[k].Observe(uint64(max64(service.Microseconds(), 0)))
+		h.service[k].Observe(uint64(max(service.Microseconds(), 0)))
 	}
 }
 
@@ -73,11 +73,4 @@ func snapshotVec(hs *[numOpKinds]obs.Histogram) []obs.LabeledHistogram {
 		})
 	}
 	return out
-}
-
-func max64(v, floor int64) int64 {
-	if v < floor {
-		return floor
-	}
-	return v
 }

@@ -245,19 +245,12 @@ func (r *Report) StripTiming() {
 // spread one seed at a time over the leading shards.
 func shardRange(start, total int64, shards, i int) (first, count int64) {
 	per, rem := total/int64(shards), total%int64(shards)
-	first = start + int64(i)*per + min64(int64(i), rem)
+	first = start + int64(i)*per + min(int64(i), rem)
 	count = per
 	if int64(i) < rem {
 		count++
 	}
 	return first, count
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Run executes the campaign: shards fan out across the worker pool, every

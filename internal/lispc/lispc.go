@@ -54,12 +54,8 @@ func Compile(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	lisp, err := emulator.BuildLisp()
-	if err != nil {
-		return nil, err
-	}
 	c := &lcompiler{
-		asm:     emulator.NewAsm(lisp),
+		asm:     emulator.NewAsm(emulator.Lisp()),
 		funcs:   map[string]*FuncInfo{},
 		symbols: map[string]uint16{},
 	}

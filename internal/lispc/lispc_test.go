@@ -16,10 +16,7 @@ func run(t *testing.T, src string) [2]uint16 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lisp, err := emulator.BuildLisp()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lisp := emulator.Lisp()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +130,7 @@ func TestFrameExhaustionTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lisp, err := emulator.BuildLisp()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lisp := emulator.Lisp()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -112,11 +112,7 @@ type compiler struct {
 const firstFuncSlot = 0x100 // global-area slots for function headers
 
 func (c *compiler) program() error {
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		return err
-	}
-	c.asm = emulator.NewAsm(mesa)
+	c.asm = emulator.NewAsm(emulator.Mesa())
 
 	// Pre-scan function names so forward calls resolve.
 	for i := 0; i+1 < len(c.toks); i++ {

@@ -16,10 +16,7 @@ func run(t *testing.T, src string) uint16 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesa, err := emulator.BuildMesa()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mesa := emulator.Mesa()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

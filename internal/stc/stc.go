@@ -76,12 +76,8 @@ func Compile(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := emulator.BuildSmalltalk()
-	if err != nil {
-		return nil, err
-	}
 	c := &scompiler{
-		asm:       emulator.NewAsm(st),
+		asm:       emulator.NewAsm(emulator.Smalltalk()),
 		classes:   map[string]*sclass{},
 		selectors: map[string]uint8{},
 		instances: map[string]uint16{},

@@ -15,10 +15,7 @@ func run(t *testing.T, src string) uint16 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := emulator.BuildSmalltalk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := emulator.Smalltalk()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +229,7 @@ func TestMessageNotUnderstoodAtChainTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := emulator.BuildSmalltalk()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := emulator.Smalltalk()
 	m, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ type Option func(*settings)
 
 type settings struct {
 	lang    Language
-	hasLang bool
 	cfg     Config
 	tracer  core.Tracer
 	metrics *Metrics
@@ -23,7 +22,7 @@ type settings struct {
 // WithLanguage installs one of the four byte-code emulators (§7). Without
 // it the System is a bare microcode-level machine (Language None).
 func WithLanguage(l Language) Option {
-	return func(s *settings) { s.lang, s.hasLang = l, true }
+	return func(s *settings) { s.lang = l }
 }
 
 // WithConfig sets the machine configuration. The zero Config — the Dorado
@@ -70,32 +69,24 @@ func WithDevice(d Device) Option {
 // With no options it is a bare machine with the default configuration;
 // drop to sys.Machine for the microcode-level interface.
 func New(opts ...Option) (*System, error) {
-	var st settings
-	st.lang = None
+	st := settings{lang: None}
 	for _, o := range opts {
 		o(&st)
 	}
 
 	var prog *emulator.Program
-	if st.hasLang && st.lang != None {
-		var err error
-		switch st.lang {
-		case Mesa:
-			prog, err = emulator.BuildMesa()
-		case BCPL:
-			prog, err = emulator.BuildBCPL()
-		case Lisp:
-			prog, err = emulator.BuildLisp()
-		case Smalltalk:
-			prog, err = emulator.BuildSmalltalk()
-		default:
-			return nil, fmt.Errorf("%w %v", ErrUnknownLanguage, st.lang)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		st.lang = None
+	switch st.lang {
+	case None:
+	case Mesa:
+		prog = emulator.Mesa()
+	case BCPL:
+		prog = emulator.BCPL()
+	case Lisp:
+		prog = emulator.Lisp()
+	case Smalltalk:
+		prog = emulator.Smalltalk()
+	default:
+		return nil, fmt.Errorf("%w %v", ErrUnknownLanguage, st.lang)
 	}
 
 	m, err := core.New(st.cfg)
