@@ -166,29 +166,36 @@ func hash(doc []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// TestSnapshotAllocation guards the snapshot encoder's buffer growth. The
-// document of a booted and run Mesa machine is nearly all storage image
-// (a million words), so encoding it should allocate little more than the
-// document itself; growing the buffer word by word cost about five times
-// as much.
+// TestSnapshotAllocation guards the snapshot encoder's buffer. Snapshot
+// sizes it from the microstore, the cache and the storage pages that hold
+// words of their own, so encoding any workload's machine should allocate
+// little more than the document itself: the microstore's 32 KiB is most
+// of a document with a few pages, and disk and slow I/O, run until they
+// hold 256 pages, carry 129 KiB of storage besides. A buffer sized for a
+// few pages and grown by append cost 4.4 times the document on disk.
 func TestSnapshotAllocation(t *testing.T) {
-	m, err := BuildEmulatorMachine(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RunCycles(5000)
-	size := len(m.Snapshot())
-	const reps = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
-		size = len(m.Snapshot())
-	}
-	runtime.ReadMemStats(&after)
-	perSnap := float64(after.TotalAlloc-before.TotalAlloc) / reps
-	ratio := perSnap / float64(size)
-	t.Logf("Snapshot allocates %.0f bytes for a %d-byte document (%.2fx)", perSnap, size, ratio)
-	if ratio > 1.25 {
-		t.Fatalf("Snapshot allocates %.2fx its %d-byte document, want at most 1.25x", ratio, size)
+	for _, w := range Workloads() {
+		m, err := w.Build(core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RunCycles(2_000_000)
+		if pages := m.Mem().OwnedPages(); (w.ID == "disk" || w.ID == "slowio") && pages != 256 {
+			t.Fatalf("%s holds %d storage pages, want 256", w.ID, pages)
+		}
+		size := len(m.Snapshot())
+		const reps = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			size = len(m.Snapshot())
+		}
+		runtime.ReadMemStats(&after)
+		perSnap := float64(after.TotalAlloc-before.TotalAlloc) / reps
+		ratio := perSnap / float64(size)
+		t.Logf("%s: Snapshot allocates %.0f bytes for a %d-byte document (%.2fx)", w.ID, perSnap, size, ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s: Snapshot allocates %.2fx its %d-byte document, want at most 1.25x", w.ID, ratio, size)
+		}
 	}
 }

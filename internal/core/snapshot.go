@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dorado/internal/memory"
 	"dorado/internal/microcode"
 	"dorado/internal/state"
 )
@@ -18,11 +19,10 @@ const (
 	sectCoreDevs   = "DEVS"
 )
 
-// snapshotSlack sizes the part of a snapshot besides the microstore and
-// cache tags: registers, counters, the IFU's decode table, devices, and
-// the storage pages of a typical session (a booted Mesa machine holds
-// 14-17 pages of 516 bytes). A machine with more grows the buffer.
-const snapshotSlack = 16 << 10
+// snapshotSlack sizes the part of a snapshot besides the microstore,
+// cache tags and storage pages: registers, counters, the IFU's decode
+// table and devices, about 5 KiB on every §7 workload.
+const snapshotSlack = 8 << 10
 
 // Snapshot captures the complete machine state — control section, data
 // section, microstore, counters, memory system, IFU, and every attached
@@ -34,9 +34,12 @@ const snapshotSlack = 16 << 10
 // architectural states produce byte-identical snapshots regardless of path,
 // which is the equality oracle the differential fuzzer is built on.
 func (m *Machine) Snapshot() []byte {
-	// The microstore is most of the document; cache tags take under a byte
-	// per cached word, and snapshotSlack covers the rest.
-	c := state.Encode(m.mem.Config().CacheWords + 8*microcode.StoreSize + snapshotSlack)
+	// The microstore and the storage pages are most of the document: each
+	// page with words of its own takes at most its index and its words.
+	// Cache tags take under a byte per cached word, and snapshotSlack
+	// covers the rest.
+	pages := m.mem.OwnedPages() * (4 + 2*memory.PageWords)
+	c := state.Encode(m.mem.Config().CacheWords + 8*microcode.StoreSize + pages + snapshotSlack)
 	m.state(c)
 	return c.Bytes()
 }
@@ -175,13 +178,14 @@ func codeAddr(c *state.Codec, p *microcode.Addr) {
 }
 
 // codeWord codes the microstore word at a; decoding refuses one that
-// microcode.Word.Validate rejects and installs any other.
+// microcode.Word.Validate rejects and installs any other. A decoded word
+// that encodes as the stored one does is the word already installed, and
+// is neither decoded nor checked again: a revive restores onto a machine
+// built with the same microcode, which holds nearly every word already.
 func codeWord(c *state.Codec, s *microstore, a microcode.Addr) {
-	var v uint64
-	if !c.Decoding() {
-		v = s.word[a].Encode()
-	}
-	if c.U64(&v); !c.Decoded() {
+	stored := s.word[a].Encode()
+	v := stored
+	if c.U64(&v); !c.Decoded() || v == stored {
 		return
 	}
 	w := microcode.Decode(v)

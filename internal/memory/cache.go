@@ -10,9 +10,9 @@ import (
 const LineWords = 16
 
 // cache is set-associative timing metadata over virtual addresses. The data
-// itself lives in System.data; the cache tracks which lines would be
-// resident, their dirtiness, and LRU order, to decide hit vs miss and
-// writeback traffic.
+// itself lives in storage (System.pages); the cache tracks which lines
+// would be resident, their dirtiness, and LRU order, to decide hit vs miss
+// and writeback traffic.
 type cache struct {
 	ways  int
 	lines []line // sets × ways

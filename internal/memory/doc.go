@@ -19,9 +19,10 @@
 //   - Fast I/O moves aligned 16-word blocks directly between storage and
 //     devices without polluting the cache (§5.8).
 //
-// Fidelity note: data movement is functional-immediate — a single flat
-// store holds the contents, and the cache holds only *timing* metadata
-// (tags, LRU, dirty bits). Timing (hit/miss latency, storage-pipe
+// Fidelity note: data movement is functional-immediate — storage alone
+// holds the contents, as 256-word pages that each get their words at
+// their first store, and the cache holds only *timing* metadata (tags,
+// LRU, dirty bits). Timing (hit/miss latency, storage-pipe
 // occupancy, writeback traffic) is modeled cycle-accurately; the contents
 // of a location during the few cycles a miss is in flight are not. The
 // paper's performance claims are cycle-count properties, which this

@@ -88,7 +88,7 @@ func TestIdentityMapFastPath(t *testing.T) {
 	if st.MapFaults == 0 || st.Hits == 0 || st.Misses == 0 || st.Writebacks == 0 || st.FastReads == 0 || st.FastWrites == 0 {
 		t.Fatalf("stream too narrow: %+v", st)
 	}
-	if !slices.Equal(plain.data, mapped.data) {
+	if !slices.Equal(flat(plain), flat(mapped)) {
 		t.Fatal("storage differs")
 	}
 	if f := mapped.MapFlagsOf(untouched); f != (MapFlags{}) {

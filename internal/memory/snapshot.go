@@ -103,5 +103,5 @@ func (s *System) State(c *state.Codec) {
 	}
 
 	c.Section(sectMemStorage)
-	c.Pages(s.data, PageWords)
+	c.Pages(s.pages, s.cfg.StorageWords, &zeroPage)
 }

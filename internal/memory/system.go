@@ -75,8 +75,13 @@ type Stats struct {
 // System is the memory subsystem: base registers, page map, cache timing,
 // storage pipe, and per-task MD state.
 type System struct {
-	cfg   Config
-	data  []uint16 // real storage, indexed by real address
+	cfg Config
+	// pages holds real storage, page ra/PageWords holding word
+	// ra%PageWords; when the size is not a whole number of pages, the
+	// last page's words past the end are never used. Every page starts as
+	// zeroPage and gets words of its own at its first store (own), so a
+	// machine holds only the storage it has written.
+	pages []*[PageWords]uint16
 	cache *cache
 
 	base  [32]uint32          // 28-bit base registers (MEMBASE selects one)
@@ -91,8 +96,14 @@ type System struct {
 	stats Stats
 }
 
-// PageWords is the map page size in words.
+// PageWords is the map page size in words, and the size of the pages
+// storage is held in.
 const PageWords = 256
+
+// zeroPage is the words of every storage page no store has reached. All
+// systems in the process share it, so nothing may write it: a store gives
+// its page words of its own first (own).
+var zeroPage [PageWords]uint16
 
 // VAMask masks a 28-bit virtual address.
 const VAMask = 1<<28 - 1
@@ -107,12 +118,47 @@ func New(cfg Config) (*System, error) {
 	if cfg.StorageWords <= 0 || cfg.StorageWords%LineWords != 0 {
 		return nil, fmt.Errorf("memory: storage size %d not a multiple of %d", cfg.StorageWords, LineWords)
 	}
+	pages := make([]*[PageWords]uint16, (cfg.StorageWords+PageWords-1)/PageWords)
+	for i := range pages {
+		pages[i] = &zeroPage
+	}
 	return &System{
 		cfg:   cfg,
-		data:  make([]uint16, cfg.StorageWords),
+		pages: pages,
 		cache: c,
 		vmapx: map[uint32]mapEntry{},
 	}, nil
+}
+
+// load reads the storage word at real address ra.
+func (s *System) load(ra uint32) uint16 { return s.pages[ra/PageWords][ra%PageWords] }
+
+// store writes the storage word at real address ra.
+func (s *System) store(ra uint32, v uint16) { s.own(ra / PageWords)[ra%PageWords] = v }
+
+// own returns storage page p's words for a store, first giving the page
+// words of its own if it still reads zeroPage.
+func (s *System) own(p uint32) *[PageWords]uint16 {
+	w := s.pages[p]
+	if w == &zeroPage {
+		w = new([PageWords]uint16)
+		s.pages[p] = w
+	}
+	return w
+}
+
+// OwnedPages returns how many storage pages hold words of their own:
+// those a store has reached since the system was built, or a restore
+// filled. The rest read the shared zero page, so the system's storage
+// takes OwnedPages*PageWords words.
+func (s *System) OwnedPages() int {
+	n := 0
+	for _, w := range s.pages {
+		if w != &zeroPage {
+			n++
+		}
+	}
+	return n
 }
 
 // Config returns the effective configuration.
@@ -172,32 +218,37 @@ func (s *System) MapGet(vp uint32) uint32 {
 	return vp
 }
 
-// translate maps a virtual address to a real storage index. While no page
-// has an override the map is the identity, and the lookup is skipped.
+// translate maps a virtual address to a real storage index.
 func (s *System) translate(va uint32) uint32 {
-	va &= VAMask
-	ra := va
-	if len(s.vmapx) != 0 {
-		ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
-	}
-	if int(ra) >= len(s.data) {
+	ra := s.remap(va & VAMask)
+	if int(ra) >= s.cfg.StorageWords {
 		s.stats.MapFaults++
-		ra %= uint32(len(s.data))
+		ra %= uint32(s.cfg.StorageWords)
 	}
 	return ra
 }
 
+// remap maps a masked virtual address through the page map. While no page
+// has an override the map is the identity, and the lookup is skipped. It
+// reads the map itself rather than through MapGet, which keeps Peek, the
+// IFU's fetch of every code word, within the compiler's inlining budget.
+func (s *System) remap(va uint32) uint32 {
+	if len(s.vmapx) != 0 {
+		if e, ok := s.vmapx[va/PageWords]; ok {
+			return e.rp*PageWords + va%PageWords
+		}
+	}
+	return va
+}
+
 // blockIndex translates the aligned block at va with one map lookup: a
-// block never crosses a page, so its words are consecutive in storage.
+// block never crosses a page, so its words are consecutive in one
+// storage page.
 // whole is false when the block runs past the end of storage, where each
 // word wraps and counts its own map fault (translate).
 func (s *System) blockIndex(va uint32) (ra uint32, whole bool) {
-	va &= VAMask
-	ra = va
-	if len(s.vmapx) != 0 {
-		ra = s.MapGet(va/PageWords)*PageWords + va%PageWords
-	}
-	return ra, int(ra)+LineWords <= len(s.data)
+	ra = s.remap(va & VAMask)
+	return ra, int(ra)+LineWords <= s.cfg.StorageWords
 }
 
 // storageFree reports whether a storage reference can start at cycle now.
@@ -255,7 +306,7 @@ func (s *System) Read(task int, r Ref, now uint64) {
 		_, md.issueAt = s.refill(r.va, now)
 		md.readyAt = md.issueAt + missLatency
 	}
-	md.val = s.data[s.translate(r.va)]
+	md.val = s.load(s.translate(r.va))
 	md.pending = true
 }
 
@@ -274,7 +325,7 @@ func (s *System) Write(task int, r Ref, data uint16, now uint64) {
 		l, _ = s.refill(r.va, now)
 	}
 	l.dirty = true
-	s.data[s.translate(r.va)] = data
+	s.store(s.translate(r.va), data)
 }
 
 // refill installs the line of a committed reference that misses, or whose
@@ -339,10 +390,10 @@ func (s *System) Warm(va uint32) {
 
 // Peek reads a word functionally (no timing effects). For tests, loaders,
 // and devices outside the timed paths.
-func (s *System) Peek(va uint32) uint16 { return s.data[s.translate(va)] }
+func (s *System) Peek(va uint32) uint16 { return s.load(s.translate(va)) }
 
 // Poke writes a word functionally.
-func (s *System) Poke(va uint32, v uint16) { s.data[s.translate(va)] = v }
+func (s *System) Poke(va uint32, v uint16) { s.store(s.translate(va), v) }
 
 // Flush writes back and invalidates the cache line covering va (FF op).
 // A dirty line's writeback waits for the storage pipe, as a fill does.
@@ -358,17 +409,17 @@ func (s *System) CacheResident(va uint32) bool { return s.cache.find(va) != nil 
 // FastRead transfers one aligned 16-word block from storage to a device
 // without polluting the cache (§5.8). It returns ok=false while the storage
 // pipe is busy; the device retries. Dirty cached data is observed correctly
-// because contents live in the flat store.
+// because the cache holds none: contents live only in storage.
 func (s *System) FastRead(va uint32, now uint64) (block [LineWords]uint16, ok bool) {
 	if !s.storageFree(now) {
 		return block, false
 	}
 	va &^= LineWords - 1
 	if ra, whole := s.blockIndex(va); whole {
-		copy(block[:], s.data[ra:])
+		copy(block[:], s.pages[ra/PageWords][ra%PageWords:])
 	} else {
 		for i := range block {
-			block[i] = s.data[s.translate(va+uint32(i))]
+			block[i] = s.load(s.translate(va + uint32(i)))
 		}
 	}
 	s.takeStorage(now, 1)
@@ -384,10 +435,10 @@ func (s *System) FastWrite(va uint32, block [LineWords]uint16, now uint64) bool 
 	}
 	va &^= LineWords - 1
 	if ra, whole := s.blockIndex(va); whole {
-		copy(s.data[ra:], block[:])
+		copy(s.own(ra / PageWords)[ra%PageWords:], block[:])
 	} else {
 		for i := range block {
-			s.data[s.translate(va+uint32(i))] = block[i]
+			s.store(s.translate(va+uint32(i)), block[i])
 		}
 	}
 	s.cache.invalidate(va)

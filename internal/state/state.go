@@ -345,46 +345,56 @@ func getWords(vs []uint16, b []byte) {
 	}
 }
 
-// Pages codes a run of words as its pages of page words that hold a
-// nonzero word: a 32-bit count, then each such page in increasing order,
-// as its 32-bit index and its words (the run's last page may be short).
-// A run that is nearly all zero, like the storage image, costs only the
-// pages that hold data. Encoding scans the run once and patches the count
-// afterwards. Decoding checks every listed page before it stores a word,
-// then zeroes the run and fills the listed pages. It refuses a count the
-// section cannot hold, a page past the run, a page not above the one
-// before it and a listed page that is all zero, so every run has exactly
-// one encoding. In a version-1 document the run is dense, as U16s codes
-// it. A page size below one is a programming error.
-func (c *Codec) Pages(vs []uint16, page int) {
-	if page < 1 {
-		panic(fmt.Sprintf("state: page size %d", page))
+// Pages codes a run of words held in 256-word pages: table[i] holds the
+// run's words from 256*i on, and the words of its last page past the
+// run's length, words, are not part of it. Each page is either zero, the
+// caller's page of zero words, which nothing may write, or words of its
+// own. The coding is a 32-bit count, then each page that holds a nonzero
+// word, in increasing order, as its 32-bit index and its words (the last
+// page's may be short), so a run that is nearly all zero, like the
+// storage image, costs only the pages that hold data. Encoding walks only
+// the pages with words of their own and skips those that are all zero,
+// so every run has exactly one encoding. Decoding checks every listed
+// page before it stores a word: it refuses a count the section cannot
+// hold, a page past the run, a page not above the one before it and a
+// listed page that is all zero. Then it fills the listed pages, giving
+// any that reads zero words of its own, and clears the other pages with
+// words of their own: a table with none is not cleared at all. In a
+// version-1 document the run is dense, as U16s codes it. A table that
+// does not hold exactly the run's pages is a programming error.
+func (c *Codec) Pages(table []*[256]uint16, words int, zero *[256]uint16) {
+	const page = len(zero)
+	if len(table) != (words+page-1)/page {
+		panic(fmt.Sprintf("state: %d pages of %d words hold a %d-word run", len(table), page, words))
 	}
 	switch {
 	case !c.decoding:
 		at := len(c.data)
 		c.data = append(c.data, 0, 0, 0, 0) // the count, patched below
 		n := 0
-		for i := 0; i < len(vs); i += page {
-			p := vs[i:min(i+page, len(vs))]
-			if zero(p) {
-				continue
+		for i, p := range table {
+			if w := p[:min(page, words-i*page)]; p != zero && !isZero(w) {
+				c.data = binary.LittleEndian.AppendUint32(c.data, uint32(i))
+				c.appendWords(w)
+				n++
 			}
-			c.data = binary.LittleEndian.AppendUint32(c.data, uint32(i/page))
-			c.appendWords(p)
-			n++
 		}
 		binary.LittleEndian.PutUint32(c.data[at:], uint32(n))
 	case c.version == 1:
-		c.U16s(vs)
+		if b := c.take(2 * words); c.err == nil {
+			for i := range table {
+				fill(table, i, zero, b[2*i*page:2*min((i+1)*page, words)])
+			}
+		}
 	default:
-		c.decodePages(vs, page)
+		c.decodePages(table, words, zero)
 	}
 }
 
 // decodePages reads what Pages encodes: one pass checks the listed pages
 // and measures them, a second stores them.
-func (c *Codec) decodePages(vs []uint16, page int) {
+func (c *Codec) decodePages(table []*[256]uint16, words int, zero *[256]uint16) {
+	const page = len(zero)
 	var n int
 	if c.Count(&n, 4+2); c.err != nil { // an index and at least one word
 		return
@@ -396,41 +406,62 @@ func (c *Codec) decodePages(vs []uint16, page int) {
 			return
 		}
 		i := binary.LittleEndian.Uint32(rest)
-		if uint64(i)*uint64(page) >= uint64(len(vs)) {
-			c.Fail(fmt.Errorf("state: section %q: page %d is past the %d-word run", c.curTag, i, len(vs)))
+		if uint64(i) >= uint64(len(table)) {
+			c.Fail(fmt.Errorf("state: section %q: page %d is past the %d-word run", c.curTag, i, words))
 			return
 		}
 		if int(i) <= prev {
 			c.Fail(fmt.Errorf("state: section %q: page %d follows page %d", c.curTag, i, prev))
 			return
 		}
-		w := 2 * min(page, len(vs)-int(i)*page)
+		w := 2 * min(page, words-int(i)*page)
 		if len(rest) < 4+w {
 			c.take(size + 4 + w) // records the short read
 			return
 		}
-		if bytes.Count(rest[4:4+w], []byte{0}) == w {
+		if zeroBytes(rest[4 : 4+w]) {
 			c.Fail(fmt.Errorf("state: section %q: page %d is listed but all zero", c.curTag, i))
 			return
 		}
 		prev, rest, size = int(i), rest[4+w:], size+4+w
 	}
 	b := c.take(size)
-	clear(vs)
-	for len(b) > 0 {
-		i := int(binary.LittleEndian.Uint32(b)) * page
-		w := min(page, len(vs)-i)
-		getWords(vs[i:i+w], b[4:])
-		b = b[4+2*w:]
+	for i := range table {
+		var p []byte
+		if len(b) > 0 && int(binary.LittleEndian.Uint32(b)) == i {
+			w := 2 * min(page, words-i*page)
+			p, b = b[4:4+w], b[4+w:]
+		}
+		fill(table, i, zero, p)
 	}
 }
 
-// zero reports whether every word of s is zero. It tests 32 words per
+// fill stores b, page i's words coded a U16 per word, into table. A page
+// whose b holds a nonzero word gets words of its own if it reads zero;
+// for b empty or all zero, a page with words of its own is cleared, and
+// one reading zero is left as it is.
+func fill(table []*[256]uint16, i int, zero *[256]uint16, b []byte) {
+	switch p := table[i]; {
+	case !zeroBytes(b):
+		if p == zero {
+			p = new([256]uint16)
+			table[i] = p
+		}
+		getWords(p[:len(b)/2], b)
+	case p != zero:
+		clear(p[:])
+	}
+}
+
+// zeroBytes reports whether every byte of b is zero.
+func zeroBytes(b []byte) bool { return len(b) == 0 || bytes.Count(b, []byte{0}) == len(b) }
+
+// isZero reports whether every word of s is zero. It tests 32 words per
 // iteration, four at a time: the compiler combines each group of four
 // 16-bit loads into one 64-bit load, which makes the scan of a million
 // mostly zero words about three times as fast as ORing the 16-bit words
 // themselves.
-func zero(s []uint16) bool {
+func isZero(s []uint16) bool {
 	for ; len(s) >= 32; s = s[32:] {
 		if quad(s[0:])|quad(s[4:])|quad(s[8:])|quad(s[12:])|quad(s[16:])|quad(s[20:])|quad(s[24:])|quad(s[28:]) != 0 {
 			return false

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 )
@@ -402,23 +403,85 @@ func pagesDoc(body []byte) []byte {
 	return Doc{Header: []byte{'D', 'S', 'N', 'P', Version, 0}, Sections: []RawSection{{"PAGE", body}}}.Join()
 }
 
-// encodePages returns the PAGE section body Pages encodes vs as.
-func encodePages(vs []uint16, page int) []byte {
+// page is the size of the pages Pages codes a run in.
+const page = len(testZero)
+
+// testZero is the page of zero words the tests' tables share. Nothing
+// may write it; TestMain checks that nothing did.
+var testZero [256]uint16
+
+// TestMain runs the suite, then fails it if a decode wrote the shared
+// zero page.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if !isZero(testZero[:]) {
+		fmt.Fprintln(os.Stderr, "state: a decode wrote the shared zero page")
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// table returns a table holding the run vs, every page with words of its
+// own.
+func table(vs []uint16) []*[page]uint16 {
+	t := make([]*[page]uint16, (len(vs)+page-1)/page)
+	for i := range t {
+		t[i] = new([page]uint16)
+		copy(t[i][:], vs[i*page:])
+	}
+	return t
+}
+
+// flat returns the run of words words that t holds.
+func flat(t []*[page]uint16, words int) []uint16 {
+	vs := make([]uint16, 0, words)
+	for i, p := range t {
+		vs = append(vs, p[:min(page, words-i*page)]...)
+	}
+	return vs
+}
+
+// encodeTable returns the PAGE section body Pages encodes the run of words
+// words that t holds as.
+func encodeTable(t []*[page]uint16, words int) []byte {
 	e := Encode(0)
 	e.Section("PAGE")
-	e.Pages(vs, page)
+	e.Pages(t, words, &testZero)
 	d, _ := Split(e.Bytes())
 	return d.Sections[0].Body
 }
 
-// decodePagesInto decodes body into vs and returns the error, if any.
-func decodePagesInto(body []byte, vs []uint16, page int) error {
+// encodePages returns the PAGE section body Pages encodes vs as.
+func encodePages(vs []uint16) []byte { return encodeTable(table(vs), len(vs)) }
+
+// decodeTable decodes body into t, holding a run of words words, and
+// returns the error, if any.
+func decodeTable(body []byte, t []*[page]uint16, words int) error {
 	d, err := Decode(pagesDoc(body))
 	if err != nil {
 		return err
 	}
 	d.Section("PAGE")
-	d.Pages(vs, page)
+	d.Pages(t, words, &testZero)
+	return d.Finish()
+}
+
+// decodeInto decodes the open section's pages into vs through a table
+// holding vs.
+func decodeInto(d *Codec, vs []uint16) {
+	t := table(vs)
+	d.Pages(t, len(vs), &testZero)
+	copy(vs, flat(t, len(vs)))
+}
+
+// decodePagesInto decodes body into vs and returns the error, if any.
+func decodePagesInto(body []byte, vs []uint16) error {
+	d, err := Decode(pagesDoc(body))
+	if err != nil {
+		return err
+	}
+	d.Section("PAGE")
+	decodeInto(d, vs)
 	return d.Finish()
 }
 
@@ -427,42 +490,42 @@ func decodePagesInto(body []byte, vs []uint16, page int) error {
 // even into a run whose every word was dirty.
 func TestPagesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, c := range []struct{ words, page int }{{0, 8}, {1, 8}, {64, 8}, {70, 8}, {1000, 64}, {4096, 256}, {4096 + 17, 256}} {
+	for _, words := range []int{0, 1, page, 2*page + 6, 1000, 16 * page, 16*page + 17} {
 		for range 20 {
-			vs := make([]uint16, c.words)
+			vs := make([]uint16, words)
 			nonzero := 0
-			for p := 0; p < c.words; p += c.page {
+			for p := 0; p < words; p += page {
 				if rng.Intn(3) != 0 {
 					continue
 				}
 				nonzero++
 				// One random word, sometimes the page's last one.
-				i := p + rng.Intn(min(c.page, c.words-p))
+				i := p + rng.Intn(min(page, words-p))
 				if rng.Intn(2) == 0 {
-					i = min(p+c.page, c.words) - 1
+					i = min(p+page, words) - 1
 				}
 				vs[i] = uint16(rng.Intn(0xFFFF)) + 1
 			}
-			body := encodePages(vs, c.page)
+			body := encodePages(vs)
 			want := 4
-			for p := 0; p < c.words; p += c.page {
-				if slices.ContainsFunc(vs[p:min(p+c.page, c.words)], func(v uint16) bool { return v != 0 }) {
-					want += 4 + 2*min(c.page, c.words-p)
+			for p := 0; p < words; p += page {
+				if slices.ContainsFunc(vs[p:min(p+page, words)], func(v uint16) bool { return v != 0 }) {
+					want += 4 + 2*min(page, words-p)
 				}
 			}
 			if len(body) != want || int(binary.LittleEndian.Uint32(body)) != nonzero {
-				t.Fatalf("%d words in pages of %d: %d-byte body counting %d pages, want %d bytes and %d pages",
-					c.words, c.page, len(body), binary.LittleEndian.Uint32(body), want, nonzero)
+				t.Fatalf("%d words: %d-byte body counting %d pages, want %d bytes and %d pages",
+					words, len(body), binary.LittleEndian.Uint32(body), want, nonzero)
 			}
-			got := make([]uint16, c.words)
+			got := make([]uint16, words)
 			for i := range got {
 				got[i] = 0xDEAD
 			}
-			if err := decodePagesInto(body, got, c.page); err != nil {
+			if err := decodePagesInto(body, got); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, vs) {
-				t.Fatalf("%d words in pages of %d: the run did not round-trip", c.words, c.page)
+				t.Fatalf("%d words: the run did not round-trip", words)
 			}
 		}
 	}
@@ -472,7 +535,7 @@ func TestPagesRoundTrip(t *testing.T) {
 // run, a page not above the one before it and a listed page that is all
 // zero are each refused, and a refused decode stores nothing.
 func TestPagesRefusals(t *testing.T) {
-	const words, page = 40, 16 // pages 0, 1 and a short page 2 of 8 words
+	const words = 2*page + 8 // pages 0, 1 and a short page 2 of 8 words
 	le := binary.LittleEndian
 	// pages builds a body from (index, fill word, length) triples, with
 	// the given count.
@@ -486,7 +549,7 @@ func TestPagesRefusals(t *testing.T) {
 		}
 		return b
 	}
-	if err := decodePagesInto(pages(2, [3]int{0, 7, 16}, [3]int{2, 9, 8}), make([]uint16, words), page); err != nil {
+	if err := decodePagesInto(pages(2, [3]int{0, 7, page}, [3]int{2, 9, 8}), make([]uint16, words)); err != nil {
 		t.Fatalf("a well-formed body was refused: %v", err)
 	}
 	for _, c := range []struct {
@@ -494,14 +557,14 @@ func TestPagesRefusals(t *testing.T) {
 		body []byte
 		late bool // found by Finish, after the run is stored
 	}{
-		{"count 2^31", pages(1<<31, [3]int{0, 7, 16}), false},
-		{"count past the section", pages(3, [3]int{0, 7, 16}, [3]int{1, 7, 16}), false},
-		{"page past the run", pages(1, [3]int{3, 7, 16}), false},
-		{"page 2^32-1", pages(1, [3]int{1<<32 - 1, 7, 16}), false},
-		{"page repeated", pages(2, [3]int{1, 7, 16}, [3]int{1, 7, 16}), false},
-		{"pages out of order", pages(2, [3]int{1, 7, 16}, [3]int{0, 7, 16}), false},
-		{"listed page all zero", pages(2, [3]int{0, 7, 16}, [3]int{1, 0, 16}), false},
-		{"short page", pages(1, [3]int{1, 7, 15}), false},
+		{"count 2^31", pages(1<<31, [3]int{0, 7, page}), false},
+		{"count past the section", pages(3, [3]int{0, 7, page}, [3]int{1, 7, page}), false},
+		{"page past the run", pages(1, [3]int{3, 7, page}), false},
+		{"page 2^32-1", pages(1, [3]int{1<<32 - 1, 7, page}), false},
+		{"page repeated", pages(2, [3]int{1, 7, page}, [3]int{1, 7, page}), false},
+		{"pages out of order", pages(2, [3]int{1, 7, page}, [3]int{0, 7, page}), false},
+		{"listed page all zero", pages(2, [3]int{0, 7, page}, [3]int{1, 0, page}), false},
+		{"short page", pages(1, [3]int{1, 7, page - 1}), false},
 		{"long last page", pages(1, [3]int{2, 7, 16}), true},
 		{"no pages but trailing bytes", pages(0, [3]int{0, 7, 1}), true},
 	} {
@@ -509,7 +572,7 @@ func TestPagesRefusals(t *testing.T) {
 		for i := range vs {
 			vs[i] = 0xBEEF
 		}
-		if err := decodePagesInto(c.body, vs, page); err == nil {
+		if err := decodePagesInto(c.body, vs); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 		if !c.late && slices.ContainsFunc(vs, func(v uint16) bool { return v != 0xBEEF }) {
@@ -536,27 +599,73 @@ func TestPagesVersionOne(t *testing.T) {
 	}
 	got := make([]uint16, len(vs))
 	d.Section("PAGE")
-	if d.Pages(got, 4); d.Finish() != nil || !slices.Equal(got, vs) {
+	if decodeInto(d, got); d.Finish() != nil || !slices.Equal(got, vs) {
 		t.Fatalf("version-1 Pages decoded %v (%v)", got, d.Finish())
 	}
 }
 
-// FuzzPages decodes arbitrary section bytes as a pages run: decoding
-// never panics, and an accepted body re-encodes to exactly its bytes.
+// TestPagesVersionOneOntoTable: a dense version-1 run decodes into a
+// table as a version-2 one does: pages with a nonzero word are filled,
+// given words of their own where they read zero, and other pages with
+// words of their own are cleared, while those reading zero stay so.
+func TestPagesVersionOneOntoTable(t *testing.T) {
+	const words = 3*page + 40
+	vs := make([]uint16, words)
+	vs[page+3], vs[words-1] = 5, 9
+	e := Encode(0)
+	e.Section("PAGE")
+	e.U16s(vs)
+	doc := e.Bytes()
+	doc[4] = 1
+	d, err := Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := []*[page]uint16{{0: 1}, &testZero, &testZero, {39: 2}}
+	first := tab[0]
+	d.Section("PAGE")
+	if d.Pages(tab, words, &testZero); d.Finish() != nil || !slices.Equal(flat(tab, words), vs) {
+		t.Fatalf("version-1 Pages decoded %v (%v)", flat(tab, words), d.Finish())
+	}
+	if tab[0] != first || tab[2] != &testZero || tab[1] == &testZero {
+		t.Fatal("a page was given words it did not need, or kept the zero page for a nonzero one")
+	}
+}
+
+// FuzzPages decodes arbitrary section bytes as a pages run onto a table
+// in which the pages owned selects hold words of their own, all nonzero,
+// and the others read the shared zero page. Decoding never panics. An
+// accepted body re-encodes to exactly its bytes, so every listed page
+// holds its words and every other page reads zero, and no page that read
+// the zero page was given words it does not need.
 func FuzzPages(f *testing.F) {
-	const words, page = 300, 64 // four full pages and a short one of 44
+	const words = page + 44 // a full page and a short one of 44 words
 	run := make([]uint16, words)
-	run[5], run[200], run[299] = 1, 0x8000, 7
-	f.Add(encodePages(run, page))
-	f.Add(encodePages(make([]uint16, words), page))
-	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 1, 0})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		vs := make([]uint16, words)
-		if decodePagesInto(body, vs, page) != nil {
+	run[5], run[words-1] = 1, 7
+	f.Add(uint8(0), encodePages(run))
+	f.Add(uint8(0b10), encodePages(run))
+	f.Add(uint8(0b11), encodePages(make([]uint16, words)))
+	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, owned uint8, body []byte) {
+		tab := []*[page]uint16{&testZero, &testZero}
+		for i := range tab {
+			if owned>>i&1 != 0 {
+				tab[i] = new([page]uint16)
+				for j := range tab[i] {
+					tab[i][j] = 0xBEEF
+				}
+			}
+		}
+		if decodeTable(body, tab, words) != nil {
 			return
 		}
-		if again := encodePages(vs, page); !bytes.Equal(again, body) {
-			t.Fatalf("accepted body % x re-encodes as % x", body, again)
+		for i, p := range tab {
+			if owned>>i&1 == 0 && p != &testZero && isZero(p[:]) {
+				t.Fatalf("owning %02b, page %d was given words and holds none", owned, i)
+			}
+		}
+		if again := encodeTable(tab, words); !bytes.Equal(again, body) {
+			t.Fatalf("onto a table owning %02b, accepted body % x re-encodes as % x", owned, body, again)
 		}
 	})
 }
