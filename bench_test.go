@@ -98,9 +98,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
 
-// BenchmarkNewMesa measures building a Mesa system: the machine, its
-// memory and its microstore loaded from the shared Mesa emulator. The
-// fleet builds one for every create, revive and fork of a Mesa session.
+// BenchmarkNewMesa measures building a Mesa system: the machine and its
+// memory, with every microstore word HALT. New loads no microcode; Boot
+// installs the shared Mesa emulator. The fleet builds one for every
+// create, revive and fork of a Mesa session.
 func BenchmarkNewMesa(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

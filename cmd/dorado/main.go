@@ -237,15 +237,20 @@ func writeExport(path string, render func(io.Writer) error) error {
 	return f.Close()
 }
 
-// writeFileAtomic writes data via a temporary file and rename, so an
-// interrupted save never leaves a truncated snapshot behind.
+// writeFileAtomic writes data via a temporary file, synced to disk before
+// the rename, so an interrupted save never leaves a truncated snapshot
+// behind.
 func writeFileAtomic(path string, data []byte) error {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return err

@@ -58,7 +58,7 @@ func TestTemplateMix(t *testing.T) {
 		}
 		check(w.ID, m)
 	}
-	sys, err := dorado.New(dorado.WithLanguage(dorado.Mesa), dorado.WithTranslation(cfg.Translation))
+	sys, err := dorado.New(dorado.WithLanguage(dorado.Mesa), dorado.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,9 @@ type counters struct {
 
 // MetricsSnapshot assembles the fleet's Prometheus families: manager-level
 // counters plus one cycles/instructions sample per session, in creation
-// order so identical fleets export identical text. It reads only atomics
-// and the session table, never a running machine — safe to call from a
-// scrape handler at any time.
+// order so identical fleets export identical text. It reads atomics, the
+// op-latency histograms under their lock and the session table, never a
+// running machine — safe to call from a scrape handler at any time.
 func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 	m.mu.Lock()
 	list := make([]*Session, 0, len(m.sessions))
@@ -147,12 +147,13 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 			obs.Sample{Value: st.GCReclaimedBytes})
 	}
 
+	queue, service := m.lat.snapshot()
 	sn.AddHistogramVec("dorado_fleet_op_queue_us",
 		"Operation queue wait (submit accepted to worker pickup), microseconds, by kind.",
-		snapshotVec(&m.lat.queue)...)
+		queue...)
 	sn.AddHistogramVec("dorado_fleet_op_service_us",
 		"Operation service time (body execution), microseconds, by kind.",
-		snapshotVec(&m.lat.service)...)
+		service...)
 
 	sn.Add("dorado_fleet_session_cycles_total", "Machine cycle counter per session.", "counter", cyc...)
 	sn.Add("dorado_fleet_session_instructions_total", "Executed microinstructions per session.", "counter", exec...)

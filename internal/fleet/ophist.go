@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"time"
 
 	"dorado/internal/obs"
@@ -34,10 +35,11 @@ var opLatencyBounds = []uint64{
 	250_000, 500_000, 1_000_000, 2_500_000, 10_000_000,
 }
 
-// opHistograms holds the per-operation-kind latency histograms. Observe
-// is called by workers (one per completed operation); the atomic buckets
-// inside obs.Histogram make concurrent scrapes safe without a lock.
+// opHistograms holds the per-operation-kind latency histograms. Every
+// worker observes them (one call per completed operation) and /metrics
+// scrapes read them, so mu covers both.
 type opHistograms struct {
+	mu      sync.Mutex
 	queue   [numOpKinds]obs.Histogram
 	service [numOpKinds]obs.Histogram
 }
@@ -56,10 +58,20 @@ func newOpHistograms() *opHistograms {
 // in the queue (that interval is real load data) but has no service time
 // worth recording.
 func (h *opHistograms) observe(k opKind, queue, service time.Duration, ran bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.queue[k].Observe(uint64(max(queue.Microseconds(), 0)))
 	if ran {
 		h.service[k].Observe(uint64(max(service.Microseconds(), 0)))
 	}
+}
+
+// snapshot renders the queue-wait and the service-time histograms as
+// labeled vectors.
+func (h *opHistograms) snapshot() (queue, service []obs.LabeledHistogram) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return snapshotVec(&h.queue), snapshotVec(&h.service)
 }
 
 // snapshotVec renders one of the two histogram sets as a labeled vector

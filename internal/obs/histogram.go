@@ -1,6 +1,6 @@
 package obs
 
-import "sync/atomic"
+import "slices"
 
 // HoldLatencyBounds bucket the length of hold episodes in cycles. The
 // paper's Table 3 puts typical holds at a few cycles (cache hit wait) with
@@ -14,18 +14,19 @@ var HoldLatencyBounds = []uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 
 var WakeupBounds = []uint64{1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64, 128}
 
 // Histogram is a fixed-bucket cumulative histogram over uint64 samples.
-// Observe is single-writer (the hot loop); the atomic buckets let a
-// concurrent exporter read monotonic values mid-run.
+// Its fields are plain: a recorder's histograms are read while their
+// machine is paused, and a histogram that several goroutines share needs
+// its owner's lock around Observe and every read.
 type Histogram struct {
 	bounds []uint64 // upper bounds, ascending; an implicit +Inf bucket follows
-	counts []atomic.Uint64
-	sum    atomic.Uint64
-	total  atomic.Uint64
+	counts []uint64
+	sum    uint64
+	total  uint64
 }
 
 // NewHistogram builds a histogram with the given ascending upper bounds.
 func NewHistogram(bounds []uint64) Histogram {
-	return Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	return Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe records one sample.
@@ -34,33 +35,23 @@ func (h *Histogram) Observe(v uint64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.total.Add(1)
-}
-
-// Reset zeroes all buckets.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.total.Store(0)
+	h.counts[i]++
+	h.sum += v
+	h.total++
 }
 
 // Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
+func (h *Histogram) Count() uint64 { return h.total }
 
 // Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
+func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Mean returns the average sample, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
-	n := h.total.Load()
-	if n == 0 {
+	if h.total == 0 {
 		return 0
 	}
-	return float64(h.sum.Load()) / float64(n)
+	return float64(h.sum) / float64(h.total)
 }
 
 // Bounds returns the bucket upper bounds (excluding the implicit +Inf).
@@ -68,7 +59,7 @@ func (h *Histogram) Bounds() []uint64 { return h.bounds }
 
 // BucketCount returns the sample count of bucket i (i == len(Bounds())
 // addresses the +Inf bucket).
-func (h *Histogram) BucketCount(i int) uint64 { return h.counts[i].Load() }
+func (h *Histogram) BucketCount(i int) uint64 { return h.counts[i] }
 
 // HistogramSnapshot is a point-in-time copy for exporters.
 type HistogramSnapshot struct {
@@ -78,18 +69,7 @@ type HistogramSnapshot struct {
 	Total  uint64
 }
 
-// Snapshot copies the histogram. With the single-writer model the copy is
-// coherent whenever the writer is between cycles; mid-run it is monotone
-// but buckets may trail the totals by one sample.
+// Snapshot copies the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.sum.Load(),
-		Total:  h.total.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
+	return HistogramSnapshot{Bounds: h.bounds, Counts: slices.Clone(h.counts), Sum: h.sum, Total: h.total}
 }

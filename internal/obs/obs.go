@@ -15,22 +15,20 @@
 //     in chrome://tracing and Perfetto (WriteChromeTrace), and an expvar +
 //     pprof debug server for the cmd tools (ServeDebug).
 //
-// Concurrency model: the simulation is single-goroutine, so the Recorder
-// has a single writer — core's Step loop. Scalar counters and histogram
-// buckets are updated with atomic adds so a concurrent scraper (the
-// ServeDebug /metrics endpoint, or an expvar poll) reads coherent
-// monotonic values without stopping the machine; the event-shaped data
-// (spans, timeline) is append-only and must be exported only while the
-// machine is paused, which is how the cmd tools use it. Atomics are spent
-// only where events happen — the per-cycle fast path is bit tests on two
-// machine words — which is what keeps the metrics-on overhead within the
-// budget the bench guard enforces (see DESIGN.md §9).
+// Concurrency model: a Recorder belongs to one machine and is written
+// only by that machine's run loop, so its counters, histograms, spans and
+// timeline are plain fields. It is read while its machine is paused:
+// cmd/dorado publishes a snapshot between run slices on the goroutine
+// that simulates, the fleet reads one inside a serialized session
+// operation, and the facade's exporters run between runs. The per-cycle
+// fast path is bit tests on two machine words, which is what keeps the
+// metrics-on overhead within the budget the bench guard enforces (see
+// DESIGN.md §9).
 package obs
 
 import (
 	"math/bits"
 	"strconv"
-	"sync/atomic"
 )
 
 // MaxTasks is the number of microcode priority levels the recorder tracks
@@ -84,21 +82,20 @@ func (c Config) withDefaults() Config {
 
 // Recorder accumulates observability data for one machine. Attach it with
 // the facade's WithMetrics option (or core.Machine.SetRecorder) and read
-// it through Snapshot/Spans/Timeline after — or, for the atomic counters,
-// during — a run.
+// it through its accessors and exporters while the machine is paused.
 type Recorder struct {
 	cfg Config
 
-	// Counters (atomic; readable mid-run).
-	wakeups      [MaxTasks]atomic.Uint64 // rising wakeup-line edges per task
-	spansDropped atomic.Uint64
-	slicesLost   atomic.Uint64
+	// Counters.
+	wakeups      [MaxTasks]uint64 // rising wakeup-line edges per task
+	spansDropped uint64
+	slicesLost   uint64
 
-	// Histograms (atomic buckets; readable mid-run).
+	// Histograms.
 	holdLatency Histogram // consecutive held cycles per hold episode (§5.7)
 	wakeupToRun Histogram // wakeup edge → first executed cycle (§5.4)
 
-	// Hot-loop scratch (single writer, never read concurrently).
+	// Hot-loop scratch.
 	fastKey   uint64           // prevLines | spanTask<<16, or ^0 (see Cycle)
 	prevLines uint16           // last cycle's wakeup latch, for edge detection
 	wakeAt    [MaxTasks]uint64 // cycle+1 of the pending wakeup edge; 0 = none
@@ -107,7 +104,7 @@ type Recorder struct {
 	spanStart uint64
 	names     [MaxTasks]string
 
-	// Event buffers (single writer; export only while paused).
+	// Event buffers.
 	spans     []Span
 	timeline  []Slice
 	lastTaken [MaxTasks]uint64 // task-cycle counters at the previous sample
@@ -116,33 +113,15 @@ type Recorder struct {
 
 // NewRecorder builds a recorder; NewRecorder(Config{}) is the usual call.
 func NewRecorder(cfg Config) *Recorder {
-	r := &Recorder{cfg: cfg.withDefaults()}
-	r.holdLatency = NewHistogram(HoldLatencyBounds)
-	r.wakeupToRun = NewHistogram(WakeupBounds)
-	r.Reset()
-	return r
-}
-
-// Reset clears all collected data (counters, histograms, spans, timeline)
-// so the recorder can observe a fresh run.
-func (r *Recorder) Reset() {
-	for t := range r.wakeups {
-		r.wakeups[t].Store(0)
-		r.wakeAt[t] = 0
-		r.lastTaken[t] = 0
+	cfg = cfg.withDefaults()
+	return &Recorder{
+		cfg:         cfg,
+		holdLatency: NewHistogram(HoldLatencyBounds),
+		wakeupToRun: NewHistogram(WakeupBounds),
+		fastKey:     ^uint64(0), // the first cycle must take the slow path
+		spanTask:    -1,
+		nextAt:      cfg.TimelineInterval,
 	}
-	r.spansDropped.Store(0)
-	r.slicesLost.Store(0)
-	r.holdLatency.Reset()
-	r.wakeupToRun.Reset()
-	r.fastKey = ^uint64(0) // first cycle must take the slow path
-	r.prevLines = 0
-	r.holdStart = 0
-	r.spanTask = -1
-	r.spanStart = 0
-	r.spans = r.spans[:0]
-	r.timeline = r.timeline[:0]
-	r.nextAt = r.cfg.TimelineInterval
 }
 
 // SetTaskName labels a task in exports ("emulator", "disk", ...).
@@ -218,7 +197,7 @@ func (r *Recorder) Cycle(now uint64, task int, held bool, lines uint16, taskCycl
 		for edges != 0 {
 			t := bits.TrailingZeros16(edges)
 			edges &= edges - 1
-			r.wakeups[t].Add(1)
+			r.wakeups[t]++
 			// Task 0's line is wired high (§5.1): its single boot-time
 			// edge is not a wakeup whose latency means anything.
 			if t != 0 && r.wakeAt[t] == 0 {
@@ -291,7 +270,7 @@ func (r *Recorder) Flush(now uint64) {
 
 func (r *Recorder) endSpan(end uint64) {
 	if len(r.spans) >= r.cfg.MaxSpans {
-		r.spansDropped.Add(1)
+		r.spansDropped++
 		return
 	}
 	r.spans = append(r.spans, Span{Task: r.spanTask, Start: r.spanStart, End: end})
@@ -300,7 +279,7 @@ func (r *Recorder) endSpan(end uint64) {
 func (r *Recorder) sample(at uint64, taskCycles *[MaxTasks]uint64) {
 	r.nextAt = at + r.cfg.TimelineInterval
 	if len(r.timeline) >= r.cfg.MaxSlices {
-		r.slicesLost.Add(1)
+		r.slicesLost++
 		return
 	}
 	s := Slice{Start: at - r.cfg.TimelineInterval}
@@ -311,21 +290,21 @@ func (r *Recorder) sample(at uint64, taskCycles *[MaxTasks]uint64) {
 	r.timeline = append(r.timeline, s)
 }
 
-// Wakeups returns the rising-edge count for a task (atomic; safe mid-run).
-func (r *Recorder) Wakeups(task int) uint64 { return r.wakeups[task&(MaxTasks-1)].Load() }
+// Wakeups returns the rising-edge count for a task.
+func (r *Recorder) Wakeups(task int) uint64 { return r.wakeups[task&(MaxTasks-1)] }
 
 // WakeupsTotal sums the per-task wakeup edges (excluding task 0, whose
 // line is wired high, §5.1 — it contributes exactly one boot-time edge).
 func (r *Recorder) WakeupsTotal() uint64 {
 	var n uint64
 	for t := 1; t < MaxTasks; t++ {
-		n += r.wakeups[t].Load()
+		n += r.wakeups[t]
 	}
 	return n
 }
 
 // SpansDropped reports spans lost to the MaxSpans cap.
-func (r *Recorder) SpansDropped() uint64 { return r.spansDropped.Load() }
+func (r *Recorder) SpansDropped() uint64 { return r.spansDropped }
 
 // HoldLatency returns the hold-episode-length histogram.
 func (r *Recorder) HoldLatency() *Histogram { return &r.holdLatency }
@@ -333,11 +312,11 @@ func (r *Recorder) HoldLatency() *Histogram { return &r.holdLatency }
 // WakeupToRun returns the wakeup-to-first-run latency histogram.
 func (r *Recorder) WakeupToRun() *Histogram { return &r.wakeupToRun }
 
-// Spans returns the recorded scheduling spans. Export-only: call while the
-// machine is not running (after Flush for the tail span).
+// Spans returns the recorded scheduling spans (after Flush, the tail span
+// too).
 func (r *Recorder) Spans() []Span { return r.spans }
 
-// Timeline returns the utilization samples. Export-only.
+// Timeline returns the utilization samples.
 func (r *Recorder) Timeline() []Slice { return r.timeline }
 
 // TimelineInterval returns the effective sampling period in cycles.

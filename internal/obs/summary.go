@@ -92,7 +92,7 @@ func Summarize(r *Recorder) Summary {
 		Slices:           len(r.Timeline()),
 		Spans:            len(r.Spans()),
 		SpansDropped:     r.SpansDropped(),
-		SlicesLost:       r.slicesLost.Load(),
+		SlicesLost:       r.slicesLost,
 	}
 	var busy [MaxTasks]uint64
 	for _, sl := range r.Timeline() {

@@ -25,12 +25,13 @@
 //
 // A component describes its state once, as a sequence of Codec calls on
 // pointers to its fields: the same description encodes (each call appends
-// the value) and decodes (each call stores into it). Decoding is strict
-// three ways: a section must exist when opened, must be fully consumed
-// before the next section is opened, and Finish fails if any section in
-// the document was never opened. A machine restored from a snapshot
-// therefore has exactly the component set the snapshot was taken from
-// (e.g. the same devices attached), or the restore fails loudly.
+// the value) and decodes (each call stores into it). Sections therefore
+// decode in the order they are written, and decoding is strict three
+// ways: the section a description opens must be the document's next one,
+// the one before it must be fully consumed, and Finish fails if the
+// document goes on past the last one opened. A machine restored from a
+// snapshot therefore has exactly the component set the snapshot was taken
+// from (e.g. the same devices attached), or the restore fails loudly.
 package state
 
 import (
@@ -57,18 +58,12 @@ type Codec struct {
 	version  uint16 // the document's format generation
 	err      error
 
-	// Encoding: the document so far and the offset of the open section's
-	// length field, or -1.
-	data []byte
-	sect int
-
-	// Decoding: the document's sections by tag, in document order, which
-	// of them were opened, and the unread rest of the open one.
-	sections map[string][]byte
-	order    []string
-	opened   map[string]bool
-	cur      []byte
-	curTag   string
+	// The document (encoding: so far) and the offset of the open
+	// section's length field, or -1. Decoding reads data[off:end], the
+	// unread rest of the open section.
+	data     []byte
+	sect     int
+	off, end int
 }
 
 // Encode starts a document with the magic and version header, with room
@@ -82,26 +77,18 @@ func Encode(size int) *Codec {
 	return c
 }
 
-// Decode parses the document structure (header and section framing) for
-// decoding. It reads versions 1 and 2.
+// Decode checks the document's header and section framing and opens it
+// for decoding. It reads versions 1 and 2.
 func Decode(data []byte) (*Codec, error) {
-	doc, err := Split(data)
-	if err != nil {
+	if err := frames(data, nil); err != nil {
 		return nil, err
 	}
-	v := binary.LittleEndian.Uint16(doc.Header[len(magic):])
+	v := binary.LittleEndian.Uint16(data[len(magic):])
 	if v != 1 && v != Version {
 		return nil, fmt.Errorf("state: snapshot format version %d, this build reads versions 1 and %d", v, Version)
 	}
-	c := &Codec{decoding: true, version: v, sections: make(map[string][]byte, len(doc.Sections)), opened: map[string]bool{}}
-	for _, s := range doc.Sections {
-		if _, dup := c.sections[s.Tag]; dup {
-			return nil, fmt.Errorf("state: duplicate section %q", s.Tag)
-		}
-		c.sections[s.Tag] = s.Body
-		c.order = append(c.order, s.Tag)
-	}
-	return c, nil
+	hdr := len(magic) + 2
+	return &Codec{decoding: true, version: v, data: data, sect: -1, off: hdr, end: hdr}, nil
 }
 
 // Decoding reports the direction: true while decoding, false while
@@ -113,10 +100,10 @@ func (c *Codec) Decoding() bool { return c.decoding }
 // conversion, or a value to check first) stores the copy only then.
 func (c *Codec) Decoded() bool { return c.decoding && c.err == nil }
 
-// Section starts a section (encoding) or opens the named one (decoding),
-// which must exist, must not have been opened before, and may be opened
-// only once the previous one is fully consumed. Tags are exactly four
-// bytes; a malformed tag is a programming error.
+// Section starts a section (encoding) or opens the document's next one
+// (decoding), which must carry tag and may be opened only once the
+// previous one is fully consumed. Tags are exactly four bytes; a
+// malformed tag is a programming error.
 func (c *Codec) Section(tag string) {
 	if len(tag) != 4 {
 		panic(fmt.Sprintf("state: section tag %q is not 4 bytes", tag))
@@ -128,22 +115,24 @@ func (c *Codec) Section(tag string) {
 		c.data = append(c.data, 0, 0, 0, 0) // length, patched by closeSection
 		return
 	}
-	if c.err != nil {
-		return
-	}
-	body, ok := c.sections[tag]
-	switch {
-	case len(c.cur) != 0:
-		c.Fail(fmt.Errorf("state: section %q has %d unread bytes", c.curTag, len(c.cur)))
-	case !ok:
-		c.Fail(fmt.Errorf("state: snapshot has no section %q", tag))
-	case c.opened[tag]:
-		c.Fail(fmt.Errorf("state: section %q opened twice", tag))
+	switch next := c.data[c.end:]; {
+	case c.err != nil:
+	case c.off != c.end:
+		c.Fail(fmt.Errorf("state: section %q has %d unread bytes", c.tag(), c.end-c.off))
+	case len(next) == 0:
+		c.Fail(fmt.Errorf("state: snapshot ends before section %q", tag))
+	case string(next[:4]) != tag:
+		c.Fail(fmt.Errorf("state: snapshot has section %q where %q belongs", next[:4], tag))
 	default:
-		c.opened[tag] = true
-		c.cur, c.curTag = body, tag
+		// Decode checked the framing, so the section lies within data.
+		c.sect = c.end + 4
+		c.off = c.sect + 4
+		c.end = c.off + int(binary.LittleEndian.Uint32(next[4:]))
 	}
 }
+
+// tag returns the open section's tag.
+func (c *Codec) tag() string { return string(c.data[c.sect-4 : c.sect]) }
 
 func (c *Codec) closeSection() {
 	if c.sect < 0 {
@@ -172,18 +161,15 @@ func (c *Codec) Fail(err error) {
 func (c *Codec) Err() error { return c.err }
 
 // Finish verifies the document was consumed completely: no decode errors,
-// the last section fully read, and every section opened.
+// the last section fully read, and no section after it.
 func (c *Codec) Finish() error {
-	if c.err != nil {
+	switch {
+	case c.err != nil:
 		return c.err
-	}
-	if len(c.cur) != 0 {
-		return fmt.Errorf("state: section %q has %d unread bytes", c.curTag, len(c.cur))
-	}
-	for _, tag := range c.order {
-		if !c.opened[tag] {
-			return fmt.Errorf("state: section %q was not consumed (component mismatch?)", tag)
-		}
+	case c.off != c.end:
+		return fmt.Errorf("state: section %q has %d unread bytes", c.tag(), c.end-c.off)
+	case c.end != len(c.data):
+		return fmt.Errorf("state: section %q was not consumed (component mismatch?)", c.data[c.end:c.end+4])
 	}
 	return nil
 }
@@ -194,13 +180,12 @@ func (c *Codec) take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
-	if len(c.cur) < n {
-		c.Fail(fmt.Errorf("state: section %q: short read (%d bytes wanted, %d left)", c.curTag, n, len(c.cur)))
+	if c.end-c.off < n {
+		c.Fail(fmt.Errorf("state: section %q: short read (%d bytes wanted, %d left)", c.tag(), n, c.end-c.off))
 		return nil
 	}
-	b := c.cur[:n]
-	c.cur = c.cur[n:]
-	return b
+	c.off += n
+	return c.data[c.off-n : c.off]
 }
 
 // U8 codes one byte.
@@ -253,7 +238,7 @@ func (c *Codec) Bits(flags ...*bool) {
 	}
 	c.U8(&v)
 	if v>>len(flags) != 0 {
-		c.Fail(fmt.Errorf("state: section %q: flag byte %#02x has bits past its %d flags", c.curTag, v, len(flags)))
+		c.Fail(fmt.Errorf("state: section %q: flag byte %#02x has bits past its %d flags", c.tag(), v, len(flags)))
 	} else if c.Decoded() {
 		for i, f := range flags {
 			*f = v&(1<<i) != 0
@@ -267,7 +252,7 @@ func (c *Codec) Int(p *int, n int) {
 	v := uint8(*p)
 	c.U8(&v)
 	if int(v) >= n {
-		c.Fail(fmt.Errorf("state: section %q: value %d out of range [0, %d)", c.curTag, v, n))
+		c.Fail(fmt.Errorf("state: section %q: value %d out of range [0, %d)", c.tag(), v, n))
 	} else if c.Decoded() {
 		*p = int(v)
 	}
@@ -280,8 +265,8 @@ func (c *Codec) Count(p *int, size int) {
 	v := uint32(*p)
 	c.U32(&v)
 	if c.Decoded() {
-		if uint64(v)*uint64(size) > uint64(len(c.cur)) {
-			c.Fail(fmt.Errorf("state: section %q: count %d of %d-byte elements, %d bytes left", c.curTag, v, size, len(c.cur)))
+		if uint64(v)*uint64(size) > uint64(c.end-c.off) {
+			c.Fail(fmt.Errorf("state: section %q: count %d of %d-byte elements, %d bytes left", c.tag(), v, size, c.end-c.off))
 			return
 		}
 		*p = int(v)
@@ -399,7 +384,7 @@ func (c *Codec) decodePages(table []*[256]uint16, words int, zero *[256]uint16) 
 	if c.Count(&n, 4+2); c.err != nil { // an index and at least one word
 		return
 	}
-	rest, size, prev := c.cur, 0, -1
+	rest, size, prev := c.data[c.off:c.end], 0, -1
 	for range n {
 		if len(rest) < 4 {
 			c.take(size + 4) // records the short read
@@ -407,11 +392,11 @@ func (c *Codec) decodePages(table []*[256]uint16, words int, zero *[256]uint16) 
 		}
 		i := binary.LittleEndian.Uint32(rest)
 		if uint64(i) >= uint64(len(table)) {
-			c.Fail(fmt.Errorf("state: section %q: page %d is past the %d-word run", c.curTag, i, words))
+			c.Fail(fmt.Errorf("state: section %q: page %d is past the %d-word run", c.tag(), i, words))
 			return
 		}
 		if int(i) <= prev {
-			c.Fail(fmt.Errorf("state: section %q: page %d follows page %d", c.curTag, i, prev))
+			c.Fail(fmt.Errorf("state: section %q: page %d follows page %d", c.tag(), i, prev))
 			return
 		}
 		w := 2 * min(page, words-int(i)*page)
@@ -420,7 +405,7 @@ func (c *Codec) decodePages(table []*[256]uint16, words int, zero *[256]uint16) 
 			return
 		}
 		if zeroBytes(rest[4 : 4+w]) {
-			c.Fail(fmt.Errorf("state: section %q: page %d is listed but all zero", c.curTag, i))
+			c.Fail(fmt.Errorf("state: section %q: page %d is listed but all zero", c.tag(), i))
 			return
 		}
 		prev, rest, size = int(i), rest[4+w:], size+4+w
@@ -490,7 +475,7 @@ func (c *Codec) Bytes32(p *[]byte, limit int) {
 	if !c.decoding {
 		c.data = append(c.data, *p...)
 	} else if n > limit {
-		c.Fail(fmt.Errorf("state: section %q: %d-byte run, at most %d fit", c.curTag, n, limit))
+		c.Fail(fmt.Errorf("state: section %q: %d-byte run, at most %d fit", c.tag(), n, limit))
 	} else if b := c.take(n); c.err == nil {
 		*p = append((*p)[:0], b...)
 	}
@@ -534,26 +519,41 @@ type Doc struct {
 // as the framing is intact; Decode is where version strictness lives.
 // Section bodies alias data (no copy).
 func Split(data []byte) (Doc, error) {
+	var d Doc
+	err := frames(data, func(tag string, body []byte) {
+		d.Sections = append(d.Sections, RawSection{Tag: tag, Body: body})
+	})
+	if err != nil {
+		return Doc{}, err
+	}
+	d.Header = data[:len(magic)+2]
+	return d, nil
+}
+
+// frames checks data's magic and section framing and, when each is not
+// nil, passes it every section in document order.
+func frames(data []byte, each func(tag string, body []byte)) error {
 	hdr := len(magic) + 2
 	if len(data) < hdr || string(data[:len(magic)]) != magic {
-		return Doc{}, fmt.Errorf("state: not a snapshot (bad magic)")
+		return fmt.Errorf("state: not a snapshot (bad magic)")
 	}
-	d := Doc{Header: data[:hdr]}
 	rest := data[hdr:]
 	for len(rest) > 0 {
 		if len(rest) < 8 {
-			return Doc{}, fmt.Errorf("state: truncated section header (%d bytes left)", len(rest))
+			return fmt.Errorf("state: truncated section header (%d bytes left)", len(rest))
 		}
-		tag := string(rest[:4])
+		tag := rest[:4]
 		n := binary.LittleEndian.Uint32(rest[4:8])
 		rest = rest[8:]
 		if uint64(n) > uint64(len(rest)) {
-			return Doc{}, fmt.Errorf("state: section %q claims %d bytes, %d remain", tag, n, len(rest))
+			return fmt.Errorf("state: section %q claims %d bytes, %d remain", tag, n, len(rest))
 		}
-		d.Sections = append(d.Sections, RawSection{Tag: tag, Body: rest[:n]})
+		if each != nil {
+			each(string(tag), rest[:n])
+		}
 		rest = rest[n:]
 	}
-	return d, nil
+	return nil
 }
 
 // Join reassembles the document Split took apart. For any data Split

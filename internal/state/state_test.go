@@ -123,6 +123,12 @@ func TestStrictness(t *testing.T) {
 	if d.Section("NOPE"); d.Err() == nil {
 		t.Error("opening a missing section succeeded")
 	}
+	d, _ = Decode(doc[:len(doc)-9]) // AAAA only
+	d.Section("AAAA")
+	d.U32(&w)
+	if d.Section("ZZZZ"); d.Err() == nil {
+		t.Error("opening a section past the end succeeded")
+	}
 
 	// Partially consumed section.
 	d, _ = Decode(doc)
@@ -152,6 +158,48 @@ func TestStrictness(t *testing.T) {
 	d.U64(&q)
 	if d.Err() == nil {
 		t.Error("short read not detected")
+	}
+}
+
+// TestSectionOrder: sections decode in the order they are written. A
+// document whose two sections are swapped is refused before anything is
+// stored, and Finish refuses one that goes on past the last section the
+// description opens, whether with a new tag or with that section again.
+func TestSectionOrder(t *testing.T) {
+	decode := func(doc []byte) (uint32, uint8, error) {
+		d, err := Decode(doc)
+		if err != nil {
+			return 0, 0, err
+		}
+		var w uint32
+		var b uint8
+		d.Section("AAAA")
+		d.U32(&w)
+		d.Section("ZZZZ")
+		d.U8(&b)
+		return w, b, d.Finish()
+	}
+	if w, b, err := decode(doc2()); err != nil || w != 7 || b != 1 {
+		t.Fatalf("in order: %d, %d, %v", w, b, err)
+	}
+	split := func(doc []byte) Doc {
+		d, err := Split(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	swapped := split(doc2())
+	swapped.Sections[0], swapped.Sections[1] = swapped.Sections[1], swapped.Sections[0]
+	if w, _, err := decode(swapped.Join()); err == nil || w != 0 {
+		t.Errorf("swapped sections: stored %d, error %v", w, err)
+	}
+	for _, tag := range []string{"XTRA", "ZZZZ"} {
+		d := split(doc2())
+		d.Sections = append(d.Sections, RawSection{Tag: tag, Body: []byte{1}})
+		if _, _, err := decode(d.Join()); err == nil {
+			t.Errorf("a %s section after the last was accepted", tag)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // Observability types re-exported from internal/obs. Attach a Metrics
-// recorder with WithMetrics; while the machine runs, its counters and
-// histograms are safe to read concurrently, and once paused the System can
-// export everything in standard formats.
+// recorder with WithMetrics and read it while the machine is paused: the
+// run loop writes it without locks, and between runs the System exports
+// everything in standard formats.
 type (
 	// Metrics is the cycle-level observability recorder.
 	Metrics = obs.Recorder

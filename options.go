@@ -37,23 +37,11 @@ func WithTracer(t Tracer) Option {
 }
 
 // WithMetrics attaches an observability recorder; pass NewMetrics(). The
-// recorder's counters are readable mid-run, and the System's
-// WritePrometheus / WriteChromeTrace methods export its data. Metrics-off
-// systems pay one nil check per cycle.
+// recorder is read while the machine is paused: between runs, the
+// System's WritePrometheus / WriteChromeTrace methods export its data.
+// Metrics-off systems pay one nil check per cycle.
 func WithMetrics(m *Metrics) Option {
 	return func(s *settings) { s.metrics = m }
-}
-
-// WithTranslation enables the superblock translator: straight-line
-// microcode runs are compiled into fused Go closures the first time the
-// machine reaches them, with identical simulated behavior. EXPERIMENTS.md
-// E-TRANS gives predecoded/translated time per cycle as 1.43 on disk and
-// 1.48 on BitBlt, but 0.99 on mesacalls and 0.92 on the Mesa emulator:
-// Mesa sessions gain nothing. Pass Translation{Enable: true} to turn it on.
-//
-//	sys, err := dorado.New(dorado.WithTranslation(dorado.Translation{Enable: true}))
-func WithTranslation(t Translation) Option {
-	return func(s *settings) { s.cfg.Translation = t }
 }
 
 // WithDevice attaches an I/O controller to its wakeup task.

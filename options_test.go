@@ -65,14 +65,14 @@ func TestNewOptionMatrix(t *testing.T) {
 	}
 }
 
-// WithTranslation must produce a system that translates its microcode and
-// still computes the same answer as an untranslated one.
-func TestWithTranslation(t *testing.T) {
+// A Config with translation on must produce a system that translates its
+// microcode and still computes the same answer as an untranslated one.
+func TestTranslationWithConfig(t *testing.T) {
 	plain, err := New(WithLanguage(Mesa))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := New(WithLanguage(Mesa), WithTranslation(Translation{Enable: true}))
+	trans, err := New(WithLanguage(Mesa), WithConfig(Config{Translation: Translation{Enable: true}}))
 	if err != nil {
 		t.Fatal(err)
 	}
