@@ -36,13 +36,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"dorado"
 	"dorado/internal/core"
 	"dorado/internal/masm"
 	"dorado/internal/microcode"
+	"dorado/internal/store"
 	"dorado/internal/trace"
 )
 
@@ -205,7 +205,7 @@ func main() {
 			ms.Reads, ms.Writes, ms.Hits, ms.Misses, ms.FastReads+ms.FastWrites)
 	}
 	if *saveFile != "" {
-		if err := writeFileAtomic(*saveFile, sys.Machine.Snapshot()); err != nil {
+		if err := store.WriteFileAtomic(*saveFile, sys.Machine.Snapshot()); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("saved snapshot to %s (cycle %d)\n", *saveFile, sys.Machine.Cycle())
@@ -235,35 +235,6 @@ func writeExport(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeFileAtomic writes data via a temporary file, synced to disk before
-// the rename, so an interrupted save never leaves a truncated snapshot
-// behind.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
 }
 
 // writeDemo emits the selected demo for the selected language and returns

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
-	"path/filepath"
+
+	"dorado/internal/store"
 )
 
 // WriteJSON is the one JSON encoder shared by cmd/simbench (BENCH_SIM.json)
@@ -31,33 +33,15 @@ func ReadHostReportFile(path string) (*HostReport, error) {
 	return &rep, nil
 }
 
-// WriteJSONFile writes v to path atomically: encode into a temporary file
-// in the same directory, then rename over the destination. A reader (or a
-// benchmark run killed mid-write) never sees a truncated document.
+// WriteJSONFile writes v to path in WriteJSON's encoding, atomically and
+// durably (store.WriteFileAtomic): a reader, or a benchmark run killed
+// mid-write, never sees a truncated document.
 func WriteJSONFile(path string, v any) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, v); err != nil {
 		return err
 	}
-	err = WriteJSON(f, v)
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return store.WriteFileAtomic(path, buf.Bytes())
 }
 
 // RowJSON mirrors Row with JSON field names.

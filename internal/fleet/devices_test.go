@@ -171,7 +171,7 @@ func TestDeviceSessionParkRevive(t *testing.T) {
 		defer clock.Unlock()
 		return clock.t
 	}
-	mgr := New(Config{Workers: 1, IdleAfter: time.Minute, SweepEvery: time.Hour, now: now})
+	mgr := New(Config{Workers: 1, IdleAfter: time.Minute, sweepEvery: time.Hour, now: now})
 	t.Cleanup(func() { drainNow(t, mgr) })
 
 	id, err := mgr.Create(Spec{Devices: []DeviceSpec{{Name: "disk", Start: "disk"}}})

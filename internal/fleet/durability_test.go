@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -280,6 +281,132 @@ func TestCreateFromFork(t *testing.T) {
 	defer drainNow(t, plain)
 	if _, err := plain.CreateFrom(res.Snapshot); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("storeless fork: %v", err)
+	}
+}
+
+// TestForkListsNoOps: a fork starts with its donor's counters and no
+// completed operation; the first operation on it is its first.
+func TestForkListsNoOps(t *testing.T) {
+	m := New(Config{Workers: 1, Store: openStore(t, t.TempDir())})
+	defer drainNow(t, m)
+
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadMicrocode(tctx, id, SpinMicrocode, "start"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(tctx, id, 1000); err != nil {
+		t.Fatal(err)
+	}
+	fork, err := m.CreateFrom(parkNow(t, m, id).Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := func() Info {
+		for _, in := range m.Sessions() {
+			if in.ID == fork {
+				return in
+			}
+		}
+		t.Fatalf("fork %s not listed", fork)
+		return Info{}
+	}
+	if in := info(); in.Ops != 0 || in.Cycle != 1000 || in.Parked {
+		t.Fatalf("fresh fork lists %+v, want ops 0 at cycle 1000, live", in)
+	}
+	if _, err := m.Run(tctx, fork, 500); err != nil {
+		t.Fatal(err)
+	}
+	if in := info(); in.Ops != 1 || in.Cycle != 1500 {
+		t.Fatalf("fork after one run lists %+v, want ops 1 at cycle 1500", in)
+	}
+}
+
+// TestDestroyKeepsSessionWhenManifestFails: a destroy whose manifest
+// rewrite fails (the store directory is renamed away, as a full disk
+// fails the write) reports the error and leaves the session listed,
+// parked and in the manifest; retried once the directory is back, it
+// succeeds.
+func TestDestroyKeepsSessionWhenManifestFails(t *testing.T) {
+	root := t.TempDir()
+	dir := root + "/store"
+	m := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer drainNow(t, m)
+
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := parkNow(t, m, id).Snapshot
+	if err := os.Rename(dir, root+"/away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Destroy(id); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("destroy with the store directory gone: %v", err)
+	}
+	if err := os.Rename(root+"/away", dir); err != nil {
+		t.Fatal(err)
+	}
+	if in := m.Sessions(); len(in) != 1 || in[0].ID != id || !in[0].Parked || in[0].Snapshot != hash {
+		t.Fatalf("listing after the failed destroy = %+v", in)
+	}
+	if h := m.Health(); h.Sessions.Parked != 1 || h.Sessions.Total != 1 {
+		t.Fatalf("health after the failed destroy = %+v", h.Sessions)
+	}
+	if err := m.Destroy(id); err != nil {
+		t.Fatalf("retried destroy: %v", err)
+	}
+	if entries := openStore(t, dir).Sessions(); len(entries) != 0 {
+		t.Fatalf("manifest after the retried destroy = %+v", entries)
+	}
+	if h := m.Health(); h.Sessions.Total != 0 {
+		t.Fatalf("health after the retried destroy = %+v", h.Sessions)
+	}
+}
+
+// TestFailedReviveIsSticky: a parked session whose snapshot cannot be
+// read fails its revive once and stays failed — listed as parked,
+// counted as parked, session_state "failed", every operation answering
+// the same error — even after the snapshot comes back.
+func TestFailedReviveIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	m := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer drainNow(t, m)
+
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := dir + "/recipes/" + parkNow(t, m, id).Snapshot
+	saved, err := os.ReadFile(recipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(recipe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadState(tctx, id); !errors.Is(err, store.ErrNoBlob) {
+		t.Fatalf("read of a session whose snapshot is gone: %v", err)
+	}
+	if err := os.WriteFile(recipe, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadState(tctx, id); !errors.Is(err, store.ErrNoBlob) {
+		t.Fatalf("second read: %v, want the sticky revive error", err)
+	}
+	if got := m.sessionState(id); got != "failed" {
+		t.Fatalf("session_state = %q, want failed", got)
+	}
+	if in := m.Sessions(); len(in) != 1 || !in[0].Parked {
+		t.Fatalf("listing = %+v, want parked", in)
+	}
+	if h := m.Health(); h.Sessions.Active != 0 || h.Sessions.Parked != 1 {
+		t.Fatalf("health = %+v, want 0 active, 1 parked", h.Sessions)
+	}
+	if n := m.counters.revived.Load(); n != 0 {
+		t.Fatalf("revived counter = %d, want 0", n)
 	}
 }
 

@@ -202,9 +202,9 @@ func ExampleManager_CreateFrom() {
 	// Output: 1000 1500
 }
 
-// ExampleManager_Health reads the O(1) liveness summary — what GET
-// /healthz serves: session counts by residency from cached atomics, never
-// a lock.
+// ExampleManager_Health reads the liveness summary — what GET /healthz
+// serves: session counts by residency, counted from each session's
+// published view without a session lock.
 func ExampleManager_Health() {
 	m := fleet.New(fleet.Config{Workers: 1})
 	defer m.Drain(context.Background()) //nolint:errcheck // Background never expires

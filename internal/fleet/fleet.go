@@ -47,9 +47,9 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"dorado"
 	"dorado/internal/store"
 )
 
@@ -94,11 +94,9 @@ type Config struct {
 	// queue rejects with ErrOverloaded. Default 8.
 	QueueDepth int
 	// IdleAfter parks sessions unused for this long (snapshot taken, live
-	// machine released). Zero disables eviction.
+	// machine released); the janitor looks every IdleAfter/4, at least
+	// once a second. Zero disables eviction.
 	IdleAfter time.Duration
-	// SweepEvery is the janitor period. Default IdleAfter/4 (min 1s) when
-	// eviction is enabled.
-	SweepEvery time.Duration
 	// Logger, when set, receives one structured debug record per completed
 	// operation (session, op kind, queue-wait and service-time in µs, and
 	// the request id when the submitting context carries one — see
@@ -130,12 +128,13 @@ type Config struct {
 	// every webhook: outbound calls to operator-unapproved hosts are an
 	// SSRF hazard, so delivery is strictly opt-in.
 	WebhookAllow []string
-	// WebhookBackoff is the first retry delay after a failed webhook
-	// delivery; it doubles per attempt. Default 250ms.
-	WebhookBackoff time.Duration
 
-	// now is the test clock hook; nil means time.Now.
-	now func() time.Time
+	// Test hooks. now is the clock (nil means time.Now); sweepEvery
+	// replaces the janitor period and webhookBackoff the first webhook
+	// retry delay (zero means the defaults).
+	now            func() time.Time
+	sweepEvery     time.Duration
+	webhookBackoff time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -148,11 +147,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
 	}
-	if c.IdleAfter > 0 && c.SweepEvery <= 0 {
-		c.SweepEvery = c.IdleAfter / 4
-		if c.SweepEvery < time.Second {
-			c.SweepEvery = time.Second
-		}
+	if c.IdleAfter > 0 && c.sweepEvery <= 0 {
+		c.sweepEvery = max(c.IdleAfter/4, time.Second)
 	}
 	if c.GCMaxAge == 0 {
 		c.GCMaxAge = 24 * time.Hour
@@ -160,8 +156,8 @@ func (c Config) withDefaults() Config {
 	if c.GCEvery == 0 {
 		c.GCEvery = time.Hour
 	}
-	if c.WebhookBackoff <= 0 {
-		c.WebhookBackoff = 250 * time.Millisecond
+	if c.webhookBackoff <= 0 {
+		c.webhookBackoff = webhookBackoff
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -206,12 +202,6 @@ type Manager struct {
 	// streams) shut down promptly instead of holding shutdown hostage.
 	drainC    chan struct{}
 	drainOnce sync.Once
-
-	// nLive / nParked cache session residency so Health and liveness
-	// probes read two atomics instead of walking the session table under
-	// locks. Updated at every create/park/revive/destroy transition.
-	nLive   atomic.Int64
-	nParked atomic.Int64
 
 	counters counters
 	lat      *opHistograms
@@ -271,13 +261,11 @@ func (m *Manager) adoptStore() {
 			lastUsed:   now,
 			parkedHash: e.Hash,
 		}
-		s.stats.parked.Store(true)
-		s.stats.cycles.Store(e.Cycle)
+		s.published.Store(&view{stats: dorado.Stats{Cycles: e.Cycle}, res: resParked})
 		m.sessions[s.id] = s
 		if e.Seq > m.nextID {
 			m.nextID = e.Seq
 		}
-		m.nParked.Add(1)
 		m.counters.adopted.Add(1)
 	}
 }
@@ -327,22 +315,23 @@ func (m *Manager) worker() {
 		// The pickup instant splits queue wait from service time, so a
 		// revive below is service, not waiting.
 		picked := time.Now()
+		var res opResult
 		s.mu.Lock()
 		op := s.pending[0]
 		copy(s.pending, s.pending[1:])
 		s.pending = s.pending[:len(s.pending)-1]
-		if s.parkedLocked() {
+		if s.published.Load().res == resParked {
 			// Revive before unlocking: the rebuild mutates s.sys, and a
 			// concurrent janitor sweep must observe either parked or live,
 			// never a half-built machine. The same path serves in-memory
 			// parks and store-backed parks (including sessions adopted
-			// from a previous process's store) — see reviveLocked.
-			s.reviveLocked(m)
+			// from a previous process's store) — see reviveLocked. A
+			// failed revive is not retried.
+			res.revived = s.reviveLocked(m)
 		}
 		sys, reviveErr := s.sys, s.reviveErr
 		s.mu.Unlock()
 
-		var res opResult
 		res.queue = picked.Sub(op.enqueued)
 		ran := false
 		switch {
@@ -357,14 +346,6 @@ func (m *Manager) worker() {
 			res.service = time.Since(picked)
 			ran = true
 		}
-		if res.err == nil {
-			s.mu.Lock()
-			sys = s.sys // a restore installs a new machine
-			s.mu.Unlock()
-			if sys != nil {
-				s.noteStats(sys)
-			}
-		}
 		// Account the operation here, not in submit: a canceled submitter
 		// has already returned, and success/latency bookkeeping must not
 		// depend on anyone reading the result.
@@ -374,12 +355,16 @@ func (m *Manager) worker() {
 		}
 		m.logOp(s.id, op, res)
 
-		// Release or re-enqueue before delivering the result: whoever
-		// sees the operation complete (Run returning, a run reading done)
-		// must find the session idle, or a Park issued at once answers
-		// ErrBusy and a janitor Sweep skips it. op.done has room for the
-		// one result, so the send below never blocks.
+		// Publish, then release or re-enqueue, before delivering the
+		// result: whoever sees the operation complete (Run returning, a
+		// run reading done) must find its counters published and the
+		// session idle, or a Park issued at once answers ErrBusy and a
+		// janitor Sweep skips it. op.done has room for the one result, so
+		// the send below never blocks.
 		s.mu.Lock()
+		if res.err == nil {
+			s.publish(resLive, s.sys, 1) // s.sys: a restore installs a new machine
+		}
 		if len(s.pending) > 0 {
 			s.mu.Unlock()
 			m.enqueue(s)
@@ -469,25 +454,25 @@ func (m *Manager) submitAsync(ctx context.Context, id string, kind opKind, fn fu
 // submit queues fn on the session and waits for its result. ctx scopes
 // the wait: if it is canceled before a worker runs the operation, the
 // body is skipped and submit returns ctx's error.
-func (m *Manager) submit(ctx context.Context, id string, kind opKind, fn func(sys *system) (any, error)) (any, error) {
+func (m *Manager) submit(ctx context.Context, id string, kind opKind, fn func(sys *system) (any, error)) (opResult, error) {
 	o, err := m.submitAsync(ctx, id, kind, fn)
 	if err != nil {
-		return nil, err
+		return opResult{}, err
 	}
 	// done is buffered, so a departed caller never blocks the worker; the
 	// worker also sees the canceled ctx and skips the body if it has not
 	// started yet.
 	select {
 	case res := <-o.done:
-		return res.value, res.err
+		return res, res.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return opResult{}, ctx.Err()
 	}
 }
 
 // janitor periodically parks idle sessions.
 func (m *Manager) janitor() {
-	t := time.NewTicker(m.cfg.SweepEvery)
+	t := time.NewTicker(m.cfg.sweepEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -554,15 +539,8 @@ func (m *Manager) Sweep() int {
 		return 0
 	}
 	cutoff := m.cfg.now().Add(-m.cfg.IdleAfter)
-	m.mu.Lock()
-	list := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		list = append(list, s)
-	}
-	m.mu.Unlock()
-
 	parked := 0
-	for _, s := range list {
+	for _, s := range m.table() {
 		if s.park(m, cutoff) {
 			m.counters.evicted.Add(1)
 			parked++
@@ -614,13 +592,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 			// The workers are gone and admission is closed, so every
 			// session is idle; park them all while the process still can.
 			cutoff := m.cfg.now().Add(time.Nanosecond)
-			m.mu.Lock()
-			list := make([]*Session, 0, len(m.sessions))
-			for _, s := range m.sessions {
-				list = append(list, s)
-			}
-			m.mu.Unlock()
-			for _, s := range list {
+			for _, s := range m.table() {
 				s.park(m, cutoff)
 			}
 		}

@@ -323,7 +323,7 @@ func TestIdleEvictionAndRevival(t *testing.T) {
 		defer clock.Unlock()
 		return clock.t
 	}
-	m := New(Config{Workers: 1, IdleAfter: time.Minute, SweepEvery: time.Hour, now: now})
+	m := New(Config{Workers: 1, IdleAfter: time.Minute, sweepEvery: time.Hour, now: now})
 	defer drainNow(t, m)
 
 	id, err := m.Create(smallSpec())
@@ -463,6 +463,55 @@ func TestDestroyAndLimits(t *testing.T) {
 	}
 	if _, err := m.Run(tctx, "nope", 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown id = %v", err)
+	}
+}
+
+// TestHealthAfterDestroyingQueuedParked: destroying a parked session
+// while a read waits in its queue leaves the residency counts agreeing
+// with the session table. The queued read still runs, and revives the
+// destroyed session, which no count includes any more.
+func TestHealthAfterDestroyingQueuedParked(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer drainNow(t, m)
+
+	other, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := m.Park(id); err != nil || !r.Parked {
+		t.Fatalf("park = %+v, %v", r, err)
+	}
+	running, release := blockSession(t, m, other)
+	<-running
+	read := make(chan error, 1)
+	go func() {
+		_, err := m.ReadState(tctx, id)
+		read <- err
+	}()
+	waitQueue(t, m, id, 1)
+	if err := m.Destroy(id); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := <-read; err != nil {
+		t.Fatalf("queued read: %v", err)
+	}
+
+	if h := m.Health(); h.Sessions.Active != 1 || h.Sessions.Parked != 0 || h.Sessions.Total != 1 {
+		t.Fatalf("health = %+v, want 1 active, 0 parked, 1 total", h.Sessions)
+	}
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, m.MetricsSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`dorado_fleet_sessions{state="live"} 1`, `dorado_fleet_sessions{state="parked"} 0`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 

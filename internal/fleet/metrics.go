@@ -32,19 +32,13 @@ type counters struct {
 // MetricsSnapshot assembles the fleet's Prometheus families: manager-level
 // counters plus one cycles/instructions sample per session, in creation
 // order so identical fleets export identical text. It reads atomics, the
-// op-latency histograms under their lock and the session table, never a
-// running machine — safe to call from a scrape handler at any time.
+// op-latency histograms under their lock and each session's published
+// view, never a running machine — safe to call from a scrape handler at
+// any time. Its session gauge is the Health of the same table.
 func (m *Manager) MetricsSnapshot() *obs.Snapshot {
-	m.mu.Lock()
-	list := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		list = append(list, s)
-	}
-	draining := m.draining
-	m.mu.Unlock()
-	sortSessions(list)
-
-	live, parked, queued := 0, 0, 0
+	list := m.table()
+	h := m.health(list)
+	queued := 0
 	cyc := make([]obs.Sample, 0, len(list))
 	exec := make([]obs.Sample, 0, len(list))
 	holds := make([]obs.Sample, 0, len(list))
@@ -52,31 +46,27 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 	var profExits []obs.Sample
 	for _, s := range list {
 		s.mu.Lock()
-		if s.sys == nil {
-			parked++
-		} else {
-			live++
-		}
 		queued += len(s.pending)
 		s.mu.Unlock()
+		v := s.published.Load()
 		label := `{session="` + s.id + `"}`
-		cyc = append(cyc, obs.Sample{Label: label, Value: s.stats.cycles.Load()})
-		exec = append(exec, obs.Sample{Label: label, Value: s.stats.executed.Load()})
-		holds = append(holds, obs.Sample{Label: label, Value: s.stats.holds.Load()})
+		cyc = append(cyc, obs.Sample{Label: label, Value: v.stats.Cycles})
+		exec = append(exec, obs.Sample{Label: label, Value: v.stats.Executed})
+		holds = append(holds, obs.Sample{Label: label, Value: v.stats.Holds})
 		// Translator families export only for sessions with translation
 		// enabled, profiler exits only with Spec.Profile — all-zero series
 		// for the rest would just bloat the scrape.
 		if s.spec.Machine.Translation.Enable {
-			transBlocks = append(transBlocks, obs.Sample{Label: label, Value: s.stats.transBlocks.Load()})
-			transEntries = append(transEntries, obs.Sample{Label: label, Value: s.stats.transEntries.Load()})
-			transFused = append(transFused, obs.Sample{Label: label, Value: s.stats.transFused.Load()})
-			transInvalids = append(transInvalids, obs.Sample{Label: label, Value: s.stats.transInvalids.Load()})
+			transBlocks = append(transBlocks, obs.Sample{Label: label, Value: v.trans.BlocksBuilt})
+			transEntries = append(transEntries, obs.Sample{Label: label, Value: v.trans.Entries})
+			transFused = append(transFused, obs.Sample{Label: label, Value: v.trans.FusedCycles})
+			transInvalids = append(transInvalids, obs.Sample{Label: label, Value: v.trans.Invalidations})
 		}
 		if s.spec.Profile {
-			for r := dorado.ExitReason(0); r < dorado.NumExitReasons; r++ {
+			for r, n := range v.exits {
 				profExits = append(profExits, obs.Sample{
-					Label: `{session="` + s.id + `",reason="` + r.String() + `"}`,
-					Value: s.stats.profExits[r].Load(),
+					Label: `{session="` + s.id + `",reason="` + dorado.ExitReason(r).String() + `"}`,
+					Value: n,
 				})
 			}
 		}
@@ -84,14 +74,14 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 
 	sn := &obs.Snapshot{}
 	sn.Add("dorado_fleet_sessions", "Sessions owned by the manager, by residency.", "gauge",
-		obs.Sample{Label: `{state="live"}`, Value: uint64(live)},
-		obs.Sample{Label: `{state="parked"}`, Value: uint64(parked)})
+		obs.Sample{Label: `{state="live"}`, Value: uint64(h.Sessions.Active)},
+		obs.Sample{Label: `{state="parked"}`, Value: uint64(h.Sessions.Parked)})
 	sn.Add("dorado_fleet_workers", "Worker goroutines executing session operations.", "gauge",
 		obs.Sample{Value: uint64(m.cfg.Workers)})
 	sn.Add("dorado_fleet_queue_depth", "Operations waiting in session queues.", "gauge",
 		obs.Sample{Value: uint64(queued)})
 	sn.Add("dorado_fleet_draining", "1 while the manager is draining.", "gauge",
-		obs.Sample{Value: b2u(draining)})
+		obs.Sample{Value: b2u(h.Draining)})
 
 	opSamples := make([]obs.Sample, 0, int(numOpKinds))
 	for k := opKind(0); k < numOpKinds; k++ {
@@ -173,9 +163,10 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 }
 
 // Health is the cheap liveness view served by GET /healthz: session counts
-// by residency plus the drain flag. Assembled from cached atomics only —
-// no session locks, no table walk — so probes stay O(1) however busy the
-// fleet is.
+// by residency plus the drain flag. It counts the session table's
+// published views, taking no session lock, so a probe never waits behind
+// a park or a running operation. A session whose revive failed counts as
+// parked: like a parked one, it holds no machine.
 type Health struct {
 	Status   string `json:"status"` // "ok" or "draining"
 	Draining bool   `json:"draining,omitempty"`
@@ -186,19 +177,25 @@ type Health struct {
 	} `json:"sessions"`
 }
 
-// Health reports the manager's liveness summary. It reads three atomics
-// and one channel, so it is safe to call at any probe frequency.
-func (m *Manager) Health() Health {
-	var h Health
-	h.Status = "ok"
+// Health reports the manager's liveness summary.
+func (m *Manager) Health() Health { return m.health(m.table()) }
+
+// health counts list, a copy of the session table, by residency.
+func (m *Manager) health(list []*Session) Health {
+	h := Health{Status: "ok"}
 	select {
 	case <-m.drainC:
 		h.Status = "draining"
 		h.Draining = true
 	default:
 	}
-	h.Sessions.Active = m.nLive.Load()
-	h.Sessions.Parked = m.nParked.Load()
+	for _, s := range list {
+		if s.published.Load().res == resLive {
+			h.Sessions.Active++
+		} else {
+			h.Sessions.Parked++
+		}
+	}
 	h.Sessions.Total = h.Sessions.Active + h.Sessions.Parked
 	return h
 }

@@ -17,9 +17,9 @@ import (
 type ProfileResult struct {
 	ID    string `json:"id"`
 	Cycle uint64 `json:"cycle"`
-	// Revived reports the session was parked when the profile was
-	// requested: the profiler was recreated at revival, so the profile
-	// covers only the span since then.
+	// Revived reports that this read revived a parked session: the
+	// profiler was recreated at revival, so the profile covers only the
+	// span since then.
 	Revived bool          `json:"revived,omitempty"`
 	Profile *prof.Profile `json:"profile"`
 	// Translation is the superblock translator's counters, for reading the
@@ -47,14 +47,8 @@ func (s *Session) symbolsFor(sys *dorado.System) *prof.SymbolTable {
 // serialized operation — safe while other clients run the machine — and it
 // revives a parked session.
 func (m *Manager) Profile(ctx context.Context, id string) (ProfileResult, error) {
-	wasParked := false
-	s, ok := m.lookup(id)
-	if ok {
-		s.mu.Lock()
-		wasParked = s.parkedLocked()
-		s.mu.Unlock()
-	}
-	v, err := m.submit(ctx, id, opProfile, func(sys *system) (any, error) {
+	s, _ := m.lookup(id)
+	res, err := m.submit(ctx, id, opProfile, func(sys *system) (any, error) {
 		if sys.Profiler == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoProfiler, id)
 		}
@@ -68,8 +62,8 @@ func (m *Manager) Profile(ctx context.Context, id string) (ProfileResult, error)
 	if err != nil {
 		return ProfileResult{}, err
 	}
-	r := v.(ProfileResult)
-	r.Revived = wasParked
+	r := res.value.(ProfileResult)
+	r.Revived = res.revived
 	return r, nil
 }
 
@@ -88,14 +82,7 @@ type FleetProfileResult struct {
 // sessions destroyed mid-walk are skipped too. Note the read revives
 // parked profiled sessions.
 func (m *Manager) FleetProfile(ctx context.Context) (FleetProfileResult, error) {
-	m.mu.Lock()
-	list := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		list = append(list, s)
-	}
-	m.mu.Unlock()
-	sortSessions(list)
-
+	list := m.table()
 	res := FleetProfileResult{Sessions: []string{}}
 	profiles := make([]*prof.Profile, 0, len(list))
 	for _, s := range list {

@@ -186,7 +186,7 @@ func TestServerRefusedRestoreKeepsSession(t *testing.T) {
 		}
 	}
 	// An accepted PUT installs the snapshot's machine, and the listing's
-	// cached counters read it.
+	// published view reads it.
 	if code := call(t, "PUT", snapURL, early, nil); code != http.StatusOK {
 		t.Fatalf("restore: status %d", code)
 	}

@@ -339,7 +339,7 @@ func TestStressAsyncRunsWithDurableChurn(t *testing.T) {
 		MaxSessions: sessions,
 		QueueDepth:  8,
 		IdleAfter:   time.Millisecond,
-		SweepEvery:  time.Hour,
+		sweepEvery:  time.Hour,
 		Store:       openStore(t, dir),
 	})
 

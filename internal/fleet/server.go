@@ -242,23 +242,14 @@ func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
 	s.writeError(w, r, fmt.Errorf("%w: %w", errBadInput, err))
 }
 
-// sessionState classifies a session for the error envelope. It takes
-// only the session lock, so it is safe on any error path.
+// sessionState classifies a session for the error envelope from its
+// published view, so it takes no session lock.
 func (m *Manager) sessionState(id string) string {
 	s, ok := m.lookup(id)
 	if !ok {
 		return "unknown"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.reviveErr != nil:
-		return "failed"
-	case s.parkedLocked():
-		return "parked"
-	default:
-		return "live"
-	}
+	return s.published.Load().res.String()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -626,12 +617,9 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, h)
 }
 
-// isFleetErr reports whether err is one of the manager's sentinels (whose
-// status mapping should win over the generic 400 for user input).
+// isFleetErr reports whether classifyErr gives err a code of its own,
+// whose status should win over the generic 400 for user input.
 func isFleetErr(err error) bool {
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDraining) ||
-		errors.Is(err, ErrNotFound) || errors.Is(err, ErrTooManySessions) ||
-		errors.Is(err, ErrNoMetrics) || errors.Is(err, ErrNoProfiler) ||
-		errors.Is(err, ErrBusy) ||
-		errors.Is(err, ErrNoStore) || errors.Is(err, store.ErrNoBlob)
+	code, _ := classifyErr(err)
+	return code != "internal" && code != "bad_request"
 }

@@ -115,7 +115,7 @@ func TestServerTraceParkedSession(t *testing.T) {
 		defer clock.Unlock()
 		return clock.t
 	}
-	m, ts := newTestServer(t, Config{Workers: 1, IdleAfter: time.Minute, SweepEvery: time.Hour, now: now})
+	m, ts := newTestServer(t, Config{Workers: 1, IdleAfter: time.Minute, sweepEvery: time.Hour, now: now})
 
 	id, err := m.Create(Spec{
 		Metrics: true,
@@ -235,6 +235,65 @@ func TestServerEventsStream(t *testing.T) {
 	if code := call(t, "GET", ts.URL+"/v1/sessions/"+createSession(t, ts.URL, "")+"/events?interval_ms=nope",
 		nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad interval: status %d", code)
+	}
+}
+
+// TestEventsAreOneView: every stats event is one operation's published
+// view. While runs execute on a device session (the emulator loop and
+// the disk task both take cycles), each event's per-task cycles sum to
+// its cycle counter, an invariant of the machine's Stats, and neither the
+// cycle counter nor the operation count ever goes back.
+func TestEventsAreOneView(t *testing.T) {
+	m := New(Config{Workers: 2})
+	defer drainNow(t, m)
+
+	id, err := m.Create(Spec{Devices: []DeviceSpec{{Name: "disk", Start: "disk"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadMicrocode(tctx, id, diskMicrocode, "emu"); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := m.lookup(id)
+	const runs = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < runs; i++ {
+			if _, err := m.Run(tctx, id, 1000); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	var last Event
+	for events := 0; ; events++ {
+		ev := sessionEvent(s)
+		var sum uint64
+		for _, tb := range ev.Tasks {
+			sum += tb.Cycles
+		}
+		if sum != ev.Cycle {
+			t.Fatalf("event %d: tasks %+v sum to %d, cycle counter %d", events, ev.Tasks, sum, ev.Cycle)
+		}
+		if ev.Cycle < last.Cycle || ev.Ops < last.Ops {
+			t.Fatalf("event %d went back: cycle %d ops %d after cycle %d ops %d", events, ev.Cycle, ev.Ops, last.Cycle, last.Ops)
+		}
+		last = ev
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := sessionEvent(s)
+			if ev.Ops != runs+1 || ev.Cycle != runs*1000 || len(ev.Tasks) < 2 {
+				t.Fatalf("final event %+v, want %d ops at cycle %d on two tasks or more", ev, runs+1, runs*1000)
+			}
+			t.Logf("%d events checked", events+1)
+			return
+		default:
+		}
 	}
 }
 

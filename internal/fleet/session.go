@@ -119,6 +119,7 @@ type op struct {
 type opResult struct {
 	value   any
 	err     error
+	revived bool          // the pickup rebuilt a parked session for this op
 	queue   time.Duration // admission → worker pickup
 	service time.Duration // fn execution (zero when the body was skipped)
 }
@@ -146,8 +147,8 @@ func (k opKind) String() string {
 }
 
 // Session is one simulated machine owned by a Manager. All fields behind
-// mu are protected by it; the stats block is atomic so metric scrapes
-// never contend with the simulation.
+// mu are protected by it; published is the one value readers load without
+// the lock (see view).
 type Session struct {
 	id    string
 	seq   uint64 // creation order, for stable metric export
@@ -181,69 +182,64 @@ type Session struct {
 	runOrder []string
 	watchers map[chan RunView]struct{}
 
-	stats sessionStats
+	published atomic.Pointer[view]
 }
 
-// parkedLocked reports whether the session currently exists only as a
-// snapshot — in memory, or as a store blob named by parkedHash. Caller
-// holds s.mu.
-func (s *Session) parkedLocked() bool {
-	return s.sys == nil && (s.parked != nil || s.parkedHash != "")
+// view is what a session publishes to the readers that take no session
+// lock — the listing, /metrics, /healthz, event streams, error envelopes
+// and the manifest's cycle: the machine's counters as of its last
+// completed operation, how many operations have completed, and where the
+// session lives. A view is never changed; whoever owns the session builds
+// the next one and replaces it (publish), so a reader's one load sees one
+// consistent state.
+type view struct {
+	stats  dorado.Stats
+	halted bool
+	trans  dorado.TranslationStats
+	exits  [dorado.NumExitReasons]uint64 // superblock exits (Spec.Profile)
+	ops    uint64
+	res    residency
 }
 
-// sessionStats caches machine counters so scrapes and event streams read
-// atomics instead of racing the hot loop. The owning worker refreshes it
-// after every operation; parked flips at park/revive under the session
-// lock but is stored atomically so lock-free readers (SSE, healthz) see
-// a coherent value.
-type sessionStats struct {
-	cycles     atomic.Uint64
-	executed   atomic.Uint64
-	holds      atomic.Uint64
-	halted     atomic.Bool
-	ops        atomic.Uint64
-	parked     atomic.Bool
-	taskCycles [obs.MaxTasks]atomic.Uint64
+// residency is where a session's state lives.
+type residency uint8
 
-	// Translator activity (zero on sessions without translation) for the
-	// dorado_translate_* families.
-	transBlocks   atomic.Uint64
-	transEntries  atomic.Uint64
-	transFused    atomic.Uint64
-	transInvalids atomic.Uint64
+const (
+	resLive   residency = iota // a built machine
+	resParked                  // a snapshot only, in memory or in the store
+	resFailed                  // a snapshot whose revive failed (sticky)
+)
 
-	// Superblock exits by reason (sessions with Spec.Profile) for the
-	// dorado_prof_block_exits_total family.
-	profExits [dorado.NumExitReasons]atomic.Uint64
+// String names the residency as the error envelope's session_state does.
+func (r residency) String() string {
+	return [...]string{"live", "parked", "failed"}[r]
+}
+
+// publish replaces the session's view with one at residency res, counting
+// completed more operations and, when sys is not nil, carrying its
+// machine's counters. Callers hold s.mu, or have not yet put the session
+// in the table, so views are replaced one at a time; readers take no
+// lock.
+func (s *Session) publish(res residency, sys *dorado.System, completed uint64) {
+	var v view
+	if old := s.published.Load(); old != nil {
+		v = *old
+	}
+	v.res = res
+	v.ops += completed
+	if sys != nil {
+		v.stats = sys.Machine.Stats()
+		v.halted = sys.Machine.Halted()
+		v.trans = sys.Machine.TranslationStats()
+		if sys.Profiler != nil {
+			v.exits = sys.Profiler.ExitCounts()
+		}
+	}
+	s.published.Store(&v)
 }
 
 // ID returns the session's identifier ("s1", "s2", ...).
 func (s *Session) ID() string { return s.id }
-
-// noteStats refreshes the scrape-safe counters; called only by the worker
-// that owns the session, while it still owns it.
-func (s *Session) noteStats(sys *dorado.System) {
-	st := sys.Machine.Stats()
-	s.stats.cycles.Store(st.Cycles)
-	s.stats.executed.Store(st.Executed)
-	s.stats.holds.Store(st.Holds)
-	s.stats.halted.Store(sys.Machine.Halted())
-	for t := 0; t < obs.MaxTasks && t < len(st.TaskCycles); t++ {
-		s.stats.taskCycles[t].Store(st.TaskCycles[t])
-	}
-	ts := sys.Machine.TranslationStats()
-	s.stats.transBlocks.Store(ts.BlocksBuilt)
-	s.stats.transEntries.Store(ts.Entries)
-	s.stats.transFused.Store(ts.FusedCycles)
-	s.stats.transInvalids.Store(ts.Invalidations)
-	if sys.Profiler != nil {
-		exits := sys.Profiler.ExitCounts()
-		for r := range exits {
-			s.stats.profExits[r].Store(exits[r])
-		}
-	}
-	s.stats.ops.Add(1)
-}
 
 // park snapshots and releases the machine if the session has been idle
 // since before cutoff. Safe against the workers: a scheduled session (one
@@ -271,9 +267,7 @@ func (s *Session) park(m *Manager, cutoff time.Time) bool {
 				"session", s.id, "err", err)
 		}
 	}
-	s.stats.parked.Store(true)
-	m.nLive.Add(-1)
-	m.nParked.Add(1)
+	s.publish(resParked, nil, 0)
 	return true
 }
 
@@ -307,7 +301,7 @@ func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 		Seq:      s.seq,
 		Spec:     specJSON,
 		Hash:     hash,
-		Cycle:    s.stats.cycles.Load(),
+		Cycle:    s.published.Load().stats.Cycles,
 		ParkedAt: m.cfg.now(),
 	})
 	if err != nil {
@@ -323,8 +317,9 @@ func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 // from a previous process's manifest). Both shapes share one path,
 // Spec.restore, so a from-disk revival cannot drift from an in-memory
 // one. Caller holds s.mu. A failure is sticky: the session keeps
-// reporting it rather than silently restarting from scratch.
-func (s *Session) reviveLocked(m *Manager) {
+// reporting it rather than silently restarting from scratch. It reports
+// whether the session is live again.
+func (s *Session) reviveLocked(m *Manager) bool {
 	data := s.parked
 	var err error
 	if data == nil && s.parkedHash != "" {
@@ -336,14 +331,14 @@ func (s *Session) reviveLocked(m *Manager) {
 	}
 	if err != nil {
 		s.reviveErr = fmt.Errorf("fleet: reviving session %s: %w", s.id, err)
-		return
+		s.publish(resFailed, nil, 0)
+		return false
 	}
 	s.sys = sys
 	s.parked = nil
-	s.stats.parked.Store(false)
-	m.nParked.Add(-1)
-	m.nLive.Add(1)
+	s.publish(resLive, sys, 0)
 	m.counters.revived.Add(1)
+	return true
 }
 
 // Create builds a new session from spec and returns its id. A
@@ -406,14 +401,14 @@ func (m *Manager) CreateFrom(hash string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.noteStats(sys) // no worker has touched it yet; seed the cached counters
 	m.counters.forked.Add(1)
 	return s.id, nil
 }
 
 // register adds a built machine to the session table under a fresh id,
 // enforcing the drain and session-count gates. Create and CreateFrom
-// share it.
+// share it; the session's first view carries the machine's counters (a
+// fork's are its donor's) and no completed operation.
 func (m *Manager) register(spec Spec, sys *dorado.System) (*Session, error) {
 	m.mu.Lock()
 	if m.draining {
@@ -433,9 +428,9 @@ func (m *Manager) register(spec Spec, sys *dorado.System) (*Session, error) {
 		lastUsed: m.cfg.now(),
 		sys:      sys,
 	}
+	s.publish(resLive, sys, 0)
 	m.sessions[s.id] = s
 	m.mu.Unlock()
-	m.nLive.Add(1)
 	return s, nil
 }
 
@@ -470,7 +465,7 @@ func (m *Manager) Park(id string) (ParkResult, error) {
 	switch {
 	case s.closed:
 		return ParkResult{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	case s.parkedLocked():
+	case s.sys == nil:
 		return ParkResult{Parked: true, Snapshot: s.parkedHash}, nil
 	default:
 		return ParkResult{}, fmt.Errorf("%w: session %q has queued or running work", ErrBusy, id)
@@ -479,31 +474,31 @@ func (m *Manager) Park(id string) (ParkResult, error) {
 
 // Destroy removes a session. Operations already queued on it complete;
 // new ones get ErrNotFound. With a store configured the session's
-// manifest entry is removed too (its snapshot blob stays — content-
-// addressed blobs may seed forks).
+// manifest entry is removed first (its snapshot blob stays — content-
+// addressed blobs may seed forks); if the manifest cannot be rewritten,
+// Destroy fails and the session stays as it was, so the call can be
+// retried.
 func (m *Manager) Destroy(id string) error {
-	m.mu.Lock()
-	s := m.sessions[id]
-	delete(m.sessions, id)
-	m.mu.Unlock()
-	if s == nil {
+	s, ok := m.lookup(id)
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
-	s.closed = true
-	wasParked := s.parkedLocked()
-	s.mu.Unlock()
-	if wasParked {
-		m.nParked.Add(-1)
-	} else {
-		m.nLive.Add(-1)
+	if s.closed {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if m.cfg.Store != nil {
-		if err := m.cfg.Store.DeleteSession(id); err != nil && m.cfg.Logger != nil {
-			m.cfg.Logger.Warn("fleet: destroyed session lingers in store manifest",
-				"session", id, "err", err)
+		if err := m.cfg.Store.DeleteSession(id); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("fleet: destroying session %s: %w", id, err)
 		}
 	}
+	s.closed = true
+	s.mu.Unlock()
+	m.mu.Lock()
+	delete(m.sessions, id)
+	m.mu.Unlock()
 	m.counters.destroyed.Add(1)
 	return nil
 }
@@ -558,7 +553,7 @@ func (m *Manager) LoadMicrocode(ctx context.Context, id, text, start string) (Lo
 	if found {
 		devices = sess.spec.Devices // immutable after Create; safe to read
 	}
-	v, err := m.submit(ctx, id, opMicrocode, func(sys *system) (any, error) {
+	res, err := m.submit(ctx, id, opMicrocode, func(sys *system) (any, error) {
 		prog, err := masm.AssembleText(text)
 		if err != nil {
 			return nil, err
@@ -606,7 +601,7 @@ func (m *Manager) LoadMicrocode(ctx context.Context, id, text, start string) (Lo
 	if err != nil {
 		return LoadResult{}, err
 	}
-	return v.(LoadResult), nil
+	return res.value.(LoadResult), nil
 }
 
 // BootSource compiles source text for the session's language (Mesa, Lisp,
@@ -622,8 +617,8 @@ func (m *Manager) BootSource(ctx context.Context, id, source string) error {
 type State struct {
 	ID       string `json:"id"`
 	Language string `json:"language"`
-	// Parked reports that the session was evicted (snapshot-only) when the
-	// read was submitted; the read itself revives it.
+	// Parked reports that the session was evicted (snapshot-only) when a
+	// worker picked this read up, so the read revived it.
 	Parked bool `json:"parked"`
 	// Queue is the number of operations pending behind this read.
 	Queue    int    `json:"queue"`
@@ -640,13 +635,7 @@ type State struct {
 // that the read revives a parked session (State.Parked reports whether it
 // had to); use Sessions for a listing that leaves parked sessions parked.
 func (m *Manager) ReadState(ctx context.Context, id string) (State, error) {
-	wasParked := false
-	if s, ok := m.lookup(id); ok {
-		s.mu.Lock()
-		wasParked = s.parkedLocked()
-		s.mu.Unlock()
-	}
-	v, err := m.submit(ctx, id, opState, func(sys *system) (any, error) {
+	res, err := m.submit(ctx, id, opState, func(sys *system) (any, error) {
 		s, _ := m.lookup(id)
 		st := State{
 			ID:       id,
@@ -667,21 +656,21 @@ func (m *Manager) ReadState(ctx context.Context, id string) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	st := v.(State)
-	st.Parked = wasParked
+	st := res.value.(State)
+	st.Parked = res.revived
 	return st, nil
 }
 
 // Snapshot serializes the session's complete machine state (the versioned
 // internal/state document).
 func (m *Manager) Snapshot(ctx context.Context, id string) ([]byte, error) {
-	v, err := m.submit(ctx, id, opSnapshot, func(sys *system) (any, error) {
+	res, err := m.submit(ctx, id, opSnapshot, func(sys *system) (any, error) {
 		return sys.Machine.Snapshot(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]byte), nil
+	return res.value.([]byte), nil
 }
 
 // Restore replaces the session's machine with one restored from a
@@ -716,7 +705,7 @@ func (m *Manager) Restore(ctx context.Context, id string, data []byte) error {
 // revives a parked session (the trace then covers the span since
 // revival; parking serializes only machine state).
 func (m *Manager) TraceJSON(ctx context.Context, id string) ([]byte, error) {
-	v, err := m.submit(ctx, id, opTrace, func(sys *system) (any, error) {
+	res, err := m.submit(ctx, id, opTrace, func(sys *system) (any, error) {
 		if sys.Metrics == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoMetrics, id)
 		}
@@ -730,7 +719,7 @@ func (m *Manager) TraceJSON(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.([]byte), nil
+	return res.value.([]byte), nil
 }
 
 // ObsResult is the response of an obs-summary operation: the condensed
@@ -740,9 +729,9 @@ func (m *Manager) TraceJSON(ctx context.Context, id string) ([]byte, error) {
 type ObsResult struct {
 	ID    string `json:"id"`
 	Cycle uint64 `json:"cycle"`
-	// Revived reports that the session was parked when the summary was
-	// requested: the recorder was recreated at revival, so the counters
-	// cover only the span since then.
+	// Revived reports that this read revived a parked session: the
+	// recorder was recreated at revival, so the counters cover only the
+	// span since then.
 	Revived bool        `json:"revived,omitempty"`
 	Obs     obs.Summary `json:"obs"`
 	// Translation surfaces the machine's superblock-translator counters
@@ -755,13 +744,7 @@ type ObsResult struct {
 // timeline rolled up per task — into a JSON-ready Summary. Requires
 // Spec.Metrics, like TraceJSON.
 func (m *Manager) ObsSummary(ctx context.Context, id string) (ObsResult, error) {
-	wasParked := false
-	if s, ok := m.lookup(id); ok {
-		s.mu.Lock()
-		wasParked = s.parkedLocked()
-		s.mu.Unlock()
-	}
-	v, err := m.submit(ctx, id, opObs, func(sys *system) (any, error) {
+	res, err := m.submit(ctx, id, opObs, func(sys *system) (any, error) {
 		if sys.Metrics == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoMetrics, id)
 		}
@@ -776,8 +759,8 @@ func (m *Manager) ObsSummary(ctx context.Context, id string) (ObsResult, error) 
 	if err != nil {
 		return ObsResult{}, err
 	}
-	r := v.(ObsResult)
-	r.Revived = wasParked
+	r := res.value.(ObsResult)
+	r.Revived = res.revived
 	return r, nil
 }
 
@@ -788,8 +771,9 @@ func (m *Manager) lookup(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Info is one row of the session listing. It is assembled from cached
-// counters, so listing does not serialize behind the sessions' queues.
+// Info is one row of the session listing. It is assembled from each
+// session's published view, so listing does not serialize behind the
+// sessions' queues.
 type Info struct {
 	ID       string `json:"id"`
 	Language string `json:"language"`
@@ -804,22 +788,20 @@ type Info struct {
 	Queue    int    `json:"queue"`
 	Cycle    uint64 `json:"cycle"`
 	Halted   bool   `json:"halted"`
-	Ops      uint64 `json:"ops"`
+	// Ops counts the operations completed on the session; a fork starts
+	// at 0 with its donor's counters.
+	Ops uint64 `json:"ops"`
 }
 
 // Sessions lists every session in creation order.
 func (m *Manager) Sessions() []Info {
-	m.mu.Lock()
-	list := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		list = append(list, s)
-	}
-	m.mu.Unlock()
-	sortSessions(list)
+	list := m.table()
 	out := make([]Info, 0, len(list))
 	for _, s := range list {
+		// The view and the hash are read together: park replaces both
+		// under the lock.
 		s.mu.Lock()
-		parked, queue, snap := s.sys == nil, len(s.pending), s.parkedHash
+		v, queue, snap := s.published.Load(), len(s.pending), s.parkedHash
 		s.mu.Unlock()
 		var devs []string
 		for _, ds := range s.spec.Devices {
@@ -829,17 +811,26 @@ func (m *Manager) Sessions() []Info {
 			ID:       s.id,
 			Language: s.spec.Language,
 			Devices:  devs,
-			Parked:   parked,
+			Parked:   v.res != resLive,
 			Snapshot: snap,
 			Queue:    queue,
-			Cycle:    s.stats.cycles.Load(),
-			Halted:   s.stats.halted.Load(),
-			Ops:      s.stats.ops.Load(),
+			Cycle:    v.stats.Cycles,
+			Halted:   v.halted,
+			Ops:      v.ops,
 		})
 	}
 	return out
 }
 
-func sortSessions(list []*Session) {
+// table copies the session table in creation order. It holds the manager
+// lock only for the copy and takes no session lock.
+func (m *Manager) table() []*Session {
+	m.mu.Lock()
+	list := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		list = append(list, s)
+	}
+	m.mu.Unlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].seq < list[j].seq })
+	return list
 }

@@ -7,20 +7,18 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"dorado/internal/obs"
 )
 
 // This file is the live half of the fleet's observability: a Server-Sent
 // Events stream (GET /v1/sessions/{id}/events) pushing periodic snapshots
 // of a session's counters while it runs. The stream reads only the
-// session's cached atomic stats — never the machine, never a session lock
-// around the simulation — so watchers cost the hot loop nothing. The flip
-// side: the counters refresh when a worker finishes an operation, so a
-// stream shows progress at operation granularity (one long run updates
-// once, at its end). A session serves at most maxWatchers streams, and
-// every write carries a deadline, so a client that stops reading is
-// dropped and its slot freed.
+// session's published view — never the machine, never a session lock —
+// so watchers cost the hot loop nothing, and each event is one
+// operation's counters. The flip side: the worker publishes when it
+// finishes an operation, so a stream shows progress at operation
+// granularity (one long run updates once, at its end). A session serves
+// at most maxWatchers streams, and every write carries a deadline, so a
+// client that stops reading is dropped and its slot freed.
 //
 // Besides the periodic "stats" snapshots, the stream carries the runs
 // resource's completion notifications: every run that finishes on the
@@ -57,7 +55,7 @@ const (
 var errTooManyWatchers = errors.New("fleet: session event stream limit reached")
 
 // Event is one SSE stats snapshot ("event: stats"). Counters come from
-// the session's scrape cache, refreshed after each completed operation.
+// the session's published view, replaced after each completed operation.
 type Event struct {
 	ID string `json:"id"`
 	// Cycle, Executed, Holds, and Halted mirror the machine's counters as
@@ -81,19 +79,20 @@ type TaskBusy struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// sessionEvent assembles an Event from the session's atomic stats cache.
+// sessionEvent assembles an Event from the session's published view.
 func sessionEvent(s *Session) Event {
+	v := s.published.Load()
 	ev := Event{
 		ID:       s.id,
-		Cycle:    s.stats.cycles.Load(),
-		Executed: s.stats.executed.Load(),
-		Holds:    s.stats.holds.Load(),
-		Halted:   s.stats.halted.Load(),
-		Parked:   s.stats.parked.Load(),
-		Ops:      s.stats.ops.Load(),
+		Cycle:    v.stats.Cycles,
+		Executed: v.stats.Executed,
+		Holds:    v.stats.Holds,
+		Halted:   v.halted,
+		Parked:   v.res != resLive,
+		Ops:      v.ops,
 	}
-	for t := 0; t < obs.MaxTasks; t++ {
-		if c := s.stats.taskCycles[t].Load(); c != 0 {
+	for t, c := range v.stats.TaskCycles {
+		if c != 0 {
 			ev.Tasks = append(ev.Tasks, TaskBusy{Task: t, Cycles: c})
 		}
 	}

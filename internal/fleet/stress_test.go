@@ -34,7 +34,7 @@ func TestStressConcurrentSessions(t *testing.T) {
 		// Eviction pressure: everything idle for 1ms is fair game for the
 		// sweeper below (the built-in janitor period is too coarse here).
 		IdleAfter:  time.Millisecond,
-		SweepEvery: time.Hour,
+		sweepEvery: time.Hour,
 	})
 	defer drainNow(t, m)
 
@@ -167,7 +167,7 @@ func TestStressTranslatedSessions(t *testing.T) {
 		MaxSessions: sessions,
 		QueueDepth:  4,
 		IdleAfter:   time.Millisecond,
-		SweepEvery:  time.Hour,
+		sweepEvery:  time.Hour,
 	})
 	defer drainNow(t, m)
 

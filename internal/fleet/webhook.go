@@ -27,8 +27,12 @@ import (
 )
 
 // webhookMaxAttempts bounds delivery: one initial attempt plus three
-// retries, after which the event is dead-lettered.
-const webhookMaxAttempts = 4
+// retries, after which the event is dead-lettered. webhookBackoff is the
+// first retry delay; it doubles per attempt.
+const (
+	webhookMaxAttempts = 4
+	webhookBackoff     = 250 * time.Millisecond
+)
 
 // webhookOrigin canonicalizes a webhook URL to its origin
 // ("scheme://host[:port]", lowercased) for allowlist matching.
@@ -83,7 +87,7 @@ func (m *Manager) deliverWebhook(hook string, v RunView) {
 		m.counters.webhookDropped.Add(1)
 		return
 	}
-	backoff := m.cfg.WebhookBackoff
+	backoff := m.cfg.webhookBackoff
 	for attempt := 1; ; attempt++ {
 		err := m.postWebhook(hook, body, v)
 		if err == nil {

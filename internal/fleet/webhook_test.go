@@ -84,7 +84,7 @@ func TestWebhookRetryThenDeliver(t *testing.T) {
 	m := New(Config{
 		Workers:        1,
 		WebhookAllow:   []string{rcv.URL},
-		WebhookBackoff: time.Millisecond,
+		webhookBackoff: time.Millisecond,
 	})
 	defer drainNow(t, m)
 	id, err := m.Create(webhookSpec(rcv.URL))
@@ -119,7 +119,7 @@ func TestWebhookDeadLetter(t *testing.T) {
 	m := New(Config{
 		Workers:        1,
 		WebhookAllow:   []string{"*"},
-		WebhookBackoff: time.Millisecond,
+		webhookBackoff: time.Millisecond,
 	})
 	defer drainNow(t, m)
 	id, err := m.Create(webhookSpec(rcv.URL))

@@ -163,7 +163,7 @@ func (s *Store) sweepDir(dir string, cutoff time.Time, res *SweepResult, decide 
 		if e.IsDir() {
 			continue
 		}
-		// writeFileAtomic temp files are another writer's in-flight rename
+		// WriteFileAtomic temp files are another writer's in-flight rename
 		// source; deleting one would fail that write. They are transient by
 		// construction, so they are simply not sweep candidates.
 		if strings.Contains(e.Name(), ".tmp") {

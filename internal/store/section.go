@@ -127,7 +127,7 @@ func (s *Store) PutSnapshotHashed(hash string, data []byte) (PutStats, error) {
 			st.DedupedBytes += int64(len(sec.Body))
 			continue
 		}
-		if err := writeFileAtomic(s.sectionPath(sh), sec.Body); err != nil {
+		if err := WriteFileAtomic(s.sectionPath(sh), sec.Body); err != nil {
 			return PutStats{}, fmt.Errorf("store: writing section: %w", err)
 		}
 		st.NewBytes += int64(len(sec.Body))
@@ -138,7 +138,7 @@ func (s *Store) PutSnapshotHashed(hash string, data []byte) (PutStats, error) {
 	}
 	// Recipe last: a crash before this rename leaves only unreferenced
 	// sections (GC fodder), never a recipe naming missing sections.
-	if err := writeFileAtomic(s.recipePath(hash), enc); err != nil {
+	if err := WriteFileAtomic(s.recipePath(hash), enc); err != nil {
 		return PutStats{}, fmt.Errorf("store: writing recipe: %w", err)
 	}
 	st.NewBytes += int64(len(enc))

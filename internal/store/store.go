@@ -24,15 +24,18 @@
 // Meta read and its Get, a park between its snapshot write and its
 // manifest entry).
 //
-// Every write is crash-safe by construction, the same discipline as
-// bench.WriteJSONFile: encode into a temporary file in the destination
-// directory, fsync, rename over the final name, then fsync the directory
-// so the rename itself is durable. A reader (or a process killed
-// mid-park) sees either the old document or the new one, never a torn
-// one. Ordering makes the manifest trustworthy: sections, then the
-// recipe, then the sidecar are durable before the manifest names the
-// snapshot, so every hash a manifest references exists. The worst a crash
-// leaves behind is an unreferenced snapshot, which is harmless garbage.
+// Every write is crash-safe by construction (WriteFileAtomic): encode
+// into a temporary file in the destination directory, fsync, rename over
+// the final name, then fsync the directory so the rename itself is
+// durable. A reader (or a process killed mid-park) sees either the old
+// document or the new one, never a torn one. Ordering makes the manifest
+// trustworthy: sections, then the recipe, then the sidecar are durable
+// before the manifest names the snapshot, so every hash a manifest
+// references exists. The in-memory manifest changes only once its new
+// version is on disk, so a failed write (a full disk) leaves memory and
+// disk agreeing, and Sweep, which takes its roots from memory, never
+// reclaims a snapshot the disk still names. The worst a crash leaves
+// behind is an unreferenced snapshot, which is harmless garbage.
 package store
 
 import (
@@ -41,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,7 +207,7 @@ func (s *Store) PutMeta(hash string, meta json.RawMessage) error {
 	if !validHash(hash) {
 		return fmt.Errorf("%w: malformed hash %q", ErrNoBlob, hash)
 	}
-	if err := writeFileAtomic(s.metaPath(hash), meta); err != nil {
+	if err := WriteFileAtomic(s.metaPath(hash), meta); err != nil {
 		return fmt.Errorf("store: writing snapshot meta: %w", err)
 	}
 	return nil
@@ -227,25 +231,27 @@ func (s *Store) Meta(hash string) (json.RawMessage, error) {
 // SaveSession records (or replaces) a session's manifest entry and
 // rewrites the manifest atomically. The caller must have made the entry's
 // snapshot durable first (PutSnapshot + PutMeta), so a manifest never
-// references a missing hash.
+// references a missing hash. On failure the manifest is unchanged.
 func (s *Store) SaveSession(e Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m.Sessions[e.ID] = e
-	return s.flushLocked()
+	sessions := maps.Clone(s.m.Sessions)
+	sessions[e.ID] = e
+	return s.installLocked(sessions)
 }
 
 // DeleteSession removes a session's manifest entry. The snapshot stays:
 // it is content-addressed and may seed forks. Deleting an absent id is a
-// no-op.
+// no-op. On failure the entry stays, in memory as on disk.
 func (s *Store) DeleteSession(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.m.Sessions[id]; !ok {
 		return nil
 	}
-	delete(s.m.Sessions, id)
-	return s.flushLocked()
+	sessions := maps.Clone(s.m.Sessions)
+	delete(sessions, id)
+	return s.installLocked(sessions)
 }
 
 // Sessions lists every manifest entry in creation (Seq) order.
@@ -260,22 +266,27 @@ func (s *Store) Sessions() []Entry {
 	return out
 }
 
-// flushLocked rewrites manifest.json atomically. Caller holds s.mu.
-func (s *Store) flushLocked() error {
-	data, err := json.MarshalIndent(s.m, "", "  ")
+// installLocked writes a manifest holding sessions and, once it is on
+// disk, makes it the store's. Caller holds s.mu.
+func (s *Store) installLocked(sessions map[string]Entry) error {
+	m := manifest{Version: manifestVersion, Sessions: sessions}
+	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	if err := writeFileAtomic(s.manifestPath(), append(data, '\n')); err != nil {
+	if err := WriteFileAtomic(s.manifestPath(), append(data, '\n')); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)
 	}
+	s.m = m
 	return nil
 }
 
-// writeFileAtomic is the bench.WriteJSONFile discipline for raw bytes:
-// temp file in the destination directory, fsync, rename, then syncDir so
-// the new name is as durable as the bytes behind it.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path so that a reader, or a process
+// killed mid-write, sees the old file or the new one, never a torn one,
+// and a crash after it returns keeps the new one: a temporary file in the
+// destination directory, fsync, rename, then syncDir so the new name is
+// as durable as the bytes behind it.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

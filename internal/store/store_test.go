@@ -140,6 +140,60 @@ func TestManifestPersistsAcrossOpen(t *testing.T) {
 	}
 }
 
+// TestFailedManifestWriteChangesNothing: a manifest change that cannot be
+// written (here the store directory is renamed away, as a full disk
+// fails the temp-file write) leaves the in-memory manifest as it was. A
+// failed delete keeps its entry, so a zero-grace sweep, which takes its
+// roots from memory, keeps the snapshot the disk manifest still names; a
+// failed save names nothing new.
+func TestFailedManifestWriteChangesNothing(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := putDoc(t, s, "parked s1")
+	if err := s.PutMeta(hash, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: hash}); err != nil {
+		t.Fatal(err)
+	}
+
+	away := filepath.Join(root, "away")
+	if err := os.Rename(dir, away); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteSession("s1"); err == nil {
+		t.Fatal("DeleteSession succeeded with the store directory gone")
+	}
+	if err := s.SaveSession(Entry{ID: "s2", Seq: 2, Spec: json.RawMessage(`{}`), Hash: hash}); err == nil {
+		t.Fatal("SaveSession succeeded with the store directory gone")
+	}
+	if err := os.Rename(away, dir); err != nil {
+		t.Fatal(err)
+	}
+	if list := s.Sessions(); len(list) != 1 || list[0].ID != "s1" {
+		t.Fatalf("in-memory manifest after failed writes = %+v, want s1 only", list)
+	}
+
+	if _, err := s.Sweep(GCPolicy{MaxAge: 0}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := re.Sessions()
+	if len(list) != 1 || list[0].ID != "s1" {
+		t.Fatalf("manifest on disk = %+v, want s1 only", list)
+	}
+	if _, err := re.Get(list[0].Hash); err != nil {
+		t.Fatalf("snapshot of the kept entry: %v", err)
+	}
+}
+
 func TestOpenRejectsBadManifest(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
