@@ -20,7 +20,9 @@
 // are older than -gc-age, and POST /v1/store/gc runs a sweep on demand.
 // GET /v1/store reports the store's inventory. Sessions created with a
 // "webhook" URL get every run completion POSTed there — gated by the
-// -webhook-allow origin allowlist. docs/OPERATIONS.md is the operator
+// -webhook-allow origin allowlist, with at most 32 of a session's
+// completions in delivery at once and the rest dead-lettered (still
+// pollable at GET .../runs/{rid}). docs/OPERATIONS.md is the operator
 // runbook for all of this.
 //
 // Usage:

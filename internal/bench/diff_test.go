@@ -149,7 +149,7 @@ func diffExports(t *testing.T, name string, cycles uint64, build func(cfg core.C
 		if err != nil {
 			t.Fatalf("%s: %s build: %v", name, p.path, err)
 		}
-		rec := obs.NewRecorder(obs.Config{})
+		rec := obs.NewRecorder()
 		m.SetRecorder(rec)
 		m.Run(cycles)
 		rec.Flush(m.Cycle())

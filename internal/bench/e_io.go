@@ -10,14 +10,15 @@ import (
 	"dorado/internal/trace"
 )
 
-// ioMachine builds a machine whose task 0 runs an endless counting loop
-// (standing in for the emulator) and loads the given microcode program.
-func ioMachine(b *masm.Builder, opts core.Options) (*core.Machine, *masm.Program, error) {
-	p, err := b.Assemble()
+// ioMachine assembles a microcode program with program, builds a machine
+// from cfg that loads it, and starts task 0 at the program's emu loop (an
+// endless counting loop standing in for the emulator).
+func ioMachine(program func() (*masm.Program, error), cfg core.Config) (*core.Machine, *masm.Program, error) {
+	p, err := program()
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.New(core.Config{Options: opts})
+	m, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -38,17 +39,7 @@ func emuLoop(b *masm.Builder) {
 func E4DiskUtilization() Table {
 	const title = "Disk at 10 Mbit/s: processor share"
 	const claim = `"the 10 megabit/sec disk consumes 5% of the processor"; 3 cycles per 2 words (§7)`
-	b := masm.NewBuilder()
-	emuLoop(b)
-	// The 3-cycles-per-2-words idiom: word 1 via T, word 2 straight from
-	// IODATA to memory (§5.8).
-	b.EmitAt("disk", masm.I{FF: microcode.FFInput, ALU: microcode.ALUB, LC: microcode.LCLoadT})
-	b.Emit(masm.I{A: microcode.ASelStore, R: 1, B: microcode.BSelT,
-		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM})
-	b.Emit(masm.I{A: microcode.ASelStore, R: 1, FF: microcode.FFInput,
-		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM,
-		Block: true, Flow: masm.Goto("disk")})
-	m, p, err := ioMachine(b, core.Options{})
+	m, p, err := ioMachine(diskProgram, core.Config{})
 	if err != nil {
 		return fail("E4", title, err)
 	}
@@ -84,14 +75,7 @@ func E4DiskUtilization() Table {
 func E5FastIO() Table {
 	const title = "Fast I/O display at full storage bandwidth"
 	const claim = `"530 megabits/sec using only one quarter of the available microcycles"; 2 µinst per 16-word block (§7)`
-	b := masm.NewBuilder()
-	emuLoop(b)
-	// Two instructions per block: command the block (Output) while bumping
-	// the block pointer, then block.
-	b.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
-		ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
-	b.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
-	m, p, err := ioMachine(b, core.Options{})
+	m, p, err := ioMachine(fastioProgram, core.Config{})
 	if err != nil {
 		return fail("E5", title, err)
 	}
@@ -125,15 +109,7 @@ func E5FastIO() Table {
 func E6SlowIO() Table {
 	const title = "Slow I/O peak rate"
 	const claim = `"a word per cycle, or 265 megabits/second ... memory reference and I/O transfer in a single instruction" (§5.8)`
-	b := masm.NewBuilder()
-	emuLoop(b)
-	// One instruction per word: IODATA drives B, B goes to memory, the
-	// pointer increments, and the loop closes on COUNT — all in one word.
-	b.EmitAt("burst", masm.I{A: microcode.ASelStore, R: 1, FF: microcode.FFInput,
-		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM,
-		Flow: masm.Branch(microcode.CondCountNZ, "burst.done", "burst")})
-	b.EmitAt("burst.done", masm.I{Block: true, Flow: masm.Goto("burst")})
-	m, p, err := ioMachine(b, core.Options{})
+	m, p, err := ioMachine(slowioProgram, core.Config{})
 	if err != nil {
 		return fail("E6", title, err)
 	}
@@ -182,21 +158,19 @@ func E8GrainAblation() Table {
 	const title = "Task-allocation grain: 2-cycle vs 3-cycle"
 	const claim = `"A two cycle grain thus allows the full memory bandwidth ... using only 25% of the processor ... [with explicit notification] 37.5% of the processor would be needed" (§6.2.1)`
 	run := func(explicit bool) (util float64, bw float64, err error) {
-		b := masm.NewBuilder()
-		emuLoop(b)
+		program := fastioProgram
 		if explicit {
 			// Grain 3: the acknowledgement occupies the first instruction
 			// and the task cannot block before its third.
+			b := masm.NewBuilder()
+			emuLoop(b)
 			b.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
 				ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
 			b.Emit(masm.I{FF: microcode.FFIOAttenAck})
 			b.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
-		} else {
-			b.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
-				ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
-			b.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
+			program = b.Assemble
 		}
-		m, p, err := ioMachine(b, core.Options{ExplicitNotify: explicit})
+		m, p, err := ioMachine(program, core.Config{Options: core.Options{ExplicitNotify: explicit}})
 		if err != nil {
 			return 0, 0, err
 		}

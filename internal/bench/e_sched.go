@@ -21,7 +21,7 @@ func E9TaskSwitch() Table {
 		emuLoop(b)
 		b.EmitAt("svc", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 1, LC: microcode.LCLoadRM})
 		b.Emit(masm.I{Block: true, Flow: masm.Goto("svc")})
-		m, p, err := ioMachine(b, core.Options{})
+		m, p, err := ioMachine(b.Assemble, core.Config{})
 		if err != nil {
 			return 0, 0, nil, err
 		}

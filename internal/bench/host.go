@@ -129,7 +129,7 @@ func MeasureHost(w HostWorkload, path string, budget uint64) (HostResult, error)
 		// The recorder a long measurement run would realistically wear:
 		// default histogram/counter setup, bounded span and timeline
 		// buffers (overflow is counted, not stored).
-		m.SetRecorder(obs.NewRecorder(obs.Config{}))
+		m.SetRecorder(obs.NewRecorder())
 	}
 	if path == PathProfiled {
 		m.SetProfiler(core.NewProfiler())

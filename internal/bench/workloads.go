@@ -114,8 +114,9 @@ func BuildEmulatorMachine(cfg core.Config) (*core.Machine, error) {
 }
 
 // diskProgram assembles the E4 microcode: the counting emulator plus the
-// 3-cycles-per-2-words disk loop. Split from BuildDiskMachine so profiling
-// runs can reach the program's symbol table.
+// 3-cycles-per-2-words disk loop, word 1 via T and word 2 straight from
+// IODATA to memory (§5.8). Split from BuildDiskMachine so E4 and
+// profiling runs can reach the program.
 func diskProgram() (*masm.Program, error) {
 	b := masm.NewBuilder()
 	emuLoop(b)
@@ -131,16 +132,10 @@ func diskProgram() (*masm.Program, error) {
 // BuildDiskMachine is the E4 machine: the counting emulator in task 0 plus
 // the 3-cycles-per-2-words disk microcode woken by a word source.
 func BuildDiskMachine(cfg core.Config) (*core.Machine, error) {
-	p, err := diskProgram()
+	m, p, err := ioMachine(diskProgram, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.Load(&p.Words)
-	m.Start(p.MustEntry("emu"))
 	if err := m.Attach(device.NewWordSource(11, 27, 2)); err != nil {
 		return nil, err
 	}
@@ -151,7 +146,8 @@ func BuildDiskMachine(cfg core.Config) (*core.Machine, error) {
 }
 
 // fastioProgram assembles the E5 microcode: the counting emulator plus the
-// two-instruction display loop.
+// two-instruction display loop, which commands a block (Output) while
+// bumping the block pointer, then blocks.
 func fastioProgram() (*masm.Program, error) {
 	b := masm.NewBuilder()
 	emuLoop(b)
@@ -164,16 +160,10 @@ func fastioProgram() (*masm.Program, error) {
 // BuildFastIOMachine is the E5 machine: the display consuming full memory
 // bandwidth with two microinstructions per 16-word block.
 func BuildFastIOMachine(cfg core.Config) (*core.Machine, error) {
-	p, err := fastioProgram()
+	m, p, err := ioMachine(fastioProgram, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.Load(&p.Words)
-	m.Start(p.MustEntry("emu"))
 	disp := device.NewDisplay(13, m.Mem(), 8, 4)
 	disp.SetBase(0x20000)
 	if err := m.Attach(disp); err != nil {
@@ -185,25 +175,26 @@ func BuildFastIOMachine(cfg core.Config) (*core.Machine, error) {
 	return m, nil
 }
 
-// BuildSlowIOMachine is the E6 machine: loopback device, one word per wakeup
-// through IODATA, loop closed on COUNT.
-func BuildSlowIOMachine(cfg core.Config) (*core.Machine, error) {
+// slowioProgram assembles the E6 microcode: the counting emulator plus the
+// burst loop, one instruction per word (IODATA drives B, B goes to
+// memory, the pointer increments, and the loop closes on COUNT).
+func slowioProgram() (*masm.Program, error) {
 	b := masm.NewBuilder()
 	emuLoop(b)
 	b.EmitAt("burst", masm.I{A: microcode.ASelStore, R: 1, FF: microcode.FFInput,
 		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM,
 		Flow: masm.Branch(microcode.CondCountNZ, "burst.done", "burst")})
 	b.EmitAt("burst.done", masm.I{Block: true, Flow: masm.Goto("burst")})
-	p, err := b.Assemble()
+	return b.Assemble()
+}
+
+// BuildSlowIOMachine is the E6 machine: loopback device, one word per wakeup
+// through IODATA, loop closed on COUNT.
+func BuildSlowIOMachine(cfg core.Config) (*core.Machine, error) {
+	m, p, err := ioMachine(slowioProgram, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.Load(&p.Words)
-	m.Start(p.MustEntry("emu"))
 	lb := device.NewLoopback(9)
 	if err := m.Attach(lb); err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func TestRecorderValidatesTwoCycleWakeup(t *testing.T) {
 	b.EmitAt("svc", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 1, LC: microcode.LCLoadRM})
 	b.Emit(masm.I{Block: true, Flow: masm.Goto("svc")})
 	m := buildMachine(t, Config{}, b)
-	rec := obs.NewRecorder(obs.Config{})
+	rec := obs.NewRecorder()
 	m.SetRecorder(rec)
 	p := newProbe(5, 10, 60, 110)
 	if err := m.Attach(p); err != nil {
@@ -59,14 +59,15 @@ func TestRecorderSpansCoverRun(t *testing.T) {
 	b.EmitAt("svc", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 1, LC: microcode.LCLoadRM})
 	b.Emit(masm.I{Block: true, Flow: masm.Goto("svc")})
 	m := buildMachine(t, Config{}, b)
-	rec := obs.NewRecorder(obs.Config{TimelineInterval: 64})
+	rec := obs.NewRecorder()
 	m.SetRecorder(rec)
 	p := newProbe(5, 10, 50)
 	if err := m.Attach(p); err != nil {
 		t.Fatal(err)
 	}
 	m.SetTPC(5, mustAssemble(t, b).MustEntry("svc"))
-	for m.Cycle() < 100 {
+	// Two full timeline intervals and a partial third.
+	for m.Cycle() < 2*rec.TimelineInterval()+100 {
 		m.Step()
 	}
 	rec.Flush(m.Cycle())
@@ -130,7 +131,7 @@ func TestRecorderHoldEpisodesMatchStats(t *testing.T) {
 	b.Emit(masm.I{ALU: microcode.ALUB, B: microcode.BSelMD, LC: microcode.LCLoadT})
 	b.Halt()
 	m := buildMachine(t, Config{}, b)
-	rec := obs.NewRecorder(obs.Config{})
+	rec := obs.NewRecorder()
 	m.SetRecorder(rec)
 	mustHalt(t, m, 1000)
 	rec.Flush(m.Cycle())
@@ -158,7 +159,7 @@ func TestRecorderDoesNotPerturbSimulation(t *testing.T) {
 		b.Emit(masm.I{Block: true, Flow: masm.Goto("svc")})
 		m := buildMachine(t, Config{}, b)
 		if attach {
-			m.SetRecorder(obs.NewRecorder(obs.Config{}))
+			m.SetRecorder(obs.NewRecorder())
 		}
 		p := newProbe(5, 10, 30, 70)
 		if err := m.Attach(p); err != nil {
@@ -184,7 +185,7 @@ func TestSetRecorderDetach(t *testing.T) {
 	b := masm.NewBuilder()
 	b.EmitAt("start", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0, LC: microcode.LCLoadRM, Flow: masm.Goto("start")})
 	m := buildMachine(t, Config{}, b)
-	rec := obs.NewRecorder(obs.Config{})
+	rec := obs.NewRecorder()
 	m.SetRecorder(rec)
 	if m.seam.rec != rec || !m.seam.watching {
 		t.Fatal("SetRecorder did not attach the recorder to the observation seam")

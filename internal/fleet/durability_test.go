@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dorado/internal/memory"
+	"dorado/internal/obs"
 	"dorado/internal/state/statetest"
 	"dorado/internal/store"
 )
@@ -180,6 +184,62 @@ func TestRestartRevival(t *testing.T) {
 	}
 	if !sdb.Has(res.Snapshot) {
 		t.Fatal("destroy deleted the content-addressed blob")
+	}
+}
+
+// TestAdoptedSessionListsWhatItParked: a restarted manager lists a parked
+// session as the process that parked it did (halted, operations, and
+// every per-session metric sample, translator and profiler families
+// included) before anything revives it.
+func TestAdoptedSessionListsWhatItParked(t *testing.T) {
+	dir := t.TempDir()
+	listing := func(m *Manager, id string) (Info, []string) {
+		t.Helper()
+		infos := m.Sessions()
+		if len(infos) != 1 {
+			t.Fatalf("sessions = %+v", infos)
+		}
+		var buf bytes.Buffer
+		if err := obs.WritePrometheus(&buf, m.MetricsSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		var samples []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, `session="`+id+`"`) {
+				samples = append(samples, line)
+			}
+		}
+		return infos[0], samples
+	}
+	m := New(Config{Workers: 1, Store: openStore(t, dir)})
+	spec := Spec{Language: "mesa", Profile: true}
+	spec.Machine.Translation.Enable = true
+	id, err := m.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BootSource(tctx, id, "return 6*7;"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.Run(tctx, id, 1_000_000); err != nil || !res.Halted {
+		t.Fatalf("run = %+v, %v", res, err)
+	}
+	parkNow(t, m, id)
+	before, beforeSamples := listing(m, id)
+	drainNow(t, m)
+	if !before.Parked || !before.Halted || before.Ops != 2 || len(beforeSamples) < 3 {
+		t.Fatalf("listed before the restart: %+v, samples %q", before, beforeSamples)
+	}
+
+	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer drainNow(t, m2)
+	after, afterSamples := listing(m2, id)
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("adopted row = %+v, listed before the restart %+v", after, before)
+	}
+	if !slices.Equal(afterSamples, beforeSamples) {
+		t.Errorf("adopted samples:\n%s\nbefore the restart:\n%s",
+			strings.Join(afterSamples, "\n"), strings.Join(beforeSamples, "\n"))
 	}
 }
 

@@ -188,11 +188,11 @@ type Manager struct {
 	stopping bool // set by Drain once all operations finished; workers exit
 
 	opsWG sync.WaitGroup // accepted-but-unfinished operations
-	// runWG tracks the per-run completion waiters (runs.go), which also
-	// carry webhook delivery; Drain waits for them after the operations
-	// themselves, and deliveries abort on the drain signal, so shutdown
-	// stays bounded.
-	runWG    sync.WaitGroup
+	// hookWG tracks webhook deliveries (webhook.go). Only a completion
+	// starts one, before its operation's opsWG.Done, so Drain waits for
+	// them after the operations; their backoff aborts on the drain signal,
+	// so shutdown stays bounded.
+	hookWG   sync.WaitGroup
 	workerWG sync.WaitGroup
 	stopOnce sync.Once
 	janitorC chan struct{} // closed to stop the janitor
@@ -238,10 +238,12 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// adoptStore registers every manifest session as parked-on-disk and
-// advances the id counter past the restored sequence numbers. An entry
-// whose Spec no longer decodes is skipped (and logged) rather than
-// poisoning startup; its blob stays in the store untouched.
+// adoptStore registers every manifest session as parked-on-disk, listing
+// the counters its entry stored at park, and advances the id counter past
+// the restored sequence numbers. An entry whose Spec no longer decodes is
+// skipped (and logged) rather than poisoning startup; its blob stays in
+// the store untouched. An entry without counters (written before entries
+// carried them) or with unreadable ones lists only its cycle.
 func (m *Manager) adoptStore() {
 	for _, e := range m.cfg.Store.Sessions() {
 		var spec Spec
@@ -261,7 +263,18 @@ func (m *Manager) adoptStore() {
 			lastUsed:   now,
 			parkedHash: e.Hash,
 		}
-		s.published.Store(&view{stats: dorado.Stats{Cycles: e.Cycle}, res: resParked})
+		v := view{Stats: dorado.Stats{Cycles: e.Cycle}}
+		if len(e.View) > 0 {
+			if err := json.Unmarshal(e.View, &v); err != nil {
+				v = view{Stats: dorado.Stats{Cycles: e.Cycle}}
+				if m.cfg.Logger != nil {
+					m.cfg.Logger.Warn("fleet: stored session lists its cycle only (undecodable counters)",
+						"session", e.ID, "err", err)
+				}
+			}
+		}
+		v.res = resParked
+		s.published.Store(&v)
 		m.sessions[s.id] = s
 		if e.Seq > m.nextID {
 			m.nextID = e.Seq
@@ -355,12 +368,11 @@ func (m *Manager) worker() {
 		}
 		m.logOp(s.id, op, res)
 
-		// Publish, then release or re-enqueue, before delivering the
-		// result: whoever sees the operation complete (Run returning, a
-		// run reading done) must find its counters published and the
-		// session idle, or a Park issued at once answers ErrBusy and a
-		// janitor Sweep skips it. op.done has room for the one result, so
-		// the send below never blocks.
+		// Publish, then release or re-enqueue, before completing the
+		// operation: whoever sees it complete (Run returning, a run
+		// reading done) must find its counters published and the session
+		// idle, or a Park issued at once answers ErrBusy and a janitor
+		// Sweep skips it.
 		s.mu.Lock()
 		if res.err == nil {
 			s.publish(resLive, s.sys, 1) // s.sys: a restore installs a new machine
@@ -372,10 +384,11 @@ func (m *Manager) worker() {
 			s.scheduled = false
 			s.mu.Unlock()
 		}
-		op.done <- res
-		// Done only after the re-enqueue decision: Drain stops the workers
-		// once this counter hits zero, and pending work implies a nonzero
-		// count, so no enqueue above can race the shutdown.
+		op.complete(s, res)
+		// Done only after the re-enqueue decision and the completion:
+		// Drain stops the workers once this counter hits zero, and pending
+		// work implies a nonzero count, so no enqueue above can race the
+		// shutdown, and no webhook delivery can start behind Drain's wait.
 		m.opsWG.Done()
 	}
 }
@@ -400,24 +413,26 @@ func (m *Manager) logOp(id string, op *op, res opResult) {
 	m.cfg.Logger.LogAttrs(op.ctx, slog.LevelDebug, "fleet op", attrs...)
 }
 
-// submitAsync queues fn on the session and returns the accepted operation
-// without waiting for it. It enforces, in order: drain state, session
-// existence, and queue bound — the admission decision is synchronous even
-// when the result will be consumed asynchronously (the runs resource), so
-// backpressure errors still reach the submitter immediately. ctx rides on
-// the operation: the worker skips the body if it is canceled at pickup,
-// and the operation log records its request id (see RequestID).
-func (m *Manager) submitAsync(ctx context.Context, id string, kind opKind, fn func(sys *system) (any, error)) (*op, error) {
+// submitAsync queues o on the session without waiting for it. It
+// enforces, in order: drain state, session existence, and queue bound —
+// the admission decision is synchronous even when the result will be
+// consumed asynchronously (the runs resource), so backpressure errors
+// still reach the submitter immediately. o.ctx rides on the operation:
+// the worker skips the body if it is canceled at pickup, and the
+// operation log records its request id (see RequestID). register, when
+// not nil, runs under the session lock once o is admitted, before any
+// worker can pick o up.
+func (m *Manager) submitAsync(id string, o *op, register func(s *Session)) error {
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
 		m.counters.rejectedDrain.Add(1)
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	s := m.sessions[id]
 	if s == nil {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	// Count the operation before releasing the lock: Drain flips draining
 	// under the same lock, so once it begins waiting, no new Add can slip
@@ -425,18 +440,21 @@ func (m *Manager) submitAsync(ctx context.Context, id string, kind opKind, fn fu
 	m.opsWG.Add(1)
 	m.mu.Unlock()
 
-	o := &op{ctx: ctx, kind: kind, fn: fn, done: make(chan opResult, 1), enqueued: time.Now()}
+	o.enqueued = time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		m.opsWG.Done()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if len(s.pending) >= m.cfg.QueueDepth {
 		s.mu.Unlock()
 		m.opsWG.Done()
 		m.counters.rejectedLoad.Add(1)
-		return nil, fmt.Errorf("%w: session %q has %d operations pending", ErrOverloaded, id, m.cfg.QueueDepth)
+		return fmt.Errorf("%w: session %q has %d operations pending", ErrOverloaded, id, m.cfg.QueueDepth)
+	}
+	if register != nil {
+		register(s)
 	}
 	s.pending = append(s.pending, o)
 	s.lastUsed = m.cfg.now()
@@ -448,22 +466,23 @@ func (m *Manager) submitAsync(ctx context.Context, id string, kind opKind, fn fu
 	if enqueue {
 		m.enqueue(s)
 	}
-	return o, nil
+	return nil
 }
 
 // submit queues fn on the session and waits for its result. ctx scopes
 // the wait: if it is canceled before a worker runs the operation, the
 // body is skipped and submit returns ctx's error.
 func (m *Manager) submit(ctx context.Context, id string, kind opKind, fn func(sys *system) (any, error)) (opResult, error) {
-	o, err := m.submitAsync(ctx, id, kind, fn)
-	if err != nil {
+	// done has room for the one result, so a departed caller never blocks
+	// the worker; the worker also sees the canceled ctx and skips the body
+	// if it has not started yet.
+	done := make(chan opResult, 1)
+	o := &op{ctx: ctx, kind: kind, fn: fn, complete: func(_ *Session, res opResult) { done <- res }}
+	if err := m.submitAsync(id, o, nil); err != nil {
 		return opResult{}, err
 	}
-	// done is buffered, so a departed caller never blocks the worker; the
-	// worker also sees the canceled ctx and skips the body if it has not
-	// started yet.
 	select {
-	case res := <-o.done:
+	case res := <-done:
 		return res, res.err
 	case <-ctx.Done():
 		return opResult{}, ctx.Err()
@@ -569,11 +588,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		m.opsWG.Wait()
-		// Then the run waiters: each consumes a result the workers have
-		// now delivered and aborts any webhook backoff on the drain
-		// signal closed above, so this wait is bounded by one in-flight
-		// HTTP attempt at most.
-		m.runWG.Wait()
+		// Then the webhook deliveries the completions started: each
+		// aborts its backoff on the drain signal closed above, so this
+		// wait is bounded by one in-flight HTTP attempt at most.
+		m.hookWG.Wait()
 		close(done)
 	}()
 	select {

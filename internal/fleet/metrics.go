@@ -50,20 +50,20 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 		s.mu.Unlock()
 		v := s.published.Load()
 		label := `{session="` + s.id + `"}`
-		cyc = append(cyc, obs.Sample{Label: label, Value: v.stats.Cycles})
-		exec = append(exec, obs.Sample{Label: label, Value: v.stats.Executed})
-		holds = append(holds, obs.Sample{Label: label, Value: v.stats.Holds})
+		cyc = append(cyc, obs.Sample{Label: label, Value: v.Stats.Cycles})
+		exec = append(exec, obs.Sample{Label: label, Value: v.Stats.Executed})
+		holds = append(holds, obs.Sample{Label: label, Value: v.Stats.Holds})
 		// Translator families export only for sessions with translation
 		// enabled, profiler exits only with Spec.Profile — all-zero series
 		// for the rest would just bloat the scrape.
 		if s.spec.Machine.Translation.Enable {
-			transBlocks = append(transBlocks, obs.Sample{Label: label, Value: v.trans.BlocksBuilt})
-			transEntries = append(transEntries, obs.Sample{Label: label, Value: v.trans.Entries})
-			transFused = append(transFused, obs.Sample{Label: label, Value: v.trans.FusedCycles})
-			transInvalids = append(transInvalids, obs.Sample{Label: label, Value: v.trans.Invalidations})
+			transBlocks = append(transBlocks, obs.Sample{Label: label, Value: v.Trans.BlocksBuilt})
+			transEntries = append(transEntries, obs.Sample{Label: label, Value: v.Trans.Entries})
+			transFused = append(transFused, obs.Sample{Label: label, Value: v.Trans.FusedCycles})
+			transInvalids = append(transInvalids, obs.Sample{Label: label, Value: v.Trans.Invalidations})
 		}
 		if s.spec.Profile {
-			for r, n := range v.exits {
+			for r, n := range v.Exits {
 				profExits = append(profExits, obs.Sample{
 					Label: `{session="` + s.id + `",reason="` + dorado.ExitReason(r).String() + `"}`,
 					Value: n,

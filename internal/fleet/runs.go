@@ -3,7 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,7 +13,9 @@ import (
 // session's queue (backpressure errors still arrive synchronously);
 // clients poll GetRun or watch the session's SSE stream for the
 // run-complete event. The synchronous Manager.Run is a thin wrapper that
-// submits and waits — one execution path for both API shapes.
+// submits and waits — one execution path for both API shapes. A run is
+// finished by the worker that ran it, through its operation's completion
+// function: no goroutine waits for it.
 
 // RunStatus is a run's lifecycle position.
 type RunStatus string
@@ -30,73 +32,19 @@ const (
 
 // maxRunsRetained bounds each session's finished-run history: submitting
 // a run beyond the bound evicts the oldest finished one. In-flight runs
-// are never evicted.
+// are never evicted. It also bounds the session's webhook backlog
+// (webhook.go).
 const maxRunsRetained = 32
 
-// run is one asynchronous run-cycles operation. The channel closes at
-// completion; everything behind mu is the mutable status snapshot that
-// GetRun serves.
+// run is one asynchronous run-cycles operation. Its view is never
+// changed in place: whoever owns the run at each step replaces it (the
+// submitter at admission, the worker at pickup and at completion), and
+// readers load it. err is the completion's typed error, written before
+// done closes, so Manager.Run can return it.
 type run struct {
-	id      string
-	session string
-	cycles  uint64
-	done    chan struct{}
-
-	mu        sync.Mutex
-	status    RunStatus
-	res       RunResult
-	err       error
-	submitted time.Time
-	finished  time.Time
-}
-
-func (r *run) setRunning() {
-	r.mu.Lock()
-	if r.status == RunQueued {
-		r.status = RunRunning
-	}
-	r.mu.Unlock()
-}
-
-func (r *run) finish(res RunResult, err error, at time.Time) {
-	r.mu.Lock()
-	if err != nil {
-		r.status = RunFailed
-		r.err = err
-	} else {
-		r.status = RunDone
-		r.res = res
-	}
-	r.finished = at
-	r.mu.Unlock()
-	close(r.done)
-}
-
-func (r *run) finishedLocked() bool {
-	return r.status == RunDone || r.status == RunFailed
-}
-
-// view assembles the wire representation under the run's lock.
-func (r *run) view() RunView {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := RunView{
-		ID:        r.id,
-		Session:   r.session,
-		Cycles:    r.cycles,
-		Status:    r.status,
-		Submitted: r.submitted,
-	}
-	switch r.status {
-	case RunDone:
-		res := r.res
-		v.Result = &res
-		v.Finished = &r.finished
-	case RunFailed:
-		v.Error = r.err.Error()
-		v.Finished = &r.finished
-	}
-	return v
+	view atomic.Pointer[RunView]
+	err  error
+	done chan struct{}
 }
 
 // RunView is the wire representation of a run: what POST .../runs
@@ -129,67 +77,54 @@ func detach(ctx context.Context) context.Context {
 
 // submitRun admits a run-cycles operation and returns its run object
 // without waiting. Admission is synchronous — ErrDraining, ErrNotFound,
-// and ErrOverloaded surface here, never inside a queued run.
+// and ErrOverloaded surface here, never inside a queued run. The run is
+// listed under its id in the same critical section that queues its
+// operation, so no worker can finish a run before it is listed, and a
+// refused run spends no id.
 func (m *Manager) submitRun(ctx context.Context, id string, cycles uint64) (*run, error) {
-	s, ok := m.lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	r := &run{
-		session:   id,
-		cycles:    cycles,
-		done:      make(chan struct{}),
-		status:    RunQueued,
-		submitted: m.cfg.now(),
-	}
-	// The waiter registration must precede admission and happen under the
-	// manager lock, mirroring submitAsync's opsWG accounting: Drain flips
-	// draining under the same lock before it waits on runWG, so once it
-	// begins waiting no new Add can slip in behind it — an Add after
-	// enqueueing would race runWG.Add against runWG.Wait (the op can
-	// finish, and opsWG.Wait return, before the submitter resumes) and
-	// let Drain miss the waiter. Registered-then-rejected admissions just
-	// Done the registration.
-	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		m.counters.rejectedDrain.Add(1)
-		return nil, ErrDraining
-	}
-	m.runWG.Add(1)
-	m.mu.Unlock()
-	o, err := m.submitAsync(detach(ctx), id, opRun, func(sys *system) (any, error) {
-		r.setRunning()
+	r := &run{done: make(chan struct{})}
+	o := &op{ctx: detach(ctx), kind: opRun, fn: func(sys *system) (any, error) {
+		v := *r.view.Load()
+		v.Status = RunRunning
+		r.view.Store(&v)
 		before := sys.Machine.Cycle()
 		sys.Machine.Run(cycles)
 		ran := sys.Machine.Cycle() - before
 		m.counters.cycles.Add(ran)
 		return RunResult{Ran: ran, Cycle: sys.Machine.Cycle(), Halted: sys.Machine.Halted()}, nil
+	}}
+	o.complete = func(s *Session, res opResult) { m.finishRun(s, r, res) }
+	err := m.submitAsync(id, o, func(s *Session) {
+		s.addRunLocked(r, RunView{Session: id, Cycles: cycles, Status: RunQueued, Submitted: m.cfg.now()})
 	})
 	if err != nil {
-		m.runWG.Done()
 		return nil, err
 	}
-	s.addRun(r)
 	m.counters.runsSubmitted.Add(1)
-	// The waiter owns completion: it flips the run's terminal status,
-	// fans the view out to the session's SSE watchers, and delivers the
-	// session's webhook if one is configured. It always ends — the worker
-	// pool always delivers exactly one result per accepted op, even
-	// during drain, and webhook retries abort on the drain signal. runWG
-	// is what Drain waits on after the operations themselves.
-	go func() {
-		defer m.runWG.Done()
-		res := <-o.done
-		rr, _ := res.value.(RunResult)
-		r.finish(rr, res.err, m.cfg.now())
-		v := r.view()
-		s.notifyRun(v)
-		if s.spec.Webhook != "" { // immutable after Create; safe to read
-			m.deliverWebhook(s.spec.Webhook, v)
-		}
-	}()
 	return r, nil
+}
+
+// finishRun is a run's completion, called by the worker once the session
+// is published and released: it replaces the run's view with the
+// terminal one, then fans that view out to the session's SSE watchers
+// and hands it to the session's webhook, if one is configured.
+func (m *Manager) finishRun(s *Session, r *run, res opResult) {
+	v := *r.view.Load()
+	finished := m.cfg.now()
+	v.Finished = &finished
+	if res.err != nil {
+		v.Status, v.Error = RunFailed, res.err.Error()
+	} else {
+		rr := res.value.(RunResult)
+		v.Status, v.Result = RunDone, &rr
+	}
+	r.err = res.err
+	r.view.Store(&v)
+	close(r.done)
+	s.notifyRun(v)
+	if s.spec.Webhook != "" { // immutable after Create; safe to read
+		m.sendWebhook(s, v)
+	}
 }
 
 // SubmitRun starts an asynchronous run of up to cycles cycles on the
@@ -202,7 +137,7 @@ func (m *Manager) SubmitRun(ctx context.Context, id string, cycles uint64) (RunV
 	if err != nil {
 		return RunView{}, err
 	}
-	return r.view(), nil
+	return *r.view.Load(), nil
 }
 
 // GetRun reports one run of a session. Runs are retained after
@@ -214,12 +149,13 @@ func (m *Manager) GetRun(id, rid string) (RunView, error) {
 		return RunView{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
-	r := s.runs[rid]
-	s.mu.Unlock()
-	if r == nil {
-		return RunView{}, fmt.Errorf("%w: run %q of session %q", ErrNotFound, rid, id)
+	defer s.mu.Unlock()
+	for _, r := range s.runs {
+		if v := r.view.Load(); v.ID == rid {
+			return *v, nil
+		}
 	}
-	return r.view(), nil
+	return RunView{}, fmt.Errorf("%w: run %q of session %q", ErrNotFound, rid, id)
 }
 
 // Runs lists a session's retained runs in submission order.
@@ -229,42 +165,28 @@ func (m *Manager) Runs(id string) ([]RunView, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
-	runs := make([]*run, 0, len(s.runOrder))
-	for _, rid := range s.runOrder {
-		runs = append(runs, s.runs[rid])
-	}
-	s.mu.Unlock()
-	out := make([]RunView, 0, len(runs))
-	for _, r := range runs {
-		out = append(out, r.view())
+	defer s.mu.Unlock()
+	out := make([]RunView, 0, len(s.runs))
+	for _, r := range s.runs {
+		out = append(out, *r.view.Load())
 	}
 	return out, nil
 }
 
-// addRun registers an admitted run under a fresh per-session id ("r1",
-// "r2", ...) and evicts the oldest finished run beyond the retention
-// bound.
-func (s *Session) addRun(r *run) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// addRunLocked lists an admitted run under a fresh per-session id ("r1",
+// "r2", ...) with v as its first view, and evicts the oldest finished run
+// beyond the retention bound. Caller holds s.mu.
+func (s *Session) addRunLocked(r *run, v RunView) {
 	s.runSeq++
-	r.id = fmt.Sprintf("r%d", s.runSeq)
-	if s.runs == nil {
-		s.runs = map[string]*run{}
-	}
-	s.runs[r.id] = r
-	s.runOrder = append(s.runOrder, r.id)
-	if len(s.runOrder) <= maxRunsRetained {
+	v.ID = fmt.Sprintf("r%d", s.runSeq)
+	r.view.Store(&v)
+	s.runs = append(s.runs, r)
+	if len(s.runs) <= maxRunsRetained {
 		return
 	}
-	for i, rid := range s.runOrder {
-		old := s.runs[rid]
-		old.mu.Lock()
-		evictable := old.finishedLocked()
-		old.mu.Unlock()
-		if evictable {
-			delete(s.runs, rid)
-			s.runOrder = append(s.runOrder[:i], s.runOrder[i+1:]...)
+	for i, old := range s.runs {
+		if st := old.view.Load().Status; st == RunDone || st == RunFailed {
+			s.runs = append(s.runs[:i], s.runs[i+1:]...)
 			return
 		}
 	}

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,5 +426,109 @@ func TestStressAsyncRunsWithDurableChurn(t *testing.T) {
 		if err != nil || st.Cycle != want {
 			t.Errorf("%s revived cycle = %d (%v), want %d", in.ID, st.Cycle, err, want)
 		}
+	}
+}
+
+// TestRunIDsDenseUnderRefusals: a submission refused with ErrOverloaded
+// spends no run id, so the accepted runs are r1..rN however refusals and
+// concurrent submitters interleave, and every SSE "run" event names a run
+// that GetRun reports with the same status.
+func TestRunIDsDenseUnderRefusals(t *testing.T) {
+	const submitters, each = 4, 7
+	const total = 2 + submitters*each // 30 runs: none is evicted
+	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	id, err := m.Create(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LoadMicrocode(tctx, id, SpinMicrocode, "start"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/events?interval_ms=10000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if ev, ok := readSSE(t, br); !ok || ev.name != "stats" {
+		t.Fatalf("first event = %+v, ok %v", ev, ok)
+	}
+	events := make(chan RunView, total)
+	go func() {
+		defer close(events)
+		for {
+			ev, ok := readSSE(t, br)
+			if !ok {
+				return
+			}
+			var v RunView
+			if ev.name == "run" && json.Unmarshal([]byte(ev.data), &v) == nil {
+				events <- v
+			}
+		}
+	}()
+
+	var refused atomic.Uint64
+	ids := make(chan string, total)
+	submit := func(n int) {
+		for n > 0 {
+			v, err := m.SubmitRun(tctx, id, 2000)
+			switch {
+			case errors.Is(err, ErrOverloaded):
+				refused.Add(1)
+				runtime.Gosched()
+			case err != nil:
+				t.Errorf("submit: %v", err)
+				return
+			default:
+				ids <- v.ID
+				n--
+			}
+		}
+	}
+	// A blocked worker makes the first refusal certain: two runs fill
+	// the queue and the third is refused until the worker moves on.
+	running, release := blockSession(t, m, id)
+	<-running
+	submit(2)
+	if _, err := m.SubmitRun(tctx, id, 2000); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third submission behind a blocked worker: %v", err)
+	}
+	release()
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			submit(each)
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	seen := map[string]bool{}
+	for rid := range ids {
+		seen[rid] = true
+	}
+	for i := 1; i <= total; i++ {
+		if !seen[fmt.Sprintf("r%d", i)] {
+			t.Errorf("run r%d missing from the %d accepted ids (%d refused)", i, len(seen), refused.Load())
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("%d distinct ids for %d accepted runs", len(seen), total)
+	}
+
+	waitRun(t, m, id, fmt.Sprintf("r%d", total)) // one worker: the last is done last
+	drainNow(t, m)                               // ends the stream with "bye"
+	n := 0
+	for v := range events {
+		got, err := m.GetRun(id, v.ID)
+		if err != nil || got.Status != v.Status {
+			t.Errorf("run event %+v, GetRun %+v, %v", v, got, err)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Error("no run event arrived")
 	}
 }

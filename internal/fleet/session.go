@@ -103,16 +103,18 @@ func (sp Spec) restore(data []byte) (*dorado.System, error) {
 	return sys, nil
 }
 
-// op is one queued unit of work; done is buffered so a worker never blocks
-// on a departed caller. ctx is the submitter's context: the worker skips
-// the body if it is already canceled at pickup, and the operation log
-// reads its request id. enqueued stamps admission for the queue-wait
-// histogram.
+// op is one queued unit of work. ctx is the submitter's context: the
+// worker skips the body if it is already canceled at pickup, and the
+// operation log reads its request id. complete receives the result: the
+// worker calls it exactly once, after it has published the session's view
+// and released or re-enqueued the session, so whoever it tells finds the
+// session idle. It must not block. enqueued stamps admission for the
+// queue-wait histogram.
 type op struct {
 	ctx      context.Context
 	kind     opKind
 	fn       func(sys *system) (any, error)
-	done     chan opResult
+	complete func(s *Session, res opResult)
 	enqueued time.Time
 }
 
@@ -175,29 +177,31 @@ type Session struct {
 	// describe the microstore image, which the snapshot restores.
 	symbols *prof.SymbolTable
 
-	// Async-run bookkeeping (runs.go): the per-session run registry and
-	// the SSE watchers notified on run completion. Guarded by mu.
+	// Async-run bookkeeping (runs.go): the retained runs in submission
+	// order, the SSE watchers notified on run completion, and how many
+	// terminal views the webhook holds (webhook.go). Guarded by mu.
 	runSeq   uint64
-	runs     map[string]*run
-	runOrder []string
+	runs     []*run
 	watchers map[chan RunView]struct{}
+	hooks    int
 
 	published atomic.Pointer[view]
 }
 
 // view is what a session publishes to the readers that take no session
 // lock — the listing, /metrics, /healthz, event streams, error envelopes
-// and the manifest's cycle: the machine's counters as of its last
-// completed operation, how many operations have completed, and where the
-// session lives. A view is never changed; whoever owns the session builds
-// the next one and replaces it (publish), so a reader's one load sees one
-// consistent state.
+// and the manifest: the machine's counters as of its last completed
+// operation, how many operations have completed, and where the session
+// lives. A view is never changed; whoever owns the session builds the
+// next one and replaces it (publish), so a reader's one load sees one
+// consistent state. A park stores the exported fields in the session's
+// manifest entry; an adopted session is parked, so res is not stored.
 type view struct {
-	stats  dorado.Stats
-	halted bool
-	trans  dorado.TranslationStats
-	exits  [dorado.NumExitReasons]uint64 // superblock exits (Spec.Profile)
-	ops    uint64
+	Stats  dorado.Stats                  `json:"stats"`
+	Halted bool                          `json:"halted"`
+	Trans  dorado.TranslationStats       `json:"translation"`
+	Exits  [dorado.NumExitReasons]uint64 `json:"exits"` // superblock exits (Spec.Profile)
+	Ops    uint64                        `json:"ops"`
 	res    residency
 }
 
@@ -226,13 +230,13 @@ func (s *Session) publish(res residency, sys *dorado.System, completed uint64) {
 		v = *old
 	}
 	v.res = res
-	v.ops += completed
+	v.Ops += completed
 	if sys != nil {
-		v.stats = sys.Machine.Stats()
-		v.halted = sys.Machine.Halted()
-		v.trans = sys.Machine.TranslationStats()
+		v.Stats = sys.Machine.Stats()
+		v.Halted = sys.Machine.Halted()
+		v.Trans = sys.Machine.TranslationStats()
 		if sys.Profiler != nil {
-			v.exits = sys.Profiler.ExitCounts()
+			v.Exits = sys.Profiler.ExitCounts()
 		}
 	}
 	s.published.Store(&v)
@@ -272,18 +276,23 @@ func (s *Session) park(m *Manager, cutoff time.Time) bool {
 }
 
 // persist writes a parked session's snapshot into the durable store:
-// snapshot first, then its Spec sidecar, then the manifest entry — in
-// that order, so the manifest never names a snapshot that is not already
-// durable. The store keeps sections plus a recipe, so re-parking a
-// mostly-unchanged session writes only the sections that changed. The
-// hash is pinned for the whole sequence: between the snapshot write and
-// the manifest entry the snapshot is unreferenced, and the pin is what
-// keeps a concurrent GC sweep from reclaiming it in that window. The
-// pinned hash is handed to the store, so a park hashes the whole document
-// once.
+// snapshot first, then its Spec sidecar, then the manifest entry, which
+// carries the published view's counters — in that order, so the manifest
+// never names a snapshot that is not already durable. The store keeps
+// sections plus a recipe, so re-parking a mostly-unchanged session
+// writes only the sections that changed. The hash is pinned for the
+// whole sequence: between the snapshot write and the manifest entry the
+// snapshot is unreferenced, and the pin is what keeps a concurrent GC
+// sweep from reclaiming it in that window. The pinned hash is handed to
+// the store, so a park hashes the whole document once.
 // Caller holds s.mu.
 func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 	specJSON, err := json.Marshal(s.spec)
+	if err != nil {
+		return "", err
+	}
+	v := s.published.Load()
+	viewJSON, err := json.Marshal(v)
 	if err != nil {
 		return "", err
 	}
@@ -301,7 +310,8 @@ func (m *Manager) persist(s *Session, snap []byte) (string, error) {
 		Seq:      s.seq,
 		Spec:     specJSON,
 		Hash:     hash,
-		Cycle:    s.published.Load().stats.Cycles,
+		Cycle:    v.Stats.Cycles,
+		View:     viewJSON,
 		ParkedAt: m.cfg.now(),
 	})
 	if err != nil {
@@ -517,8 +527,9 @@ type RunResult struct {
 // Run advances the session's machine by up to cycles cycles and waits
 // for the result. It is the synchronous wrapper over the async runs
 // resource (SubmitRun): the run is submitted like any other and Run
-// blocks on its completion. If ctx expires first, Run returns early but
-// the accepted run still executes — poll it with GetRun.
+// blocks until the worker has finished it. If ctx expires first, Run
+// returns early but the accepted run still executes — poll it with
+// GetRun.
 func (m *Manager) Run(ctx context.Context, id string, cycles uint64) (RunResult, error) {
 	r, err := m.submitRun(ctx, id, cycles)
 	if err != nil {
@@ -529,9 +540,10 @@ func (m *Manager) Run(ctx context.Context, id string, cycles uint64) (RunResult,
 	case <-ctx.Done():
 		return RunResult{}, ctx.Err()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.res, r.err
+	if r.err != nil {
+		return RunResult{}, r.err
+	}
+	return *r.view.Load().Result, nil
 }
 
 // LoadResult reports a load-microcode operation.
@@ -814,9 +826,9 @@ func (m *Manager) Sessions() []Info {
 			Parked:   v.res != resLive,
 			Snapshot: snap,
 			Queue:    queue,
-			Cycle:    v.stats.Cycles,
-			Halted:   v.halted,
-			Ops:      v.ops,
+			Cycle:    v.Stats.Cycles,
+			Halted:   v.Halted,
+			Ops:      v.Ops,
 		})
 	}
 	return out

@@ -84,14 +84,14 @@ func sessionEvent(s *Session) Event {
 	v := s.published.Load()
 	ev := Event{
 		ID:       s.id,
-		Cycle:    v.stats.Cycles,
-		Executed: v.stats.Executed,
-		Holds:    v.stats.Holds,
-		Halted:   v.halted,
+		Cycle:    v.Stats.Cycles,
+		Executed: v.Stats.Executed,
+		Holds:    v.Stats.Holds,
+		Halted:   v.Halted,
 		Parked:   v.res != resLive,
-		Ops:      v.ops,
+		Ops:      v.Ops,
 	}
-	for t, c := range v.stats.TaskCycles {
+	for t, c := range v.Stats.TaskCycles {
 		if c != 0 {
 			ev.Tasks = append(ev.Tasks, TaskBusy{Task: t, Cycles: c})
 		}

@@ -2,11 +2,18 @@ package fleet
 
 // Webhook delivery for run completions: a session created with
 // Spec.Webhook gets every terminal RunView POSTed to that URL, so
-// non-SSE clients stop polling GetRun. Delivery rides on the run's
-// completion waiter (runs.go) — already off the worker path, already
-// drain-tracked — with bounded retry and exponential backoff; a delivery
-// that exhausts its attempts is dead-lettered into the dropped counter
+// non-SSE clients stop polling GetRun. The worker's run completion
+// (runs.go) hands the view over; each delivery then runs on a goroutine
+// of its own, off the worker path and tracked for Drain, with bounded
+// retry and exponential backoff. A delivery that exhausts its attempts
+// is dead-lettered into the dropped counter
 // (dorado_fleet_webhook_dropped_total) and logged, never retried forever.
+//
+// The backlog is bounded the way a controller counts an overrun instead
+// of growing its buffer: at most maxRunsRetained of a session's views are
+// in delivery (attempts and backoff included) at once, and a view past
+// that is dead-lettered at once. Its run stays retained like any other,
+// so GET .../runs/{rid} recovers it.
 //
 // Outbound HTTP to arbitrary session-supplied URLs is an SSRF hazard, so
 // webhooks are allowlist-gated twice: Create rejects a Spec whose
@@ -69,9 +76,38 @@ func (m *Manager) checkWebhook(raw string) error {
 	return fmt.Errorf("webhook origin %s is not allowlisted (see -webhook-allow)", origin)
 }
 
+// sendWebhook hands a terminal run view to the session's webhook: it
+// starts the view's delivery, or dead-letters the view when the session
+// already has maxRunsRetained in delivery. The worker calls it from the
+// run's completion, so Drain's wait for the operations covers every
+// hookWG.Add.
+func (m *Manager) sendWebhook(s *Session, v RunView) {
+	s.mu.Lock()
+	full := s.hooks >= maxRunsRetained
+	if !full {
+		s.hooks++
+	}
+	s.mu.Unlock()
+	if full {
+		m.counters.webhookDropped.Add(1)
+		if m.cfg.Logger != nil {
+			m.cfg.Logger.Warn("fleet: webhook dead-lettered (backlog full)",
+				"session", v.Session, "run", v.ID, "backlog", maxRunsRetained)
+		}
+		return
+	}
+	m.hookWG.Add(1)
+	go func() {
+		defer m.hookWG.Done()
+		m.deliverWebhook(s.spec.Webhook, v)
+		s.mu.Lock()
+		s.hooks--
+		s.mu.Unlock()
+	}()
+}
+
 // deliverWebhook POSTs a terminal run view to the session's webhook with
-// bounded retry. It runs on the run's completion waiter goroutine (runWG
-// tracked), and its backoff sleeps abort on the drain signal so shutdown
+// bounded retry. Its backoff sleeps abort on the drain signal so shutdown
 // never waits out a retry ladder.
 func (m *Manager) deliverWebhook(hook string, v RunView) {
 	if err := m.checkWebhook(hook); err != nil {

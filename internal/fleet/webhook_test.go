@@ -3,8 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +166,93 @@ func TestWebhookAllowlist(t *testing.T) {
 	defer drainNow(t, empty)
 	if _, err := empty.Create(webhookSpec("https://hooks.example.com/x")); !errors.Is(err, errBadInput) {
 		t.Errorf("empty allowlist accepted a webhook: %v", err)
+	}
+}
+
+// TestWebhookBacklogBounded: a receiver that hangs holds at most
+// maxRunsRetained of a session's views. Every completion past that is
+// dead-lettered at once, so the goroutines a session costs stay bounded
+// however many of its runs complete, and exactly the held views are
+// delivered once the receiver answers. With maxRunsRetained runs,
+// completing back to back, nothing is dropped.
+func TestWebhookBacklogBounded(t *testing.T) {
+	for _, runs := range []int{maxRunsRetained, 400} {
+		t.Run(fmt.Sprint(runs), func(t *testing.T) {
+			var calls atomic.Uint64
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+			rcv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				<-release
+				w.WriteHeader(http.StatusNoContent)
+			}))
+			defer rcv.Close()
+			defer unblock() // before Close, which waits for the handlers
+			m := New(Config{Workers: 1, WebhookAllow: []string{rcv.URL}})
+			id, err := m.Create(webhookSpec(rcv.URL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.LoadMicrocode(tctx, id, SpinMicrocode, "start"); err != nil {
+				t.Fatal(err)
+			}
+			// Each held view costs its delivery goroutine plus the
+			// client's and the receiver's connection goroutines.
+			start := runtime.NumGoroutine()
+			checkGoroutines := func() {
+				t.Helper()
+				n, limit := runtime.NumGoroutine(), start+5*maxRunsRetained
+				if n > limit {
+					t.Fatalf("%d goroutines with the receiver hung, want at most %d", n, limit)
+				}
+				t.Logf("%d goroutines with the receiver hung, %d at the start", n, start)
+			}
+			for n := 0; n < runs; {
+				_, err := m.SubmitRun(tctx, id, 1000)
+				if errors.Is(err, ErrOverloaded) {
+					time.Sleep(50 * time.Microsecond)
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			// One worker runs the session's queue in order: once the
+			// last run is done, every completion has been handed over.
+			last := waitRun(t, m, id, fmt.Sprintf("r%d", runs))
+			checkGoroutines()
+			waitCounter(t, &m.counters.webhookDropped, uint64(runs-maxRunsRetained), "dropped")
+			waitCounter(t, &calls, maxRunsRetained, "requests to the hung receiver")
+			checkGoroutines()
+			// A dead-lettered view is still pollable.
+			if got, err := m.GetRun(id, last.ID); err != nil || got.Status != RunDone {
+				t.Fatalf("newest run = %+v, %v", got, err)
+			}
+
+			unblock()
+			waitCounter(t, &m.counters.webhookDelivered, maxRunsRetained, "delivered")
+			drainNow(t, m)
+			s, _ := m.lookup(id)
+			s.mu.Lock()
+			held := s.hooks
+			s.mu.Unlock()
+			if held != 0 || calls.Load() != maxRunsRetained {
+				t.Fatalf("after drain: %d views held, %d requests", held, calls.Load())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				buf := make([]byte, 1<<20)
+				stacks := string(buf[:runtime.Stack(buf, true)])
+				if !strings.Contains(stacks, "(*Manager).sendWebhook") {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("a delivery goroutine outlived Drain:\n%s", stacks)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -50,41 +50,23 @@ type Slice struct {
 	Cycles [MaxTasks]uint32
 }
 
-// Config sizes the recorder. The zero value picks usable defaults.
-type Config struct {
-	// MaxSpans bounds the scheduling-span buffer (default 1<<16); spans
-	// beyond it are counted in SpansDropped rather than stored, so a long
-	// run cannot grow without bound.
-	MaxSpans int
-	// TimelineInterval is the utilization sampling period in cycles,
-	// rounded up to a power of two (default 4096).
-	TimelineInterval uint64
-	// MaxSlices bounds the timeline buffer (default 1<<14).
-	MaxSlices int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxSpans == 0 {
-		c.MaxSpans = 1 << 16
-	}
-	if c.TimelineInterval == 0 {
-		c.TimelineInterval = 4096
-	}
-	// Round up to a power of two so the hot loop masks instead of dividing.
-	if c.TimelineInterval&(c.TimelineInterval-1) != 0 {
-		c.TimelineInterval = 1 << bits.Len64(c.TimelineInterval)
-	}
-	if c.MaxSlices == 0 {
-		c.MaxSlices = 1 << 14
-	}
-	return c
-}
+// The recorder's bounds. Spans beyond maxSpans are counted in
+// SpansDropped rather than stored, and timeline samples beyond maxSlices
+// are lost, so a long run cannot grow without bound. timelineInterval is
+// the utilization sampling period in cycles.
+const (
+	maxSpans         = 1 << 16
+	timelineInterval = 4096
+	maxSlices        = 1 << 14
+)
 
 // Recorder accumulates observability data for one machine. Attach it with
 // the facade's WithMetrics option (or core.Machine.SetRecorder) and read
 // it through its accessors and exporters while the machine is paused.
 type Recorder struct {
-	cfg Config
+	// maxSpans and timelineInterval, except in this package's tests.
+	spanCap  int
+	interval uint64
 
 	// Counters.
 	wakeups      [MaxTasks]uint64 // rising wakeup-line edges per task
@@ -111,16 +93,20 @@ type Recorder struct {
 	nextAt    uint64           // cycle of the next timeline sample
 }
 
-// NewRecorder builds a recorder; NewRecorder(Config{}) is the usual call.
-func NewRecorder(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
+// NewRecorder builds a recorder.
+func NewRecorder() *Recorder { return newRecorder(maxSpans, timelineInterval) }
+
+// newRecorder builds a recorder that stores at most spanCap spans and
+// samples the timeline every interval cycles.
+func newRecorder(spanCap int, interval uint64) *Recorder {
 	return &Recorder{
-		cfg:         cfg,
+		spanCap:     spanCap,
+		interval:    interval,
 		holdLatency: NewHistogram(HoldLatencyBounds),
 		wakeupToRun: NewHistogram(WakeupBounds),
 		fastKey:     ^uint64(0), // the first cycle must take the slow path
 		spanTask:    -1,
-		nextAt:      cfg.TimelineInterval,
+		nextAt:      interval,
 	}
 }
 
@@ -269,7 +255,7 @@ func (r *Recorder) Flush(now uint64) {
 }
 
 func (r *Recorder) endSpan(end uint64) {
-	if len(r.spans) >= r.cfg.MaxSpans {
+	if len(r.spans) >= r.spanCap {
 		r.spansDropped++
 		return
 	}
@@ -277,12 +263,12 @@ func (r *Recorder) endSpan(end uint64) {
 }
 
 func (r *Recorder) sample(at uint64, taskCycles *[MaxTasks]uint64) {
-	r.nextAt = at + r.cfg.TimelineInterval
-	if len(r.timeline) >= r.cfg.MaxSlices {
+	r.nextAt = at + r.interval
+	if len(r.timeline) >= maxSlices {
 		r.slicesLost++
 		return
 	}
-	s := Slice{Start: at - r.cfg.TimelineInterval}
+	s := Slice{Start: at - r.interval}
 	for t := 0; t < MaxTasks; t++ {
 		s.Cycles[t] = uint32(taskCycles[t] - r.lastTaken[t])
 		r.lastTaken[t] = taskCycles[t]
@@ -303,7 +289,7 @@ func (r *Recorder) WakeupsTotal() uint64 {
 	return n
 }
 
-// SpansDropped reports spans lost to the MaxSpans cap.
+// SpansDropped reports spans lost to the span cap.
 func (r *Recorder) SpansDropped() uint64 { return r.spansDropped }
 
 // HoldLatency returns the hold-episode-length histogram.
@@ -319,5 +305,5 @@ func (r *Recorder) Spans() []Span { return r.spans }
 // Timeline returns the utilization samples.
 func (r *Recorder) Timeline() []Slice { return r.timeline }
 
-// TimelineInterval returns the effective sampling period in cycles.
-func (r *Recorder) TimelineInterval() uint64 { return r.cfg.TimelineInterval }
+// TimelineInterval returns the sampling period in cycles.
+func (r *Recorder) TimelineInterval() uint64 { return r.interval }

@@ -52,7 +52,7 @@ func feed(r *Recorder, cycles []fed) {
 }
 
 func TestRecorderWakeupEdges(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	feed(r, []fed{
 		{task: 0, lines: 1},        // task 0's line is wired high
 		{task: 0, lines: 1 | 1<<4}, // task 4 raises its line: edge
@@ -79,7 +79,7 @@ func TestRecorderWakeupEdges(t *testing.T) {
 }
 
 func TestRecorderHoldEpisodes(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	feed(r, []fed{
 		{task: 0, lines: 1},
 		{task: 0, held: true, lines: 1},
@@ -94,7 +94,7 @@ func TestRecorderHoldEpisodes(t *testing.T) {
 }
 
 func TestRecorderSpansAndTimeline(t *testing.T) {
-	r := NewRecorder(Config{TimelineInterval: 4})
+	r := newRecorder(maxSpans, 4)
 	feed(r, []fed{
 		{task: 0, lines: 1}, {task: 0, lines: 1},
 		{task: 4, lines: 1}, {task: 4, lines: 1}, {task: 4, lines: 1},
@@ -123,7 +123,7 @@ func TestRecorderSpansAndTimeline(t *testing.T) {
 }
 
 func TestRecorderSpanCap(t *testing.T) {
-	r := NewRecorder(Config{MaxSpans: 2})
+	r := newRecorder(2, timelineInterval)
 	cycles := make([]fed, 10)
 	for i := range cycles {
 		cycles[i] = fed{task: i % 2, lines: 1}
@@ -169,7 +169,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	r := NewRecorder(Config{TimelineInterval: 4})
+	r := newRecorder(maxSpans, 4)
 	r.SetTaskName(4, "disk")
 	feed(r, []fed{
 		{task: 0, lines: 1}, {task: 0, lines: 1},
@@ -255,7 +255,7 @@ func TestDebugServer(t *testing.T) {
 }
 
 func TestTaskNameDefault(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	if got := r.TaskName(11); got != "task 11" {
 		t.Errorf("TaskName(11) = %q", got)
 	}

@@ -7,7 +7,7 @@
 //	sections/<sha256-hex>      one snapshot section body (see section.go)
 //	recipes/<sha256-hex>       how to reassemble one snapshot from sections
 //	blobs/<sha256-hex>.json    the session Spec that produced the snapshot
-//	manifest.json              session id → {spec, snapshot hash, cycle}
+//	manifest.json              session id → {spec, snapshot hash, cycle, view}
 //
 // Everything is content-addressed. A snapshot's address is the SHA-256 of
 // the complete document, and its recipe is filed under that name; each
@@ -80,6 +80,10 @@ type Entry struct {
 	// Cycle is the machine's cycle counter at park time, so listings show
 	// progress without touching the snapshot.
 	Cycle uint64 `json:"cycle"`
+	// View is the session's published counters at park time, JSON-encoded
+	// by the fleet layer and kept verbatim like Spec, so an adopted session
+	// lists what it parked. Entries written before it existed have none.
+	View json.RawMessage `json:"view,omitempty"`
 	// ParkedAt stamps when the snapshot was written.
 	ParkedAt time.Time `json:"parked_at"`
 }
@@ -267,10 +271,12 @@ func (s *Store) Sessions() []Entry {
 }
 
 // installLocked writes a manifest holding sessions and, once it is on
-// disk, makes it the store's. Caller holds s.mu.
+// disk, makes it the store's. Caller holds s.mu. The manifest is written
+// compact: indenting would put every element of each entry's View arrays
+// on a line of its own, more than doubling the bytes every park encodes.
 func (s *Store) installLocked(sessions map[string]Entry) error {
 	m := manifest{Version: manifestVersion, Sessions: sessions}
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}

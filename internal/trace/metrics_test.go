@@ -10,7 +10,7 @@ import (
 
 func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	m, _ := smallMachine(t)
-	rec := obs.NewRecorder(obs.Config{})
+	rec := obs.NewRecorder()
 	m.SetRecorder(rec)
 	if !m.Run(100) {
 		t.Fatal("did not halt")
@@ -68,7 +68,7 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 func TestMetricsSnapshotRendersDeterministically(t *testing.T) {
 	run := func() string {
 		m, _ := smallMachine(t)
-		rec := obs.NewRecorder(obs.Config{})
+		rec := obs.NewRecorder()
 		m.SetRecorder(rec)
 		if !m.Run(100) {
 			t.Fatal("did not halt")

@@ -22,8 +22,8 @@ type (
 	TaskSpan = obs.Span
 )
 
-// NewMetrics builds a recorder with default buffer sizes.
-func NewMetrics() *Metrics { return obs.NewRecorder(obs.Config{}) }
+// NewMetrics builds a recorder.
+func NewMetrics() *Metrics { return obs.NewRecorder() }
 
 // Snapshot assembles the machine's counters (and the recorder's, when one
 // is attached) into an ordered metric set.
