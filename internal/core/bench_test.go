@@ -143,6 +143,7 @@ func (d *benchDev) State(c *state.Codec) {
 	c.Bool(&d.wake)
 	c.U64(&d.n)
 }
+func (d *benchDev) IdleUntil(now uint64) uint64 { return now }
 
 // BenchmarkSnapshot measures encoding a whole machine. Since format
 // version 2 the microstore (UIMS, 32 KiB) is most of the document, about

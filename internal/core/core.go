@@ -140,7 +140,7 @@ type Machine struct {
 
 	devs [NumTasks]device.Device // by task number, which is also the IOADDRESS
 	att  []attachedDev           // attached devices in task order (hot loop)
-	// The device event horizon (device.Idler): no controller is ticked
+	// The device event horizon (Device.IdleUntil): no controller is ticked
 	// before cycle devQuiet, the earliest of their own horizons (devDue,
 	// by task number), and the wakeup lines latched at each one's last
 	// scan, devLines, stand for theirs in between. Derived state, never
@@ -294,10 +294,6 @@ type attachedDev struct {
 	dev  device.Device
 	task int
 	bit  uint16
-	// idler is dev's optional event-horizon view (device.Idler), resolved
-	// once at Attach so the device scan never type-asserts; nil when the
-	// device does not implement it.
-	idler device.Idler
 }
 
 // Attach registers a device on its task number; its IOADDRESS is the task
@@ -316,8 +312,7 @@ func (m *Machine) Attach(d device.Device) error {
 	m.att = m.att[:0]
 	for task := 1; task < NumTasks; task++ {
 		if dev := m.devs[task]; dev != nil {
-			idler, _ := dev.(device.Idler)
-			m.att = append(m.att, attachedDev{dev: dev, task: task, bit: 1 << task, idler: idler})
+			m.att = append(m.att, attachedDev{dev: dev, task: task, bit: 1 << task})
 		}
 	}
 	m.endQuiet()
@@ -326,10 +321,10 @@ func (m *Machine) Attach(d device.Device) error {
 
 // scanDevices ticks, at now, every attached controller whose own horizon
 // has come, in task order, then latches their wakeup lines and asks each
-// for its next horizon (device.Idler); the others are promised quiet, so
-// their Tick would change nothing and their lines stand. A controller
-// without the Idler view is due again next cycle, so it is scanned every
-// cycle. devQuiet becomes the earliest horizon of all.
+// for its next horizon (Device.IdleUntil); the others are promised quiet,
+// so their Tick would change nothing and their lines stand. A controller
+// is due again next cycle at the earliest, so one that promises nothing
+// is scanned every cycle. devQuiet becomes the earliest horizon of all.
 func (m *Machine) scanDevices(now uint64) {
 	for i := range m.att {
 		if a := &m.att[i]; now >= m.devDue[a.task] {
@@ -346,10 +341,7 @@ func (m *Machine) scanDevices(now uint64) {
 			} else {
 				m.devLines &^= a.bit
 			}
-			*due = now + 1
-			if a.idler != nil {
-				*due = max(a.idler.IdleUntil(now), now+1)
-			}
+			*due = max(a.dev.IdleUntil(now), now+1)
 		}
 		q = min(q, *due)
 	}
@@ -358,7 +350,7 @@ func (m *Machine) scanDevices(now uint64) {
 }
 
 // endQuiet ends every controller's quiet window, so the next cycle scans
-// them all. Anything that may break an Idler promise calls it: Attach,
+// them all. Anything that may break an IdleUntil promise calls it: Attach,
 // Restore, and every Run or Step entry (the host may have touched a
 // device). A machine without controllers stays quiet forever.
 func (m *Machine) endQuiet() {

@@ -180,9 +180,9 @@ func TestTranslatedDifferentialDevices(t *testing.T) {
 	}
 }
 
-// TestTranslatedDifferentialIdlers: time-driven controllers implementing
-// device.Idler (WordSource, Pulse) let the machine skip the per-cycle
-// device scan until their event horizon; the three paths must stay
+// TestTranslatedDifferentialIdlers: time-driven controllers whose
+// IdleUntil promises a horizon (WordSource, Pulse) let the machine skip
+// the per-cycle device scan until then; the three paths must stay
 // byte-identical through wakeups, preemptions, and service, and the
 // horizon must actually engage (fewer scans than cycles).
 func TestTranslatedDifferentialIdlers(t *testing.T) {
@@ -267,7 +267,7 @@ func TestTranslateDevUnsafeBlock(t *testing.T) {
 }
 
 // outputWaker raises its wakeup when the processor writes it and drops it
-// when its task is served; otherwise it is quiet forever (device.Idler).
+// when its task is served; otherwise it is quiet forever (IdleUntil).
 type outputWaker struct {
 	device.Nop
 	wake bool

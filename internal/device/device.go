@@ -51,28 +51,24 @@ type Device interface {
 	// device's data in the processor's device section. Devices with no
 	// mutable state inherit the no-op from Nop.
 	State(c *state.Codec)
-}
-
-// Idler is an optional Device extension for event-driven controllers. The
-// scheduler calls IdleUntil(now) immediately after a Tick(now)/Wakeup()
-// scan; the device returns its event horizon, the first cycle q at which
-// it must be consulted again. The promise covers the cycles before q for
-// as long as the processor leaves the device alone: for every cycle t with
-// now < t < q, Tick(t) changes no state and Wakeup() keeps the value it had
-// at the scan, and NotifyNext(t) for now <= t < q is a no-op. A device that
-// cannot promise anything returns now.
-//
-// Every execution path relies on the promise: the processor ticks each
-// controller only at its horizon and reuses its latched wakeup line in
-// between. What can break a promise ends the quiet window: an FF Input,
-// Output, DevCtl or IOAttenAck ends the addressed device's; Attach,
-// Restore and every Run or Step entry (the host may have touched a device
-// between calls) end every device's. A promise may rest on
-// memory.System.StorageFreeAt: references, flushes and other controllers'
-// transfers only move it later. A device that does not implement Idler is
-// due again every cycle, so it is scanned every cycle, which is always
-// correct.
-type Idler interface {
+	// IdleUntil returns the device's event horizon. The scheduler calls it
+	// immediately after a Tick(now)/Wakeup() scan; the device returns the
+	// first cycle q at which it must be consulted again. The promise
+	// covers the cycles before q for as long as the processor leaves the
+	// device alone: for every cycle t with now < t < q, Tick(t) changes no
+	// state and Wakeup() keeps the value it had at the scan, and
+	// NotifyNext(t) for now <= t < q is a no-op. A device that cannot
+	// promise anything returns now (Nop's answer), so it is scanned every
+	// cycle, which is always correct.
+	//
+	// Every execution path relies on the promise: the processor ticks each
+	// controller only at its horizon and reuses its latched wakeup line in
+	// between. What can break a promise ends the quiet window: an FF
+	// Input, Output, DevCtl or IOAttenAck ends the addressed device's;
+	// Attach, Restore and every Run or Step entry (the host may have
+	// touched a device between calls) end every device's. A promise may
+	// rest on memory.System.StorageFreeAt: references, flushes and other
+	// controllers' transfers only move it later.
 	IdleUntil(now uint64) uint64
 }
 
@@ -106,3 +102,7 @@ func (*Nop) Atten() bool { return false }
 
 // State implements Device: no mutable state.
 func (*Nop) State(*state.Codec) {}
+
+// IdleUntil implements Device: no promise, so the device is scanned every
+// cycle.
+func (*Nop) IdleUntil(now uint64) uint64 { return now }

@@ -98,7 +98,7 @@ func (d *Display) Tick(now uint64) {
 	}
 }
 
-// IdleUntil implements Idler. The display acts only at its next consume
+// IdleUntil implements Device. The display acts only at its next consume
 // and, while a commanded block waits and the FIFO has room, when the
 // storage pipe frees; its wakeup line moves only at a consume or through
 // Output, which ends the quiet window.

@@ -61,7 +61,7 @@ func (d *WordSource) Tick(now uint64) {
 // Wakeup implements Device: request service when a service unit is ready.
 func (d *WordSource) Wakeup() bool { return d.n >= d.WordsPerWakeup }
 
-// IdleUntil implements Idler: between word arrivals the device is inert —
+// IdleUntil implements Device: between word arrivals the device is inert —
 // Tick returns without touching state until dueAt, and the FIFO level (and
 // so the wakeup line, up or down) moves only at an arrival or through
 // Input, which ends the quiet window.
@@ -116,7 +116,7 @@ func (d *Loopback) Arm(on bool) { d.wake = on }
 // Wakeup implements Device.
 func (d *Loopback) Wakeup() bool { return d.wake }
 
-// IdleUntil implements Idler: Tick does nothing and the wakeup line only
+// IdleUntil implements Device: Tick does nothing and the wakeup line only
 // moves when the host calls Arm, between runs, so the loopback is quiet
 // forever, armed or not.
 func (d *Loopback) IdleUntil(uint64) uint64 { return ^uint64(0) }
@@ -176,7 +176,7 @@ func (d *Pulse) Tick(now uint64) {
 // Wakeup implements Device.
 func (d *Pulse) Wakeup() bool { return d.wake }
 
-// IdleUntil implements Idler: quiet until the next scheduled pulse.
+// IdleUntil implements Device: quiet until the next scheduled pulse.
 func (d *Pulse) IdleUntil(now uint64) uint64 {
 	if !d.started || d.wake {
 		return now

@@ -190,18 +190,19 @@ type Manager struct {
 	opsWG sync.WaitGroup // accepted-but-unfinished operations
 	// hookWG tracks webhook deliveries (webhook.go). Only a completion
 	// starts one, before its operation's opsWG.Done, so Drain waits for
-	// them after the operations; their backoff aborts on the drain signal,
-	// so shutdown stays bounded.
+	// them after the operations; their attempts and backoff abort on the
+	// drain signal, so shutdown stays bounded.
 	hookWG   sync.WaitGroup
 	workerWG sync.WaitGroup
 	stopOnce sync.Once
 	janitorC chan struct{} // closed to stop the janitor
 
-	// drainC is closed the moment Drain begins — before the wait for
+	// drainCtx is canceled the moment Drain begins — before the wait for
 	// in-flight operations — so long-lived observers (the SSE event
-	// streams) shut down promptly instead of holding shutdown hostage.
-	drainC    chan struct{}
-	drainOnce sync.Once
+	// streams) and webhook attempts in flight end promptly instead of
+	// holding shutdown hostage.
+	drainCtx   context.Context
+	startDrain context.CancelFunc
 
 	counters counters
 	lat      *opHistograms
@@ -218,9 +219,9 @@ func New(cfg Config) *Manager {
 		cfg:      cfg,
 		sessions: map[string]*Session{},
 		janitorC: make(chan struct{}),
-		drainC:   make(chan struct{}),
 		lat:      newOpHistograms(),
 	}
+	m.drainCtx, m.startDrain = context.WithCancel(context.Background())
 	m.runCond = sync.NewCond(&m.runMu)
 	if cfg.Store != nil {
 		m.adoptStore()
@@ -583,14 +584,14 @@ func (m *Manager) Drain(ctx context.Context) error {
 	// operations, so the opsWG wait below neither sees nor needs them, but
 	// the HTTP server's shutdown does — a stream that lingered would hold
 	// the listener open past the drain.
-	m.drainOnce.Do(func() { close(m.drainC) })
+	m.startDrain()
 
 	done := make(chan struct{})
 	go func() {
 		m.opsWG.Wait()
-		// Then the webhook deliveries the completions started: each
-		// aborts its backoff on the drain signal closed above, so this
-		// wait is bounded by one in-flight HTTP attempt at most.
+		// Then the webhook deliveries the completions started: the drain
+		// signal above cuts short each one's HTTP attempt and backoff, so
+		// this wait is short.
 		m.hookWG.Wait()
 		close(done)
 	}()
@@ -621,4 +622,4 @@ func (m *Manager) Drain(ctx context.Context) error {
 // DrainSignal returns a channel closed the moment Drain begins. Long-
 // lived observers (the SSE event streams) select on it so a graceful
 // shutdown terminates them promptly.
-func (m *Manager) DrainSignal() <-chan struct{} { return m.drainC }
+func (m *Manager) DrainSignal() <-chan struct{} { return m.drainCtx.Done() }

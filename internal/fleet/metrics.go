@@ -183,11 +183,9 @@ func (m *Manager) Health() Health { return m.health(m.table()) }
 // health counts list, a copy of the session table, by residency.
 func (m *Manager) health(list []*Session) Health {
 	h := Health{Status: "ok"}
-	select {
-	case <-m.drainC:
+	if m.drainCtx.Err() != nil {
 		h.Status = "draining"
 		h.Draining = true
-	default:
 	}
 	for _, s := range list {
 		if s.published.Load().res == resLive {

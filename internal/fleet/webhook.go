@@ -5,8 +5,8 @@ package fleet
 // non-SSE clients stop polling GetRun. The worker's run completion
 // (runs.go) hands the view over; each delivery then runs on a goroutine
 // of its own, off the worker path and tracked for Drain, with bounded
-// retry and exponential backoff. A delivery that exhausts its attempts
-// is dead-lettered into the dropped counter
+// retry and exponential backoff. A delivery that exhausts its attempts,
+// or that a drain cuts short, is dead-lettered into the dropped counter
 // (dorado_fleet_webhook_dropped_total) and logged, never retried forever.
 //
 // The backlog is bounded the way a controller counts an overrun instead
@@ -107,8 +107,9 @@ func (m *Manager) sendWebhook(s *Session, v RunView) {
 }
 
 // deliverWebhook POSTs a terminal run view to the session's webhook with
-// bounded retry. Its backoff sleeps abort on the drain signal so shutdown
-// never waits out a retry ladder.
+// bounded retry. The drain signal cancels the attempt in flight and aborts
+// a backoff sleep, dead-lettering the view, so shutdown never waits out a
+// receiver that hangs or a retry ladder.
 func (m *Manager) deliverWebhook(hook string, v RunView) {
 	if err := m.checkWebhook(hook); err != nil {
 		m.counters.webhookDropped.Add(1)
@@ -130,7 +131,7 @@ func (m *Manager) deliverWebhook(hook string, v RunView) {
 			m.counters.webhookDelivered.Add(1)
 			return
 		}
-		if attempt >= webhookMaxAttempts {
+		if attempt >= webhookMaxAttempts || m.drainCtx.Err() != nil {
 			m.counters.webhookDropped.Add(1)
 			if m.cfg.Logger != nil {
 				m.cfg.Logger.Warn("fleet: webhook dead-lettered",
@@ -142,7 +143,7 @@ func (m *Manager) deliverWebhook(hook string, v RunView) {
 		select {
 		case <-time.After(backoff):
 			backoff *= 2
-		case <-m.drainC:
+		case <-m.drainCtx.Done():
 			// Draining: abandon the retry ladder rather than hold
 			// shutdown hostage; the event is dead-lettered.
 			m.counters.webhookDropped.Add(1)
@@ -154,9 +155,10 @@ func (m *Manager) deliverWebhook(hook string, v RunView) {
 // webhookClient issues every webhook POST.
 var webhookClient = &http.Client{Timeout: 10 * time.Second}
 
-// postWebhook issues one delivery attempt. Success is any 2xx response.
+// postWebhook issues one delivery attempt, which Drain's start cancels.
+// Success is any 2xx response.
 func (m *Manager) postWebhook(hook string, body []byte, v RunView) error {
-	req, err := http.NewRequest(http.MethodPost, hook, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(m.drainCtx, http.MethodPost, hook, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,6 +139,52 @@ func TestWebhookDeadLetter(t *testing.T) {
 	}
 	if got := m.counters.webhookDelivered.Load(); got != 0 {
 		t.Fatalf("delivered = %d, want 0", got)
+	}
+}
+
+// TestDrainCutsHungWebhook: a drain cancels the webhook attempt in
+// flight instead of waiting out the client timeout for a receiver that
+// never answers. The cut attempt dead-letters its view, without a retry,
+// and no delivery goroutine outlives Drain.
+func TestDrainCutsHungWebhook(t *testing.T) {
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	rcv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		held <- struct{}{}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer rcv.Close()
+	defer close(release) // before Close, which waits for the handlers
+	m := New(Config{Workers: 1, WebhookAllow: []string{rcv.URL}})
+	id, err := m.Create(webhookSpec(rcv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToCompletion(t, m, id)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the webhook request never reached the receiver")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	began := time.Now()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("drain took %v with the receiver hung, want under 1s", took)
+	}
+	if d, r, ok := m.counters.webhookDropped.Load(), m.counters.webhookRetried.Load(), m.counters.webhookDelivered.Load(); d != 1 || r != 0 || ok != 0 {
+		t.Fatalf("dropped %d, retried %d, delivered %d; want 1, 0, 0", d, r, ok)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Manager).deliverWebhook") {
+		t.Fatalf("a delivery goroutine outlived Drain:\n%s", stacks)
 	}
 }
 

@@ -125,7 +125,7 @@ func emit(rng *rand.Rand, n int) *masm.Builder {
 	bl.EmitAt("svc", masm.I{FF: microcode.FFInput, ALU: microcode.ALUB, LC: microcode.LCLoadT})
 	bl.Emit(masm.I{A: microcode.ASelStore, R: 1, B: microcode.BSelT,
 		ALU: microcode.ALUAplus1, LC: microcode.LCLoadRM, Block: true, Flow: masm.Goto("svc")})
-	// The fast-I/O service routine (Config.FastIO tasks): command the next
+	// The fast-I/O service routine (the FastIO and Devices shapes): command the next
 	// block at T+RM[2], advance the pointer, block — the two-instruction
 	// display idiom of §7. Emitted unconditionally so a seed generates the
 	// same program whether or not fast-I/O devices are attached.

@@ -12,7 +12,7 @@ import (
 // findingKey content-addresses a finding by what identifies the underlying
 // bug — the diverging microstore address, the encoded microword, and the
 // detail prefix (which snapshot section the mismatch surfaced in) — and
-// deliberately not by seed or profile, so fifty seeds tripping over the
+// deliberately not by seed, shape or path, so fifty seeds tripping over the
 // same microinstruction dedupe to one corpus entry.
 func findingKey(f *Finding) string {
 	prefix, _, _ := strings.Cut(f.Detail, ":")
@@ -61,13 +61,13 @@ func writeCorpus(dir string, findings []Finding) error {
 // pasting it into a _test.go file in internal/fuzzdiff when triaged.
 func corpusEntry(f *Finding) string {
 	return fmt.Sprintf(`// fuzzfarm corpus entry %s
-// profile=%s seed=%d cycle=%d task=%d pc=%04o
+// shape=%s path=%s seed=%d cycle=%d task=%d pc=%04o
 // word=%s (raw %#011x)
 // detail: %s
 // minimized: instructions=%d cycles=%d
 //
 // Paste into a _test.go file in internal/fuzzdiff to adopt as a regression.
 
-%s`, f.Key, f.Profile, f.Seed, f.Cycle, f.Task, f.PC, f.Word, f.Raw,
+%s`, f.Key, f.Shape, f.Path, f.Seed, f.Cycle, f.Task, f.PC, f.Word, f.Raw,
 		f.Detail, f.MinInstructions, f.MinCycles, f.Repro)
 }

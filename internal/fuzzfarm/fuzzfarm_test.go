@@ -3,6 +3,7 @@ package fuzzfarm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,108 +17,103 @@ import (
 )
 
 // flipRM5 is the standard seeded bug (the same injector the fuzzdiff
-// bisection tests use): flip a bit in RM 5 on the fast path at a fixed
-// cycle, so every seed on every profile diverges — and the farm had better
-// find all of them.
-func flipRM5(at uint64) func(uint64, *core.Machine) {
-	return func(cycle uint64, fast *core.Machine) {
+// bisection tests use): flip a bit in RM 5 on both fast paths at a fixed
+// cycle, so every seed on every shape diverges on both paths — and the
+// farm had better find all of them.
+func flipRM5(at uint64) func(uint64, fuzzdiff.Path, *core.Machine) {
+	return func(cycle uint64, _ fuzzdiff.Path, fast *core.Machine) {
 		if cycle == at {
 			fast.SetRM(5, fast.RM(5)^0x8000)
 		}
 	}
 }
 
+// perSeed is the number of findings a seed yields when every run diverges
+// on both fast paths.
+const perSeed = int(fuzzdiff.NumShapes) * 2
+
 // tamperedConfig is the shared self-test campaign: every seed diverges at
 // cycle 300, budgets kept small (tampered runs single-step, and every
 // divergence pays a bisection plus minimization reruns) so the whole
 // matrix stays fast even under -race.
-func tamperedConfig(seeds int64, shards int) Config {
+func tamperedConfig(seeds int64) Config {
 	return Config{
-		Seeds:            seeds,
-		Shards:           shards,
-		Fuzz:             fuzzdiff.Config{Cycles: 600, CheckpointEvery: 256},
-		MinimizeAttempts: 2,
-		Tamper:           flipRM5(300),
+		Seeds:  seeds,
+		Fuzz:   fuzzdiff.Config{Cycles: 600, CheckpointEvery: 256},
+		Tamper: flipRM5(300),
 	}
 }
 
-func TestShardRange(t *testing.T) {
-	cases := []struct {
-		start, total int64
-		shards       int
-	}{
-		{1, 10, 3}, {1, 16, 16}, {1, 16, 1}, {100, 7, 4}, {1, 1, 1},
-	}
-	for _, tc := range cases {
-		next := tc.start
-		for i := 0; i < tc.shards; i++ {
-			first, count := shardRange(tc.start, tc.total, tc.shards, i)
-			if first != next {
-				t.Fatalf("(%+v) shard %d starts at %d, want %d (ranges must tile)", tc, i, first, next)
-			}
-			if want := tc.total / int64(tc.shards); count != want && count != want+1 {
-				t.Errorf("(%+v) shard %d has %d seeds, want %d or %d", tc, i, count, want, want+1)
-			}
-			next += count
-		}
-		if next != tc.start+tc.total {
-			t.Errorf("(%+v) ranges cover [%d,%d), want [%d,%d)", tc, tc.start, next, tc.start, tc.start+tc.total)
-		}
-	}
-}
-
-// TestShardDeterminism is the farm's core contract: the same seed range
-// produces the identical divergence set — and the identical report, modulo
-// wall-clock fields and the per-shard breakdown — for any shard count and
-// any worker count. Per-seed fuzz runs are pure functions of their Config,
-// so sharding is free to be whatever the scheduler likes.
-func TestShardDeterminism(t *testing.T) {
+// TestReportDeterminism is the farm's core contract: the same seeds
+// produce the identical report, modulo wall-clock fields, for any worker
+// count. Per-seed fuzz runs are pure functions of their Config, so the
+// order workers finish seeds in is free to be whatever the scheduler
+// likes.
+func TestReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign matrix is slow")
 	}
-	// comparable renders the deterministic part of a report: timing fields
-	// and the shard breakdown (whose shape legitimately varies with the
-	// shard count) stripped.
-	comparable := func(r *Report) string {
-		r.StripTiming()
-		r.Shards = 0
-		r.ShardStats = nil
-		b, err := json.MarshalIndent(r, "", " ")
+	var want string
+	for _, workers := range []int{1, 3} {
+		cfg := tamperedConfig(16)
+		cfg.Workers = workers
+		rep, err := Run(tctx(t), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if rep.Divergences != 16*perSeed {
+			t.Fatalf("workers=%d: %d divergences, want %d (every seed x shape x fast path is tampered)",
+				workers, rep.Divergences, 16*perSeed)
+		}
+		for _, f := range rep.Findings {
+			if f.Cycle != 300 || f.MinCycles != 301 {
+				t.Errorf("workers=%d: finding %s/%s/%d at cycle %d, minimized to %d cycles; want 300 and 301",
+					workers, f.Shape, f.Path, f.Seed, f.Cycle, f.MinCycles)
+			}
+		}
+		rep.StripTiming()
+		b, err := json.MarshalIndent(rep, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(b)
-	}
-
-	var want string
-	for _, k := range []int{1, 4, 16} {
-		cfg := tamperedConfig(16, k)
-		cfg.Workers = 3
-		rep, err := Run(tctx(t), cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		if rep.Divergences != 16*len(DefaultProfiles()) {
-			t.Fatalf("shards=%d: %d divergences, want %d (every seed x profile is tampered)",
-				k, rep.Divergences, 16*len(DefaultProfiles()))
-		}
-		got := comparable(rep)
-		if want == "" {
+		if got := string(b); want == "" {
 			want = got
 		} else if got != want {
-			t.Errorf("shards=%d: report differs from shards=1 baseline:\n%s\nvs\n%s", k, got, want)
+			t.Errorf("workers=%d: report differs from workers=1:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
+}
 
-	// Worker count is pure parallelism: same shards, serial execution.
-	cfg := tamperedConfig(16, 4)
-	cfg.Workers = 1
-	rep, err := Run(tctx(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := comparable(rep); got != want {
-		t.Errorf("workers=1: report differs from workers=3:\n%s\nvs\n%s", got, want)
+// TestFarmSinglePathTamper: a bug seeded in one fast path yields exactly
+// one finding per (seed, shape), naming that path; the other path, run
+// against the same reference, reports nothing.
+func TestFarmSinglePathTamper(t *testing.T) {
+	for _, path := range []fuzzdiff.Path{fuzzdiff.Predecoded, fuzzdiff.Translated} {
+		cfg := tamperedConfig(3)
+		flip := flipRM5(300)
+		cfg.Tamper = func(cycle uint64, p fuzzdiff.Path, fast *core.Machine) {
+			if p == path {
+				flip(cycle, p, fast)
+			}
+		}
+		rep, err := Run(tctx(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Errors) != 0 {
+			t.Fatalf("%v: harness errors: %v", path, rep.Errors)
+		}
+		seen := map[string]bool{}
+		for _, f := range rep.Findings {
+			unit := fmt.Sprintf("%s/%d", f.Shape, f.Seed)
+			if f.Path != path.String() || seen[unit] || f.Cycle != 300 {
+				t.Errorf("tampering %v: unexpected finding %s %s cycle %d", path, unit, f.Path, f.Cycle)
+			}
+			seen[unit] = true
+		}
+		if want := 3 * int(fuzzdiff.NumShapes); len(seen) != want || rep.Divergences != want {
+			t.Errorf("tampering %v: %d findings over %d (seed, shape) pairs, want %d", path, rep.Divergences, len(seen), want)
+		}
 	}
 }
 
@@ -126,13 +122,13 @@ func TestShardDeterminism(t *testing.T) {
 // deduped regression tests in the corpus directory.
 func TestFarmFindsSeededBug(t *testing.T) {
 	dir := t.TempDir()
-	cfg := tamperedConfig(4, 2)
+	cfg := tamperedConfig(4)
 	cfg.CorpusDir = dir
 	rep, err := Run(tctx(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDiv := 4 * len(DefaultProfiles())
+	wantDiv := 4 * perSeed
 	if rep.Divergences != wantDiv || len(rep.Findings) != wantDiv {
 		t.Fatalf("found %d divergences (%d findings), want %d", rep.Divergences, len(rep.Findings), wantDiv)
 	}
@@ -146,17 +142,17 @@ func TestFarmFindsSeededBug(t *testing.T) {
 	keys := map[string]string{}
 	for _, f := range rep.Findings {
 		if f.Cycle != 300 {
-			t.Errorf("finding %s/%d: divergence at cycle %d, fault injected at 300", f.Profile, f.Seed, f.Cycle)
+			t.Errorf("finding %s/%s/%d: divergence at cycle %d, fault injected at 300", f.Shape, f.Path, f.Seed, f.Cycle)
 		}
 		if f.MinCycles != 301 {
-			t.Errorf("finding %s/%d: MinCycles = %d, want 301 (cycle shrink to one past the fault)",
-				f.Profile, f.Seed, f.MinCycles)
+			t.Errorf("finding %s/%s/%d: MinCycles = %d, want 301 (cycle shrink to one past the fault)",
+				f.Shape, f.Path, f.Seed, f.MinCycles)
 		}
 		if f.MinInstructions <= 0 || f.Key == "" || f.CorpusFile == "" {
-			t.Errorf("finding %s/%d incomplete: %+v", f.Profile, f.Seed, f)
+			t.Errorf("finding %s/%s/%d incomplete: %+v", f.Shape, f.Path, f.Seed, f)
 		}
 		if !strings.Contains(f.Repro, "fuzzdiff.Run(fuzzdiff.Config{") {
-			t.Errorf("finding %s/%d: repro is not a pasteable test:\n%s", f.Profile, f.Seed, f.Repro)
+			t.Errorf("finding %s/%s/%d: repro is not a pasteable test:\n%s", f.Shape, f.Path, f.Seed, f.Repro)
 		}
 		if prev, ok := keys[f.Key]; ok && prev != f.CorpusFile {
 			t.Errorf("key %s maps to two corpus files: %s and %s", f.Key, prev, f.CorpusFile)
@@ -203,14 +199,13 @@ func TestFarmFindsSeededBug(t *testing.T) {
 	}
 }
 
-// TestFarmCleanCampaign: a small clean campaign over the full profile mix
-// must report zero divergences and full accounting — the smoke-sized
-// version of the nightly CI invariant.
+// TestFarmCleanCampaign: a small clean campaign over every shape must
+// report zero divergences and full accounting — the smoke-sized version
+// of the nightly CI invariant.
 func TestFarmCleanCampaign(t *testing.T) {
 	rep, err := Run(tctx(t), Config{
-		Seeds:  4,
-		Shards: 2,
-		Fuzz:   fuzzdiff.Config{Cycles: 3000, CheckpointEvery: 512},
+		Seeds: 4,
+		Fuzz:  fuzzdiff.Config{Cycles: 3000, CheckpointEvery: 512},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,37 +222,20 @@ func TestFarmCleanCampaign(t *testing.T) {
 	if rep.Cycles == 0 {
 		t.Error("Cycles = 0: throughput accounting missing")
 	}
-	if len(rep.ShardStats) != 2 {
-		t.Fatalf("%d shard stats, want 2", len(rep.ShardStats))
-	}
-	var seeds int64
-	for _, s := range rep.ShardStats {
-		seeds += s.SeedsRun
-		if s.SeedsRun != s.SeedsTotal {
-			t.Errorf("shard %d ran %d/%d seeds in an uninterrupted campaign", s.Shard, s.SeedsRun, s.SeedsTotal)
-		}
-	}
-	if seeds != rep.SeedsRun {
-		t.Errorf("shard seed counts sum to %d, report says %d", seeds, rep.SeedsRun)
-	}
 }
 
-// TestFarmGracefulCancel: cancelling mid-campaign stops cleanly — finished
-// work is reported, the rest is skipped, and the report says Interrupted.
+// TestFarmGracefulCancel: cancelling mid-campaign stops cleanly — the
+// seeds already taken finish, no further seed starts, and the report says
+// Interrupted and covers exactly a prefix of the seeds.
 func TestFarmGracefulCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	cfg := Config{
-		Seeds:   64,
-		Shards:  8,
-		Workers: 1,
-		Fuzz:    fuzzdiff.Config{Cycles: 1000, CheckpointEvery: 256},
-		// Cancel as soon as the first seed completes: with one worker the
-		// remaining shards (and the current shard's remaining seeds) must be
-		// skipped at the next context check.
-		Progress: func(done, total int64) { once.Do(cancel) },
-	}
+	cfg := tamperedConfig(64)
+	cfg.Workers = 2
+	// Cancel as soon as the first seed completes: the workers must stop
+	// taking seeds at their next context check.
+	cfg.Progress = func(done, total int64) { once.Do(cancel) }
 	rep, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,40 +244,49 @@ func TestFarmGracefulCancel(t *testing.T) {
 		t.Error("report not marked Interrupted after cancellation")
 	}
 	if rep.SeedsRun == 0 || rep.SeedsRun >= 64 {
-		t.Errorf("SeedsRun = %d, want partial progress in (0, 64)", rep.SeedsRun)
+		t.Fatalf("SeedsRun = %d, want partial progress in (0, 64)", rep.SeedsRun)
 	}
-	if len(rep.ShardStats) != 8 {
-		t.Errorf("%d shard stats, want 8 (skipped shards still report)", len(rep.ShardStats))
+	// Every seed run yields perSeed findings, so the findings name the
+	// seeds that ran.
+	if rep.Divergences != int(rep.SeedsRun)*perSeed {
+		t.Fatalf("%d findings for %d seeds run, want %d each", rep.Divergences, rep.SeedsRun, perSeed)
+	}
+	for i, f := range rep.Findings {
+		if want := rep.StartSeed + int64(i/perSeed); f.Seed != want {
+			t.Fatalf("finding %d is for seed %d, want %d: the seeds run are not a prefix", i, f.Seed, want)
+		}
 	}
 }
 
 // TestMinimizeShrinksCycles checks the minimizer directly: the cycle budget
 // must shrink to one past the divergence while reproducing the identical
-// (PC, word) pair.
+// (path, PC, word) triple, for each fast path.
 func TestMinimizeShrinksCycles(t *testing.T) {
 	cfg := fuzzdiff.Config{Seed: 3, Cycles: 4000, CheckpointEvery: 512, Tamper: flipRM5(1234)}
-	d, err := fuzzdiff.Run(cfg)
+	res, err := fuzzdiff.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d == nil {
-		t.Fatal("seeded fault not detected")
+	if len(res.Divergences) != 2 {
+		t.Fatalf("%d divergences, want one per fast path", len(res.Divergences))
 	}
-	best, bestD := minimize(cfg, d, 8)
-	if best.Cycles != d.Cycle+1 {
-		t.Errorf("minimized Cycles = %d, want %d", best.Cycles, d.Cycle+1)
-	}
-	if bestD.PC != d.PC || bestD.Word != d.Word {
-		t.Errorf("minimized divergence moved: pc %v word %+v, want pc %v word %+v",
-			bestD.PC, bestD.Word, d.PC, d.Word)
-	}
-	if best.Instructions > cfg.Normalized().Instructions {
-		t.Errorf("minimization grew the program: %d > %d", best.Instructions, cfg.Normalized().Instructions)
-	}
-	// Negative attempts disables minimization entirely.
-	same, sameD := minimize(cfg, d, -1)
-	if same.Cycles != cfg.Normalized().Cycles || sameD != d {
-		t.Error("minimize(-1) modified the config or divergence")
+	for _, d := range res.Divergences {
+		best, bestD := minimize(cfg, d, 8)
+		if best.Cycles != d.Cycle+1 {
+			t.Errorf("%v: minimized Cycles = %d, want %d", d.Path, best.Cycles, d.Cycle+1)
+		}
+		if bestD.Path != d.Path || bestD.PC != d.PC || bestD.Word != d.Word {
+			t.Errorf("minimized divergence moved: %v pc %v word %+v, want %v pc %v word %+v",
+				bestD.Path, bestD.PC, bestD.Word, d.Path, d.PC, d.Word)
+		}
+		if best.Instructions > cfg.Normalized().Instructions {
+			t.Errorf("%v: minimization grew the program: %d > %d", d.Path, best.Instructions, cfg.Normalized().Instructions)
+		}
+		// Negative attempts disables minimization entirely.
+		same, sameD := minimize(cfg, d, -1)
+		if same.Cycles != cfg.Normalized().Cycles || sameD != d {
+			t.Errorf("%v: minimize(-1) modified the config or divergence", d.Path)
+		}
 	}
 }
 
@@ -312,13 +299,14 @@ func TestReproCompilesAndPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a go test subprocess")
 	}
-	d, err := fuzzdiff.Run(fuzzdiff.Config{Seed: 3, Cycles: 2000, CheckpointEvery: 256, Tamper: flipRM5(700)})
+	res, err := fuzzdiff.Run(fuzzdiff.Config{Seed: 3, Cycles: 2000, CheckpointEvery: 256, Tamper: flipRM5(700)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d == nil {
+	if len(res.Divergences) == 0 {
 		t.Fatal("seeded fault not detected")
 	}
+	d := res.Divergences[0]
 
 	_, self, _, ok := runtime.Caller(0)
 	if !ok {

@@ -11,9 +11,9 @@ import "dorado/internal/fuzzdiff"
 //     stops right after the bug;
 //   - program shrink: halving Config.Instructions generates a *different*
 //     program (the generator is seed+size deterministic), so each halving
-//     only sticks if the new program still diverges on the same microword
-//     at the same microstore address — evidence it is the same underlying
-//     bug, smaller.
+//     only sticks if the new program still diverges on the same path, on
+//     the same microword at the same microstore address — evidence it is
+//     the same underlying bug, smaller.
 //
 // attempts bounds the halvings (negative disables minimization entirely);
 // each attempt costs at most one extra fuzz run of the current best size.
@@ -52,16 +52,18 @@ func minimize(cfg fuzzdiff.Config, d *fuzzdiff.Divergence, attempts int) (fuzzdi
 }
 
 // sameDivergence reruns trial and returns its divergence if it pins the
-// same microword at the same microstore address as want — the farm's
-// definition of "same bug" — and nil on agreement, error, or a different
-// divergence.
+// same microword at the same microstore address on the same path as want
+// — the farm's definition of "same bug" — and nil on agreement, error, or
+// a different divergence.
 func sameDivergence(trial fuzzdiff.Config, want *fuzzdiff.Divergence) *fuzzdiff.Divergence {
-	d, err := fuzzdiff.Run(trial)
-	if err != nil || d == nil {
+	res, err := fuzzdiff.Run(trial)
+	if err != nil {
 		return nil
 	}
-	if d.PC != want.PC || d.Word != want.Word {
-		return nil
+	for _, d := range res.Divergences {
+		if d.Path == want.Path && d.PC == want.PC && d.Word == want.Word {
+			return d
+		}
 	}
-	return d
+	return nil
 }
