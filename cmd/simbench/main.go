@@ -5,9 +5,10 @@
 // interpreter (per-cycle decode, the pre-optimization baseline), on the
 // hot loop with an observability recorder attached, on the superblock
 // translator (hot microcode traces fused into Go closures), and on the hot
-// loop with a microarchitectural profiler attached — and the report
-// records all five plus the predecode speedup, the metrics-on overhead,
-// the translated speedup, and the profiler-on overhead.
+// loop with a microarchitectural profiler attached. The report records the
+// five measurements; simbench prints the ratios taken from them (the
+// predecode speedup, the metrics-on overhead, the translated speedup, and
+// the profiler-on overhead).
 //
 // With -profile PATH the profiler additionally runs over every workload on
 // the translated path and the per-workload symbolized profiles (cycle
@@ -19,33 +20,34 @@
 // single-path runs print raw throughput only and write no report.
 //
 // With -guard the report is additionally checked against the committed
-// BENCH_SIM.json baseline under bench.DefaultGuardThresholds, re-measuring
-// on failure up to -attempts times. The guard runs inside simbench, not in
-// a separate binary: function placement differs between binaries, which
-// alone shifts the hot loop's predecode ratio by more than the 3% budget —
-// baseline and current must come from the same executable to be
-// comparable.
-//
-// Usage:
+// BENCH_SIM.json baseline under the bench guard's budgets (constants in
+// internal/bench, not flags), re-measuring on failure up to three times in
+// all. The guard runs inside simbench, not in a separate binary: function
+// placement differs between binaries, which alone shifts the hot loop's
+// predecode ratio by more than the 3% budget — baseline and current must
+// come from the same executable to be comparable.
 //
 // With -fleet the report additionally measures fleet scaling: aggregate
 // cycles/sec with 1→N sessions simulated concurrently on the
 // internal/fleet worker pool (GOMAXPROCS workers), the multi-tenant
-// throughput cmd/doradod serves. Each session count is measured twice —
-// plain, and with every session carrying an observability recorder
-// (Spec.Metrics) — and the instrumented rate lands in the point's
-// metrics_cycles_per_sec, which the guard's fleet-metrics-on budget
+// throughput cmd/doradod serves. Each session count is measured plain and
+// then with every session carrying an observability recorder
+// (Spec.Metrics); the instrumented rate lands in the point's
+// metrics_cycles_per_sec, which the guard's fleet metrics-on budget
 // bounds. Points also record GOMAXPROCS, and simbench warns when it is
 // smaller than the session count (such a point measures queueing, not
-// scaling). Without -fleet, an existing fleet section in the baseline
-// file is carried over unchanged, so single-machine guard runs do not
-// erase the recorded scaling curve.
+// scaling). Without -fleet, an existing fleet section in the -o file is
+// carried over into the new one unchanged, so single-machine runs do not
+// erase the recorded scaling curve; the guard judges only what this run
+// measured, never a carried-over section.
+//
+// Usage:
 //
 //	simbench                         print the report, write BENCH_SIM.json
 //	simbench -cycles 5000000         longer runs (steadier numbers)
 //	simbench -o path.json            write elsewhere ("" skips the file)
 //	simbench -path translated        measure one path only, report to stdout
-//	simbench -guard -o current.json  CI mode: measure, then enforce thresholds
+//	simbench -guard -o current.json  CI mode: measure, then enforce budgets
 //	simbench -fleet                  also measure 1→8-session fleet scaling
 package main
 
@@ -54,24 +56,26 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 
 	"dorado/internal/bench"
 	"dorado/internal/fleet"
 )
 
+const (
+	baselinePath = "BENCH_SIM.json" // the committed report -guard judges against
+	attempts     = 3                // with -guard: measurements before a failure is final
+)
+
 func main() {
 	cycles := flag.Uint64("cycles", 2_000_000, "simulated cycles per (workload, path) measurement")
 	reps := flag.Int("reps", 3, "measurements per (workload, path); the fastest is kept")
-	out := flag.String("o", "BENCH_SIM.json", "output JSON path (empty: stdout report only)")
-	guard := flag.Bool("guard", false, "check the report against -baseline and exit nonzero on regression")
-	baselinePath := flag.String("baseline", "BENCH_SIM.json", "committed baseline report for -guard")
-	attempts := flag.Int("attempts", 3, "with -guard: full re-measurements before a failure is final")
+	out := flag.String("o", baselinePath, "output JSON path (empty: stdout report only)")
+	guard := flag.Bool("guard", false, "check the report against "+baselinePath+" and exit nonzero on regression")
 	profOut := flag.String("profile", "", "also run the microarchitectural profiler over every workload and write the per-workload profiles (prof.BenchReport JSON) here; view with cmd/profview")
 	onePath := flag.String("path", "", "measure only this path (predecoded, reference, instrumented, translated, profiled); no ratios, no report file")
 	doFleet := flag.Bool("fleet", false, "also measure fleet scaling (aggregate cycles/sec, 1→N sessions)")
 	fleetMax := flag.Int("fleet-sessions", 8, "with -fleet: largest session count (doubling from 1)")
-	fleetCycles := flag.Uint64("fleet-cycles", 250_000, "with -fleet: cycles per run operation")
-	fleetOps := flag.Int("fleet-ops", 8, "with -fleet: run operations per session")
 	flag.Parse()
 
 	// In guard mode the default output would overwrite the baseline being
@@ -88,84 +92,52 @@ func main() {
 
 	if *onePath != "" {
 		if *guard {
-			fmt.Fprintln(os.Stderr, "simbench: -path measures one side of every ratio; it cannot be combined with -guard")
-			os.Exit(1)
+			fatalf("-path measures one side of every ratio; it cannot be combined with -guard")
 		}
-		switch *onePath {
-		case bench.PathPredecoded, bench.PathReference, bench.PathInstrumented, bench.PathTranslated, bench.PathProfiled:
-		default:
-			fmt.Fprintf(os.Stderr, "simbench: unknown path %q\n", *onePath)
-			os.Exit(1)
+		if !slices.Contains(bench.HostPaths(), *onePath) {
+			fatalf("unknown path %q", *onePath)
 		}
-		fmt.Printf("%-10s %-12s %14s %10s %12s\n", "workload", "path", "cycles/sec", "ns/cycle", "allocs/cycle")
-		for _, w := range bench.HostWorkloads() {
-			var best bench.HostResult
-			for i := 0; i < *reps; i++ {
-				r, err := bench.MeasureHost(w, *onePath, *cycles)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "simbench: %s: %v\n", w.ID, err)
-					os.Exit(1)
-				}
-				if r.CyclesPerSec > best.CyclesPerSec {
-					best = r
-				}
-			}
-			fmt.Printf("%-10s %-12s %14.0f %10.1f %12.4f\n",
-				best.Workload, best.Path, best.CyclesPerSec, best.NsPerCycle, best.AllocsPerCycle)
+		rep, err := bench.RunHostReport(*cycles, *reps, []string{*onePath})
+		if err != nil {
+			fatalf("%v", err)
 		}
+		printResults(rep)
 		return
 	}
 
 	var baseline *bench.HostReport
-	th := bench.DefaultGuardThresholds
 	if *guard {
 		var err error
-		baseline, err = bench.ReadHostReportFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: baseline: %v\n", err)
-			os.Exit(1)
+		if baseline, err = bench.ReadHostReportFile(baselinePath); err != nil {
+			fatalf("baseline: %v", err)
 		}
 	}
 
 	if *profOut != "" {
 		prep, err := bench.RunProfileReport(*cycles)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: profile: %v\n", err)
-			os.Exit(1)
+			fatalf("profile: %v", err)
 		}
 		if err := bench.WriteJSONFile(*profOut, prep); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: profile: %v\n", err)
-			os.Exit(1)
+			fatalf("profile: %v", err)
 		}
 		fmt.Printf("wrote %s (per-workload profiles; view with profview)\n", *profOut)
 	}
 
-	tries := 1
-	if *guard {
-		tries = *attempts
-		if tries < 1 {
-			tries = 1
-		}
-	}
 	for attempt := 1; ; attempt++ {
-		rep, err := bench.RunHostReport(*cycles, *reps)
+		rep, err := bench.RunHostReport(*cycles, *reps, bench.HostPaths())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
-
-		fmt.Printf("simbench: %s %s/%s, %d cycles per measurement\n\n",
-			rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CyclesPerRun)
-		fmt.Printf("%-10s %-12s %14s %10s %12s\n", "workload", "path", "cycles/sec", "ns/cycle", "allocs/cycle")
-		for _, r := range rep.Results {
-			fmt.Printf("%-10s %-12s %14.0f %10.1f %12.4f\n",
-				r.Workload, r.Path, r.CyclesPerSec, r.NsPerCycle, r.AllocsPerCycle)
-		}
+		printResults(rep)
 		fmt.Println()
 		for _, w := range bench.HostWorkloads() {
+			ratio := func(num, den string) float64 { return rep.Ratio(w.ID, num, den) }
 			fmt.Printf("%-10s speedup %.2fx   metrics-on overhead %.1f%%   translated %.2fx   prof-on overhead %.1f%%\n",
-				w.ID, rep.Speedup[w.ID], 100*(rep.Overhead[w.ID]-1), rep.Translation[w.ID],
-				100*(rep.ProfOverhead[w.ID]-1))
+				w.ID, ratio(bench.PathPredecoded, bench.PathReference),
+				100*(ratio(bench.PathPredecoded, bench.PathInstrumented)-1),
+				ratio(bench.PathTranslated, bench.PathPredecoded),
+				100*(ratio(bench.PathPredecoded, bench.PathProfiled)-1))
 		}
 
 		if *doFleet {
@@ -178,48 +150,33 @@ func main() {
 					"simbench: warning: GOMAXPROCS=%d < %d sessions; large fleet points measure queueing, not scaling\n",
 					procs, *fleetMax)
 			}
-			opt := fleet.ScalingOptions{
-				Sessions:      sizes,
-				CyclesPerOp:   *fleetCycles,
-				OpsPerSession: *fleetOps,
+			if rep.Fleet, err = fleet.MeasureScaling(sizes); err != nil {
+				fatalf("fleet: %v", err)
 			}
-			points, err := fleet.MeasureScaling(opt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: fleet: %v\n", err)
-				os.Exit(1)
-			}
-			opt.Metrics = true
-			instr, err := fleet.MeasureScaling(opt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: fleet (metrics): %v\n", err)
-				os.Exit(1)
-			}
-			for i := range points {
-				if i < len(instr) && instr[i].Sessions == points[i].Sessions {
-					points[i].MetricsCyclesPerSec = instr[i].CyclesPerSec
-				}
-			}
-			rep.Fleet = points
 			fmt.Printf("\n%-10s %8s %14s %10s %12s\n", "fleet", "workers", "cycles/sec", "scaling", "metrics-on")
-			for _, p := range points {
-				over := "n/a"
-				if p.MetricsCyclesPerSec > 0 {
-					over = fmt.Sprintf("%.1f%%", 100*(p.CyclesPerSec/p.MetricsCyclesPerSec-1))
-				}
-				fmt.Printf("%-10d %8d %14.0f %9.2fx %12s\n", p.Sessions, p.Workers, p.CyclesPerSec, p.Scaling, over)
-			}
-		} else if *out != "" {
-			// Keep the recorded scaling curve when this run did not
-			// re-measure it.
-			if prev, err := bench.ReadHostReportFile(*out); err == nil && len(prev.Fleet) > 0 {
-				rep.Fleet = prev.Fleet
+			for _, p := range rep.Fleet {
+				fmt.Printf("%-10d %8d %14.0f %9.2fx %11.1f%%\n", p.Sessions, p.Workers, p.CyclesPerSec, p.Scaling,
+					100*(p.CyclesPerSec/p.MetricsCyclesPerSec-1))
 			}
 		}
 
+		// Judge before a carried-over fleet section joins the report: the
+		// guard checks only what this run measured.
+		var checks []bench.GuardCheck
+		ok := true
+		if *guard {
+			checks, ok = bench.Guard(baseline, &rep)
+		}
 		if *out != "" {
+			// Keep the recorded scaling curve when this run did not
+			// re-measure it.
+			if !*doFleet {
+				if prev, err := bench.ReadHostReportFile(*out); err == nil {
+					rep.Fleet = prev.Fleet
+				}
+			}
 			if err := bench.WriteJSONFile(*out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 			fmt.Printf("\nwrote %s\n", *out)
 		}
@@ -227,10 +184,7 @@ func main() {
 			return
 		}
 
-		checks, ok := bench.Guard(baseline, &rep, th)
-		fmt.Printf("\nguard: baseline %s, thresholds off %.0f%% on %.0f%% fleet-on %.0f%% translated %.1fx on %d+ workloads prof-on %.0f%%\n",
-			*baselinePath, 100*th.MetricsOff, 100*th.MetricsOn, 100*th.FleetMetricsOn,
-			th.TranslatedMin, th.TranslatedWorkloads, 100*th.ProfOn)
+		fmt.Printf("\nguard: baseline %s\n", baselinePath)
 		for _, c := range checks {
 			fmt.Println(c)
 		}
@@ -238,10 +192,27 @@ func main() {
 			fmt.Println("guard: all checks passed")
 			return
 		}
-		if attempt >= tries {
+		if attempt >= attempts {
 			fmt.Fprintln(os.Stderr, "guard: FAILED")
 			os.Exit(1)
 		}
-		fmt.Printf("guard: attempt %d/%d failed, re-measuring\n\n", attempt, tries)
+		fmt.Printf("guard: attempt %d/%d failed, re-measuring\n\n", attempt, attempts)
 	}
+}
+
+// printResults prints every measurement in rep, one row per (workload,
+// path).
+func printResults(rep bench.HostReport) {
+	fmt.Printf("simbench: %s %s/%s, %d cycles per measurement\n\n",
+		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CyclesPerRun)
+	fmt.Printf("%-10s %-12s %14s %10s %12s\n", "workload", "path", "cycles/sec", "ns/cycle", "allocs/cycle")
+	for _, r := range rep.Results {
+		fmt.Printf("%-10s %-12s %14.0f %10.1f %12.4f\n",
+			r.Workload, r.Path, r.CyclesPerSec, r.NsPerCycle, r.AllocsPerCycle)
+	}
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "simbench: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -39,18 +39,10 @@ func emuLoop(b *masm.Builder) {
 func E4DiskUtilization() Table {
 	const title = "Disk at 10 Mbit/s: processor share"
 	const claim = `"the 10 megabit/sec disk consumes 5% of the processor"; 3 cycles per 2 words (§7)`
-	m, p, err := ioMachine(diskProgram, core.Config{})
+	m, disk, err := buildDisk(core.Config{})
 	if err != nil {
 		return fail("E4", title, err)
 	}
-	// 16 bits / 10 Mbit/s = 1.6 µs ≈ 27 cycles per word.
-	disk := device.NewWordSource(11, 27, 2)
-	if err := m.Attach(disk); err != nil {
-		return fail("E4", title, err)
-	}
-	m.SetIOAddress(11, 11)
-	m.SetTPC(11, p.MustEntry("disk"))
-	m.SetRM(1, 0x6000) // transfer buffer
 	const run = 400_000
 	m.Run(run)
 	st := m.Stats()
@@ -75,18 +67,10 @@ func E4DiskUtilization() Table {
 func E5FastIO() Table {
 	const title = "Fast I/O display at full storage bandwidth"
 	const claim = `"530 megabits/sec using only one quarter of the available microcycles"; 2 µinst per 16-word block (§7)`
-	m, p, err := ioMachine(fastioProgram, core.Config{})
+	m, disp, err := buildFastIO(core.Config{}, fastioProgram)
 	if err != nil {
 		return fail("E5", title, err)
 	}
-	disp := device.NewDisplay(13, m.Mem(), 8, 4) // one block per 8 cycles: full bandwidth
-	disp.SetBase(0x20000)
-	if err := m.Attach(disp); err != nil {
-		return fail("E5", title, err)
-	}
-	m.SetIOAddress(13, 13)
-	m.SetTPC(13, p.MustEntry("disp"))
-	m.SetT(13, 16) // block stride lives in the display task's T
 	const run = 200_000
 	m.Run(run)
 	st := m.Stats()
@@ -170,18 +154,10 @@ func E8GrainAblation() Table {
 			b.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
 			program = b.Assemble
 		}
-		m, p, err := ioMachine(program, core.Config{Options: core.Options{ExplicitNotify: explicit}})
+		m, disp, err := buildFastIO(core.Config{Options: core.Options{ExplicitNotify: explicit}}, program)
 		if err != nil {
 			return 0, 0, err
 		}
-		disp := device.NewDisplay(13, m.Mem(), 8, 4)
-		disp.SetBase(0x20000)
-		if err := m.Attach(disp); err != nil {
-			return 0, 0, err
-		}
-		m.SetIOAddress(13, 13)
-		m.SetTPC(13, p.MustEntry("disp"))
-		m.SetT(13, 16)
 		m.Run(200_000)
 		st := m.Stats()
 		return st.Utilization(13), trace.MBits(float64(disp.BlocksMoved())*16*16, m.Cycle()), nil

@@ -1,23 +1,29 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// The bench guard bounds the cost of the observability layer against the
-// committed baseline (BENCH_SIM.json, recorded by PR 1 before the layer
-// existed):
+// The bench guard bounds the cost of the observability layer, and holds
+// the translated path's gain, against the committed baseline
+// (BENCH_SIM.json) and the current run:
 //
 //   - metrics-off: the hot loop with nothing attached to the observation
 //     seam (recorder, profiler, tracer) — one predicted branch per cycle —
-//     must stay within GuardThresholds.MetricsOff of the baseline;
-//   - metrics-on: the instrumented path must stay within
-//     GuardThresholds.MetricsOn of the same run's predecoded path;
+//     must keep its predecode speedup within metricsOffBudget of the
+//     baseline's;
+//   - metrics-on: the instrumented path must stay within metricsOnBudget
+//     of the same run's predecoded path;
 //   - fleet-metrics-on: an instrumented fleet (every session created with
-//     Spec.Metrics) must stay within GuardThresholds.FleetMetricsOn of the
-//     same run's uninstrumented fleet at each session count;
+//     Spec.Metrics) must stay within fleetMetricsOnBudget of the same run's
+//     uninstrumented fleet at each session count;
 //   - prof-on: the microarchitectural profiler (core.Profiler) attached,
 //     charging every cycle to its microaddress, must stay within
-//     GuardThresholds.ProfOn of the same run's predecoded path. Detached,
-//     the profiler shares the recorder's seam, so metrics-off covers it.
+//     profOnBudget of the same run's predecoded path. Detached, the
+//     profiler shares the recorder's seam, so metrics-off covers it;
+//   - translated: the superblock path must reach translatedMin times the
+//     same run's predecoded throughput on translatedWorkloads workloads.
 //
 // CI hosts differ from the host that recorded the baseline, so the
 // metrics-off check compares the *predecode speedup* (predecoded over
@@ -25,40 +31,36 @@ import "fmt"
 // the same host in the same process, so host speed divides out, while a
 // regression that slows only the hot loop (the observation seam's gate
 // sits in both interpreters, but predecode-relative costs surface here)
-// drags the ratio down. The metrics-on and prof-on checks need no
-// normalization at all — both sides come from the current run.
-
-// GuardThresholds are allowed fractional slowdowns (0.03 = 3%), plus the
-// translated path's required same-run speedup.
-type GuardThresholds struct {
-	MetricsOff     float64 // predecode-speedup regression vs baseline
-	MetricsOn      float64 // instrumented vs predecoded, current run
-	FleetMetricsOn float64 // instrumented fleet vs uninstrumented, current run
-	// TranslatedMin is the minimum translated-over-predecoded speedup, and
-	// TranslatedWorkloads how many workloads must reach it. Both sides come
-	// from the same interleaved run, so host speed divides out; the check is
-	// aggregate (N-of-M) because not every §7 workload is translation-
-	// friendly — the emulator's microcode runs are IFU-dispatch-bounded.
-	TranslatedMin       float64
-	TranslatedWorkloads int
-	// ProfOn bounds the attached profiler (profiled vs predecoded,
-	// current run).
-	ProfOn float64
-}
-
-// DefaultGuardThresholds are the budgets the CI job enforces.
+// drags the ratio down. The other checks need no normalization at all —
+// both sides come from the current run.
 //
-// MetricsOn was 0.15 until the superblock-translation PR: the recorder's
-// absolute per-cycle cost did not change, but that PR removed per-blit
-// predecode invalidation and so sped up the predecoded denominator —
-// BitBlt's relative overhead rose from ~12% to ~17% with an unchanged
-// recorder. 0.20 re-centers the budget on the faster base; a recorder
-// regression still trips it.
-var DefaultGuardThresholds = GuardThresholds{
-	MetricsOff: 0.03, MetricsOn: 0.20, FleetMetricsOn: 0.15,
-	TranslatedMin: 1.5, TranslatedWorkloads: 2,
-	ProfOn: 0.15,
-}
+// Every ratio is divided out of the reports' measurements (HostReport.Ratio
+// for the paths, each fleet point's two rates), so a result the current
+// report lacks fails its check instead of skipping it. A workload the
+// baseline lacks has no metrics-off check until the baseline is
+// regenerated; its other checks need only the current run.
+
+// The guard's budgets: allowed fractional slowdowns (0.03 = 3%), plus the
+// translated path's required same-run speedup. They are constants, not
+// flags: CI and every local run judge by the same numbers.
+//
+// metricsOnBudget was 0.15 until superblock translation landed: the
+// recorder's absolute per-cycle cost did not change, but that change
+// removed per-blit predecode invalidation and so sped up the predecoded
+// denominator — BitBlt's relative overhead rose from ~12% to ~17% with an
+// unchanged recorder. 0.20 re-centers the budget on the faster base; a
+// recorder regression still trips it.
+const (
+	metricsOffBudget     = 0.03 // predecode-speedup regression vs baseline
+	metricsOnBudget      = 0.20 // instrumented vs predecoded, current run
+	fleetMetricsOnBudget = 0.15 // instrumented fleet vs uninstrumented, current run
+	profOnBudget         = 0.15 // profiled vs predecoded, current run
+	// The translated check is aggregate (N-of-M) because not every §7
+	// workload is translation-friendly — the emulator's microcode runs are
+	// IFU-dispatch-bounded.
+	translatedMin       = 1.5
+	translatedWorkloads = 2
+)
 
 // GuardCheck is one pass/fail comparison.
 type GuardCheck struct {
@@ -84,93 +86,51 @@ func (c GuardCheck) String() string {
 // check performed and whether all passed.
 //
 // Noise floor: host-performance numbers on shared CI machines jitter by a
-// few percent run to run, which is why the thresholds are ratios over
+// few percent run to run, which is why the budgets bound ratios over
 // paired same-process measurements rather than absolute cycles/sec.
-func Guard(baseline, current *HostReport, th GuardThresholds) ([]GuardCheck, bool) {
+func Guard(baseline, current *HostReport) ([]GuardCheck, bool) {
 	var checks []GuardCheck
-	ok := true
+	check := func(workload, name string, base, cur, limit float64) {
+		checks = append(checks, GuardCheck{
+			Workload: workload, Check: name,
+			Baseline: base, Current: cur, Limit: limit, OK: cur >= limit,
+		})
+	}
 	for _, w := range HostWorkloads() {
-		// metrics-off: current predecode speedup vs the baseline's.
-		if base, cur := baseline.Speedup[w.ID], current.Speedup[w.ID]; base > 0 && cur > 0 {
-			limit := base * (1 - th.MetricsOff)
-			c := GuardCheck{
-				Workload: w.ID, Check: "metrics-off",
-				Baseline: base, Current: cur, Limit: limit, OK: cur >= limit,
-			}
-			checks = append(checks, c)
-			ok = ok && c.OK
+		// A workload the baseline predates has no speedup to be held to.
+		if base := baseline.Ratio(w.ID, PathPredecoded, PathReference); !math.IsNaN(base) {
+			check(w.ID, "metrics-off", base, current.Ratio(w.ID, PathPredecoded, PathReference),
+				base*(1-metricsOffBudget))
 		}
-		// metrics-on: instrumented throughput vs this run's predecoded.
-		fast := current.Result(w.ID, PathPredecoded)
-		inst := current.Result(w.ID, PathInstrumented)
-		if fast != nil && inst != nil && fast.CyclesPerSec > 0 {
-			rel := inst.CyclesPerSec / fast.CyclesPerSec
-			limit := 1 - th.MetricsOn
-			c := GuardCheck{
-				Workload: w.ID, Check: "metrics-on",
-				Baseline: 1, Current: rel, Limit: limit, OK: rel >= limit,
-			}
-			checks = append(checks, c)
-			ok = ok && c.OK
-		}
-		// prof-on: profiled throughput vs this run's predecoded. Skipped for
-		// reports recorded before the profiled path existed.
-		prof := current.Result(w.ID, PathProfiled)
-		if fast != nil && prof != nil && fast.CyclesPerSec > 0 && th.ProfOn > 0 {
-			rel := prof.CyclesPerSec / fast.CyclesPerSec
-			limit := 1 - th.ProfOn
-			c := GuardCheck{
-				Workload: w.ID, Check: "prof-on",
-				Baseline: 1, Current: rel, Limit: limit, OK: rel >= limit,
-			}
-			checks = append(checks, c)
-			ok = ok && c.OK
-		}
+		check(w.ID, "metrics-on", 1, current.Ratio(w.ID, PathInstrumented, PathPredecoded),
+			1-metricsOnBudget)
+		check(w.ID, "prof-on", 1, current.Ratio(w.ID, PathProfiled, PathPredecoded),
+			1-profOnBudget)
 	}
-	// translated: the superblock path must beat this run's predecoded path
-	// by TranslatedMin on at least TranslatedWorkloads workloads. The check
-	// is aggregate — per-workload rows are informational (OK regardless of
-	// their own ratio: no single workload is required to hit the target, so
-	// a sub-target row is not a failure and must not read like one). Skipped
-	// entirely for reports recorded before the translated path existed.
-	if len(current.Translation) > 0 && th.TranslatedMin > 0 {
-		passing := 0
-		for _, w := range HostWorkloads() {
-			ratio, measured := current.Translation[w.ID]
-			if !measured {
-				continue
-			}
-			if ratio >= th.TranslatedMin {
-				passing++
-			}
-			checks = append(checks, GuardCheck{
-				Workload: w.ID, Check: "translated",
-				Baseline: 1, Current: ratio, Limit: th.TranslatedMin, OK: true,
-			})
+	// translated: the per-workload rows are informational (OK regardless
+	// of their own ratio: no single workload is required to hit the
+	// target, so a sub-target row is not a failure and must not read like
+	// one); the any-2 row is the check.
+	passing := 0
+	for _, w := range HostWorkloads() {
+		ratio := current.Ratio(w.ID, PathTranslated, PathPredecoded)
+		if ratio >= translatedMin {
+			passing++
 		}
-		c := GuardCheck{
-			Workload: "any-2", Check: "translated",
-			Baseline: float64(len(current.Translation)), Current: float64(passing),
-			Limit: float64(th.TranslatedWorkloads), OK: passing >= th.TranslatedWorkloads,
-		}
-		checks = append(checks, c)
-		ok = ok && c.OK
+		checks = append(checks, GuardCheck{
+			Workload: w.ID, Check: "translated",
+			Baseline: 1, Current: ratio, Limit: translatedMin, OK: true,
+		})
 	}
+	check("any-2", "translated", float64(len(HostWorkloads())), float64(passing), translatedWorkloads)
 	// fleet-metrics-on: instrumented fleet throughput vs this run's
-	// uninstrumented fleet, per session count. Skipped for points measured
-	// without the instrumented variant (or reports with no fleet section) —
-	// simbench only populates MetricsCyclesPerSec when -fleet ran.
+	// uninstrumented fleet, per session count.
 	for _, p := range current.Fleet {
-		if p.MetricsCyclesPerSec <= 0 || p.CyclesPerSec <= 0 {
-			continue
-		}
-		rel := p.MetricsCyclesPerSec / p.CyclesPerSec
-		limit := 1 - th.FleetMetricsOn
-		c := GuardCheck{
-			Workload: fmt.Sprintf("fleet-%d", p.Sessions), Check: "metrics-on",
-			Baseline: 1, Current: rel, Limit: limit, OK: rel >= limit,
-		}
-		checks = append(checks, c)
+		check(fmt.Sprintf("fleet-%d", p.Sessions), "metrics-on", 1,
+			p.MetricsCyclesPerSec/p.CyclesPerSec, 1-fleetMetricsOnBudget)
+	}
+	ok := true
+	for _, c := range checks {
 		ok = ok && c.OK
 	}
 	return checks, ok

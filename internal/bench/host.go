@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -13,14 +14,15 @@ import (
 
 // This file measures *host* performance — how fast the simulator itself
 // runs on the machine executing it — as opposed to the simulated §7 claims
-// the E-experiments reproduce. Each workload runs on three execution paths:
+// the E-experiments reproduce. Each workload runs on five execution paths:
 // the predecoded hot loop (the default), the reference interpreter
 // (Config.Reference: decode the packed microword from scratch every cycle
-// and scan all 16 device slots, the seed simulator's behavior), and the
-// predecoded loop with an observability recorder attached. The
-// predecoded/reference ratio is the predecode speedup recorded in
-// BENCH_SIM.json; the predecoded/instrumented ratio is the metrics-on
-// overhead the bench guard bounds (see guard.go).
+// and scan all 16 device slots, the seed simulator's behavior), the
+// predecoded loop with an observability recorder attached, the superblock
+// translator, and the predecoded loop with a profiler attached. The report
+// keeps only the measurements; every ratio (the predecode speedup, the
+// metrics-on and prof-on costs the bench guard bounds, the translated
+// speedup) is taken from them by HostReport.Ratio.
 
 // Measurement paths.
 const (
@@ -30,6 +32,12 @@ const (
 	PathTranslated   = "translated"   // superblock translation (core.Translation)
 	PathProfiled     = "profiled"     // hot loop + core.Profiler attached
 )
+
+// HostPaths returns every measurement path, in the order a report records
+// them.
+func HostPaths() []string {
+	return []string{PathPredecoded, PathReference, PathInstrumented, PathTranslated, PathProfiled}
+}
 
 // HostWorkload is one host-throughput scenario. Build constructs a machine
 // under cfg and returns a run function that advances the simulation by up
@@ -107,7 +115,7 @@ func buildHostBitBlt(cfg core.Config) (func(uint64) (uint64, error), *core.Machi
 // HostResult is one (workload, path) measurement.
 type HostResult struct {
 	Workload       string  `json:"workload"`
-	Path           string  `json:"path"` // PathPredecoded, PathReference, or PathInstrumented
+	Path           string  `json:"path"` // one of HostPaths
 	SimCycles      uint64  `json:"sim_cycles"`
 	HostSeconds    float64 `json:"host_seconds"`
 	CyclesPerSec   float64 `json:"cycles_per_sec"`
@@ -115,9 +123,9 @@ type HostResult struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 }
 
-// MeasureHost times one workload on one path for roughly budget simulated
+// measureHost times one workload on one path for roughly budget simulated
 // cycles, reporting host throughput and allocation rate.
-func MeasureHost(w HostWorkload, path string, budget uint64) (HostResult, error) {
+func measureHost(w HostWorkload, path string, budget uint64) (HostResult, error) {
 	run, m, err := w.Build(core.Config{
 		Reference:   path == PathReference,
 		Translation: core.Translation{Enable: path == PathTranslated},
@@ -180,35 +188,24 @@ type FleetPoint struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	Scaling      float64 `json:"scaling_vs_one"`
 	// MetricsCyclesPerSec is the aggregate throughput of the same
-	// configuration with observability recorders attached (Spec.Metrics);
-	// zero when the instrumented variant was not measured. The bench
-	// guard's FleetMetricsOn budget bounds CyclesPerSec over this.
+	// configuration with observability recorders attached (Spec.Metrics).
+	// The bench guard bounds it over CyclesPerSec; a point without it
+	// fails that check.
 	MetricsCyclesPerSec float64 `json:"metrics_cycles_per_sec,omitempty"`
 }
 
-// HostReport is the BENCH_SIM.json document: every path across every
-// workload plus the per-workload predecode speedup (predecoded over
-// reference cycles/sec) and metrics-on overhead (predecoded over
-// instrumented; 1.0 means free). Reports written before the instrumented
-// path existed simply lack those results and the overhead map; Fleet is
-// present only when simbench ran with -fleet (older reports carry none).
+// HostReport is the BENCH_SIM.json document: every measured (workload,
+// path) result, plus the fleet curve when simbench ran with -fleet. It
+// stores no ratio; Ratio takes each one from Results. (Reports written
+// before this layout also carry derived ratio maps, which decoding
+// ignores.)
 type HostReport struct {
-	GoVersion    string             `json:"go_version"`
-	GOOS         string             `json:"goos"`
-	GOARCH       string             `json:"goarch"`
-	CyclesPerRun uint64             `json:"cycles_per_run"`
-	Results      []HostResult       `json:"results"`
-	Speedup      map[string]float64 `json:"speedup"`
-	Overhead     map[string]float64 `json:"overhead,omitempty"`
-	// Translation is the per-workload superblock-translation speedup
-	// (translated over predecoded cycles/sec, same run). Reports written
-	// before the translated path existed lack it.
-	Translation map[string]float64 `json:"translation,omitempty"`
-	// ProfOverhead is the per-workload profiler-on cost (predecoded over
-	// profiled cycles/sec, same run; 1.0 means free). Reports written
-	// before the profiled path existed lack it.
-	ProfOverhead map[string]float64 `json:"prof_overhead,omitempty"`
-	Fleet        []FleetPoint       `json:"fleet,omitempty"`
+	GoVersion    string       `json:"go_version"`
+	GOOS         string       `json:"goos"`
+	GOARCH       string       `json:"goarch"`
+	CyclesPerRun uint64       `json:"cycles_per_run"`
+	Results      []HostResult `json:"results"`
+	Fleet        []FleetPoint `json:"fleet,omitempty"`
 }
 
 // Result returns the measurement for (workload, path), or nil.
@@ -221,13 +218,27 @@ func (r *HostReport) Result(workload, path string) *HostResult {
 	return nil
 }
 
+// Ratio returns workload's throughput on path num over its throughput on
+// path den, both from this report: predecoded over reference is the
+// predecode speedup, translated over predecoded the translated speedup,
+// instrumented over predecoded what an attached recorder leaves. It is NaN
+// when either result is missing, so every comparison with it is false: a
+// guard check on a missing path fails, and a table renders it as "-".
+func (r *HostReport) Ratio(workload, num, den string) float64 {
+	n, d := r.Result(workload, num), r.Result(workload, den)
+	if n == nil || d == nil {
+		return math.NaN()
+	}
+	return n.CyclesPerSec / d.CyclesPerSec
+}
+
 // HostTable renders a report as a workload × path table (one column per
-// execution path, in Mcycles/sec) with the derived ratios, the layout
+// execution path, in Mcycles/sec) with the same-run ratios, the layout
 // benchtab -host prints. Paths absent from the report (older files) render
-// as "-", so a pre-translation BENCH_SIM.json still formats cleanly.
+// as "-", and so do the ratios that need them.
 func (r *HostReport) HostTable() string {
 	var b strings.Builder
-	paths := []string{PathPredecoded, PathReference, PathInstrumented, PathTranslated, PathProfiled}
+	paths := HostPaths()
 	fmt.Fprintf(&b, "host throughput, Mcycles/sec (%s %s/%s, %d cycles per run)\n",
 		r.GoVersion, r.GOOS, r.GOARCH, r.CyclesPerRun)
 	fmt.Fprintf(&b, "%-10s", "workload")
@@ -244,61 +255,48 @@ func (r *HostReport) HostTable() string {
 				fmt.Fprintf(&b, " %12s", "-")
 			}
 		}
-		ratio := func(m map[string]float64, id string) string {
-			if v, ok := m[id]; ok && v > 0 {
+		ratio := func(num, den string) string {
+			if v := r.Ratio(w.ID, num, den); v > 0 {
 				return fmt.Sprintf("%.2fx", v)
 			}
 			return "-"
 		}
 		fmt.Fprintf(&b, " %9s %9s %11s %9s\n",
-			ratio(r.Speedup, w.ID), ratio(r.Overhead, w.ID), ratio(r.Translation, w.ID),
-			ratio(r.ProfOverhead, w.ID))
+			ratio(PathPredecoded, PathReference), ratio(PathPredecoded, PathInstrumented),
+			ratio(PathTranslated, PathPredecoded), ratio(PathPredecoded, PathProfiled))
 	}
 	return b.String()
 }
 
-// RunHostReport measures every workload on all four paths, best of reps
+// RunHostReport measures every workload on each of paths, best of reps
 // runs each. Host throughput on shared machines jitters downward
 // (scheduler preemption, frequency scaling), so each path's result is the
 // best of reps measurements — the steadier estimator of what the
 // simulator can sustain — and the reps are interleaved across paths so a
 // contention episode degrades all paths alike instead of silently skewing
 // one side of a ratio the bench guard checks.
-func RunHostReport(budget uint64, reps int) (HostReport, error) {
-	if reps < 1 {
-		reps = 1
-	}
+func RunHostReport(budget uint64, reps int, paths []string) (HostReport, error) {
+	reps = max(reps, 1)
 	rep := HostReport{
 		GoVersion:    runtime.Version(),
 		GOOS:         runtime.GOOS,
 		GOARCH:       runtime.GOARCH,
 		CyclesPerRun: budget,
-		Speedup:      map[string]float64{},
-		Overhead:     map[string]float64{},
-		Translation:  map[string]float64{},
-		ProfOverhead: map[string]float64{},
 	}
-	paths := []string{PathPredecoded, PathReference, PathInstrumented, PathTranslated, PathProfiled}
 	for _, w := range HostWorkloads() {
-		best := map[string]HostResult{}
-		for i := 0; i < reps; i++ {
-			for _, path := range paths {
-				r, err := MeasureHost(w, path, budget)
+		best := make([]HostResult, len(paths))
+		for range reps {
+			for i, path := range paths {
+				r, err := measureHost(w, path, budget)
 				if err != nil {
 					return rep, fmt.Errorf("bench: %s (%s): %w", w.ID, path, err)
 				}
-				if b, ok := best[path]; !ok || r.CyclesPerSec > b.CyclesPerSec {
-					best[path] = r
+				if r.CyclesPerSec > best[i].CyclesPerSec {
+					best[i] = r
 				}
 			}
 		}
-		fast, ref, inst, trans, prof := best[PathPredecoded], best[PathReference],
-			best[PathInstrumented], best[PathTranslated], best[PathProfiled]
-		rep.Results = append(rep.Results, fast, ref, inst, trans, prof)
-		rep.Speedup[w.ID] = fast.CyclesPerSec / ref.CyclesPerSec
-		rep.Overhead[w.ID] = fast.CyclesPerSec / inst.CyclesPerSec
-		rep.Translation[w.ID] = trans.CyclesPerSec / fast.CyclesPerSec
-		rep.ProfOverhead[w.ID] = fast.CyclesPerSec / prof.CyclesPerSec
+		rep.Results = append(rep.Results, best...)
 	}
 	return rep, nil
 }

@@ -132,17 +132,25 @@ func diskProgram() (*masm.Program, error) {
 // BuildDiskMachine is the E4 machine: the counting emulator in task 0 plus
 // the 3-cycles-per-2-words disk microcode woken by a word source.
 func BuildDiskMachine(cfg core.Config) (*core.Machine, error) {
+	m, _, err := buildDisk(cfg)
+	return m, err
+}
+
+// buildDisk builds BuildDiskMachine's machine and returns its disk too.
+func buildDisk(cfg core.Config) (*core.Machine, *device.WordSource, error) {
 	m, p, err := ioMachine(diskProgram, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := m.Attach(device.NewWordSource(11, 27, 2)); err != nil {
-		return nil, err
+	// 16 bits / 10 Mbit/s = 1.6 µs ≈ 27 cycles per word.
+	disk := device.NewWordSource(11, 27, 2)
+	if err := m.Attach(disk); err != nil {
+		return nil, nil, err
 	}
 	m.SetIOAddress(11, 11)
 	m.SetTPC(11, p.MustEntry("disk"))
-	m.SetRM(1, 0x6000)
-	return m, nil
+	m.SetRM(1, 0x6000) // transfer buffer
+	return m, disk, nil
 }
 
 // fastioProgram assembles the E5 microcode: the counting emulator plus the
@@ -160,19 +168,26 @@ func fastioProgram() (*masm.Program, error) {
 // BuildFastIOMachine is the E5 machine: the display consuming full memory
 // bandwidth with two microinstructions per 16-word block.
 func BuildFastIOMachine(cfg core.Config) (*core.Machine, error) {
-	m, p, err := ioMachine(fastioProgram, cfg)
+	m, _, err := buildFastIO(cfg, fastioProgram)
+	return m, err
+}
+
+// buildFastIO builds BuildFastIOMachine's machine around program, whose
+// display routine starts at disp, and returns its display too.
+func buildFastIO(cfg core.Config, program func() (*masm.Program, error)) (*core.Machine, *device.Display, error) {
+	m, p, err := ioMachine(program, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	disp := device.NewDisplay(13, m.Mem(), 8, 4)
+	disp := device.NewDisplay(13, m.Mem(), 8, 4) // one block per 8 cycles: full bandwidth
 	disp.SetBase(0x20000)
 	if err := m.Attach(disp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.SetIOAddress(13, 13)
 	m.SetTPC(13, p.MustEntry("disp"))
-	m.SetT(13, 16)
-	return m, nil
+	m.SetT(13, 16) // block stride lives in the display task's T
+	return m, disp, nil
 }
 
 // slowioProgram assembles the E6 microcode: the counting emulator plus the

@@ -8,6 +8,8 @@ import (
 
 	"dorado/internal/bench"
 	"dorado/internal/core"
+	"dorado/internal/device"
+	"dorado/internal/masm"
 )
 
 // The observer-free differential. The traced differentials (internal/bench
@@ -119,6 +121,61 @@ func untracedLockstep(t *testing.T, w heldRunWorkload, cfgs []core.Config, names
 			t.Errorf("%s: no held cycle was retired in bulk", names[i])
 		}
 		t.Logf("%s: %d of %d cycles retired in bulk", names[i], bulk, ms[i].Cycle())
+	}
+}
+
+// scannerMachine builds a machine whose one controller is a §7 fast-I/O
+// scanner capturing a block every 40 cycles, the fuzz farm's FastIO rate,
+// serviced by the display's two-instruction routine turned around: Output
+// the next destination while the pointer advances by T, then block.
+func scannerMachine(cfg core.Config) (*core.Machine, error) {
+	p, err := masm.AssembleText(`
+emu:  alu=a+1 a=rm r=0 lc=rm goto emu
+scan: a=t b=rm r=2 alu=a+b lc=rm ff=output
+      block goto scan
+`)
+	if err != nil {
+		return nil, err
+	}
+	m, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.Load(&p.Words)
+	m.Start(p.MustEntry("emu"))
+	sc := device.NewScanner(12, m.Mem(), 40, 4)
+	sc.SetBase(0x8000)
+	if err := m.Attach(sc); err != nil {
+		return nil, err
+	}
+	m.SetIOAddress(12, 12)
+	m.SetTPC(12, p.MustEntry("scan"))
+	m.SetT(12, 16)
+	return m, nil
+}
+
+// TestScannerEventHorizon: a scanner promises its next capture, or the
+// storage pipe's release while a captured block and a destination wait,
+// so both fast paths stay in lockstep with the reference, which scans
+// every cycle, while the predecoded machine scans its devices on a small
+// fraction of its cycles.
+func TestScannerEventHorizon(t *testing.T) {
+	w := heldRunWorkload{id: "scanner", cycles: 120_000, build: scannerMachine}
+	untracedLockstep(t, w, []core.Config{{Reference: true}, {}, {Translation: heldRunTranslation}},
+		[]string{"reference", "predecoded", "translated"})
+
+	m, err := scannerMachine(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunCycles(100_000)
+	scans0, _ := core.HorizonStats(m)
+	const cycles = 1_000_000
+	m.RunCycles(cycles)
+	scans, _ := core.HorizonStats(m)
+	t.Logf("per %d steady cycles: %d device scans", cycles, scans-scans0)
+	if scans-scans0 > cycles/4 {
+		t.Errorf("%d device scans per %d cycles: the scanner's event horizon stopped engaging", scans-scans0, cycles)
 	}
 }
 

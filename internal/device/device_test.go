@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dorado/internal/memory"
+	"dorado/internal/state"
 )
 
 func TestWordSourceCadence(t *testing.T) {
@@ -149,4 +150,54 @@ func TestNopDevice(t *testing.T) {
 	d.Output(1, 0)
 	d.Control(1, 0)
 	d.NotifyNext(0)
+}
+
+// TestRestoreBoundsQueues: a snapshot whose display queue or scanner
+// destinations exceed the bound Output keeps is refused; one at the bound
+// restores. A pulse snapshot with more latencies than NotifyNext keeps,
+// as a build without the bound wrote, restores the first maxLatencies.
+func TestRestoreBoundsQueues(t *testing.T) {
+	m, err := memory.New(memory.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(from, to Device) error {
+		enc := state.Encode(0)
+		enc.Section("TEST")
+		from.State(enc)
+		dec, err := state.Decode(enc.Bytes())
+		if err != nil {
+			return err
+		}
+		dec.Section("TEST")
+		to.State(dec)
+		return dec.Finish()
+	}
+	for _, tc := range []struct {
+		name  string
+		queue func(n int) Device // a device holding n block commands
+		fresh Device
+	}{
+		{"display", func(n int) Device { return &Display{pending: make([]uint32, n)} }, NewDisplay(13, m, 8, 4)},
+		{"scanner", func(n int) Device { return &Scanner{dests: make([]uint32, n)} }, NewScanner(12, m, 8, 4)},
+	} {
+		if err := restore(tc.queue(maxCommands), tc.fresh); err != nil {
+			t.Errorf("%s: a queue at its bound: %v", tc.name, err)
+		}
+		if err := restore(tc.queue(maxCommands+1), tc.fresh); err == nil {
+			t.Errorf("%s: a queue past its bound restored", tc.name)
+		}
+	}
+
+	old := &Pulse{lats: make([]uint64, maxLatencies+100)}
+	for i := range old.lats {
+		old.lats[i] = uint64(i)
+	}
+	p := NewPulse(14, 1)
+	if err := restore(old, p); err != nil {
+		t.Fatalf("pulse with %d latencies: %v", len(old.lats), err)
+	}
+	if got := p.Latencies(); len(got) != maxLatencies || got[maxLatencies-1] != maxLatencies-1 {
+		t.Errorf("restored %d latencies ending %d, want the first %d", len(got), got[len(got)-1], maxLatencies)
+	}
 }

@@ -58,17 +58,28 @@ func (d *Display) Wakeup() bool {
 	return len(d.pending)-d.pHead+d.filled < d.BufferBlocks
 }
 
+// maxCommands bounds the block commands a display or scanner queues, as a
+// hardware FIFO would: a command past it is dropped. Service microcode
+// that blocks after each Output keeps at most a few queued; the most any
+// bundled workload, experiment or test queues is 5 on a display (the fuzz
+// farm's FastIO shape) and 2 on a scanner. Only a task that issues Output
+// without blocking reaches the bound. Restore refuses a snapshot holding
+// more.
+const maxCommands = 256
+
 // Output implements Device: microcode commands the transfer of the block at
 // word offset v (the paper's display microcode sends a block address and
-// bumps its pointer in one instruction). The live suffix (at most
-// BufferBlocks entries) moves to the front first: a full-rate display never
-// fully drains, so waiting for an empty queue would grow it without bound.
+// bumps its pointer in one instruction). The live suffix moves to the
+// front first: a full-rate display never fully drains, so waiting for an
+// empty queue would grow it without bound.
 func (d *Display) Output(v uint16, now uint64) {
 	if d.pHead > 0 {
 		n := copy(d.pending, d.pending[d.pHead:])
 		d.pending, d.pHead = d.pending[:n], 0
 	}
-	d.pending = append(d.pending, d.base+uint32(v))
+	if len(d.pending) < maxCommands {
+		d.pending = append(d.pending, d.base+uint32(v))
+	}
 }
 
 // Tick implements Device: move one pending block from storage when the

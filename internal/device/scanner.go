@@ -51,9 +51,11 @@ func (d *Scanner) SetBase(va uint32) { d.base = va }
 func (d *Scanner) Wakeup() bool { return d.filled > len(d.dests) }
 
 // Output implements Device: microcode supplies the next destination block
-// offset.
+// offset. A destination past maxCommands is dropped.
 func (d *Scanner) Output(v uint16, now uint64) {
-	d.dests = append(d.dests, d.base+uint32(v))
+	if len(d.dests) < maxCommands {
+		d.dests = append(d.dests, d.base+uint32(v))
+	}
 }
 
 // Tick implements Device: capture at the fixed rate; drain captured blocks
@@ -72,17 +74,34 @@ func (d *Scanner) Tick(now uint64) {
 		}
 	}
 	if d.filled > 0 && len(d.dests) > 0 {
+		// The pattern advances only with a written block, so a transfer
+		// the busy storage pipe refuses changes nothing (IdleUntil relies
+		// on it).
 		var blk [memory.LineWords]uint16
 		for i := range blk {
-			d.seq++
-			blk[i] = d.seq
+			blk[i] = d.seq + uint16(i) + 1
 		}
 		if d.mem.FastWrite(d.dests[0], blk, now) {
+			d.seq += memory.LineWords
 			d.dests = d.dests[1:]
 			d.filled--
 			d.blocksMoved++
 		}
 	}
+}
+
+// IdleUntil implements Device. The scanner acts only at its next capture
+// and, while a captured block and a destination both wait, when the
+// storage pipe frees; its wakeup line moves only at a capture, a transfer,
+// or through Output, which ends the quiet window.
+func (d *Scanner) IdleUntil(now uint64) uint64 {
+	if !d.started {
+		return now
+	}
+	if d.filled > 0 && len(d.dests) > 0 {
+		return min(d.writeAt, d.mem.StorageFreeAt())
+	}
+	return d.writeAt
 }
 
 // BlocksMoved returns the blocks written to storage.

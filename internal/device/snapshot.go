@@ -1,6 +1,11 @@
 package device
 
-import "dorado/internal/state"
+import (
+	"fmt"
+	"slices"
+
+	"dorado/internal/state"
+)
 
 // Device snapshot descriptions. These code into the machine's open device
 // section (they do not open sections of their own). Queues are coded in
@@ -45,6 +50,13 @@ func (d *Pulse) State(c *state.Codec) {
 	c.U64(&d.nextAt)
 	c.Bool(&d.started)
 	state.List(c, &d.lats, 8, c.U64)
+	if len(d.lats) > maxLatencies {
+		// A build without the bound recorded every latency. Nothing in
+		// the machine reads them, so keep the ones this build would have
+		// recorded: the snapshot revives, and parks again under a new
+		// hash.
+		d.lats = slices.Clone(d.lats[:maxLatencies])
+	}
 }
 
 // State implements Device.
@@ -55,7 +67,7 @@ func (d *Display) State(c *state.Codec) {
 	if c.Decoding() {
 		live = d.pending[:0]
 	}
-	state.List(c, &live, 4, c.U32)
+	codeCommands(c, &live)
 	if c.Decoded() {
 		d.pending, d.pHead = live, 0
 	}
@@ -71,12 +83,21 @@ func (d *Display) State(c *state.Codec) {
 func (d *Scanner) State(c *state.Codec) {
 	c.U32(&d.base)
 	codeInt(c, &d.filled)
-	state.List(c, &d.dests, 4, c.U32)
+	codeCommands(c, &d.dests)
 	c.U16(&d.seq)
 	c.U64(&d.writeAt)
 	c.Bool(&d.started)
 	c.U64(&d.blocksMoved)
 	c.U64(&d.overruns)
+}
+
+// codeCommands codes a display's or scanner's queued block addresses.
+// Decoding refuses more than maxCommands of them: the commands drive the
+// device, so dropping some would change what the machine does.
+func codeCommands(c *state.Codec, q *[]uint32) {
+	if state.List(c, q, 4, c.U32); len(*q) > maxCommands {
+		c.Fail(fmt.Errorf("device: queue of %d block commands, at most %d fit", len(*q), maxCommands))
+	}
 }
 
 // codeInt codes a block count as a 32-bit value.

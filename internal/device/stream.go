@@ -184,19 +184,30 @@ func (d *Pulse) IdleUntil(now uint64) uint64 {
 	return d.nextAt
 }
 
+// maxLatencies bounds the latencies a Pulse records; later ones are
+// dropped. The most any bundled experiment or test records is 206 (E9
+// records 99); a fleet pulse at its default period of 1000 cycles reaches
+// the bound after about 4.1M cycles, and one at a short period on a long
+// run would otherwise add one per service. A snapshot holding more, which
+// a build without the bound wrote, restores its first maxLatencies.
+const maxLatencies = 4096
+
 // NotifyNext implements Device: service is imminent; record the latency and
 // drop the request (one service unit per pulse).
 func (d *Pulse) NotifyNext(now uint64) {
 	if d.wake {
-		d.lats = append(d.lats, now-d.raised)
+		if len(d.lats) < maxLatencies {
+			d.lats = append(d.lats, now-d.raised)
+		}
 		d.wake = false
 	}
 }
 
-// Latencies returns the observed wakeup→NEXT latencies in cycles.
+// Latencies returns the observed wakeup→NEXT latencies in cycles, the
+// first maxLatencies of them.
 func (d *Pulse) Latencies() []uint64 { return d.lats }
 
 // String summarizes the pulse statistics.
 func (d *Pulse) String() string {
-	return fmt.Sprintf("pulse(task %d, %d wakeups)", d.TaskNum, len(d.lats))
+	return fmt.Sprintf("pulse(task %d, %d latencies)", d.TaskNum, len(d.lats))
 }

@@ -19,71 +19,53 @@ start:  const=0 alu=b lc=t
 loop:   alu=a+1 a=t lc=t goto loop
 `
 
-// ScalingOptions parameterizes MeasureScaling. The zero value measures
-// 1, 2, 4, and 8 sessions, 250k cycles per operation, 8 operations per
-// session, without metrics recorders.
-type ScalingOptions struct {
-	// Sessions are the fleet sizes to measure, in order; the first is the
-	// scaling baseline.
-	Sessions []int
-	// CyclesPerOp is the cycle budget of each run operation.
-	CyclesPerOp uint64
-	// OpsPerSession is how many run operations each session's driver
-	// submits inside the timed region.
-	OpsPerSession int
-	// Metrics creates the sessions with observability recorders
-	// (Spec.Metrics) — the instrumented-fleet configuration the bench
-	// guard's FleetMetricsOn budget polices.
-	Metrics bool
-}
+// Every fleet point's sessions run scalingOps run operations of
+// scalingCycles cycles each inside the timed region.
+const (
+	scalingCycles = 250_000
+	scalingOps    = 8
+)
 
-func (o ScalingOptions) withDefaults() ScalingOptions {
-	if len(o.Sessions) == 0 {
-		o.Sessions = []int{1, 2, 4, 8}
-	}
-	if o.CyclesPerOp == 0 {
-		o.CyclesPerOp = 250_000
-	}
-	if o.OpsPerSession <= 0 {
-		o.OpsPerSession = 8
-	}
-	return o
-}
-
-// MeasureScaling measures aggregate fleet throughput at each requested
-// session count: a fresh Manager (GOMAXPROCS workers) runs n sessions of
-// the spin workload, each driven by its own goroutine submitting run
-// operations back to back — the saturated-service shape, every session
-// always having work — and the point records total simulated cycles over
-// wall time. On a host with GOMAXPROCS ≥ n the aggregate should approach
-// n × the one-session rate; the recorded Workers field says what
+// MeasureScaling measures aggregate fleet throughput at each session count
+// in sessions, in order; the first is the scaling baseline. A fresh
+// Manager (GOMAXPROCS workers) runs n sessions of the spin workload, each
+// driven by its own goroutine submitting run operations back to back —
+// the saturated-service shape, every session always having work — and the
+// point records total simulated cycles over wall time. Each point is
+// measured plain and then, on another fresh Manager, with every session
+// carrying an observability recorder (Spec.Metrics), whose rate fills
+// MetricsCyclesPerSec. On a host with GOMAXPROCS ≥ n the aggregate should
+// approach n × the one-session rate; the recorded Workers field says what
 // parallelism was actually available.
-func MeasureScaling(opt ScalingOptions) ([]bench.FleetPoint, error) {
-	opt = opt.withDefaults()
+func MeasureScaling(sessions []int) ([]bench.FleetPoint, error) {
 	var points []bench.FleetPoint
-	for _, n := range opt.Sessions {
-		p, err := measureFleet(n, opt)
+	for _, n := range sessions {
+		p, err := measureFleet(n, false)
 		if err != nil {
 			return points, err
 		}
+		instr, err := measureFleet(n, true)
+		if err != nil {
+			return points, err
+		}
+		p.MetricsCyclesPerSec = instr.CyclesPerSec
+		p.Scaling = 1
 		if len(points) > 0 {
 			p.Scaling = p.CyclesPerSec / points[0].CyclesPerSec
-		} else {
-			p.Scaling = 1
 		}
 		points = append(points, p)
 	}
 	return points, nil
 }
 
-func measureFleet(n int, opt ScalingOptions) (bench.FleetPoint, error) {
+func measureFleet(n int, metrics bool) (bench.FleetPoint, error) {
 	m := New(Config{Workers: runtime.GOMAXPROCS(0), MaxSessions: n, QueueDepth: 2})
 	defer m.Drain(context.Background()) //nolint:errcheck // Background never expires
 
 	ctx := context.Background()
 	ids := make([]string, n)
 	for i := range ids {
-		id, err := m.Create(Spec{Metrics: opt.Metrics})
+		id, err := m.Create(Spec{Metrics: metrics})
 		if err != nil {
 			return bench.FleetPoint{}, err
 		}
@@ -91,7 +73,7 @@ func measureFleet(n int, opt ScalingOptions) (bench.FleetPoint, error) {
 			return bench.FleetPoint{}, err
 		}
 		// Warm the machine (caches, predecode, host branch predictor).
-		if _, err := m.Run(ctx, id, opt.CyclesPerOp/4); err != nil {
+		if _, err := m.Run(ctx, id, scalingCycles/4); err != nil {
 			return bench.FleetPoint{}, err
 		}
 		ids[i] = id
@@ -109,8 +91,8 @@ func measureFleet(n int, opt ScalingOptions) (bench.FleetPoint, error) {
 		go func(id string) {
 			defer wg.Done()
 			var ran uint64
-			for i := 0; i < opt.OpsPerSession; i++ {
-				r, err := m.Run(ctx, id, opt.CyclesPerOp)
+			for range scalingOps {
+				r, err := m.Run(ctx, id, scalingCycles)
 				if err != nil {
 					mu.Lock()
 					if firstE == nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"dorado/internal/memory"
 	"dorado/internal/obs"
+	"dorado/internal/state"
 	"dorado/internal/state/statetest"
 	"dorado/internal/store"
 )
@@ -813,5 +815,111 @@ func TestAdoptVersion1Store(t *testing.T) {
 				t.Fatalf("state after the sweep = %+v, %v", st, err)
 			}
 		})
+	}
+}
+
+// TestAdoptUnboundedPulseLatencies is the upgrade story for the pulse's
+// latency bound: a build without it recorded one latency per service, so
+// a session it parked after a long run (a pulse at the catalog's default
+// period passes 4096 services after about 4.1M cycles) holds more than
+// this build keeps. A fresh Manager adopts that park, revives it keeping
+// the first 4096, runs it on, and parks it again under a new hash.
+func TestAdoptUnboundedPulseLatencies(t *testing.T) {
+	const (
+		kept  = 4096 // the latencies a pulse keeps (device.maxLatencies)
+		older = 5000 // the latencies the older build parked
+	)
+	spec := Spec{Devices: []DeviceSpec{{Name: "pulse", Rate: 50, Start: "pulse"}}}
+	src := New(Config{Workers: 1})
+	id, err := src.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.LoadMicrocode(tctx, id, "emu: goto emu\npulse: block goto pulse\n", "emu"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Run(tctx, id, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.Snapshot(tctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainNow(t, src)
+
+	// The pulse is the machine's only device, so section DEVS holds the
+	// device count and its task, the pulse's wake flag, raise and
+	// next-wakeup cycles and started flag (20 bytes in all), then its
+	// latencies: a uint32 count and that many uint64s. Lengthen the list
+	// to what the older build would have parked.
+	le := binary.LittleEndian
+	latencies := func(doc []byte) []byte {
+		t.Helper()
+		d, err := state.Split(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range d.Sections {
+			if s.Tag == "DEVS" && len(s.Body) >= 24 && len(s.Body) == 24+8*int(le.Uint32(s.Body[20:])) {
+				return s.Body[20:]
+			}
+		}
+		t.Fatal("no DEVS section holding one pulse")
+		return nil
+	}
+	lats := latencies(snap)
+	n := int(le.Uint32(lats))
+	if n == 0 {
+		t.Fatal("the pulse recorded no latencies")
+	}
+	d, err := state.Split(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range d.Sections {
+		if s.Tag == "DEVS" {
+			body := le.AppendUint32(bytes.Clone(s.Body[:20]), older)
+			body = append(body, lats[4:]...)
+			for range older - n {
+				body = le.AppendUint64(body, 1)
+			}
+			d.Sections[i].Body = body
+		}
+	}
+	old := d.Join()
+
+	dir := t.TempDir()
+	sdb := openStore(t, dir)
+	hash := store.Hash(old)
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sdb.PutSnapshot(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.PutMeta(hash, specJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.SaveSession(store.Entry{ID: id, Seq: 1, Spec: specJSON, Hash: hash, Cycle: 10_000, ParkedAt: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+
+	m := New(Config{Workers: 1, Store: openStore(t, dir), GCMaxAge: -1})
+	defer drainNow(t, m)
+	if r, err := m.Run(tctx, id, 10_000); err != nil || r.Cycle != 20_000 {
+		t.Fatalf("run after revival = %+v, %v, want cycle 20000", r, err)
+	}
+	res := parkNow(t, m, id)
+	if res.Snapshot == hash {
+		t.Fatal("the re-park kept the older build's hash")
+	}
+	blob, err := m.cfg.Store.Get(res.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := latencies(blob)
+	if k := le.Uint32(got); k != kept || !bytes.Equal(got[4:4+8*n], lats[4:]) {
+		t.Errorf("re-park holds %d latencies, want the first %d of the %d parked", k, kept, older)
 	}
 }

@@ -581,11 +581,7 @@ func TestMetricsSnapshotFamilies(t *testing.T) {
 }
 
 func TestMeasureScalingSmoke(t *testing.T) {
-	points, err := MeasureScaling(ScalingOptions{
-		Sessions:      []int{1, 2},
-		CyclesPerOp:   20_000,
-		OpsPerSession: 2,
-	})
+	points, err := MeasureScaling([]int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +589,7 @@ func TestMeasureScalingSmoke(t *testing.T) {
 		t.Fatalf("points = %+v", points)
 	}
 	for _, p := range points {
-		if p.CyclesPerSec <= 0 || p.SimCycles != uint64(p.Sessions)*40_000 {
+		if p.CyclesPerSec <= 0 || p.MetricsCyclesPerSec <= 0 || p.SimCycles != uint64(p.Sessions)*scalingOps*scalingCycles {
 			t.Fatalf("bad point %+v", p)
 		}
 	}

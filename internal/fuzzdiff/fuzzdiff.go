@@ -63,8 +63,9 @@ const (
 	// display consuming 16-word blocks from storage and a scanner
 	// producing them. It widens the differential to direct storage
 	// transfers, cache invalidations and the extra wakeup traffic they
-	// cause. The scanner promises no event horizon, so this shape scans
-	// devices every cycle.
+	// cause. Both promise event horizons that rest on the storage pipe's
+	// release, so this shape checks those promises against the reference,
+	// which scans devices every cycle.
 	FastIO
 	// Devices adds the display alone, at full storage bandwidth (a block
 	// every 8 cycles): the shape of perfbench's devices sessions, where
