@@ -99,9 +99,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkNewMesa measures building a Mesa system: the machine and its
-// memory, with every microstore word HALT. New loads no microcode; Boot
-// installs the shared Mesa emulator. The fleet builds one for every
-// create, revive and fork of a Mesa session.
+// memory, pointing at the shared all-HALT microstore and the empty decode
+// table, with nothing filled or copied. New loads no microcode; Boot
+// points the machine at the shared Mesa image. The fleet builds one for
+// every create, revive and fork of a Mesa session.
 func BenchmarkNewMesa(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -131,7 +132,9 @@ func BenchmarkCreateBoot(b *testing.B) {
 
 // BenchmarkRevive measures a fleet revive or fork without the store:
 // build a Mesa system and restore a booted Mesa session's snapshot onto
-// it.
+// it. The snapshot's microstore run and decode table match the shared
+// Mesa image, so the restore compares each once and points the machine at
+// the image; what remains is mostly the memory system's state.
 func BenchmarkRevive(b *testing.B) {
 	src, err := New(WithLanguage(Mesa))
 	if err != nil {

@@ -24,9 +24,12 @@ func bootedMesa(t *testing.T) *System {
 
 // TestBuildFootprint pins what a machine allocates when it is built: a
 // Mesa system, and a Mesa system onto which a booted session's snapshot
-// is restored (the fleet's revive and fork), each allocate under 256 KiB.
-// A machine holds only the storage pages it has written, so neither pays
-// for the million-word storage image, which alone is 2 MiB.
+// is restored (the fleet's revive and fork), each allocate under 64 KiB
+// (38 and 46 KiB). A machine holds only the storage pages it has
+// written, so neither pays for the million-word storage image, which
+// alone is 2 MiB, and it points at the shared all-HALT and Mesa
+// microstores and decode table, so neither pays for a 168 KiB microstore
+// of its own.
 func TestBuildFootprint(t *testing.T) {
 	snap := bootedMesa(t).Machine.Snapshot()
 	for _, c := range []struct {
@@ -58,15 +61,16 @@ func TestBuildFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		per := (after.TotalAlloc - before.TotalAlloc) / reps
 		t.Logf("%s allocates %d KiB", c.name, per>>10)
-		if per >= 256<<10 {
-			t.Errorf("%s allocates %d KiB, want under 256 KiB", c.name, per>>10)
+		if per >= 64<<10 {
+			t.Errorf("%s allocates %d KiB, want under 64 KiB", c.name, per>>10)
 		}
 	}
 }
 
 // TestSessionFootprint measures the heap that each live booted Mesa
-// session holds, over 64 of them, and requires at most 512 KiB: the
-// figure that says how many sessions a host's memory holds.
+// session holds, over 64 of them, and requires at most 64 KiB (45 KiB):
+// the figure that says how many sessions a host's memory holds. The
+// sessions share the Mesa microstore and decode table.
 func TestSessionFootprint(t *testing.T) {
 	const n = 64
 	sessions := make([]*System, n)
@@ -81,7 +85,7 @@ func TestSessionFootprint(t *testing.T) {
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	runtime.KeepAlive(sessions)
 	t.Logf("%d live booted Mesa sessions hold %d KiB of heap each (%d sessions per GiB)", n, per>>10, (1<<30)/max(per, 1))
-	if per > 512<<10 {
-		t.Errorf("a live booted Mesa session holds %d KiB of heap, want at most 512 KiB", per>>10)
+	if per > 64<<10 {
+		t.Errorf("a live booted Mesa session holds %d KiB of heap, want at most 64 KiB", per>>10)
 	}
 }

@@ -37,9 +37,7 @@ func runMesaWorkload(micro *masm.Program, table *emulator.Program, opts core.Opt
 	if err := a.Install(m); err != nil {
 		return 0, 0, err
 	}
-	if err := table.InstallOn(m); err != nil {
-		return 0, 0, err
-	}
+	table.InstallOn(m)
 	if micro != nil {
 		m.Load(&micro.Words) // replacement microcode (e.g. padded)
 	}

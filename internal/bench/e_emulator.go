@@ -19,9 +19,7 @@ func buildEmu(prog *emulator.Program, build func(a *emulator.Asm), setup func(m 
 	if err := a.Install(m); err != nil {
 		return nil, err
 	}
-	if err := prog.InstallOn(m); err != nil {
-		return nil, err
-	}
+	prog.InstallOn(m)
 	if setup != nil {
 		if err := setup(m, a); err != nil {
 			return nil, err

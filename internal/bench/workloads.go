@@ -81,9 +81,7 @@ func BuildMesaCallsMachine(cfg core.Config) (*core.Machine, error) {
 		return nil, err
 	}
 	p.InstallOn(m)
-	if err := mesa.InstallOn(m); err != nil {
-		return nil, err
-	}
+	mesa.InstallOn(m)
 	return m, nil
 }
 
@@ -107,9 +105,7 @@ func BuildEmulatorMachine(cfg core.Config) (*core.Machine, error) {
 	if err := a.Install(m); err != nil {
 		return nil, err
 	}
-	if err := mesa.InstallOn(m); err != nil {
-		return nil, err
-	}
+	mesa.InstallOn(m)
 	return m, nil
 }
 

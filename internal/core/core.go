@@ -134,7 +134,7 @@ type pendingWrite struct {
 type Machine struct {
 	cfg Config
 
-	im  microstore // each microstore word and its decoded form
+	im  *microstore // a shared image until the first write that differs (own)
 	mem *memory.System
 	ifu *ifu.Unit
 
@@ -239,14 +239,12 @@ func New(cfg Config) (*Machine, error) {
 		cfg:      cfg,
 		mem:      mem,
 		ifu:      ifu.New(mem),
+		im:       haltStore,
 		alufm:    microcode.DefaultALUFM(),
 		devQuiet: ^uint64(0), // no controllers: quiet forever
 	}
 	if cfg.Translation.Enable {
 		m.trans = &translator{}
-	}
-	for i := range m.im.word {
-		m.im.word[i], m.im.dec[i] = halt, haltDecoded
 	}
 	if ft := cfg.FaultTask; ft > 0 {
 		mem.OnFault(func(memory.Fault) { m.ready |= 1 << ft })
@@ -260,19 +258,56 @@ func (m *Machine) Mem() *memory.System { return m.mem }
 // IFU returns the instruction fetch unit.
 func (m *Machine) IFU() *ifu.Unit { return m.ifu }
 
-// Load installs a microstore image (e.g. masm.Program.Words) word by
-// word, decoding only the words that differ from those stored, and then
-// flushes the superblock translator. An identical image changes nothing
-// and keeps the blocks warm, which matters to callers that re-Load the
-// same program per work item (BitBlt runs one Setup per blit).
+// Load installs a microstore image (e.g. masm.Program.Words) and then
+// flushes the superblock translator. An image that a shared Image holds
+// (NewImage) is installed by pointing the machine at that Image's store;
+// any other is written word by word into a store of the machine's own,
+// decoding only the words that differ from those stored. An identical
+// image changes nothing and keeps the blocks warm, which matters to
+// callers that re-Load the same program per work item (BitBlt runs one
+// Setup per blit).
 func (m *Machine) Load(im *[microcode.StoreSize]microcode.Word) {
 	if m.im.word == *im {
 		return
 	}
+	for _, s := range sharedStores() {
+		if s.word == *im {
+			m.im = s
+			m.trans.reset()
+			return
+		}
+	}
+	s := m.own()
 	for a := range im {
-		m.im.set(microcode.Addr(a), im[a])
+		if s.word[a] != im[a] {
+			s.set(microcode.Addr(a), im[a])
+		}
 	}
 	m.trans.reset()
+}
+
+// Install points the machine's microstore and IFU decode table at img's,
+// as Load of its words and a SetEntry of each of its rows into an empty
+// table would install them, without copying either. The translator is
+// flushed when the microstore changes.
+func (m *Machine) Install(img *Image) {
+	if m.im != img.store {
+		m.im = img.store
+		m.trans.reset()
+	}
+	m.ifu.SetTable(img.table)
+}
+
+// own returns the machine's microstore for a write, first copying a
+// shared one into a store of the machine's own.
+func (m *Machine) own() *microstore {
+	if m.im.shared {
+		s := new(microstore)
+		*s = *m.im
+		s.shared, s.sum = false, 0
+		m.im = s
+	}
+	return m.im
 }
 
 // SetIM writes one microstore word, which executes at its next fetch on
@@ -280,7 +315,8 @@ func (m *Machine) Load(im *[microcode.StoreSize]microcode.Word) {
 // images go through Load). Rewriting the same word changes nothing; a new
 // word flushes the superblock translator, since any block may hold the old.
 func (m *Machine) SetIM(a microcode.Addr, w microcode.Word) {
-	if m.im.set(a&microcode.AddrMask, w) {
+	if a &= microcode.AddrMask; m.im.word[a] != w {
+		m.own().set(a, w)
 		m.trans.reset()
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"dorado/internal/memory"
@@ -58,10 +60,13 @@ func (m *Machine) Snapshot() []byte {
 // run with, so restore a good one (or build a fresh machine) before
 // relying on it again.
 //
-// Each microstore word is installed like a Load's, decoded only where it
-// differs from the word stored. Whether it succeeds or not, Restore then
-// flushes the superblock translator, whose blocks and budget continuation
-// depend on where the machine was, not on the snapshot.
+// A microstore that the machine's own store or a shared image holds is
+// installed by pointing at that store, with no word decoded; any other is
+// written into a store of the machine's own, each word decoded only where
+// it differs from the word stored. The IFU's decode table is installed
+// the same way. Whether it succeeds or not, Restore then flushes the
+// superblock translator, whose blocks and budget continuation depend on
+// where the machine was, not on the snapshot.
 func (m *Machine) Restore(data []byte) error {
 	c, err := state.Decode(data)
 	if err != nil {
@@ -145,9 +150,7 @@ func (m *Machine) state(c *state.Codec) {
 	}
 
 	c.Section(sectCoreStore)
-	for a := range m.im.word {
-		codeWord(c, &m.im, microcode.Addr(a))
-	}
+	m.codeStore(c)
 
 	m.mem.State(c)
 	m.ifu.State(c)
@@ -177,21 +180,34 @@ func codeAddr(c *state.Codec, p *microcode.Addr) {
 	}
 }
 
-// codeWord codes the microstore word at a; decoding refuses one that
-// microcode.Word.Validate rejects and installs any other. A decoded word
-// that encodes as the stored one does is the word already installed, and
-// is neither decoded nor checked again: a revive restores onto a machine
-// built with the same microcode, which holds nearly every word already.
-func codeWord(c *state.Codec, s *microstore, a microcode.Addr) {
-	stored := s.word[a].Encode()
-	v := stored
-	if c.U64(&v); !c.Decoded() || v == stored {
+// codeStore codes the microstore as its words' coding, a U64 per word,
+// written in one copy. Decoding compares the run with the machine's store
+// and then with every shared one, and points the machine at the one that
+// holds it. Any other run is written into a store of the machine's own:
+// each word that differs from the one stored is decoded, refused if
+// microcode.Word.Validate rejects it, and installed.
+func (m *Machine) codeStore(c *state.Codec) {
+	run := c.U64s(m.im.enc[:])
+	if !c.Decoded() || bytes.Equal(run, m.im.enc[:]) {
 		return
 	}
-	w := microcode.Decode(v)
-	if err := w.Validate(); err != nil {
-		c.Fail(fmt.Errorf("core: snapshot microstore word %v: %w", a, err))
-		return
+	for _, s := range sharedStores() {
+		if bytes.Equal(run, s.enc[:]) {
+			m.im = s
+			return
+		}
 	}
-	s.set(a, w)
+	s := m.own()
+	for a := range s.word {
+		v := binary.LittleEndian.Uint64(run[8*a:])
+		if v == binary.LittleEndian.Uint64(s.enc[8*a:]) {
+			continue
+		}
+		w := microcode.Decode(v)
+		if err := w.Validate(); err != nil {
+			c.Fail(fmt.Errorf("core: snapshot microstore word %v: %w", microcode.Addr(a), err))
+			return
+		}
+		s.set(microcode.Addr(a), w)
+	}
 }

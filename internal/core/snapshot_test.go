@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"runtime"
 	"testing"
 
@@ -295,11 +296,37 @@ func TestRestoreClearsStorage(t *testing.T) {
 	}
 }
 
+// restoreImage is the shared image of restoreMachine's microcode and two
+// IFU decode rows, so FuzzRestore's seeds hold a shared microstore and
+// decode table.
+func restoreImage(t testing.TB) (*Image, *masm.Program) {
+	t.Helper()
+	bl := masm.NewBuilder()
+	bl.EmitAt("emu", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0,
+		LC: microcode.LCLoadRM})
+	bl.Emit(masm.I{A: microcode.ASelFetch, R: 0})
+	bl.Emit(masm.I{ALU: microcode.ALUAplusB, A: microcode.ASelMD, B: microcode.BSelT,
+		LC: microcode.LCLoadT})
+	bl.Emit(masm.I{A: microcode.ASelStore, R: 0, B: microcode.BSelT, Flow: masm.Goto("emu")})
+	bl.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
+		ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
+	bl.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
+	p := mustProgram(t, bl)
+	var rows [256]ifu.Entry
+	rows[0] = ifu.Entry{Valid: true, Handler: 0x10, Name: "NOP"}
+	rows[1] = ifu.Entry{Valid: true, Handler: 0x20, Operands: 2, Wide: true, Name: "LIW"}
+	img, err := NewImage(&p.Words, &rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, p
+}
+
 // restoreMachine builds the small machine FuzzRestore's seeds come from:
 // 256 cache words over 4096 storage words, a page-map override, a few
 // IFU decode rows, and a Display on task 13 fed by a two-word service
-// routine. With run set it loads and starts the program; without, it is
-// only a restore target of the same shape.
+// routine. With run set it installs restoreImage and starts the program;
+// without, it is only a restore target of the same shape.
 func restoreMachine(t testing.TB, run bool) *Machine {
 	t.Helper()
 	m, err := New(Config{Memory: memory.Config{CacheWords: 256, CacheWays: 2, StorageWords: 4096}})
@@ -314,29 +341,33 @@ func restoreMachine(t testing.TB, run bool) *Machine {
 	if !run {
 		return m
 	}
-	bl := masm.NewBuilder()
-	bl.EmitAt("emu", masm.I{ALU: microcode.ALUAplus1, A: microcode.ASelRM, R: 0,
-		LC: microcode.LCLoadRM})
-	bl.Emit(masm.I{A: microcode.ASelFetch, R: 0})
-	bl.Emit(masm.I{ALU: microcode.ALUAplusB, A: microcode.ASelMD, B: microcode.BSelT,
-		LC: microcode.LCLoadT})
-	bl.Emit(masm.I{A: microcode.ASelStore, R: 0, B: microcode.BSelT, Flow: masm.Goto("emu")})
-	bl.EmitAt("disp", masm.I{A: microcode.ASelT, B: microcode.BSelRM, R: 2,
-		ALU: microcode.ALUAplusB, LC: microcode.LCLoadRM, FF: microcode.FFOutput})
-	bl.Emit(masm.I{Block: true, Flow: masm.Goto("disp")})
-	p := mustProgram(t, bl)
-	m.Load(&p.Words)
+	img, p := restoreImage(t)
+	m.Install(img)
 	m.Mem().MapSet(3, 5)
-	for op, e := range []ifu.Entry{{Handler: 0x10, Name: "NOP"}, {Handler: 0x20, Operands: 2, Wide: true, Name: "LIW"}} {
-		if err := m.IFU().SetEntry(uint8(op), e); err != nil {
-			t.Fatal(err)
-		}
-	}
 	m.SetIOAddress(13, 13)
 	m.SetTPC(13, p.MustEntry("disp"))
 	m.SetT(13, 16)
 	m.Start(p.MustEntry("emu"))
 	return m
+}
+
+// sectionBody returns where the body of snap's section tag starts and
+// ends.
+func sectionBody(t testing.TB, snap []byte, tag string) (start, end int) {
+	t.Helper()
+	doc, err := state.Split(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(doc.Header)
+	for _, sec := range doc.Sections {
+		if sec.Tag == tag {
+			return at + 8, at + 8 + len(sec.Body)
+		}
+		at += 8 + len(sec.Body)
+	}
+	t.Fatalf("no section %q", tag)
+	return 0, 0
 }
 
 // restoreSeeds are FuzzRestore's base snapshots: restoreMachine at two
@@ -417,14 +448,48 @@ func TestRestoreBoundsCounts(t *testing.T) {
 // snapshot is version 2, so its round trip crosses the versions. Patches rather than whole
 // documents keep each input small: a whole 46 KB snapshot per input
 // slows the fuzzer to a crawl.
+//
+// The seeds' microstore and decode table are restoreImage's, so an
+// unpatched run restores by pointing at the shared image and a patch
+// inside either run takes the copy-on-write path; two seed inputs patch
+// each run. After every input, the image and the all-HALT store every
+// machine starts on must still hold the words they were built from, with
+// their coding's checksum, and every shared decode table its rows
+// (ifu.CheckTables). TestMain's CheckImages also re-derives every
+// decoded form, once the suite has run.
 func FuzzRestore(f *testing.F) {
 	seeds := restoreSeeds(f)
+	img, p := restoreImage(f)
+	halt := *haltStore
+	intact := func(t *testing.T) {
+		for _, c := range []struct {
+			s     *microstore
+			words *[microcode.StoreSize]microcode.Word
+		}{{img.store, &p.Words}, {haltStore, &halt.word}} {
+			if c.s.word != *c.words || crc32.ChecksumIEEE(c.s.enc[:]) != c.s.sum {
+				t.Fatal("a restore wrote a shared microstore")
+			}
+		}
+		if err := ifu.CheckTables(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	f.Add(uint8(0), uint32(0), []byte{})
 	f.Add(uint8(1), uint32(0), []byte{})
 	f.Add(uint8(0), uint32(6), []byte("CONF"))
 	f.Add(uint8(1), uint32(40), []byte{0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add(uint8(2), uint32(0), []byte{})
+	// A valid word over a HALT word of the UIMS run, and a MEMBASE byte
+	// in an invalid row near the end of the IFU decode table.
+	uims, _ := sectionBody(f, seeds[1], "UIMS")
+	word := binary.LittleEndian.AppendUint64(nil, microcode.Word{ALUOp: uint8(microcode.ALUAplus1),
+		ASel: microcode.ASelT, LC: microcode.LCLoadT}.Encode())
+	f.Add(uint8(1), uint32(uims+8*0x200), word)
+	_, ifus := sectionBody(f, seeds[1], "IFUS")
+	const emptyRow = 11 // valid, handler, operands, wide, MEMBASE flag and value, a 0-byte name
+	f.Add(uint8(1), uint32(ifus-emptyRow*16+6), []byte{5})
 	f.Fuzz(func(t *testing.T, seed uint8, off uint32, patch []byte) {
+		defer intact(t)
 		snap := bytes.Clone(seeds[int(seed)%len(seeds)])
 		copy(snap[int(off%uint32(len(snap))):], patch)
 		m := restoreMachine(t, false)

@@ -11,4 +11,4 @@ const (
 func (d *Display) QueueLen() int { return len(d.pending) - d.pHead }
 
 // QueueLen returns the scanner's queued destinations.
-func (d *Scanner) QueueLen() int { return len(d.dests) }
+func (d *Scanner) QueueLen() int { return len(d.dests) - d.dHead }

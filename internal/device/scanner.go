@@ -22,6 +22,7 @@ type Scanner struct {
 	base    uint32
 	filled  int      // captured blocks waiting for a destination
 	dests   []uint32 // commanded destination VAs
+	dHead   int      // drained prefix of dests (reclaimed on Output)
 	seq     uint16   // generated pixel pattern
 	writeAt uint64
 	started bool
@@ -48,11 +49,17 @@ func (d *Scanner) SetBase(va uint32) { d.base = va }
 
 // Wakeup implements Device: request service while captured blocks wait for
 // destinations.
-func (d *Scanner) Wakeup() bool { return d.filled > len(d.dests) }
+func (d *Scanner) Wakeup() bool { return d.filled > len(d.dests)-d.dHead }
 
 // Output implements Device: microcode supplies the next destination block
-// offset. A destination past maxCommands is dropped.
+// offset. A destination past maxCommands is dropped. The live suffix moves
+// to the front first, as the display's does, so the queue reuses its
+// backing array instead of draining it from the front.
 func (d *Scanner) Output(v uint16, now uint64) {
+	if d.dHead > 0 {
+		n := copy(d.dests, d.dests[d.dHead:])
+		d.dests, d.dHead = d.dests[:n], 0
+	}
 	if len(d.dests) < maxCommands {
 		d.dests = append(d.dests, d.base+uint32(v))
 	}
@@ -73,7 +80,7 @@ func (d *Scanner) Tick(now uint64) {
 			d.overruns++ // pixels lost: the processor fell behind
 		}
 	}
-	if d.filled > 0 && len(d.dests) > 0 {
+	if d.filled > 0 && d.dHead < len(d.dests) {
 		// The pattern advances only with a written block, so a transfer
 		// the busy storage pipe refuses changes nothing (IdleUntil relies
 		// on it).
@@ -81,9 +88,9 @@ func (d *Scanner) Tick(now uint64) {
 		for i := range blk {
 			blk[i] = d.seq + uint16(i) + 1
 		}
-		if d.mem.FastWrite(d.dests[0], blk, now) {
+		if d.mem.FastWrite(d.dests[d.dHead], blk, now) {
 			d.seq += memory.LineWords
-			d.dests = d.dests[1:]
+			d.dHead++
 			d.filled--
 			d.blocksMoved++
 		}
@@ -98,7 +105,7 @@ func (d *Scanner) IdleUntil(now uint64) uint64 {
 	if !d.started {
 		return now
 	}
-	if d.filled > 0 && len(d.dests) > 0 {
+	if d.filled > 0 && d.dHead < len(d.dests) {
 		return min(d.writeAt, d.mem.StorageFreeAt())
 	}
 	return d.writeAt

@@ -70,3 +70,39 @@ func TestScannerInvalidatesCache(t *testing.T) {
 		t.Errorf("processor read %d after fast write, want 1", got)
 	}
 }
+
+// TestScannerSteadyStateAllocatesNothing: a scanner served one
+// destination per captured block, as its service microcode serves it,
+// reuses its queue's backing array, so a block costs no allocation. A
+// queue that drops its head by re-slicing drains its array from the
+// front, and the next Output reallocates it.
+func TestScannerSteadyStateAllocatesNothing(t *testing.T) {
+	m, err := memory.New(memory.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewScanner(12, m, 8, 2)
+	var now uint64
+	block := func() {
+		d.Output(uint16(now%64)*16, now)
+		for moved := d.BlocksMoved(); d.BlocksMoved() == moved; now++ {
+			d.Tick(now)
+		}
+	}
+	for range 8 {
+		block()
+	}
+	// AllocsPerRun rounds down, and a re-slicing queue reallocates once
+	// per two blocks (append rounds a one-element array up to two), so
+	// each run moves four blocks.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for range 4 {
+			block()
+		}
+	}); allocs != 0 {
+		t.Errorf("four scanner blocks allocate %.0f times, want 0", allocs)
+	}
+	if d.QueueLen() != 0 {
+		t.Errorf("%d destinations queued after every block moved", d.QueueLen())
+	}
+}

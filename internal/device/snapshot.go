@@ -83,7 +83,15 @@ func (d *Display) State(c *state.Codec) {
 func (d *Scanner) State(c *state.Codec) {
 	c.U32(&d.base)
 	codeInt(c, &d.filled)
-	codeCommands(c, &d.dests)
+	// The queue is coded from dHead and restored to start at 0.
+	live := d.dests[d.dHead:]
+	if c.Decoding() {
+		live = d.dests[:0]
+	}
+	codeCommands(c, &live)
+	if c.Decoded() {
+		d.dests, d.dHead = live, 0
+	}
 	c.U16(&d.seq)
 	c.U64(&d.writeAt)
 	c.Bool(&d.started)

@@ -63,10 +63,10 @@ func finishBCPL(p *masm.Program, prefix string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{
+	return newProgram(&Program{
 		Name: "bcpl", Micro: p, Table: table,
 		Boot: p.MustEntry(prefix + "boot"), Opcodes: ops, RestMB: MBLocal,
-	}, nil
+	})
 }
 
 // emitBCPLHandlers writes the BCPL microcode. Conventions: T is the

@@ -28,9 +28,7 @@ func BenchmarkMesaEmulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.InstallOn(m); err != nil {
-			b.Fatal(err)
-		}
+		p.InstallOn(m)
 		if !m.Run(10_000_000) {
 			b.Fatal("did not halt")
 		}
@@ -57,9 +55,7 @@ func steadyMesaMachine(b *testing.B) *core.Machine {
 	if err := a.Install(m); err != nil {
 		b.Fatal(err)
 	}
-	if err := p.InstallOn(m); err != nil {
-		b.Fatal(err)
-	}
+	p.InstallOn(m)
 	m.RunCycles(50_000) // past boot and cache warmup, into steady state
 	return m
 }

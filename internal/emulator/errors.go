@@ -8,7 +8,7 @@ import "fmt"
 // strings.
 type InstallError struct {
 	Emulator string // emulator name ("mesa", "lisp", ...); "" when not specific
-	Stage    string // "splice", "decode-table", "macrocode"
+	Stage    string // "splice", "image" (microstore words or decode table), "macrocode"
 	Err      error
 }
 

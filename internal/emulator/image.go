@@ -18,7 +18,9 @@ type SystemImage struct {
 }
 
 // BuildSystemImage splices the four bundled emulators into a single
-// microstore image.
+// microstore image. Its decoded microstore is built once per process:
+// the four views, and every later call's, point machines at the same
+// shared store, each view with its own shared decode table.
 func BuildSystemImage() (*SystemImage, error) {
 	combined := masm.EmptyProgram()
 	for _, p := range []*Program{Mesa(), BCPL(), Lisp(), Smalltalk()} {

@@ -21,9 +21,7 @@ func TestSystemImageRunsEveryLanguage(t *testing.T) {
 		if err := a.Install(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := img.Mesa.InstallOn(m); err != nil {
-			t.Fatal(err)
-		}
+		img.Mesa.InstallOn(m)
 		if !m.Run(100_000) {
 			t.Fatal("mesa view did not halt")
 		}
@@ -39,9 +37,7 @@ func TestSystemImageRunsEveryLanguage(t *testing.T) {
 		if err := a.Install(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := img.BCPL.InstallOn(m); err != nil {
-			t.Fatal(err)
-		}
+		img.BCPL.InstallOn(m)
 		if !m.Run(100_000) {
 			t.Fatal("bcpl view did not halt")
 		}
@@ -57,9 +53,7 @@ func TestSystemImageRunsEveryLanguage(t *testing.T) {
 		if err := a.Install(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := img.Lisp.InstallOn(m); err != nil {
-			t.Fatal(err)
-		}
+		img.Lisp.InstallOn(m)
 		if !m.Run(100_000) {
 			t.Fatal("lisp view did not halt")
 		}
@@ -75,9 +69,7 @@ func TestSystemImageRunsEveryLanguage(t *testing.T) {
 		if err := a.Install(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := img.Smalltalk.InstallOn(m); err != nil {
-			t.Fatal(err)
-		}
+		img.Smalltalk.InstallOn(m)
 		if !m.Run(100_000) {
 			t.Fatal("smalltalk view did not halt")
 		}
@@ -112,9 +104,7 @@ func TestSystemImageRebootBetweenLanguages(t *testing.T) {
 	if err := a.Install(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := img.Mesa.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	img.Mesa.InstallOn(m)
 	if !m.Run(100_000) || m.Stack(1) != 7 {
 		t.Fatal("first (Mesa) boot failed")
 	}
@@ -124,9 +114,7 @@ func TestSystemImageRebootBetweenLanguages(t *testing.T) {
 	if err := b.Install(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := img.BCPL.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	img.BCPL.InstallOn(m)
 	if !m.Run(100_000) || m.T(0) != 9 {
 		t.Fatalf("second (BCPL) boot failed: T=%d", m.T(0))
 	}

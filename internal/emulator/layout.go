@@ -76,24 +76,30 @@ type Program struct {
 	// (MBLocal for the frame-relative machines, MBSys for Lisp, which
 	// addresses its memory stack and heap absolutely).
 	RestMB uint8
+
+	// image is Micro's words and Table, decoded once and shared: every
+	// machine that installs the Program points at it (core.Image).
+	image *core.Image
 }
 
-// InstallOn loads the emulator into a machine: microstore, IFU decode
-// table, base registers, RM pointer registers, and task 0 boot at the
-// dispatch loop. The macroprogram bytes must already be in memory at
-// VACode (see LoadCode).
-func (p *Program) InstallOn(m *core.Machine) error {
-	m.Load(&p.Micro.Words)
-	u := m.IFU()
-	u.ResetTable() // drop any previously installed emulator's opcodes
-	for op := 0; op < 256; op++ {
-		if p.Table[op].Valid {
-			e := p.Table[op]
-			if err := u.SetEntry(uint8(op), e); err != nil {
-				return &InstallError{Emulator: p.Name, Stage: "decode-table", Err: err}
-			}
-		}
+// newProgram builds p's image.
+func newProgram(p *Program) (*Program, error) {
+	img, err := core.NewImage(&p.Micro.Words, &p.Table)
+	if err != nil {
+		return nil, &InstallError{Emulator: p.Name, Stage: "image", Err: err}
 	}
+	p.image = img
+	return p, nil
+}
+
+// InstallOn loads the emulator into a machine: microstore and IFU decode
+// table, which the machine then shares with every other machine running
+// this emulator until it writes one, base registers, RM pointer
+// registers, and task 0 boot at the dispatch loop. The macroprogram bytes
+// must already be in memory at VACode (see LoadCode).
+func (p *Program) InstallOn(m *core.Machine) {
+	m.Install(p.image)
+	u := m.IFU()
 	mem := m.Mem()
 	mem.SetBase(MBSys, 0)
 	mem.SetBase(MBCode, VACode)
@@ -125,7 +131,6 @@ func (p *Program) InstallOn(m *core.Machine) error {
 	m.SetMemBase(p.RestMB)
 	m.Start(p.Boot)
 	u.Reset(0, m.Cycle())
-	return nil
 }
 
 // LispStack reads the Lisp memory evaluation stack as (tag, value) pairs,

@@ -66,10 +66,10 @@ func finishLisp(p *masm.Program, prefix string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{
+	return newProgram(&Program{
 		Name: "lisp", Micro: p, Table: table,
 		Boot: p.MustEntry(prefix + "boot"), Opcodes: ops, RestMB: MBSys,
-	}, nil
+	})
 }
 
 // emitLispHandlers writes the Lisp microcode. Conventions: MEMBASE rests at

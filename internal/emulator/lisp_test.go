@@ -20,9 +20,7 @@ func newLispMachine(t *testing.T, build func(a *Asm)) *core.Machine {
 		t.Fatal(err)
 	}
 	LoadCode(m, code)
-	if err := p.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	p.InstallOn(m)
 	return m
 }
 

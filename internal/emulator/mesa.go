@@ -108,14 +108,14 @@ func finishMesa(p *masm.Program, prefix string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{
+	return newProgram(&Program{
 		Name:    "mesa",
 		Micro:   p,
 		Table:   table,
 		Boot:    p.MustEntry(prefix + "boot"),
 		Opcodes: ops,
 		RestMB:  MBLocal,
-	}, nil
+	})
 }
 
 // emitMesaHandlers writes the handler microcode. Conventions: the hardware

@@ -22,9 +22,7 @@ func newMesaMachine(t *testing.T, build func(a *Asm)) (*core.Machine, *Program) 
 		t.Fatal(err)
 	}
 	LoadCode(m, code)
-	if err := p.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	p.InstallOn(m)
 	return m, p
 }
 

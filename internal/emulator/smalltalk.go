@@ -56,10 +56,10 @@ func finishSmalltalk(p *masm.Program, prefix string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{
+	return newProgram(&Program{
 		Name: "smalltalk", Micro: p, Table: table,
 		Boot: p.MustEntry(prefix + "boot"), Opcodes: ops, RestMB: MBLocal,
-	}, nil
+	})
 }
 
 // emitSmalltalkHandlers writes the Smalltalk microcode. The hardware stack

@@ -26,10 +26,14 @@
 package ifu
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"dorado/internal/memory"
 	"dorado/internal/microcode"
+	"dorado/internal/state"
 )
 
 // Entry is one decode-table row: how the IFU handles one opcode byte.
@@ -93,30 +97,161 @@ type slot struct {
 	memBase uint8
 }
 
+// Table is a decode table compiled for dispatch: the rows, the Illegal
+// handler, and each opcode's dispatch slot, which mirrors its row (and
+// the Illegal handler). A shared table (NewTable) is immutable: every
+// unit that installs it points at it, and copies it into a table of its
+// own at its first change (own), as storage pages are copied at their
+// first store.
+type Table struct {
+	rows    [256]Entry
+	slots   [256]slot
+	illegal microcode.Addr
+	hasIll  bool
+
+	// A shared table also keeps its rows as State codes them, so a
+	// snapshot writes them in one copy and a restore recognizes them with
+	// one compare.
+	shared bool
+	enc    []byte
+}
+
+// compile rebuilds opcode op's dispatch slot from its row.
+func (t *Table) compile(op uint8) {
+	e := &t.rows[op]
+	switch {
+	case e.Valid:
+		t.slots[op] = slot{handler: e.Handler, n: uint8(1 + e.Operands), wide: e.Wide, loadMB: e.LoadMemBase, memBase: e.MemBase}
+	case t.hasIll:
+		t.slots[op] = slot{handler: t.illegal, n: 1}
+	default:
+		t.slots[op] = slot{}
+	}
+}
+
+// compileAll rebuilds every slot.
+func (t *Table) compileAll() {
+	for op := range t.slots {
+		t.compile(uint8(op))
+	}
+}
+
+// check reports whether e is a row SetEntry installs.
+func check(op uint8, e Entry) error {
+	if e.Operands < 0 || e.Operands > 2 {
+		return fmt.Errorf("ifu: opcode %#02x: %d operand bytes (max 2)", op, e.Operands)
+	}
+	if e.Wide && e.Operands != 2 {
+		return fmt.Errorf("ifu: opcode %#02x: Wide requires 2 operand bytes", op)
+	}
+	return nil
+}
+
+// tables holds every shared table, the empty one first, so a restoring
+// State finds one by its rows. Only NewTable adds to it, and it adds
+// only a table whose rows none of them holds.
+var (
+	tables   atomic.Pointer[[]*Table]
+	tablesMu sync.Mutex
+)
+
+// emptyTable is the table of a unit that no row has been installed in:
+// every opcode invalid, and no Illegal handler. NewTable refuses only a
+// valid row, and it has none.
+var emptyTable, _ = NewTable(&[256]Entry{})
+
+// NewTable returns the shared decode table whose valid rows are rows'
+// (each installed as SetEntry installs it, the others invalid) and that
+// has no Illegal handler, building it the first time those rows are
+// asked for: a process holds one table per content. It refuses a row
+// SetEntry would refuse. Nothing may write a shared table.
+func NewTable(rows *[256]Entry) (*Table, error) {
+	t := &Table{shared: true}
+	for op, e := range rows {
+		if !e.Valid {
+			continue
+		}
+		if err := check(uint8(op), e); err != nil {
+			return nil, err
+		}
+		t.rows[op] = e
+	}
+	t.compileAll()
+	t.enc = t.coded()
+
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	var list []*Table
+	if p := tables.Load(); p != nil {
+		list = *p
+	}
+	for _, s := range list {
+		if bytes.Equal(s.enc, t.enc) {
+			return s, nil
+		}
+	}
+	list = append(list[:len(list):len(list)], t)
+	tables.Store(&list)
+	return t, nil
+}
+
+// sharedTables returns every shared table.
+func sharedTables() []*Table { return *tables.Load() }
+
+// coded returns t's rows as State codes them.
+func (t *Table) coded() []byte {
+	c := state.Encode(0)
+	c.Section(sectIFUState)
+	for i := range t.rows {
+		codeEntry(c, &t.rows[i])
+	}
+	doc, _ := state.Split(c.Bytes()) // the codec framed the document it returns
+	return doc.Sections[0].Body
+}
+
+// CheckTables reports a shared table that something wrote: one whose
+// rows no longer code as they did when it was built, or whose slots or
+// Illegal handler no longer follow from its rows. Nothing may write a
+// shared table; test suites call it once they have run.
+func CheckTables() error {
+	for _, t := range sharedTables() {
+		want := *t
+		want.compileAll()
+		if !bytes.Equal(t.coded(), t.enc) || want.slots != t.slots || t.hasIll || t.illegal != 0 {
+			return fmt.Errorf("ifu: a shared decode table was written (its %d bytes of rows no longer code as built)", len(t.enc))
+		}
+	}
+	return nil
+}
+
 // Unit is the instruction fetch unit. It decodes each opcode once, when
 // its table row is installed, into a dispatch slot, and keeps two event
 // horizons current as its buffer and table change: the next cycle whose
 // Tick fetches and the cycle the head instruction can dispatch. Tick and
 // DispatchReady are then one compare each, as the hardware's separate
 // decode stage makes them (§5.8).
+//
+// A Unit is written nearly every cycle, and the units of machines built
+// one after another sit side by side in one allocation size class, so its
+// size is a whole number of 64-byte cache lines (TestUnitFillsCacheLines):
+// a unit that shared a line with its neighbour made two Mesa machines
+// running at once on two cores take 1.7 to 2.0 times as long as one.
 type Unit struct {
-	mem   *memory.System
-	table [256]Entry
-	// slots mirrors table (and the Illegal handler) for dispatch. SetEntry
-	// updates one slot; SetIllegal, ResetTable and a restoring State
-	// rebuild all.
-	slots   [256]slot
-	illegal microcode.Addr
-	hasIll  bool
+	mem *memory.System
+	// tab is the decode table: a shared one (the empty table from New
+	// on, or one SetTable installed) until the unit's first change gives
+	// it one of its own (own).
+	tab *Table
 
 	codeBase uint32 // word VA of byte 0 of the code segment
 
 	bytePC uint32 // byte offset of the next *unbuffered* byte (prefetch head)
 	// buf holds the prefetched bytes; buf[0] is at stream position headPC.
-	// Its backing array has the full capacity from New on, and Dispatch
-	// copies down rather than re-slicing, so the prefetcher's appends
-	// never reallocate and Step stays allocation-free.
+	// Its backing array is bufMem, in the unit itself, and Dispatch copies
+	// down rather than re-slicing, so the prefetcher's appends never
+	// reallocate and Step stays allocation-free.
 	buf     []byte
+	bufMem  [bufferBytes]byte
 	headPC  uint32 // byte offset of buf[0]
 	readyAt uint64 // cycle at which buffered bytes become usable (refill/decode latency)
 
@@ -141,37 +276,53 @@ type Unit struct {
 
 	running bool
 	stats   Stats
+
+	_ [8]byte // to 192 bytes, three cache lines
 }
 
 // New builds an IFU reading code through mem.
 func New(mem *memory.System) *Unit {
-	return &Unit{mem: mem, buf: make([]byte, 0, bufferBytes), fetchAt: never, dispatchAt: never, lastOp: noLast}
+	u := &Unit{mem: mem, tab: emptyTable, fetchAt: never, dispatchAt: never, lastOp: noLast}
+	u.buf = u.bufMem[:0]
+	return u
 }
 
-// SetEntry installs a decode-table row for opcode op.
-func (u *Unit) SetEntry(op uint8, e Entry) error {
-	if e.Operands < 0 || e.Operands > 2 {
-		return fmt.Errorf("ifu: opcode %#02x: %d operand bytes (max 2)", op, e.Operands)
+// own returns the unit's decode table for a change, first copying a
+// shared table into one of the unit's own.
+func (u *Unit) own() *Table {
+	if u.tab.shared {
+		t := *u.tab
+		t.shared, t.enc = false, nil
+		u.tab = &t
 	}
-	if e.Wide && e.Operands != 2 {
-		return fmt.Errorf("ifu: opcode %#02x: Wide requires 2 operand bytes", op)
+	return u.tab
+}
+
+// SetEntry installs a decode-table row for opcode op. Installing the row
+// the table holds changes nothing.
+func (u *Unit) SetEntry(op uint8, e Entry) error {
+	if err := check(op, e); err != nil {
+		return err
 	}
 	u.settleLast()
 	e.Valid = true
-	u.table[op] = e
-	u.compile(op)
-	u.armDispatch()
+	if u.tab.rows[op] != e {
+		t := u.own()
+		t.rows[op] = e
+		t.compile(op)
+		u.armDispatch()
+	}
 	return nil
 }
 
-// ResetTable clears every decode entry and the Illegal handler (rebooting
-// a different emulator on the same machine).
-func (u *Unit) ResetTable() {
+// SetTable installs a shared decode table (NewTable), replacing every
+// row and the Illegal handler (rebooting a different emulator on the same
+// machine), as a SetEntry per valid row of an empty table would: the unit
+// points at the table until its next change.
+func (u *Unit) SetTable(t *Table) {
 	u.settleLast()
-	u.table = [256]Entry{}
-	u.hasIll = false
-	u.illegal = 0
-	u.compileAll()
+	u.tab = t
+	u.armDispatch()
 }
 
 // SetIllegal installs the handler for invalid opcodes. Dispatching an
@@ -179,30 +330,10 @@ func (u *Unit) ResetTable() {
 // its cycle limit.
 func (u *Unit) SetIllegal(h microcode.Addr) {
 	u.settleLast()
-	u.illegal = h
-	u.hasIll = true
-	u.compileAll()
-}
-
-// compile rebuilds opcode op's dispatch slot from its table row.
-func (u *Unit) compile(op uint8) {
-	e := &u.table[op]
-	switch {
-	case e.Valid:
-		u.slots[op] = slot{handler: e.Handler, n: uint8(1 + e.Operands), wide: e.Wide, loadMB: e.LoadMemBase, memBase: e.MemBase}
-	case u.hasIll:
-		u.slots[op] = slot{handler: u.illegal, n: 1}
-	default:
-		u.slots[op] = slot{}
-	}
-}
-
-// compileAll rebuilds every slot and both horizons.
-func (u *Unit) compileAll() {
-	for op := range u.slots {
-		u.compile(uint8(op))
-	}
-	u.armFetch()
+	t := u.own()
+	t.illegal = h
+	t.hasIll = true
+	t.compileAll()
 	u.armDispatch()
 }
 
@@ -221,7 +352,7 @@ func (u *Unit) armFetch() {
 func (u *Unit) armDispatch() {
 	u.dispatchAt = never
 	if u.running && len(u.buf) > 0 {
-		if n := u.slots[u.buf[0]].n; n != 0 && len(u.buf) >= int(n) {
+		if n := u.tab.slots[u.buf[0]].n; n != 0 && len(u.buf) >= int(n) {
 			u.dispatchAt = u.readyAt + decodeLatency
 		}
 	}
@@ -302,7 +433,7 @@ func (u *Unit) Dispatch(now uint64) (handler microcode.Addr, memBase int) {
 		panic("ifu: Dispatch while not ready (processor must Hold)")
 	}
 	op := u.buf[0]
-	s := &u.slots[op]
+	s := &u.tab.slots[op]
 	n := int(s.n)
 	u.opHead = 0
 	if s.wide {
@@ -347,9 +478,9 @@ func (u *Unit) LastEntry() Entry {
 	if u.lastOp == noLast {
 		return u.last
 	}
-	e := u.table[u.lastOp]
+	e := u.tab.rows[u.lastOp]
 	if !e.Valid {
-		e = Entry{Valid: true, Handler: u.illegal, Name: "ILLEGAL"}
+		e = Entry{Valid: true, Handler: u.tab.illegal, Name: "ILLEGAL"}
 	}
 	return e
 }

@@ -1,7 +1,9 @@
 package ifu
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"dorado/internal/memory"
 	"dorado/internal/microcode"
@@ -263,10 +265,10 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 		func(u *Unit) {},
 		func(u *Unit) { u.opHead = 3 },
 		func(u *Unit) { u.opLen = 3 },
-		func(u *Unit) { u.table[7] = Entry{Valid: true, Operands: 5} },
-		func(u *Unit) { u.table[7] = Entry{Valid: true, Operands: 1, Wide: true} },
-		func(u *Unit) { u.table[7] = Entry{Valid: true, Handler: microcode.StoreSize} },
-		func(u *Unit) { u.illegal = microcode.StoreSize },
+		func(u *Unit) { u.own().rows[7] = Entry{Valid: true, Operands: 5} },
+		func(u *Unit) { u.own().rows[7] = Entry{Valid: true, Operands: 1, Wide: true} },
+		func(u *Unit) { u.own().rows[7] = Entry{Valid: true, Handler: microcode.StoreSize} },
+		func(u *Unit) { u.own().illegal = microcode.StoreSize },
 	} {
 		u := newUnit(t, []byte{0x10})
 		spoil(u)
@@ -280,5 +282,97 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 		if err, ok := d.Finish(), i == 0; (err == nil) != ok {
 			t.Errorf("case %d: restoring State: error %v", i, err)
 		}
+	}
+}
+
+// TestSharedTable: NewTable returns one table per content and refuses a
+// row SetEntry refuses; a unit that installs it points at it, and its
+// first change (a new row, an Illegal handler) copies it, leaving the
+// shared table as built. A unit restored from a snapshot that holds a
+// shared table's rows points at that table; a snapshot whose rows or
+// Illegal handler differ restores into a table of the unit's own with
+// the same bytes.
+func TestSharedTable(t *testing.T) {
+	var rows [256]Entry
+	rows[0x10] = Entry{Valid: true, Handler: 0x40, Name: "NOP"}
+	rows[0x11] = Entry{Valid: true, Handler: 0x41, Operands: 2, Wide: true, Name: "LIW"}
+	rows[0x12] = Entry{Handler: 0x42, Name: "not valid"}
+	tab, err := NewTable(&rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := NewTable(&rows); err != nil || again != tab {
+		t.Fatalf("NewTable of the same rows = %p, %v; want %p", again, err, tab)
+	}
+	if tab.rows[0x12] != (Entry{}) {
+		t.Fatal("an invalid row was installed")
+	}
+	bad := rows
+	bad[0x13] = Entry{Valid: true, Operands: 1, Wide: true}
+	if _, err := NewTable(&bad); err == nil {
+		t.Fatal("NewTable installed a row SetEntry refuses")
+	}
+
+	snap := func(u *Unit) []byte {
+		e := state.Encode(0)
+		u.State(e)
+		return e.Bytes()
+	}
+	restore := func(b []byte) *Unit {
+		d, err := state.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := newUnit(t, nil)
+		if u.State(d); d.Finish() != nil {
+			t.Fatal(d.Finish())
+		}
+		if !bytes.Equal(snap(u), b) {
+			t.Fatal("restored unit's snapshot differs")
+		}
+		return u
+	}
+	u := newUnit(t, []byte{0x11, 0xAB, 0xCD, 0x10})
+	u.SetTable(tab)
+	u.Reset(0, 0)
+	now := waitReady(t, u, 0, 100)
+	if h, _ := u.Dispatch(now); h != 0x41 || u.Operand() != 0xABCD {
+		t.Fatalf("dispatch through the shared table = %v", h)
+	}
+	if restore(snap(u)).tab != tab {
+		t.Fatal("a snapshot holding the shared rows did not restore onto the shared table")
+	}
+	if err := u.SetEntry(0x10, rows[0x10]); err != nil || u.tab != tab {
+		t.Fatalf("reinstalling a row the table holds copied it (%v)", err)
+	}
+	for _, change := range []func(u *Unit){
+		func(u *Unit) { u.SetEntry(0x10, Entry{Handler: 0x50, Name: "NOP2"}) },
+		func(u *Unit) { u.SetIllegal(0x60) },
+	} {
+		v := newUnit(t, nil)
+		v.SetTable(tab)
+		change(v)
+		if v.tab == tab || v.tab.shared {
+			t.Fatal("a change wrote the shared table")
+		}
+		if got := restore(snap(v)).tab; got == tab || got.shared {
+			t.Fatal("a snapshot of changed rows restored onto the shared table")
+		}
+	}
+	if err := CheckTables(); err != nil {
+		t.Fatal(err)
+	}
+	if u.SetTable(emptyTable); u.tab != emptyTable || u.tab.slots != ([256]slot{}) {
+		t.Fatal("the empty table is not empty")
+	}
+}
+
+// TestUnitFillsCacheLines: a Unit's size is a whole number of 64-byte
+// cache lines, so the units of two machines, which sit side by side in
+// one allocation size class, share no line. Both are written nearly every
+// cycle, and machines run at once on different cores.
+func TestUnitFillsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Unit{}); n%64 != 0 {
+		t.Errorf("a Unit is %d bytes, not a whole number of 64-byte lines: pad it, or reorder its fields", n)
 	}
 }

@@ -58,6 +58,30 @@ func (c *chooser) entry() Entry {
 	return e
 }
 
+// oracleTables are shared decode tables (NewTable) that the harness
+// installs whole, as an emulator's InstallOn does, where the reference
+// clears its table and sets each row. A revive from a snapshot that holds
+// one's rows then points the fresh unit at that table.
+var oracleTables = func() []*Table {
+	c := &chooser{rng: rand.New(rand.NewPCG(7, 0x1F0))}
+	var ts []*Table
+	for range 3 {
+		var rows [256]Entry
+		for op := range 256 {
+			if e := c.entry(); check(uint8(op), e) == nil && !c.one(4) {
+				e.Valid = true
+				rows[op] = e
+			}
+		}
+		t, err := NewTable(&rows)
+		if err != nil {
+			panic(err)
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}()
+
 // ifuLockstep drives a Unit and a reference unit for cycles cycles and
 // returns the reference's counters.
 func ifuLockstep(t *testing.T, c *chooser, cycles int) Stats {
@@ -76,6 +100,17 @@ func ifuLockstep(t *testing.T, c *chooser, cycles int) Stats {
 		}
 	}
 	install := func() {
+		if c.one(3) { // a shared table, installed whole
+			tab := oracleTables[c.intn(len(oracleTables))]
+			u.SetTable(tab)
+			r.ResetTable()
+			for op, e := range tab.rows {
+				if e.Valid {
+					r.SetEntry(uint8(op), e)
+				}
+			}
+			return
+		}
 		for op := range alphabet {
 			if !c.one(4) { // a quarter stay invalid
 				setEntry(uint8(op))
@@ -143,7 +178,7 @@ func ifuLockstep(t *testing.T, c *chooser, cycles int) Stats {
 			setEntry(uint8(c.intn(alphabet)))
 		case 2:
 			if c.one(4) { // reboot: usually another emulator's table
-				u.ResetTable()
+				u.SetTable(emptyTable)
 				r.ResetTable()
 				if !c.one(4) {
 					install()

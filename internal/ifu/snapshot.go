@@ -15,8 +15,10 @@ const (
 // State describes the IFU's state to a snapshot codec: timing fingerprint
 // (compared, never applied), decode table, prefetch buffer, operand latch,
 // timing, and counters. Decoding refuses an operand latch, buffer, decode
-// row or Illegal handler no unit can hold before storing it, and rebuilds
-// the dispatch slots from whatever it stored.
+// row or Illegal handler no unit can hold before storing it. A decode
+// table that the unit's own table or a shared one (NewTable) matches is
+// installed by pointing at that table; any other is decoded row by row
+// into a table of the unit's own, whose slots are then rebuilt.
 func (u *Unit) State(c *state.Codec) {
 	c.Section(sectIFUConfig)
 	want := [...]uint32{fetchLatency, bufferBytes, decodeLatency}
@@ -29,12 +31,10 @@ func (u *Unit) State(c *state.Codec) {
 	}
 
 	c.Section(sectIFUState)
-	c.Bool(&u.hasIll)
-	ill := uint16(u.illegal)
+	hasIll, ill := u.tab.hasIll, uint16(u.tab.illegal)
+	c.Bool(&hasIll)
 	if c.U16(&ill); ill > microcode.AddrMask {
 		c.Fail(fmt.Errorf("ifu: snapshot Illegal handler %v out of range", microcode.Addr(ill)))
-	} else if c.Decoded() {
-		u.illegal = microcode.Addr(ill)
 	}
 	c.U32(&u.codeBase)
 	c.U32(&u.bytePC)
@@ -58,12 +58,48 @@ func (u *Unit) State(c *state.Codec) {
 	for _, p := range [...]*uint64{&u.stats.Dispatches, &u.stats.Resets, &u.stats.BytesRead, &u.stats.WordsFetch} {
 		c.U64(p)
 	}
-	for i := range u.table {
-		codeEntry(c, &u.table[i])
-	}
+	u.codeTable(c, hasIll, microcode.Addr(ill))
 	if c.Decoding() {
-		u.compileAll()
+		u.armFetch()
+		u.armDispatch()
 	}
+}
+
+// codeTable codes the decode table's rows, which end the section, and
+// installs the decoded table with its Illegal handler (hasIll, ill). A
+// shared table's rows are written in one copy. Decoding points the unit
+// at the shared table whose rows match, when there is no Illegal handler,
+// with no row decoded and no slot rebuilt; any other table is decoded
+// into one of the unit's own, row by row, a row's name allocated only
+// where it differs from the one held, and its slots rebuilt.
+func (u *Unit) codeTable(c *state.Codec, hasIll bool, ill microcode.Addr) {
+	t := u.tab
+	switch {
+	case !c.Decoding() && t.shared:
+		c.Same(t.enc)
+		return
+	case !c.Decoding():
+		for i := range t.rows {
+			codeEntry(c, &t.rows[i])
+		}
+		return
+	case !c.Decoded():
+		return
+	}
+	if !hasIll && ill == 0 {
+		for _, s := range sharedTables() {
+			if c.Same(s.enc) {
+				u.tab = s
+				return
+			}
+		}
+	}
+	t = u.own()
+	t.hasIll, t.illegal = hasIll, ill
+	for i := range t.rows {
+		codeEntry(c, &t.rows[i])
+	}
+	t.compileAll()
 }
 
 // codeEntry codes one decode-table row. Decoding refuses a valid row that

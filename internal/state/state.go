@@ -303,6 +303,38 @@ func (c *Codec) U16s(vs []uint16) {
 	}
 }
 
+// U64s codes a run of 64-bit values with no count prefix, held as their
+// coding: run holds a little-endian U64 per value, exactly the bytes a
+// U64 per value writes. Encoding appends run in one copy and returns it.
+// Decoding stores nothing: it reads the document's len(run)-byte run with
+// one take and returns it, or nil after an error (a short section
+// included), so the caller compares it with what it holds and decodes
+// only the values that differ.
+func (c *Codec) U64s(run []byte) []byte {
+	if !c.decoding {
+		c.data = append(c.data, run...)
+		return run
+	}
+	return c.take(len(run))
+}
+
+// Same codes a run the caller holds already coded, such as a shared
+// table's rows. Encoding appends held and reports true. Decoding reports
+// whether the document's next len(held) bytes are held, and reads them
+// only then: a caller that sees false codes the run value by value. A
+// short section, or an earlier error, reads as false and records nothing.
+func (c *Codec) Same(held []byte) bool {
+	if !c.decoding {
+		c.data = append(c.data, held...)
+		return true
+	}
+	if c.err != nil || !bytes.HasPrefix(c.data[c.off:c.end], held) {
+		return false
+	}
+	c.off += len(held)
+	return true
+}
+
 // appendWords appends vs, a U16 per word, four words per 64-bit store.
 func (c *Codec) appendWords(vs []uint16) {
 	n := len(c.data)

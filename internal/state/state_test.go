@@ -445,6 +445,72 @@ func TestU16sBulk(t *testing.T) {
 	}
 }
 
+// TestU64sAndSame pins the two held-run primitives to the per-value
+// format: a U64s run encodes as a U64 per value and decodes to the same
+// bytes, storing nothing; Same appends a run, reads it only where the
+// document holds it, and on a different or short run reads nothing and
+// records no error; a short U64s run fails cleanly.
+func TestU64sAndSame(t *testing.T) {
+	vals := []uint64{1, 1 << 33, 0xDEADBEEF, 0}
+	var run []byte
+	for _, v := range vals {
+		run = binary.LittleEndian.AppendUint64(run, v)
+	}
+	held := []byte("rows")
+	pre := uint8(0xA5)
+	e := Encode(0)
+	e.Section("RUNS")
+	e.U8(&pre)
+	e.U64s(run)
+	if !e.Same(held) {
+		t.Fatal("encoding Same reported false")
+	}
+	doc := e.Bytes()
+
+	ref := Encode(0)
+	ref.Section("RUNS")
+	ref.U8(&pre)
+	for i := range vals {
+		ref.U64(&vals[i])
+	}
+	ref.data = append(ref.data, held...)
+	if !bytes.Equal(doc, ref.Bytes()) {
+		t.Fatal("U64s and Same differ from a U64 per value and the held bytes")
+	}
+
+	d, err := Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Section("RUNS")
+	var b uint8
+	d.U8(&b)
+	if got := d.U64s(make([]byte, len(run))); !bytes.Equal(got, run) {
+		t.Fatalf("U64s decoded %x, want %x", got, run)
+	}
+	for _, other := range [][]byte{[]byte("rowz"), []byte("rows and more")} {
+		if d.Same(other) || d.Err() != nil {
+			t.Fatalf("Same(%q) matched %q or failed: %v", other, held, d.Err())
+		}
+	}
+	if !d.Same(held) {
+		t.Fatal("Same missed the held run")
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, _ = Decode(doc)
+	d.Section("RUNS")
+	d.U8(&b)
+	if d.U64s(make([]byte, len(run)+len(held)+1)) != nil || d.Err() == nil {
+		t.Fatal("a short U64s run was not refused")
+	}
+	if d.Same(nil) {
+		t.Fatal("Same matched after an error")
+	}
+}
+
 // pagesDoc is a version-2 document whose one section, PAGE, has the given
 // body.
 func pagesDoc(body []byte) []byte {

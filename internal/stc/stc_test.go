@@ -20,9 +20,7 @@ func run(t *testing.T, src string) uint16 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	st.InstallOn(m)
 	prog.InstallOn(m) // after InstallOn: the image must survive booting
 	if !m.Run(50_000_000) {
 		t.Fatalf("did not halt (task %d pc %v)", m.CurTask(), m.CurPC())
@@ -234,9 +232,7 @@ func TestMessageNotUnderstoodAtChainTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InstallOn(m); err != nil {
-		t.Fatal(err)
-	}
+	st.InstallOn(m)
 	prog.InstallOn(m)
 	if !m.Run(1_000_000) {
 		t.Fatal("did not halt")

@@ -56,6 +56,13 @@ func WithDevice(d Device) Option {
 //
 // With no options it is a bare machine with the default configuration;
 // drop to sys.Machine for the microcode-level interface.
+//
+// New fills and copies no microstore: every machine starts on the one
+// shared all-HALT store and an empty decode table. Booting a bundled
+// language points the machine at that language's decoded microstore and
+// decode table, shared by every System in the process, and a System
+// copies one only at its first write that differs (SetIM, Load of other
+// microcode).
 func New(opts ...Option) (*System, error) {
 	st := settings{lang: None}
 	for _, o := range opts {

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"dorado/internal/core"
+	"dorado/internal/ifu"
+	"dorado/internal/microcode"
 )
 
 // TestSystemsShareEmulator pins that a language's emulator is assembled
@@ -99,5 +103,69 @@ func TestConcurrentSystems(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSessionWriteIsPrivate runs two translated Mesa sessions at once, on
+// two goroutines, over the one shared Mesa image. Halfway through its
+// runs one session writes a microstore word the image holds as HALT: its
+// translator is flushed, and the other session's microstore, its answer
+// and the image itself stay as they were. Under the race detector a
+// write into the shared image would also be reported as a race.
+func TestSessionWriteIsPrivate(t *testing.T) {
+	const addr = Addr(0xFFF)
+	mesa := func() *System {
+		sys, err := New(WithLanguage(Mesa), WithConfig(Config{Translation: Translation{Enable: true}}))
+		if err == nil {
+			err = sys.BootSource("var s = 0; var i = 1; while i <= 100 { s = s + i; i = i + 1; } return s;")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	writer, reader := mesa(), mesa()
+	held := reader.Machine.IM(addr)
+	w := Word{ALUOp: uint8(microcode.ALUAplus1), ASel: microcode.ASelT, LC: microcode.LCLoadT}
+	if held == w {
+		t.Fatal("the image already holds the word the test writes")
+	}
+	var wg sync.WaitGroup
+	var flushed bool
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		writer.Machine.RunCycles(1000)
+		before := writer.Machine.TranslationStats().Invalidations
+		writer.Machine.SetIM(addr, w)
+		flushed = writer.Machine.TranslationStats().Invalidations == before+1
+		writer.Run(1_000_000)
+	}()
+	go func() {
+		defer wg.Done()
+		for range 20 {
+			reader.Machine.RunCycles(100)
+		}
+		reader.Run(1_000_000)
+	}()
+	wg.Wait()
+	if !flushed {
+		t.Error("the write did not flush the writer's translator")
+	}
+	if got := writer.Machine.IM(addr); got != w {
+		t.Errorf("the writer reads %+v at %v, want %+v", got, addr, w)
+	}
+	if got := reader.Machine.IM(addr); got != held {
+		t.Errorf("the other session reads %+v at %v, want %+v", got, addr, held)
+	}
+	for _, s := range []*System{writer, reader} {
+		if got := fmt.Sprint(s.Stack()); got != "[5050]" {
+			t.Errorf("a session computed %s, want [5050]", got)
+		}
+	}
+	for _, err := range []error{core.CheckImages(), ifu.CheckTables()} {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
