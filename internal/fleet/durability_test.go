@@ -18,6 +18,7 @@ import (
 	"dorado/internal/state"
 	"dorado/internal/state/statetest"
 	"dorado/internal/store"
+	"dorado/internal/store/storetest"
 )
 
 // parkNow parks a session that has no queued or running work; any error,
@@ -921,5 +922,261 @@ func TestAdoptUnboundedPulseLatencies(t *testing.T) {
 	got := latencies(blob)
 	if k := le.Uint32(got); k != kept || !bytes.Equal(got[4:4+8*n], lats[4:]) {
 		t.Errorf("re-park holds %d latencies, want the first %d of the %d parked", k, kept, older)
+	}
+}
+
+// loopingMesa is a Mesa program shaped like the benchmark's lifecycle
+// sessions: calls, arithmetic and bitwise loops, forever, so every run
+// moves its storage pages.
+const loopingMesa = `func rec(n) { if n < 2 { return n + 3; } return rec(n - 1) + rec(n - 2); }
+func mix(a, b) { var i = 0; while i < 9 { a = a * 7 + b; b = b ^ (a << 3); i = i + 1; } return a - b; }
+var acc = 77;
+while 1 {
+    acc = acc + rec(7);
+    acc = mix(acc, 999);
+    global 2 = acc;
+}
+`
+
+// payloadFiles lists the store's recipes and section files as
+// "recipes/<hash>" and "sections/<hash>".
+func payloadFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files := map[string]bool{}
+	for _, sub := range []string{"recipes", "sections"} {
+		ents, err := os.ReadDir(dir + "/" + sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			files[sub+"/"+e.Name()] = true
+		}
+	}
+	return files
+}
+
+// sectionFile names the section file of the section tagged tag in snap.
+func sectionFile(t *testing.T, snap []byte, tag string) string {
+	t.Helper()
+	doc, err := state.Split(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range doc.Sections {
+		if sec.Tag == tag {
+			return "sections/" + store.Hash(sec.Body)
+		}
+	}
+	t.Fatalf("snapshot has no %s section", tag)
+	return ""
+}
+
+// TestFreshParkPayloadFiles is the structural guard on what a park
+// writes. After one earlier park, a fresh park of a booted Mesa session
+// adds exactly two payload files, its storage pages (MDAT) and its
+// recipe, and a devices session's adds only its recipe: the microstore
+// (UIMS) is shared, and every other section rides in the recipe. A
+// zero-age sweep, with only the fresh park in the manifest, then keeps
+// exactly the section files the new recipe names: UIMS and, for Mesa,
+// MDAT.
+func TestFreshParkPayloadFiles(t *testing.T) {
+	dasm, err := os.ReadFile("../../examples/microcode/devices.dasm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		spec   Spec
+		load   func(m *Manager, id string) error
+		shared []string // the tags of the sections the recipe names
+	}{
+		{"mesa", Spec{Language: "mesa"}, func(m *Manager, id string) error {
+			return m.BootSource(tctx, id, loopingMesa)
+		}, []string{"UIMS", "MDAT"}},
+		{"devices", Spec{Devices: []DeviceSpec{{Name: "disk", Start: "disk"}, {Name: "display", Start: "disp"}}}, func(m *Manager, id string) error {
+			_, err := m.LoadMicrocode(tctx, id, string(dasm), "emu")
+			return err
+		}, []string{"UIMS"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := New(Config{Workers: 1, Store: openStore(t, dir), GCMaxAge: -1})
+			defer drainNow(t, m)
+			id, err := m.Create(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.load(m, id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(tctx, id, 200_000); err != nil {
+				t.Fatal(err)
+			}
+			prior := parkNow(t, m, id)
+			if _, err := m.Run(tctx, id, 10_000); err != nil {
+				t.Fatal(err)
+			}
+			before := payloadFiles(t, dir)
+			fresh := parkNow(t, m, id)
+			if fresh.Snapshot == prior.Snapshot {
+				t.Fatal("the fresh park stored the prior snapshot")
+			}
+			snap, err := m.cfg.Store.Get(fresh.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]bool{"recipes/" + fresh.Snapshot: true}
+			named := map[string]bool{}
+			for _, tag := range c.shared {
+				named[sectionFile(t, snap, tag)] = true
+			}
+			if c.name == "mesa" {
+				want[sectionFile(t, snap, "MDAT")] = true
+			}
+			added := map[string]bool{}
+			for f := range payloadFiles(t, dir) {
+				if !before[f] {
+					added[f] = true
+				}
+			}
+			if !reflect.DeepEqual(added, want) {
+				t.Fatalf("the fresh park added %v, want %v", added, want)
+			}
+
+			if _, err := m.GCStore(0); err != nil {
+				t.Fatal(err)
+			}
+			kept := map[string]bool{}
+			for f := range payloadFiles(t, dir) {
+				if strings.HasPrefix(f, "sections/") {
+					kept[f] = true
+				}
+			}
+			if !reflect.DeepEqual(kept, named) {
+				t.Fatalf("after a sweep the section files are %v, want those of %v: %v", kept, c.shared, named)
+			}
+			if st, err := m.ReadState(tctx, id); err != nil || st.Cycle != 210_000 {
+				t.Fatalf("revived after the sweep = %+v, %v", st, err)
+			}
+		})
+	}
+}
+
+// TestAdoptRecipeVersion1Store is the upgrade story for the binary
+// recipe: a store an older build wrote, with version-1 JSON recipes and
+// every section a file, keeps its sessions. A fresh Manager adopts the
+// park, revives it with [42] on the stack and forks it, and the re-park
+// stores the snapshot in the new layout under a new hash (the older build
+// also parked snapshot format 1). A zero-age sweep after the fork's
+// Destroy reclaims the old recipe and every section file only it named,
+// and keeps the microstore, which the new recipe names too.
+func TestAdoptRecipeVersion1Store(t *testing.T) {
+	src := New(Config{Workers: 1})
+	id, err := src.Create(Spec{Language: "mesa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.BootSource(tctx, id, "return 6*7;"); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := src.Run(tctx, id, 1_000_000); err != nil || !r.Halted {
+		t.Fatalf("run = %+v, %v", r, err)
+	}
+	snap, err := src.Snapshot(tctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := src.ReadState(tctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainNow(t, src)
+	spec := Spec{Language: "Mesa"}
+	sys, err := spec.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := statetest.VersionOne(snap, sys.Machine.Mem().Config().StorageWords, memory.PageWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What the older build left behind, in persist's order: the sections
+	// and the version-1 recipe, the Spec sidecar, the manifest entry.
+	dir := t.TempDir()
+	hash, oldSections, err := storetest.PutRecipeV1(dir, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := openStore(t, dir)
+	if err := old.PutMeta(hash, specJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.SaveSession(store.Entry{ID: id, Seq: 1, Spec: specJSON, Hash: hash, Cycle: before.Cycle, ParkedAt: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	uims := sectionFile(t, v1, "UIMS")
+
+	m := New(Config{Workers: 1, Store: openStore(t, dir), GCMaxAge: -1})
+	defer drainNow(t, m)
+	if infos := m.Sessions(); len(infos) != 1 || !infos[0].Parked || infos[0].Snapshot != hash {
+		t.Fatalf("adopted sessions = %+v, want %s parked as %s", infos, id, hash)
+	}
+	st, err := m.ReadState(tctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Halted || st.Cycle != before.Cycle || !slices.Equal(st.Stack, []uint16{42}) {
+		t.Fatalf("revived state = %+v, want cycle %d with stack [42]", st, before.Cycle)
+	}
+	fork, err := m.CreateFrom(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.ReadState(tctx, fork); err != nil || !slices.Equal(st.Stack, []uint16{42}) {
+		t.Fatalf("fork of the version-1 recipe = %+v, %v", st, err)
+	}
+	if err := m.Destroy(fork); err != nil {
+		t.Fatal(err)
+	}
+
+	res := parkNow(t, m, id)
+	if res.Snapshot == hash {
+		t.Fatal("the re-park kept the old hash")
+	}
+	recipe, err := os.ReadFile(dir + "/recipes/" + res.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(recipe, []byte("DRCP\x02\x00")) {
+		t.Fatalf("re-park recipe starts % x, want a binary version-2 recipe", recipe[:min(len(recipe), 6)])
+	}
+	onlyOld := map[string]bool{}
+	for _, h := range oldSections {
+		onlyOld["sections/"+h] = true
+	}
+	delete(onlyOld, uims)
+	sweep, err := m.GCStore(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.ReclaimedRecipes != 1 || sweep.ReclaimedSections != len(onlyOld) || m.cfg.Store.Has(hash) {
+		t.Fatalf("sweep = %+v, want the old recipe and its %d private sections reclaimed", sweep, len(onlyOld))
+	}
+	files := payloadFiles(t, dir)
+	for f := range onlyOld {
+		if files[f] {
+			t.Errorf("%s, named only by the old recipe, survived the sweep", f)
+		}
+	}
+	if !files[uims] {
+		t.Fatal("the sweep reclaimed the microstore the new recipe names")
+	}
+	if st, err := m.ReadState(tctx, id); err != nil || !slices.Equal(st.Stack, []uint16{42}) {
+		t.Fatalf("state after the sweep = %+v, %v", st, err)
 	}
 }

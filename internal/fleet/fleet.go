@@ -104,8 +104,9 @@ type Config struct {
 	// are always recorded.
 	Logger *slog.Logger
 	// Store, when set, makes parked sessions durable: park writes the
-	// snapshot into this content-addressed store as sections plus a recipe
-	// (with the session's Spec as sidecar metadata and a manifest entry),
+	// snapshot into this content-addressed store as a recipe plus its
+	// shared sections of 4 KiB or more (with the session's Spec as sidecar
+	// metadata and a manifest entry),
 	// New lists the store's sessions as parked, revival reassembles the
 	// snapshot lazily on first touch, and Drain parks every remaining live
 	// session before stopping — so a restart over the same store directory

@@ -120,16 +120,16 @@ func (m *Manager) MetricsSnapshot() *obs.Snapshot {
 
 	if m.cfg.Store != nil {
 		st := m.cfg.Store.Stats()
-		sn.Add("dorado_store_blobs", "Durable-store payload files, by kind.", "gauge",
+		sn.Add("dorado_store_blobs", "Durable-store payload files, by kind: one recipe per snapshot, one section file per distinct section of 4 KiB or more.", "gauge",
 			obs.Sample{Label: `{kind="recipe"}`, Value: uint64(st.Recipes)},
 			obs.Sample{Label: `{kind="section"}`, Value: uint64(st.Sections)})
 		sn.Add("dorado_store_bytes", "Durable-store payload bytes (sections + recipes).", "gauge",
 			obs.Sample{Value: uint64(st.Bytes)})
 		sn.Add("dorado_store_sessions", "Sessions the store manifest references.", "gauge",
 			obs.Sample{Value: uint64(st.Sessions)})
-		sn.Add("dorado_store_sections_deduped_total", "Snapshot sections not rewritten because an identical blob existed.", "counter",
+		sn.Add("dorado_store_sections_deduped_total", "Section files a park did not rewrite because an identical one existed (sections under 4 KiB ride in the recipe and are not counted).", "counter",
 			obs.Sample{Value: st.SectionsDeduped})
-		sn.Add("dorado_store_deduped_bytes_total", "Bytes those deduplicated sections would have written.", "counter",
+		sn.Add("dorado_store_deduped_bytes_total", "Bytes those deduplicated section files would have written.", "counter",
 			obs.Sample{Value: st.DedupedBytes})
 		sn.Add("dorado_store_gc_runs_total", "Completed store GC sweeps.", "counter",
 			obs.Sample{Value: st.GCRuns})

@@ -278,9 +278,10 @@ func (s *Session) park(m *Manager, cutoff time.Time) bool {
 // persist writes a parked session's snapshot into the durable store:
 // snapshot first, then its Spec sidecar, then the manifest entry, which
 // carries the published view's counters — in that order, so the manifest
-// never names a snapshot that is not already durable. The store keeps
-// sections plus a recipe, so re-parking a mostly-unchanged session
-// writes only the sections that changed. The hash is pinned for the
+// never names a snapshot that is not already durable. The store keeps a
+// recipe per snapshot, carrying its sections under 4 KiB inline, and
+// shares the larger sections, so a park writes the recipe and only the
+// large sections that changed. The hash is pinned for the
 // whole sequence: between the snapshot write and the manifest entry the
 // snapshot is unreferenced, and the pin is what keeps a concurrent GC
 // sweep from reclaiming it in that window. The pinned hash is handed to

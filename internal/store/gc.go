@@ -23,10 +23,10 @@ package store
 // fork it before it is declared garbage.
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 )
 
@@ -102,16 +102,19 @@ func (s *Store) Sweep(policy GCPolicy) (SweepResult, error) {
 	}
 
 	var res SweepResult
-	// Pass 1: recipes. A recipe survives if its snapshot hash is a root
-	// or it is young; every surviving recipe's sections become reachable,
-	// so a kept-because-young recipe also anchors its sections. A
+	// Pass 1: recipes, of either version. A recipe survives if its
+	// snapshot hash is a root or it is young; every surviving recipe's
+	// shared sections become reachable, so a kept-because-young recipe also
+	// anchors its sections. Inline sections go with their recipe. A
 	// reclaimed recipe takes its spec sidecar with it.
 	liveSections := map[string]bool{}
 	if err := s.sweepDir(filepath.Join(s.dir, "recipes"), cutoff, &res, func(name string, young bool) (keep bool) {
 		if roots[name] || young {
 			if r, err := s.readRecipe(name); err == nil {
-				for _, sec := range r.Sections {
-					liveSections[sec.Hash] = true
+				for _, sec := range r.sections {
+					if sec.shared {
+						liveSections[hex.EncodeToString(sec.sum[:])] = true
+					}
 				}
 			} else if roots[name] {
 				// A reachable recipe that fails to parse is a corruption
@@ -165,8 +168,9 @@ func (s *Store) sweepDir(dir string, cutoff time.Time, res *SweepResult, decide 
 		}
 		// WriteFileAtomic temp files are another writer's in-flight rename
 		// source; deleting one would fail that write. They are transient by
-		// construction, so they are simply not sweep candidates.
-		if strings.Contains(e.Name(), ".tmp") {
+		// construction (Open removes those a killed write left), so they
+		// are simply not sweep candidates.
+		if isTemp(e.Name()) {
 			continue
 		}
 		info, err := e.Info()

@@ -27,12 +27,13 @@ func TestSweepKeepsManifestReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One snapshot referenced by the manifest, one orphan.
-	kept := putDoc(t, s, "referenced snapshot")
+	// One snapshot referenced by the manifest, one orphan, each with a
+	// shared section of its own and an inline one.
+	kept := putShared(t, s, 'k')
 	if err := s.PutMeta(kept, json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	orphan := putDoc(t, s, "orphaned snapshot")
+	orphan := putShared(t, s, 'o')
 	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: kept}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +65,13 @@ func TestSweepSectionedSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := state.RawSection{Tag: "MEM0", Body: bigBody('m', 2048)}
-	keptDoc := snapDoc(1, shared, state.RawSection{Tag: "PROC", Body: []byte("kept core")})
-	deadDoc := snapDoc(1, shared, state.RawSection{Tag: "PROC", Body: []byte("dead core")})
+	shared := state.RawSection{Tag: "MEM0", Body: bigBody('m', sharedMin)}
+	keptDoc := snapDoc(1, shared,
+		state.RawSection{Tag: "PROC", Body: []byte("kept core")},
+		state.RawSection{Tag: "MDAT", Body: bigBody('k', sharedMin)})
+	deadDoc := snapDoc(1, shared,
+		state.RawSection{Tag: "PROC", Body: []byte("dead core")},
+		state.RawSection{Tag: "MDAT", Body: bigBody('d', sharedMin)})
 	keptStat, err := s.PutSnapshot(keptDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +85,19 @@ func TestSweepSectionedSnapshots(t *testing.T) {
 	}
 
 	res := sweepAll(t, s)
-	// The dead recipe goes, along with its private section; the shared
-	// section survives because the kept recipe still names it.
+	// The dead recipe goes, along with its inline core and its private
+	// section file; the shared section survives because the kept recipe
+	// still names it.
 	if res.ReclaimedRecipes != 1 || res.ReclaimedSections != 1 {
 		t.Fatalf("sweep = %+v", res)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sections", Hash(bigBody('d', sharedMin)))); !os.IsNotExist(err) {
+		t.Errorf("dead snapshot's private section: %v", err)
+	}
+	for _, body := range [][]byte{shared.Body, bigBody('k', sharedMin)} {
+		if _, err := os.Stat(filepath.Join(dir, "sections", Hash(body))); err != nil {
+			t.Errorf("kept snapshot's section: %v", err)
+		}
 	}
 	if s.Has(deadStat.Hash) {
 		t.Error("dead sectioned snapshot still readable")
@@ -136,22 +150,39 @@ func TestSweepUnreadableReachableRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := snapDoc(1, state.RawSection{Tag: "AAAA", Body: []byte("body bytes")})
-	st, err := s.PutSnapshot(doc)
+	hash := putShared(t, s, 'b')
+	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: hash}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "recipes", hash)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: st.Hash}); err != nil {
+	// A recipe cut short and a broken version-1 JSON recipe alike.
+	for _, broken := range [][]byte{saved[:len(saved)-1], []byte("{broken")} {
+		if err := os.WriteFile(path, broken, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Sweep(GCPolicy{}); err == nil {
+			t.Fatalf("sweep over the unreadable reachable recipe %q succeeded", broken[:min(len(broken), 8)])
+		}
+		// The section behind the broken recipe was not touched.
+		if n, _ := dirStats(filepath.Join(dir, "sections")); n != 1 {
+			t.Fatalf("sections after aborted sweep = %d", n)
+		}
+	}
+}
+
+// putShared stores a snapshot holding a shared section filled with fill
+// and an inline one, and returns its hash.
+func putShared(t *testing.T, s *Store, fill byte) string {
+	t.Helper()
+	st, err := s.PutSnapshot(snapDoc(2,
+		state.RawSection{Tag: "PROC", Body: []byte{fill}},
+		state.RawSection{Tag: "MEM0", Body: bigBody(fill, sharedMin)}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "recipes", st.Hash), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Sweep(GCPolicy{}); err == nil {
-		t.Fatal("sweep over an unreadable reachable recipe succeeded")
-	}
-	// The sections behind the broken recipe were not touched.
-	if n, _ := dirStats(filepath.Join(dir, "sections")); n != 1 {
-		t.Fatalf("sections after aborted sweep = %d", n)
-	}
+	return st.Hash
 }

@@ -4,16 +4,20 @@
 //
 // Layout under the root directory:
 //
-//	sections/<sha256-hex>      one snapshot section body (see section.go)
-//	recipes/<sha256-hex>       how to reassemble one snapshot from sections
+//	recipes/<sha256-hex>       one snapshot: its header, its sections under
+//	                           4 KiB inline, and the names of the others
+//	sections/<sha256-hex>      one section body of 4 KiB or more, shared by
+//	                           every recipe that names it (see section.go)
 //	blobs/<sha256-hex>.json    the session Spec that produced the snapshot
 //	manifest.json              session id → {spec, snapshot hash, cycle, view}
 //
 // Everything is content-addressed. A snapshot's address is the SHA-256 of
 // the complete document, and its recipe is filed under that name; each
-// section is filed under the hash of its own body, so identical sections
-// share storage across snapshots, a file on disk is immutable, and a
-// reader verifies integrity by rehashing (Get rehashes every reassembly).
+// shared section is filed under the hash of its own body, so identical
+// large sections share storage across snapshots, a file on disk is
+// immutable, and a reader verifies integrity by rehashing (Get rehashes
+// every reassembly). A park of a booted Mesa session writes two payload
+// files, the recipe and the storage pages; the microstore is shared.
 // The spec sidecar makes a snapshot self-describing — fork-from-hash
 // rebuilds a machine from the sidecar Spec and restores the bytes onto it
 // without consulting any session.
@@ -29,13 +33,15 @@
 // the final name, then fsync the directory so the rename itself is
 // durable. A reader (or a process killed mid-park) sees either the old
 // document or the new one, never a torn one. Ordering makes the manifest
-// trustworthy: sections, then the recipe, then the sidecar are durable
-// before the manifest names the snapshot, so every hash a manifest
-// references exists. The in-memory manifest changes only once its new
-// version is on disk, so a failed write (a full disk) leaves memory and
-// disk agreeing, and Sweep, which takes its roots from memory, never
-// reclaims a snapshot the disk still names. The worst a crash leaves
-// behind is an unreferenced snapshot, which is harmless garbage.
+// trustworthy: shared sections, then the recipe, then the sidecar are
+// durable before the manifest names the snapshot, so every hash a
+// manifest references exists. The in-memory manifest changes only once
+// its new version is on disk, so a failed write (a full disk) leaves
+// memory and disk agreeing, and Sweep, which takes its roots from memory,
+// never reclaims a snapshot the disk still names. The worst a crash
+// leaves behind is an unreferenced snapshot, which is harmless garbage,
+// and the temporary file of the write it killed, which the next Open
+// deletes.
 package store
 
 import (
@@ -48,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,11 +124,16 @@ type Store struct {
 }
 
 // Open creates (or reopens) a store rooted at dir, loading the manifest
-// if one exists.
+// if one exists. It first deletes the temporary files of writes that
+// were killed before their rename: no writer of this process runs yet,
+// and a store belongs to one process, so every such file is an orphan.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"blobs", "sections", "recipes"} {
+	for _, sub := range []string{".", "blobs", "sections", "recipes"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
+		}
+		if err := removeTemps(filepath.Join(dir, sub)); err != nil {
+			return nil, fmt.Errorf("store: removing a killed write's temporary file: %w", err)
 		}
 	}
 	s := &Store{dir: dir, m: manifest{Version: manifestVersion, Sessions: map[string]Entry{}}, pins: map[string]int{}}
@@ -316,6 +328,27 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// isTemp reports whether name is one of WriteFileAtomic's temporary
+// files, <final name>.tmp<random digits>. No stored file's name holds
+// ".tmp": they are hashes, <hash>.json and manifest.json.
+func isTemp(name string) bool { return strings.Contains(name, ".tmp") }
+
+// removeTemps deletes every WriteFileAtomic temporary file in dir.
+func removeTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if !e.IsDir() && isTemp(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory, making the renames inside it durable:

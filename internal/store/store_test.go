@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -249,8 +250,13 @@ func TestWritesSyncDirectories(t *testing.T) {
 		return nil
 	}
 
-	a, b := []byte("section a"), []byte("section b")
-	doc := snapDoc(1, state.RawSection{Tag: "AAAA", Body: a}, state.RawSection{Tag: "BBBB", Body: b})
+	// Two shared sections and an inline one: the inline one is written
+	// with the recipe, and the shared ones before it.
+	a, b := bigBody('a', sharedMin), bigBody('b', sharedMin)
+	doc := snapDoc(1,
+		state.RawSection{Tag: "AAAA", Body: a},
+		state.RawSection{Tag: "CCCC", Body: []byte("inline c")},
+		state.RawSection{Tag: "BBBB", Body: b})
 	st, err := s.PutSnapshot(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +286,10 @@ func TestWritesSyncDirectories(t *testing.T) {
 	syncDir = func(string) error { return errSync }
 	fresh := snapDoc(1, state.RawSection{Tag: "CCCC", Body: []byte("section c")})
 	if _, err := s.PutSnapshot(fresh); !errors.Is(err, errSync) {
+		t.Errorf("PutSnapshot of inline sections only with a failing directory sync: %v", err)
+	}
+	fresh = snapDoc(1, state.RawSection{Tag: "DDDD", Body: bigBody('d', sharedMin)})
+	if _, err := s.PutSnapshot(fresh); !errors.Is(err, errSync) {
 		t.Errorf("PutSnapshot with a failing directory sync: %v", err)
 	}
 	if err := s.PutMeta(st.Hash, json.RawMessage(`{}`)); !errors.Is(err, errSync) {
@@ -287,5 +297,120 @@ func TestWritesSyncDirectories(t *testing.T) {
 	}
 	if err := s.SaveSession(Entry{ID: "s2", Seq: 2, Spec: json.RawMessage(`{}`), Hash: st.Hash}); !errors.Is(err, errSync) {
 		t.Errorf("SaveSession with a failing directory sync: %v", err)
+	}
+}
+
+// TestOpenRemovesKilledWriteTemps: a process killed inside
+// WriteFileAtomic leaves its temporary file behind, in the store root or
+// any payload directory. The next Open deletes every one of them and
+// keeps every stored file, and the manifest adopts the same sessions.
+func TestOpenRemovesKilledWriteTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := putShared(t, s, 's')
+	if err := s.PutMeta(hash, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSession(Entry{ID: "s1", Seq: 1, Spec: json.RawMessage(`{}`), Hash: hash, Cycle: 7}); err != nil {
+		t.Fatal(err)
+	}
+	listing := func(sub string) []string {
+		ents, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			if !e.IsDir() {
+				names = append(names, e.Name())
+			}
+		}
+		return names
+	}
+	subs := []string{".", "recipes", "sections", "blobs"}
+	stored := map[string][]string{}
+	for _, sub := range subs {
+		stored[sub] = listing(sub)
+	}
+	// What a killed write leaves: os.CreateTemp's name for the final one,
+	// holding part of the bytes.
+	other := Hash([]byte("another snapshot"))
+	for _, temp := range []string{
+		"manifest.json.tmp3141592",
+		"recipes/" + other + ".tmp2718281",
+		"sections/" + Hash(bigBody('x', sharedMin)) + ".tmp1414213",
+		"blobs/" + other + ".json.tmp1732050",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, temp), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range subs {
+		if got := listing(sub); strings.Join(got, " ") != strings.Join(stored[sub], " ") {
+			t.Errorf("%s/ after Open = %v, want %v", sub, got, stored[sub])
+		}
+	}
+	if list := re.Sessions(); len(list) != 1 || list[0].ID != "s1" || list[0].Hash != hash || list[0].Cycle != 7 {
+		t.Fatalf("adopted sessions = %+v", list)
+	}
+	if _, err := re.Get(hash); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutCrashPrefix: a put that stops at any of its directory syncs, as
+// a crash there would, leaves a store whose reopened Get of the snapshot
+// answers ErrNoBlob or the exact bytes, never anything else.
+func TestPutCrashPrefix(t *testing.T) {
+	doc := snapDoc(2,
+		state.RawSection{Tag: "CTRL", Body: []byte("processor")},
+		state.RawSection{Tag: "UIMS", Body: bigBody('u', 2*sharedMin)},
+		state.RawSection{Tag: "MCCH", Body: bigBody('c', sharedMin-1)},
+		state.RawSection{Tag: "MDAT", Body: bigBody('m', sharedMin)},
+	)
+	hash := Hash(doc)
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	errCrash := errors.New("crashed at this sync")
+	for k := 1; ; k++ {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		syncDir = func(d string) error {
+			if calls++; calls == k {
+				return errCrash
+			}
+			return orig(d)
+		}
+		_, putErr := s.PutSnapshot(doc)
+		syncDir = orig
+		if putErr != nil && !errors.Is(putErr, errCrash) {
+			t.Fatalf("crash at sync %d: put failed with %v", k, putErr)
+		}
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := re.Get(hash)
+		if !errors.Is(err, ErrNoBlob) && (err != nil || !bytes.Equal(got, doc)) {
+			t.Fatalf("crash at sync %d: Get = %d bytes, %v; want ErrNoBlob or the snapshot", k, len(got), err)
+		}
+		if putErr == nil {
+			if k != 4 {
+				t.Fatalf("a put of two section files and a recipe synced %d times, want 3", k-1)
+			}
+			return
+		}
 	}
 }
